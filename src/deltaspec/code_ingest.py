@@ -243,7 +243,10 @@ def mask_comments_and_strings(src: str) -> str:
         else:  # STR or CHR
             quote = '"' if state == STR else "'"
             if c == "\\" and i + 1 < n:
-                out[i] = out[i + 1] = " "
+                # A backslash-newline is a line splice, not literal content:
+                # keep both so line structure and continuations survive.
+                if src[i + 1] != "\n":
+                    out[i] = out[i + 1] = " "
                 i += 2
                 continue
             if c == quote:
@@ -437,6 +440,8 @@ def _strip_declname(rendered: str, name: str) -> str:
 
 
 def _try_syntax_tier(region_src: str, prelude: str, name: str) -> c_ast.FuncDef | None:
+    # The parser does no line splicing of its own (translation phase 2).
+    region_src = region_src.replace("\\\n", "")
     source = prelude + "\n" + region_src if prelude else region_src
     parser = pycparser.CParser()
     try:

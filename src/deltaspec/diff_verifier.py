@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from .errors import (ContractViolation, EmptyResponse, GatewayError,
-                     ShapeMismatch, UnknownFunction, VerificationAborted)
+                     InvalidInputs, ShapeMismatch, UnknownFunction,
+                     VerificationAborted)
 from .knowledge_graph import KnowledgeGraph, retrieve_code_for_spec
 from .llm_gateway import PHASE_REASONING, LlmGateway, request
 from .spec_evolution import FunctionalEntry, Increment
@@ -245,9 +246,11 @@ def verify_increment(
     completed trials attached.
     """
     if trials < 1 or trials % 2 == 0:
-        raise ValueError(f"trials must be odd and positive, got {trials}")
+        raise InvalidInputs(f"trials must be odd and positive, got {trials}")
     if not task.targets:
-        raise ValueError("verification task has no target entries")
+        raise InvalidInputs(
+            f"verification task for RFC {task.rfc} on {task.code_version} has "
+            f"no target entries: no functional requirement was extracted")
     exemplars: Sequence = ()
     if store is not None and len(store) > 0:
         query = "\n".join(f"{t.title} {t.summary}" for t in task.targets)

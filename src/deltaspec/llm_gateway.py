@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol
 
-import jsonschema
+from jsonschema.exceptions import ValidationError, best_match
+from jsonschema.validators import validator_for
 
 from .errors import ContractViolation, ProviderError
 from .tokenizer import count_tokens, token_texts
@@ -34,6 +35,23 @@ PHASE_REASONING = "reasoning"
 PHASES = (PHASE_GRAPH, PHASE_REASONING)
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+
+# Compiled validators keyed by a schema's canonical JSON. Schemas are
+# unhashable dicts and ids get reused, so the key is the value itself.
+_VALIDATORS: dict[str, Any] = {}
+
+
+def schema_error(instance: Any, schema: Mapping) -> ValidationError | None:
+    """The error ``jsonschema.validate(instance, schema)`` would raise, or
+    None. The schema is checked against its metaschema once, when first
+    seen, so an invalid schema still raises ``SchemaError`` on first use."""
+    key = json.dumps(schema, sort_keys=True)
+    validator = _VALIDATORS.get(key)
+    if validator is None:
+        cls = validator_for(schema)
+        cls.check_schema(schema)
+        validator = _VALIDATORS[key] = cls(schema)
+    return best_match(validator.iter_errors(instance))
 
 
 @dataclass(frozen=True)
@@ -245,16 +263,16 @@ class HttpProvider:
             raise ProviderError(f"provider unreachable: {exc}") from exc
         if resp.status_code != 200:
             raise ProviderError(f"provider returned {resp.status_code}: {resp.text[:200]}")
-        body = resp.json()
         try:
+            body = resp.json()
             text = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+            usage = None
+            if isinstance(body.get("usage"), dict):
+                u = body["usage"]
+                usage = Usage(int(u.get("prompt_tokens", 0)),
+                              int(u.get("completion_tokens", 0)))
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
-        usage = None
-        if isinstance(body.get("usage"), dict):
-            u = body["usage"]
-            usage = Usage(int(u.get("prompt_tokens", 0)),
-                          int(u.get("completion_tokens", 0)))
         return text, usage
 
 
@@ -442,10 +460,10 @@ class LlmGateway:
 
     def _validate_contract(self, request: LlmRequest, text: str) -> Any:
         payload = extract_json_payload(text)
-        try:
-            jsonschema.validate(payload, request.response_contract)
-        except jsonschema.ValidationError as exc:
-            raise ContractViolation(f"response violates contract: {exc.message}") from exc
+        error = schema_error(payload, request.response_contract)
+        if error is not None:
+            raise ContractViolation(
+                f"response violates contract: {error.message}") from error
         return payload
 
     def _cache_path(self, fp: str) -> Path | None:
@@ -458,10 +476,14 @@ class LlmGateway:
         if path is None or not path.exists():
             return None
         try:
-            return json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
+            entry = json.loads(path.read_text())
+        except (json.JSONDecodeError, OSError, UnicodeDecodeError):
             log.warning("dropping unreadable cache entry %s", path.name)
             return None
+        if not _is_cache_entry(entry, fp):
+            log.warning("dropping corrupt cache entry %s", path.name)
+            return None
+        return entry
 
     def _cache_put(self, fp: str, model: str, text: str, usage: Usage) -> None:
         path = self._cache_path(fp)
@@ -479,3 +501,15 @@ class LlmGateway:
         tmp = path.with_suffix(".tmp")
         tmp.write_text(json.dumps(entry, sort_keys=True, indent=1))
         os.replace(tmp, path)
+
+
+def _is_cache_entry(entry: Any, fp: str) -> bool:
+    """A servable entry is stored under its own fingerprint, holds a string
+    response and nonnegative integer token counts."""
+    if not isinstance(entry, dict) or entry.get("key") != fp \
+            or not isinstance(entry.get("response"), str):
+        return False
+    usage = entry.get("usage")
+    return isinstance(usage, dict) and all(
+        type(usage.get(k)) is int and usage[k] >= 0
+        for k in ("prompt_tokens", "completion_tokens"))

@@ -10,10 +10,9 @@ import datetime
 import json
 from pathlib import Path
 
-import jsonschema
-
 from ..diff_verifier import IMPLEMENTED, NOT_IMPLEMENTED
 from ..errors import SerializationError
+from ..llm_gateway import schema_error
 from .config import PipelineConfig
 from .pipeline import _read_json, _read_jsonl, _write_json
 
@@ -97,10 +96,9 @@ def build_report(cfg: PipelineConfig) -> dict:
 
 
 def render_report(report: dict, out_dir: str | Path) -> Path:
-    try:
-        jsonschema.validate(report, REPORT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SerializationError(f"report fails its schema: {exc.message}") from exc
+    error = schema_error(report, REPORT_SCHEMA)
+    if error is not None:
+        raise SerializationError(f"report fails its schema: {error.message}") from error
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", report)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -92,16 +93,27 @@ class CorpusStats:
         return cls(doc_count=n, avg_len=(total / n if n else 0.0), doc_freqs=freqs)
 
 
+def term_freqs(tokens: Sequence[str]) -> dict[str, int]:
+    tf: dict[str, int] = {}
+    for t in tokens:
+        tf[t] = tf.get(t, 0) + 1
+    return tf
+
+
 def bm25_score(query_tokens: Sequence[str], doc_tokens: Sequence[str],
                stats: CorpusStats, k1: float = DEFAULT_K1,
                b: float = DEFAULT_B) -> float:
     """Okapi BM25 of one document against a query, given corpus stats."""
-    if not doc_tokens or stats.doc_count == 0:
+    return bm25_score_tf(query_tokens, term_freqs(doc_tokens), len(doc_tokens),
+                         stats, k1, b)
+
+
+def bm25_score_tf(query_tokens: Sequence[str], tf: Mapping[str, int], dl: int,
+                  stats: CorpusStats, k1: float = DEFAULT_K1,
+                  b: float = DEFAULT_B) -> float:
+    """BM25 of a document given by its term frequencies and token length."""
+    if not dl or stats.doc_count == 0:
         return 0.0
-    tf: dict[str, int] = {}
-    for t in doc_tokens:
-        tf[t] = tf.get(t, 0) + 1
-    dl = len(doc_tokens)
     norm = k1 * (1.0 - b + b * dl / stats.avg_len) if stats.avg_len > 0 else k1
     score = 0.0
     for term in query_tokens:
@@ -114,19 +126,47 @@ def bm25_score(query_tokens: Sequence[str], doc_tokens: Sequence[str],
     return score
 
 
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(y * y for y in b))
+def cosine(a: Sequence[float], b: Sequence[float],
+           norm_a: float | None = None, norm_b: float | None = None) -> float:
+    """Cosine similarity; precomputed norms may be passed in."""
+    dot = sum(map(operator.mul, a, b))
+    na = vector_norm(a) if norm_a is None else norm_a
+    nb = vector_norm(b) if norm_b is None else norm_b
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
 
 
+def vector_norm(v: Sequence[float]) -> float:
+    return math.sqrt(sum(map(operator.mul, v, v)))
+
+
+@dataclass(frozen=True)
+class _DocFeatures:
+    """What retrieval reads of one store document, computed once."""
+
+    tokens: list[str]
+    tf: dict[str, int]
+
+    @classmethod
+    def of(cls, triplet: DifferentialTriplet) -> "_DocFeatures":
+        tokens = _doc_tokens(triplet)
+        return cls(tokens, term_freqs(tokens))
+
+
 class TripletStore:
+    """Labeled exemplars plus the retrieval features of each document.
+
+    The features (tokens, term frequencies, corpus stats, embeddings) are
+    computed on first use and dropped by ``add()``; embeddings are kept
+    only while retrieval asks the same embedder.
+    """
+
     def __init__(self, triplets: Sequence[DifferentialTriplet] = ()):
         self.triplets: list[DifferentialTriplet] = list(triplets)
         self._stats: CorpusStats | None = None
+        self._features: list[_DocFeatures] | None = None
+        self._embedded: tuple[object, list[tuple[list[float], float]]] | None = None
 
     def __len__(self) -> int:
         return len(self.triplets)
@@ -136,12 +176,28 @@ class TripletStore:
             raise InvalidRecord(f"triplet {triplet.id} has empty spec text or code")
         self.triplets.append(triplet)
         self._stats = None
+        self._features = None
+        self._embedded = None
+
+    def features(self) -> list[_DocFeatures]:
+        if self._features is None:
+            self._features = [_DocFeatures.of(t) for t in self.triplets]
+        return self._features
 
     def corpus_stats(self) -> CorpusStats:
         if self._stats is None:
             self._stats = CorpusStats.from_docs(
-                [_doc_tokens(t) for t in self.triplets])
+                [f.tokens for f in self.features()])
         return self._stats
+
+    def embeddings(self, gateway: LlmGateway) -> list[tuple[list[float], float]]:
+        """Each document's embedding under the gateway's embedder, with its
+        norm."""
+        embedder = gateway.embedder
+        if self._embedded is None or self._embedded[0] is not embedder:
+            vecs = [gateway.embed(t.document()) for t in self.triplets]
+            self._embedded = (embedder, [(v, vector_norm(v)) for v in vecs])
+        return self._embedded[1]
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -248,12 +304,12 @@ def retrieve_exemplars(
     stats = store.corpus_stats()
     q_tokens = [t.lower() for t in token_texts(query_text)]
     q_vec = gateway.embed(query_text)
-    raw_bm25: list[float] = []
-    cosines: list[float] = []
-    for t in store.triplets:
-        raw_bm25.append(bm25_score(q_tokens, _doc_tokens(t), stats,
-                                   cfg.bm25_k1, cfg.bm25_b))
-        cosines.append(cosine(q_vec, gateway.embed(t.document())))
+    raw_bm25 = [bm25_score_tf(q_tokens, f.tf, len(f.tokens), stats,
+                              cfg.bm25_k1, cfg.bm25_b)
+                for f in store.features()]
+    q_norm = vector_norm(q_vec)
+    cosines = [cosine(q_vec, d_vec, q_norm, d_norm)
+               for d_vec, d_norm in store.embeddings(gateway)]
     lo, hi = min(raw_bm25), max(raw_bm25)
     spread = hi - lo
     fused: list[float] = []

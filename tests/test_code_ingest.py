@@ -74,6 +74,25 @@ def test_masking_is_idempotent():
     assert mask_comments_and_strings(once) == once
 
 
+def test_spliced_string_literal_keeps_lines_and_strict_tier():
+    src = (
+        'const char *banner(void)\n'
+        '{\n'
+        '    return "one \\\n'
+        'two } three";\n'
+        '}\n'
+    )
+    masked = mask_comments_and_strings(src)
+    assert masked.count("\n") == src.count("\n")
+    assert "}" not in masked.splitlines()[3]
+    source = SourceFile(path="banner.c", version="v", content=src,
+                        line_count=src.count("\n"), token_count=0)
+    (fn,) = extract_functions(source)
+    assert fn.name == "banner"
+    assert fn.extraction_tier == "syntax-tree"
+    assert (fn.span.line_start, fn.span.line_end) == (1, 5)
+
+
 # --------------------------------------------------------------- extraction
 
 def test_toy_tree_extracts_every_function_with_types():

@@ -17,6 +17,7 @@ from deltaspec.diff_verifier import (
 )
 from deltaspec.errors import (
     EmptyResponse,
+    InvalidInputs,
     ShapeMismatch,
     UnknownFunction,
     VerificationAborted,
@@ -127,11 +128,11 @@ def test_degenerate_tasks_are_flagged():
 
 def test_trial_count_must_be_odd_and_targets_nonempty():
     gateway = LlmGateway(provider=MockProvider(rules=judge_rule(["unknown"])))
-    with pytest.raises(ValueError, match="odd"):
+    with pytest.raises(InvalidInputs, match="odd"):
         verify_increment(make_task(), {}, None, gateway, "m", trials=4)
     bare = VerificationTask(rfc=793, code_version="toy", targets=(),
                             candidates=())
-    with pytest.raises(ValueError, match="target"):
+    with pytest.raises(InvalidInputs, match="target"):
         verify_increment(bare, {}, None, gateway, "m", trials=3)
 
 

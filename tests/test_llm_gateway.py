@@ -2,14 +2,20 @@
 
 import json
 
+import jsonschema
 import pytest
+import requests
+from jsonschema.validators import validator_for
 
+from deltaspec import llm_gateway
 from deltaspec.errors import ContractViolation, ProviderError
 from deltaspec.llm_gateway import (
     CostLedger,
     HashEmbedder,
+    HttpProvider,
     LlmGateway,
     MockProvider,
+    Usage,
     extract_json_payload,
     request,
 )
@@ -216,3 +222,123 @@ def test_gateway_requires_embedder_for_embeddings():
     gateway = LlmGateway(provider=MockProvider(rules=lambda r: "x"))
     with pytest.raises(ProviderError, match="embedder"):
         gateway.embed("text")
+
+
+# --------------------------------------------------------- compiled contracts
+
+def test_each_contract_is_checked_against_its_metaschema_once(monkeypatch):
+    monkeypatch.setattr(llm_gateway, "_VALIDATORS", {})
+    cls = validator_for(OK_CONTRACT)
+    real = cls.check_schema
+    checked = []
+
+    def counting(schema, *args, **kwargs):
+        checked.append(json.dumps(schema, sort_keys=True))
+        return real(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
+    other = {"type": "object", "required": ["ok", "why"]}
+    for _ in range(2):
+        gateway = LlmGateway(
+            provider=MockProvider(rules=lambda r: '{"ok": 1, "why": "x"}'))
+        for i in range(5):
+            for contract in (OK_CONTRACT, dict(other), other):
+                gateway.complete(request("m", None, f"q{i}", contract=contract),
+                                 "graph")
+    assert sorted(checked) == sorted(json.dumps(c, sort_keys=True)
+                                     for c in (OK_CONTRACT, other))
+
+
+def test_invalid_contract_raises_on_every_use():
+    bad = {"type": 12}
+    gateway = LlmGateway(provider=MockProvider(rules=lambda r: '{"ok": 1}'))
+    for _ in range(2):
+        with pytest.raises(jsonschema.SchemaError):
+            gateway.complete(request("m", None, "q", contract=bad), "graph")
+
+
+def test_contract_violation_message_matches_jsonschema():
+    contract = {"type": "object", "required": ["verdict"],
+                "properties": {"verdict": {"enum": ["yes", "no"]},
+                               "cited": {"type": "array",
+                                         "items": {"type": "string"}}}}
+    payload = {"verdict": "maybe", "cited": [1, "f"]}
+    with pytest.raises(jsonschema.ValidationError) as reference:
+        jsonschema.validate(payload, contract)
+    gateway = LlmGateway(provider=MockProvider(rules=lambda r: json.dumps(payload)),
+                         contract_retries=0)
+    with pytest.raises(ContractViolation) as got:
+        gateway.complete(request("m", None, "q", contract=contract), "reasoning")
+    assert str(got.value) == \
+        f"response violates contract: {reference.value.message}"
+
+
+# ----------------------------------------------------------- corrupt entries
+
+@pytest.mark.parametrize("tamper", [
+    lambda e: e.update(key="0" * 64),
+    lambda e: e.update(response=["not", "text"]),
+    lambda e: e.pop("usage"),
+    lambda e: e["usage"].pop("completion_tokens"),
+    lambda e: e["usage"].update(prompt_tokens="7"),
+    lambda e: e["usage"].update(prompt_tokens=-1),
+], ids=["key", "response", "no-usage", "no-completion", "string-count",
+        "negative-count"])
+def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, caplog, tamper):
+    gateway = LlmGateway(provider=MockProvider(rules=lambda r: '{"ok": 1}'),
+                         cache_dir=tmp_path)
+    req = request("m", None, "q", contract=OK_CONTRACT)
+    gateway.complete(req, "graph")
+    path = tmp_path / req.fingerprint[:2] / f"{req.fingerprint}.json"
+    entry = json.loads(path.read_text())
+    tamper(entry)
+    path.write_text(json.dumps(entry))
+
+    result = gateway.complete(req, "graph")
+    assert not result.cached
+    assert gateway.stats.provider_calls == 2
+    assert "corrupt cache entry" in caplog.text
+    assert json.loads(path.read_text())["key"] == req.fingerprint
+    assert gateway.complete(req, "graph").cached
+
+
+# ---------------------------------------------------------------- http path
+
+def http_response(status_code, body):
+    resp = requests.Response()
+    resp.status_code = status_code
+    resp._content = body.encode("utf-8")
+    resp.encoding = "utf-8"
+    return resp
+
+
+@pytest.mark.parametrize("outcome", [
+    requests.ConnectionError("connection refused"),
+    http_response(500, "internal error"),
+    http_response(200, "<html>not json</html>"),
+    http_response(200, json.dumps({"id": "x", "usage": {}})),
+], ids=["transport", "http-500", "non-json", "no-choices"])
+def test_http_provider_failures_end_as_provider_errors(monkeypatch, outcome):
+    def fake_post(*args, **kwargs):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    provider = HttpProvider(base_url="http://provider.invalid", api_key="k")
+    with pytest.raises(ProviderError):
+        provider.complete(request("m", None, "q"))
+    gateway = LlmGateway(provider=provider, max_retries=1, backoff_base=0.0)
+    with pytest.raises(ProviderError, match="2 attempts"):
+        gateway.complete(request("m", None, "q"), "graph")
+
+
+def test_http_provider_reads_text_and_usage(monkeypatch):
+    body = {"choices": [{"message": {"content": "hi"}}],
+            "usage": {"prompt_tokens": 3, "completion_tokens": 1}}
+    monkeypatch.setattr(requests, "post",
+                        lambda *a, **k: http_response(200, json.dumps(body)))
+    text, usage = HttpProvider(base_url="http://provider.invalid").complete(
+        request("m", None, "q"))
+    assert text == "hi"
+    assert usage == Usage(3, 1)

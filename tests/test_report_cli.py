@@ -143,6 +143,35 @@ def test_cli_unknown_version_tag_is_a_pipeline_error(mini_config, capsys):
     assert "toy-z" in capsys.readouterr().err
 
 
+_NO_REQUIREMENT_RFC = """\
+Network Working Group                                          A. Author
+Request for Comments: 9999                                 Example Corp.
+Category: Informational                                        June 2001
+
+                       A Memo Without Requirements
+
+1.  Introduction
+
+   This memo describes the history of the protocol and names no
+   behavior that an implementation must provide.
+"""
+
+
+def test_cli_verify_without_root_entries_exits_one(mini_config, tmp_path,
+                                                   capsys):
+    rfc = tmp_path / "rfc9999.txt"
+    rfc.write_text(_NO_REQUIREMENT_RFC)
+    cfg_path = mini_config(rfc_sources=[str(rfc)])
+    for stage in ("ingest-rfc", "ingest-code", "build-graph", "build-chains",
+                  "synth-triplets"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "9999" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_ingest_stages_report_counts(mini_config, capsys):
     cfg_path = mini_config()
     assert main(["ingest-rfc", "--config", str(cfg_path)]) == 0

@@ -243,3 +243,71 @@ def test_store_roundtrips_and_saves_into_new_directories(tmp_path):
     store.save(target)
     loaded = TripletStore.load(target)
     assert loaded.triplets == store.triplets
+
+
+def reference_ranking(query, store, gateway, cfg):
+    """Retrieval recomputed from scratch with bm25_score and cosine."""
+    stats = store.corpus_stats()
+    q_tokens = [t.lower() for t in token_texts(query)]
+    q_vec = gateway.embed(query)
+    raw = [bm25_score(q_tokens, [w.lower() for w in token_texts(t.document())],
+                      stats, cfg.bm25_k1, cfg.bm25_b) for t in store.triplets]
+    lo, hi = min(raw), max(raw)
+    chosen = []
+    for label in ("consistent", "inconsistent"):
+        pool = []
+        for bm, t in zip(raw, store.triplets):
+            if t.label != label:
+                continue
+            norm_bm = (bm - lo) / (hi - lo) if hi > lo else 0.0
+            fused = (cfg.fusion_alpha * cosine(q_vec, gateway.embed(t.document()))
+                     + (1.0 - cfg.fusion_alpha) * norm_bm)
+            pool.append((-fused, t.id, t))
+        chosen.extend(t for _, _, t in sorted(pool, key=lambda p: p[:2])[:cfg.k])
+    return sorted(chosen, key=lambda t: (t.complexity, t.id))
+
+
+def test_cached_retrieval_matches_uncached_reference():
+    store = demo_store()
+    gateway = embed_gateway()
+    for query in ("rst sequence validation in window", "send challenge ack",
+                  "window", "nothing in common"):
+        for alpha in (0.0, 0.3, 1.0):
+            cfg = RetrievalConfig(k=1, fusion_alpha=alpha)
+            assert retrieve_exemplars(query, store, gateway, cfg) == \
+                reference_ranking(query, store, gateway, cfg)
+
+
+def test_retrieval_after_add_sees_the_new_triplet():
+    store = demo_store()
+    gateway = embed_gateway()
+    cfg = RetrievalConfig(k=1, fusion_alpha=0.5)
+    query = "reseed the secret key"
+    before = retrieve_exemplars(query, store, gateway, cfg)
+    assert "t5" not in {t.id for t in before}
+    store.add(triplet("t5", "reseed the secret key periodically",
+                      "reseed_secret(key);", complexity=5))
+    after = retrieve_exemplars(query, store, gateway, cfg)
+    assert "t5" in {t.id for t in after}
+    assert after == reference_ranking(query, store, gateway, cfg)
+
+
+class KeywordEmbedder:
+    """Two-dimensional embedding: does the text mention the keyword?"""
+
+    def __init__(self, word):
+        self.word = word
+
+    def embed(self, text):
+        return [1.0, 0.0] if self.word in text else [0.0, 1.0]
+
+
+def test_cached_embeddings_follow_the_embedder():
+    store = demo_store()
+    gateway = LlmGateway(provider=MockProvider(), embedder=KeywordEmbedder("ack"))
+    cfg = RetrievalConfig(k=1, fusion_alpha=1.0)
+    picked = retrieve_exemplars("ack window", store, gateway, cfg)
+    assert {t.id for t in picked} == {"t1", "t3"}
+    gateway.embedder = KeywordEmbedder("window")
+    picked = retrieve_exemplars("ack window", store, gateway, cfg)
+    assert {t.id for t in picked} == {"t2", "t4"}
