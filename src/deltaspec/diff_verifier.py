@@ -9,14 +9,14 @@ stays flagged so a reader can tell abstention from refutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 from .errors import (ContractViolation, EmptyResponse, GatewayError,
                      InvalidInputs, ShapeMismatch, UnknownFunction,
                      VerificationAborted)
 from .knowledge_graph import KnowledgeGraph, retrieve_code_for_spec
-from .llm_gateway import PHASE_REASONING, LlmGateway, request
+from .llm_gateway import PHASE_REASONING, LlmGateway, LlmRequest, request
 from .spec_evolution import FunctionalEntry, Increment
 from .triplet_store import RetrievalConfig, TripletStore, retrieve_exemplars
 
@@ -163,13 +163,8 @@ def majority_verdict(votes: Sequence[str]) -> tuple[str, dict[str, int]]:
     return UNKNOWN, counts
 
 
-def generate_intermediate_repr(
-    task: VerificationTask,
-    exemplars: Sequence,
-    gateway: LlmGateway,
-    model: str,
-    trial: int,
-) -> str:
+def _ir_request(task: VerificationTask, exemplars: Sequence, model: str,
+                trial: int) -> LlmRequest:
     lines = [f"TASK: generate-ir", f"TRIAL: {trial}", f"RFC: {task.rfc}", "TARGETS:"]
     for t in task.targets:
         concepts = ", ".join(t.concepts)
@@ -178,20 +173,17 @@ def generate_intermediate_repr(
         lines.append("EXEMPLAR IRS:")
         for ex in exemplars:
             lines.append(f"- {ex.intermediate_repr}")
-    result = gateway.complete(request(model, _IR_SYSTEM, "\n".join(lines)),
-                              PHASE_REASONING)
-    return result.text.strip()
+    return request(model, _IR_SYSTEM, "\n".join(lines))
 
 
-def _judge_once(
+def _judge_request(
     task: VerificationTask,
     ir_text: str,
     code_texts: Mapping[str, str],
     exemplars: Sequence,
-    gateway: LlmGateway,
     model: str,
     trial: int,
-) -> Trial:
+) -> LlmRequest:
     lines = [
         "TASK: judge-increment",
         f"TRIAL: {trial}",
@@ -214,18 +206,139 @@ def _judge_once(
             raise UnknownFunction(f"no code text supplied for candidate {fid}")
         lines.append(f"FUNCTION {fid}:")
         lines.append(body)
-    req = request(model, _JUDGE_SYSTEM, "\n".join(lines),
-                  contract=JUDGMENT_CONTRACT)
-    try:
-        result = gateway.complete(req, PHASE_REASONING)
-    except ContractViolation as exc:
-        raise EmptyResponse(f"judgment yielded no usable verdict: {exc}") from exc
-    parsed = result.parsed
+    return request(model, _JUDGE_SYSTEM, "\n".join(lines),
+                   contract=JUDGMENT_CONTRACT)
+
+
+def _trial(task: VerificationTask, index: int, ir: object,
+           judgment: object) -> Trial:
+    """One trial from its settled IR and judgment outcomes; raises the
+    error a serial run of the trial would have raised."""
+    if isinstance(ir, Exception):
+        raise ir
+    if isinstance(judgment, ContractViolation):
+        raise EmptyResponse(
+            f"judgment yielded no usable verdict: {judgment}") from judgment
+    if isinstance(judgment, Exception):
+        raise judgment
+    parsed = judgment.parsed
     allowed = {fid for fid, _ in task.trimmed_candidates()}
     cited = tuple(f for f in parsed.get("cited_functions", ()) if f in allowed)
-    return Trial(index=trial, verdict=parsed["verdict"],
+    return Trial(index=index, verdict=parsed["verdict"],
                  rationale=parsed.get("rationale", ""), cited=cited,
-                 ir_text=ir_text)
+                 ir_text=ir.text.strip())
+
+
+@dataclass(frozen=True)
+class _Inherited:
+    """A cell that takes its predecessor's verdict, flagged "inherited"."""
+
+    base: object  # a task index, a Verdict, or another _Inherited
+
+
+@dataclass
+class VerifyPlan:
+    """Verification tasks and matrix rows, laid out before any trial runs.
+
+    A row cell is the index of the task that judges it, a Verdict already
+    known, or an _Inherited wrapper. run() judges every task of the plan in
+    two gateway batches, the IRs of all (task, trial) slots and then their
+    judgments, and fills the rows in.
+    """
+
+    trials: int = DEFAULT_TRIALS
+    tasks: list[VerificationTask] = field(default_factory=list)
+    code_texts: list[Mapping[str, str]] = field(default_factory=list)
+    exemplars: list[Sequence] = field(default_factory=list)
+    rows: dict[str, dict[int, object]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.trials < 1 or self.trials % 2 == 0:
+            raise InvalidInputs(
+                f"trials must be odd and positive, got {self.trials}")
+
+    def add_task(self, task: VerificationTask, code_texts: Mapping[str, str],
+                 store: TripletStore | None, gateway: LlmGateway,
+                 retrieval: RetrievalConfig) -> int:
+        """Queue one task; its exemplars are retrieved now, once, and shared
+        by all its trials."""
+        if not task.targets:
+            raise InvalidInputs(
+                f"verification task for RFC {task.rfc} on {task.code_version} "
+                f"has no target entries: no functional requirement was "
+                f"extracted")
+        exemplars: Sequence = ()
+        if store is not None and len(store) > 0:
+            query = "\n".join(f"{t.title} {t.summary}" for t in task.targets)
+            exemplars = retrieve_exemplars(query, store, gateway, retrieval)
+        self.tasks.append(task)
+        self.code_texts.append(code_texts)
+        self.exemplars.append(exemplars)
+        return len(self.tasks) - 1
+
+    def run(self, gateway: LlmGateway,
+            model: str) -> dict[str, dict[int, Verdict]]:
+        """Judge every task and return the rows.
+
+        The trial index is embedded in each prompt, so repeated sampling is
+        real sampling, not cache replay. Errors surface as a serial run
+        would raise them: the first failing trial of the first failing task
+        decides, and a gateway failure aborts with that task's earlier
+        trials attached.
+        """
+        trials = self.trials
+        slots = [(task, i, t) for i, task in enumerate(self.tasks)
+                 for t in range(1, trials + 1)]
+        irs = gateway.settle_all(
+            [_ir_request(task, self.exemplars[i], model, t)
+             for task, i, t in slots], PHASE_REASONING)
+        # Slots past the first failing one are never read, so their
+        # judgments are not asked for.
+        judgments: list[object] = [None] * len(slots)
+        reqs: list[LlmRequest] = []
+        for (task, i, t), ir in zip(slots, irs):
+            if isinstance(ir, Exception):
+                break
+            try:
+                reqs.append(_judge_request(task, ir.text.strip(),
+                                           self.code_texts[i],
+                                           self.exemplars[i], model, t))
+            except UnknownFunction as exc:
+                judgments[len(reqs)] = exc
+                break
+        judgments[:len(reqs)] = gateway.settle_all(reqs, PHASE_REASONING)
+
+        verdicts: list[Verdict] = []
+        for i, task in enumerate(self.tasks):
+            done: list[Trial] = []
+            for t in range(1, trials + 1):
+                k = i * trials + t - 1
+                try:
+                    done.append(_trial(task, t, irs[k], judgments[k]))
+                except GatewayError as exc:
+                    raise VerificationAborted(
+                        f"gateway failed on trial {t}/{trials} for RFC "
+                        f"{task.rfc}: {exc}", partial_trials=done) from exc
+            value, counts = majority_verdict([t.verdict for t in done])
+            flags: list[str] = []
+            if task.rfc_from is None:
+                flags.append("whole-rfc")
+            if not task.trimmed_candidates():
+                flags.append("no-candidates")
+            verdicts.append(Verdict(value=value, trials=tuple(done),
+                                    counts=counts, subject=task.subject,
+                                    flags=tuple(flags)))
+
+        def resolve(cell: object) -> Verdict:
+            if isinstance(cell, int):
+                return verdicts[cell]
+            if isinstance(cell, _Inherited):
+                base = resolve(cell.base)
+                return replace(base, flags=tuple(base.flags) + ("inherited",))
+            return cell
+
+        return {version: {rfc: resolve(cell) for rfc, cell in row.items()}
+                for version, row in self.rows.items()}
 
 
 def verify_increment(
@@ -238,41 +351,70 @@ def verify_increment(
     retrieval: RetrievalConfig = RetrievalConfig(),
     trials: int = DEFAULT_TRIALS,
 ) -> Verdict:
-    """Run all trials for one task and aggregate the votes.
+    """Run all trials for one task and aggregate the votes (a one-task
+    VerifyPlan)."""
+    plan = VerifyPlan(trials)
+    plan.rows[task.code_version] = {
+        task.rfc: plan.add_task(task, code_texts, store, gateway, retrieval)}
+    return plan.run(gateway, model)[task.code_version][task.rfc]
 
-    Exemplars are retrieved once per task and shared by every trial; the
-    trial index is embedded in each prompt so repeated sampling is real
-    sampling, not cache replay. A gateway failure mid-task aborts with the
-    completed trials attached.
+
+def plan_chain(
+    plan: VerifyPlan,
+    chain: Sequence[int],
+    increments: Sequence[Increment],
+    root_entries: Sequence[FunctionalEntry],
+    code_version: str,
+    graph: KnowledgeGraph,
+    store: TripletStore | None,
+    gateway: LlmGateway,
+    code_text_resolver: Callable[[Sequence[str]], Mapping[str, str]],
+    *,
+    retrieval: RetrievalConfig = RetrievalConfig(),
+    budget: int = DEFAULT_BUDGET,
+    memo: dict | None = None,
+    task_log: dict[tuple[str, int], list[str]] | None = None,
+) -> None:
+    """Lay one chain's cells into ``plan.rows[code_version]``.
+
+    The chain root is verified in whole-RFC mode over all its entries; each
+    edge is verified over its increment targets. An increment with no
+    targets inherits the predecessor's verdict, flagged. ``memo`` (keyed by
+    (version, rfc)) lets overlapping chains share cells; ``task_log`` (same
+    keys) collects the candidate fids each verified cell actually saw.
     """
-    if trials < 1 or trials % 2 == 0:
-        raise InvalidInputs(f"trials must be odd and positive, got {trials}")
-    if not task.targets:
-        raise InvalidInputs(
-            f"verification task for RFC {task.rfc} on {task.code_version} has "
-            f"no target entries: no functional requirement was extracted")
-    exemplars: Sequence = ()
-    if store is not None and len(store) > 0:
-        query = "\n".join(f"{t.title} {t.summary}" for t in task.targets)
-        exemplars = retrieve_exemplars(query, store, gateway, retrieval)
-    done: list[Trial] = []
-    flags: list[str] = []
-    if task.rfc_from is None:
-        flags.append("whole-rfc")
-    if not task.trimmed_candidates():
-        flags.append("no-candidates")
-    for t in range(1, trials + 1):
-        try:
-            ir = generate_intermediate_repr(task, exemplars, gateway, model, t)
-            done.append(_judge_once(task, ir, code_texts, exemplars,
-                                    gateway, model, t))
-        except GatewayError as exc:
-            raise VerificationAborted(
-                f"gateway failed on trial {t}/{trials} for RFC {task.rfc}: {exc}",
-                partial_trials=done) from exc
-    value, counts = majority_verdict([t.verdict for t in done])
-    return Verdict(value=value, trials=tuple(done), counts=counts,
-                   subject=task.subject, flags=tuple(flags))
+    row = plan.rows.setdefault(code_version, {})
+    memo = memo if memo is not None else {}
+
+    def cell_for(rfc: int, rfc_from: int | None,
+                 targets: Sequence[FunctionalEntry]) -> object:
+        key = (code_version, rfc)
+        if key in memo:
+            return memo[key]
+        concepts: list[str] = []
+        for entry in targets:
+            for c in entry.concepts:
+                if c not in concepts:
+                    concepts.append(c)
+        candidates = tuple(retrieve_code_for_spec(concepts, graph, k=budget))
+        task = VerificationTask(rfc=rfc, code_version=code_version,
+                                targets=tuple(targets), candidates=candidates,
+                                rfc_from=rfc_from, budget=budget)
+        fids = [fid for fid, _ in task.trimmed_candidates()]
+        if task_log is not None:
+            task_log[key] = fids
+        memo[key] = plan.add_task(task, code_text_resolver(fids), store,
+                                  gateway, retrieval)
+        return memo[key]
+
+    previous = row[chain[0]] = cell_for(chain[0], None, tuple(root_entries))
+    for inc in increments:
+        if inc.targets:
+            cell = cell_for(inc.rfc_to, inc.rfc_from, inc.targets)
+        else:
+            cell = memo.setdefault((code_version, inc.rfc_to),
+                                   _Inherited(previous))
+        row[inc.rfc_to] = previous = cell
 
 
 def verify_chain(
@@ -292,55 +434,16 @@ def verify_chain(
     memo: dict | None = None,
     task_log: dict[tuple[str, int], list[str]] | None = None,
 ) -> dict[int, Verdict]:
-    """One matrix row: a Verdict per chain RFC for one code version.
-
-    The chain root is verified in whole-RFC mode over all its entries; each
-    edge is verified over its increment targets. An increment with no targets
-    inherits the predecessor's verdict, flagged. ``memo`` (keyed by
-    (version, rfc)) lets overlapping chains share cells; ``task_log`` (same
-    keys) collects the candidate fids each verified cell actually saw.
-    """
-    row: dict[int, Verdict] = {}
-    memo = memo if memo is not None else {}
-
-    def run_task(rfc: int, rfc_from: int | None,
-                 targets: Sequence[FunctionalEntry]) -> Verdict:
-        key = (code_version, rfc)
-        if key in memo:
-            return memo[key]
-        concepts: list[str] = []
-        for entry in targets:
-            for c in entry.concepts:
-                if c not in concepts:
-                    concepts.append(c)
-        candidates = tuple(retrieve_code_for_spec(concepts, graph, k=budget))
-        task = VerificationTask(rfc=rfc, code_version=code_version,
-                                targets=tuple(targets), candidates=candidates,
-                                rfc_from=rfc_from, budget=budget)
-        if task_log is not None:
-            task_log[key] = [fid for fid, _ in task.trimmed_candidates()]
-        code_texts = code_text_resolver([fid for fid, _ in task.trimmed_candidates()])
-        verdict = verify_increment(task, code_texts, store, gateway, model,
-                                   retrieval=retrieval, trials=trials)
-        memo[key] = verdict
-        return verdict
-
-    root = chain[0]
-    row[root] = run_task(root, None, tuple(root_entries))
-    previous = row[root]
-    for inc in increments:
-        if inc.targets:
-            verdict = run_task(inc.rfc_to, inc.rfc_from, inc.targets)
-        else:
-            key = (code_version, inc.rfc_to)
-            if key in memo:
-                verdict = memo[key]
-            else:
-                verdict = replace(previous,
-                                  flags=tuple(previous.flags) + ("inherited",))
-                memo[key] = verdict
-        row[inc.rfc_to] = verdict
-        previous = verdict
+    """One matrix row: a Verdict per chain RFC for one code version (a
+    one-chain VerifyPlan; see plan_chain). ``memo`` maps (version, rfc) to
+    the Verdicts of earlier calls and gains this row's."""
+    plan = VerifyPlan(trials)
+    plan_chain(plan, chain, increments, root_entries, code_version, graph,
+               store, gateway, code_text_resolver, retrieval=retrieval,
+               budget=budget, memo=dict(memo or {}), task_log=task_log)
+    row = plan.run(gateway, model)[code_version]
+    if memo is not None:
+        memo.update(((code_version, rfc), v) for rfc, v in row.items())
     return row
 
 

@@ -97,11 +97,26 @@ class GatewayError(DeltaSpecError):
 
 
 class ProviderError(GatewayError):
-    """Provider unreachable or persistently failing."""
+    """Provider unreachable or persistently failing.
+
+    ``retryable`` is False for a failure no retry can fix (a 4xx other than
+    429); ``retry_after`` is the wait in seconds the provider asked for.
+    """
+
+    def __init__(self, message: str, *, retryable: bool = True,
+                 retry_after: float | None = None):
+        super().__init__(message)
+        self.retryable = retryable
+        self.retry_after = retry_after
 
 
 class ContractViolation(GatewayError):
     """Response failed the declared contract after all retries."""
+
+
+class NotSent(GatewayError):
+    """Holds the slot of a batch request that was never sent, because an
+    earlier request of the same batch had already failed."""
 
 
 # --- reporting ------------------------------------------------------------

@@ -225,27 +225,34 @@ class KnowledgeGraph:
 
 def extract_entities(chunk: Chunk, gateway: LlmGateway, model: str) -> list[Entity]:
     """Entities mentioned in one chunk; empty chunks cost zero calls."""
-    if not chunk.text.strip():
-        return []
-    req = request(
+    return extract_entities_all([chunk], gateway, model)[0]
+
+
+def extract_entities_all(chunks: Sequence[Chunk], gateway: LlmGateway,
+                         model: str) -> list[list[Entity]]:
+    """extract_entities() for each chunk, in order, as one gateway batch."""
+    live = [c for c in chunks if c.text.strip()]
+    reqs = [request(
         model,
         _EXTRACT_SYSTEM,
-        f"TASK: extract-entities\nCHUNK: {chunk.id}\nTEXT:\n{chunk.text}",
+        f"TASK: extract-entities\nCHUNK: {c.id}\nTEXT:\n{c.text}",
         contract=ENTITY_CONTRACT,
-    )
+    ) for c in live]
     try:
-        result = gateway.complete(req, PHASE_GRAPH)
+        results = iter(gateway.complete_all(reqs, PHASE_GRAPH))
     except ContractViolation as exc:
         raise SchemaViolation(f"entity extraction failed contract: {exc}") from exc
-    seen: dict[str, Entity] = {}
-    for item in result.parsed:
-        ent = Entity(kind=item["kind"], name=item["name"],
-                     description=item.get("description", ""),
-                     provenance=[chunk.id])
-        if ent.id in seen:
-            continue
-        seen[ent.id] = ent
-    return list(seen.values())
+    out: list[list[Entity]] = []
+    for chunk in chunks:
+        seen: dict[str, Entity] = {}
+        if chunk.text.strip():
+            for item in next(results).parsed:
+                ent = Entity(kind=item["kind"], name=item["name"],
+                             description=item.get("description", ""),
+                             provenance=[chunk.id])
+                seen.setdefault(ent.id, ent)
+        out.append(list(seen.values()))
+    return out
 
 
 def build_graph(
@@ -265,8 +272,8 @@ def build_graph(
     ordered = sorted(chunks, key=lambda c: (c.origin, c.index))
     for chunk in ordered:
         graph.register_chunk(chunk)
-    for chunk in ordered:
-        found = extract_entities(chunk, gateway, model)
+    for chunk, found in zip(ordered,
+                            extract_entities_all(ordered, gateway, model)):
         merged = [graph.add_entity(e) for e in found]
         ids = sorted({e.id for e in merged})
         for eid in ids:

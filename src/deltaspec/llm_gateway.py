@@ -1,10 +1,11 @@
 """Single chokepoint for model calls: caching, retries, contracts, accounting.
 
-Every stage that talks to a model goes through LlmGateway.complete() with a
-phase tag, so token accounting lands in exactly one ledger and a warm cache
-can replay an entire pipeline run without any provider traffic. Requests are
-content-addressed: the cache key is a digest of (model, messages, temperature,
-contract), nothing else, which is what makes reruns byte-stable.
+Every stage that talks to a model goes through LlmGateway.complete() or
+complete_all() with a phase tag, so token accounting lands in exactly one
+ledger and a warm cache can replay an entire pipeline run without any
+provider traffic. Requests are content-addressed: the cache key is a digest
+of (model, messages, temperature, contract), nothing else, which is what
+makes reruns byte-stable.
 """
 
 from __future__ import annotations
@@ -14,18 +15,22 @@ import json
 import logging
 import math
 import os
+import queue
 import re
+import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from jsonschema.exceptions import ValidationError, best_match
 from jsonschema.validators import validator_for
 
-from .errors import ContractViolation, ProviderError
+from .errors import ContractViolation, NotSent, ProviderError
 from .tokenizer import count_tokens, token_texts
 
 log = logging.getLogger(__name__)
@@ -35,6 +40,9 @@ PHASE_REASONING = "reasoning"
 PHASES = (PHASE_GRAPH, PHASE_REASONING)
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+
+# Longest wait a provider's Retry-After header may impose, in seconds.
+MAX_RETRY_AFTER_S = 60.0
 
 # Compiled validators keyed by a schema's canonical JSON. Schemas are
 # unhashable dicts and ids get reused, so the key is the value itself.
@@ -61,7 +69,7 @@ class LlmRequest:
     temperature: float = 0.0
     response_contract: Any = None  # JSON schema for the parsed response
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
         canonical = json.dumps(
             {
@@ -205,13 +213,20 @@ class CostLedger:
 
 @dataclass
 class GatewayStats:
-    """Run-scoped counters; live on the gateway object, never in artifacts."""
+    """Run-scoped counters; live on the gateway object, never in artifacts.
+    Provider fetches run on worker threads, so counters move through add()."""
 
     requests: int = 0
     provider_calls: int = 0
     cache_hits: int = 0
     provider_retries: int = 0
     contract_retries: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  repr=False, compare=False)
+
+    def add(self, counter: str) -> None:
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + 1)
 
 
 class HashEmbedder:
@@ -261,8 +276,13 @@ class HttpProvider:
                                   json=payload, headers=headers, timeout=self.timeout)
         except _requests.RequestException as exc:
             raise ProviderError(f"provider unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise ProviderError(f"provider returned {resp.status_code}: {resp.text[:200]}")
+        status = resp.status_code
+        if status != 200:
+            # Only overload and server faults can clear up on a retry.
+            raise ProviderError(
+                f"provider returned {status}: {resp.text[:200]}",
+                retryable=status == 429 or status >= 500,
+                retry_after=_retry_after(resp) if status in (429, 503) else None)
         try:
             body = resp.json()
             text = body["choices"][0]["message"]["content"]
@@ -380,51 +400,125 @@ class LlmGateway:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.contract_retries = contract_retries
+        self.max_in_flight = max_in_flight
         self.stats = GatewayStats()
-        self._semaphore = threading.BoundedSemaphore(max_in_flight)
-        self._key_locks: dict[str, threading.Lock] = {}
-        self._key_locks_guard = threading.Lock()
 
     # -- public API --------------------------------------------------------
 
     def complete(self, request: LlmRequest, phase: str) -> CompletionResult:
+        return self.complete_all([request], phase)[0]
+
+    def complete_all(self, requests: Sequence[LlmRequest],
+                     phase: str) -> list[CompletionResult]:
+        """``[complete(r, phase) for r in requests]``, with the distinct cache
+        misses fetched concurrently. Results, stats, ledger and cache come
+        out as the serial loop leaves them; on failure the error raised is
+        the one the serial loop would have raised first."""
+        outcomes = self.settle_all(requests, phase)
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return outcomes
+
+    def settle_all(self, requests: Sequence[LlmRequest],
+                   phase: str) -> list[CompletionResult | Exception]:
+        """complete_all() that puts each request's error in its slot instead
+        of raising it.
+
+        Cache hits are served on the calling thread, in input order. The
+        distinct misses go to a pool of at most ``max_in_flight`` threads
+        (no thread when nothing misses; a lone miss runs inline). With a
+        cache, a later duplicate of a missed fingerprint is then served from
+        the entry its first occurrence wrote, a hit as in a serial loop;
+        without one, every duplicate is fetched, in input order.
+
+        The batch stops at its first failure in input order, as a serial
+        loop does: no request after it is sent once the failure is known.
+        Every slot before it holds its outcome; a slot after it holds either
+        the outcome of a fetch that was already under way or ``NotSent``.
+        """
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
-        self.stats.requests += 1
-        fp = request.fingerprint
-        with self._lock_for(fp):
-            entry = self._cache_get(fp)
-            if entry is not None:
-                self.stats.cache_hits += 1
-                usage = Usage(entry["usage"]["prompt_tokens"],
-                              entry["usage"]["completion_tokens"])
-                parsed = None
-                if request.response_contract is not None:
-                    parsed = self._validate_contract(request, entry["response"])
-                self.ledger.record(request.model, phase,
-                                   usage.prompt_tokens, usage.completion_tokens)
-                return CompletionResult(entry["response"], usage, True, parsed)
+        outcomes: list[Any] = [None] * len(requests)
+        misses: dict[str, list[int]] = {}  # fingerprint -> request indices
+        failed = len(requests)  # lowest index known to have failed
+        for i, req in enumerate(requests):
+            self.stats.add("requests")
+            fp = req.fingerprint
+            if fp in misses:
+                misses[fp].append(i)
+                continue
+            outcomes[i] = _settle(self._serve_hit, req, phase)
+            if outcomes[i] is None:
+                misses.setdefault(fp, []).append(i)
+            elif isinstance(outcomes[i], Exception):
+                failed = i
+                break
 
-            attempts = 0
+        cached = self.cache_dir is not None
+        jobs = [group[:1] if cached else group for group in misses.values()]
+
+        replies: list[list[Any]] = [[] for _ in jobs]
+        todo: queue.SimpleQueue[int] = queue.SimpleQueue()
+        for k in range(len(jobs)):
+            todo.put(k)
+        failed_lock = threading.Lock()
+
+        def fail_at(i: int) -> None:
+            nonlocal failed
+            with failed_lock:
+                failed = min(failed, i)
+
+        def drain() -> None:
+            # One pool task per worker, pulling jobs until none is left: a
+            # future per job would wake the caller once per reply. Jobs come
+            # in input order, so a job past a known failure is never sent.
             while True:
-                text, usage = self._call_provider(request)
-                if request.response_contract is None:
-                    parsed = None
-                    break
                 try:
-                    parsed = self._validate_contract(request, text)
-                    break
-                except ContractViolation:
-                    if attempts >= self.contract_retries:
-                        raise
-                    attempts += 1
-                    self.stats.contract_retries += 1
-            if usage is None:
-                usage = Usage(count_tokens(request.prompt_text()), count_tokens(text))
-            self._cache_put(fp, request.model, text, usage)
-            self.ledger.record(request.model, phase,
-                               usage.prompt_tokens, usage.completion_tokens)
-            return CompletionResult(text, usage, False, parsed)
+                    k = todo.get_nowait()
+                except queue.Empty:
+                    return
+                for i in jobs[k]:
+                    if i > failed:
+                        break
+                    answer = _settle(self._ask, requests[i])
+                    replies[k].append(answer)
+                    if isinstance(answer, Exception):
+                        fail_at(i)
+                        break
+
+        workers = min(self.max_in_flight, len(jobs))
+        if workers > 1:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(drain) for _ in range(workers)]
+                try:
+                    for future in futures:
+                        future.result()
+                except BaseException:
+                    # Interrupted: let the workers finish the request in
+                    # hand and send nothing more.
+                    fail_at(-1)
+                    raise
+        else:
+            drain()
+        for job, answers in zip(jobs, replies):
+            for i, answer in zip(job, answers):
+                outcomes[i] = answer if isinstance(answer, Exception) \
+                    else _settle(self._store, requests[i], phase, answer)
+                if isinstance(outcomes[i], Exception):
+                    fail_at(i)
+
+        if cached:
+            for _, *later in misses.values():
+                for i in later:
+                    if i > failed:
+                        break
+                    outcomes[i] = (_settle(self._serve_hit, requests[i], phase)
+                                   or _settle(self._fetch, requests[i], phase))
+                    if isinstance(outcomes[i], Exception):
+                        fail_at(i)
+        return [NotSent("not sent: an earlier request of the batch failed")
+                if outcome is None else outcome for outcome in outcomes]
 
     def embed(self, text: str) -> list[float]:
         if self.embedder is None:
@@ -433,28 +527,72 @@ class LlmGateway:
 
     # -- internals -----------------------------------------------------------
 
-    def _lock_for(self, key: str) -> threading.Lock:
-        with self._key_locks_guard:
-            return self._key_locks.setdefault(key, threading.Lock())
+    def _serve_hit(self, request: LlmRequest,
+                   phase: str) -> CompletionResult | None:
+        entry = self._cache_get(request.fingerprint)
+        if entry is None:
+            return None
+        self.stats.add("cache_hits")
+        usage = Usage(entry["usage"]["prompt_tokens"],
+                      entry["usage"]["completion_tokens"])
+        parsed = None
+        if request.response_contract is not None:
+            parsed = self._validate_contract(request, entry["response"])
+        self.ledger.record(request.model, phase,
+                           usage.prompt_tokens, usage.completion_tokens)
+        return CompletionResult(entry["response"], usage, True, parsed)
+
+    def _fetch(self, request: LlmRequest, phase: str) -> CompletionResult:
+        return self._store(request, phase, self._ask(request))
+
+    def _ask(self, request: LlmRequest) -> tuple[str, Usage | None, Any]:
+        """The provider's reply and its contract-checked payload. Runs on a
+        pool thread, so it touches no file and no ledger."""
+        attempts = 0
+        while True:
+            text, usage = self._call_provider(request)
+            if request.response_contract is None:
+                return text, usage, None
+            try:
+                return text, usage, self._validate_contract(request, text)
+            except ContractViolation:
+                if attempts >= self.contract_retries:
+                    raise
+                attempts += 1
+                self.stats.add("contract_retries")
+
+    def _store(self, request: LlmRequest, phase: str,
+               reply: tuple[str, Usage | None, Any]) -> CompletionResult:
+        """Cache and account one fetched reply."""
+        text, usage, parsed = reply
+        if usage is None:
+            usage = Usage(count_tokens(request.prompt_text()), count_tokens(text))
+        self._cache_put(request.fingerprint, request.model, text, usage)
+        self.ledger.record(request.model, phase,
+                           usage.prompt_tokens, usage.completion_tokens)
+        return CompletionResult(text, usage, False, parsed)
 
     def _call_provider(self, request: LlmRequest) -> tuple[str, Usage | None]:
         delay = self.backoff_base
         last_error: Exception | None = None
-        with self._semaphore:
-            for attempt in range(self.max_retries + 1):
-                try:
-                    self.stats.provider_calls += 1
-                    return self.provider.complete(request)
-                except ContractViolation:
+        for attempt in range(self.max_retries + 1):
+            try:
+                self.stats.add("provider_calls")
+                return self.provider.complete(request)
+            except ContractViolation:
+                raise
+            except ProviderError as exc:
+                if not exc.retryable:
                     raise
-                except ProviderError as exc:
-                    last_error = exc
-                    if attempt == self.max_retries:
-                        break
-                    self.stats.provider_retries += 1
-                    if delay > 0:
-                        time.sleep(delay)
-                    delay *= 2
+                last_error = exc
+                if attempt == self.max_retries:
+                    break
+                self.stats.add("provider_retries")
+                wait = delay if exc.retry_after is None \
+                    else min(exc.retry_after, MAX_RETRY_AFTER_S)
+                if wait > 0:
+                    time.sleep(wait)
+                delay *= 2
         raise ProviderError(
             f"provider failed after {self.max_retries + 1} attempts: {last_error}")
 
@@ -498,9 +636,35 @@ class LlmGateway:
                       "completion_tokens": usage.completion_tokens},
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True, indent=1))
-        os.replace(tmp, path)
+        # A private temp file per writer: concurrent writers of one
+        # fingerprint each replace the entry whole, never a shared file.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            os.fchmod(fd, 0o644)  # mkstemp creates 0600
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(entry, sort_keys=True, indent=1))
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
+
+
+def _settle(fn: Callable[..., Any], *args: Any) -> Any:
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _retry_after(resp: Any) -> float | None:
+    """A numeric Retry-After header in seconds; None when absent or given
+    as an HTTP date."""
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except ValueError:
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 def _is_cache_entry(entry: Any, fp: str) -> bool:

@@ -30,7 +30,13 @@ from ..code_ingest import (
     build_index,
     compute_extraction_stats,
 )
-from ..diff_verifier import Verdict, compile_findings, verify_chain
+from ..diff_verifier import (
+    Verdict,
+    VerifyPlan,
+    compile_findings,
+    plan_chain,
+    verify_chain,  # noqa: F401  (kept importable from this module)
+)
 from ..errors import InvalidConfig, MissingArtifact
 from ..knowledge_graph import KnowledgeGraph, build_graph
 from ..llm_gateway import (
@@ -46,9 +52,11 @@ from ..spec_evolution import (
     Increment,
     UpdateChainGraph,
     build_update_chain,
-    diff_functional_entries,
+    diff_functional_entries,  # noqa: F401  (kept importable from this module)
+    diff_pairings,
     enumerate_increments,
-    extract_functional_entries,
+    extract_functional_entries_all,
+    pair_entries,
 )
 from ..tokenizer import tokenize
 from ..triplet_store import (
@@ -260,13 +268,13 @@ def build_chains_stage(cfg: PipelineConfig) -> UpdateChainGraph:
     gateway = make_gateway(cfg)
     chain_graph = build_update_chain(docs)
 
-    entries: dict[int, list[FunctionalEntry]] = {}
-    for doc in docs:
-        entries[doc.number] = extract_functional_entries(doc, gateway,
-                                                         cfg.model)
-    for edge in chain_graph.edges:
-        delta = diff_functional_entries(entries[edge.src], entries[edge.dst],
-                                        gateway, cfg.model)
+    entries = dict(zip(
+        (doc.number for doc in docs),
+        extract_functional_entries_all(docs, gateway, cfg.model)))
+    pairings = [pair_entries(entries[e.src], entries[e.dst])
+                for e in chain_graph.edges]
+    for edge, delta in zip(chain_graph.edges,
+                           diff_pairings(pairings, gateway, cfg.model)):
         chain_graph.set_delta(edge.src, edge.dst, delta)
 
     out = cfg.workdir / "chains"
@@ -334,8 +342,11 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
                                 fusion_alpha=cfg.fusion_alpha)
     gateway = make_gateway(cfg)
 
-    matrix: dict[str, dict[int, Verdict]] = {}
+    # Lay out every cell of every version first, then judge all tasks in
+    # one plan, so provider calls overlap across cells and versions.
+    plan = VerifyPlan(cfg.trials)
     task_log: dict[tuple[str, int], list[str]] = {}
+    version_stats: dict[str, dict] = {}
     for version in cfg.versions:
         functions, fmap, chunks, graph = _load_verify_inputs(cfg, version)
 
@@ -344,7 +355,6 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
                     for fid in fids}
 
         memo: dict = {}
-        row: dict[int, Verdict] = {}
         for chain in chain_graph.chains():
             chain_incs = []
             for src, dst in zip(chain, chain[1:]):
@@ -352,20 +362,21 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
                     raise MissingArtifact(
                         f"no stored increment for edge {src}->{dst}")
                 chain_incs.append(increments[(src, dst)])
-            row.update(verify_chain(
-                chain, chain_incs, entries.get(chain[0], ()), version,
-                graph, store, gateway, cfg.model, resolver,
-                retrieval=retrieval, trials=cfg.trials, budget=cfg.budget,
-                memo=memo, task_log=task_log))
-        matrix[version] = row
+            plan_chain(plan, chain, chain_incs, entries.get(chain[0], ()),
+                       version, graph, store, gateway, resolver,
+                       retrieval=retrieval, budget=cfg.budget, memo=memo,
+                       task_log=task_log)
 
         index = CodebaseIndex(version=version, files=[], functions=functions)
         selected = {rfc: fids for (v, rfc), fids in task_log.items()
                     if v == version and fids}
         if selected:
-            stats = compute_extraction_stats(index, selected)
-            _write_json(cfg.workdir / "verify" / f"stats-{version}.json",
-                        stats.to_dict())
+            version_stats[version] = compute_extraction_stats(
+                index, selected).to_dict()
+    matrix = plan.run(gateway, cfg.model)
+    # Written once every version is judged, so an aborted run leaves none.
+    for version, stats in version_stats.items():
+        _write_json(cfg.workdir / "verify" / f"stats-{version}.json", stats)
 
     _write_json(cfg.workdir / "verify" / "matrix.json", {
         "versions": {

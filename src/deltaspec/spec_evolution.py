@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .errors import CycleDetected, MissingDelta
-from .llm_gateway import PHASE_GRAPH, LlmGateway, request
+from .llm_gateway import (PHASE_GRAPH, CompletionResult, LlmGateway,
+                          LlmRequest, request)
 from .rfc_ingest import RfcDocument, section_sort_key
 from .tokenizer import token_texts
 
@@ -270,34 +271,48 @@ def build_update_chain(docs: Sequence[_HasChainMeta]) -> UpdateChainGraph:
 def extract_functional_entries(doc: RfcDocument, gateway: LlmGateway,
                                model: str) -> list[FunctionalEntry]:
     """One pass per non-empty section, in section order."""
-    entries: list[FunctionalEntry] = []
-    for section in sorted(doc.sections, key=lambda s: section_sort_key(s.id)):
-        prose = section.prose()
-        if not prose.strip():
-            continue
-        req = request(
-            model,
-            _ENTRY_SYSTEM,
-            (f"TASK: extract-entries\nRFC: {doc.number}\n"
-             f"SECTION: {section.id} {section.heading}\nTEXT:\n{prose}"),
-            contract=ENTRY_CONTRACT,
-        )
-        result = gateway.complete(req, PHASE_GRAPH)
+    return extract_functional_entries_all([doc], gateway, model)[0]
+
+
+def extract_functional_entries_all(docs: Sequence[RfcDocument],
+                                   gateway: LlmGateway,
+                                   model: str) -> list[list[FunctionalEntry]]:
+    """extract_functional_entries() for each document, in order, with every
+    section of every document in one gateway batch."""
+    sections: list[tuple[int, str]] = []  # (document index, section id)
+    reqs: list[LlmRequest] = []
+    for k, doc in enumerate(docs):
+        for section in sorted(doc.sections, key=lambda s: section_sort_key(s.id)):
+            prose = section.prose()
+            if not prose.strip():
+                continue
+            sections.append((k, section.id))
+            reqs.append(request(
+                model,
+                _ENTRY_SYSTEM,
+                (f"TASK: extract-entries\nRFC: {doc.number}\n"
+                 f"SECTION: {section.id} {section.heading}\nTEXT:\n{prose}"),
+                contract=ENTRY_CONTRACT,
+            ))
+    entries: list[list[FunctionalEntry]] = [[] for _ in docs]
+    for (k, section_id), result in zip(sections,
+                                       gateway.complete_all(reqs, PHASE_GRAPH)):
         for item in result.parsed:
-            entries.append(FunctionalEntry(
-                rfc=doc.number,
-                section=section.id,
+            entries[k].append(FunctionalEntry(
+                rfc=docs[k].number,
+                section=section_id,
                 title=item["title"],
                 summary=item.get("summary", ""),
                 concepts=tuple(item.get("concepts", ())),
             ))
     # Dedupe identical behaviors restated across sections: keep the first.
-    seen: dict[str, FunctionalEntry] = {}
-    for e in entries:
-        key = e.title.lower()
-        if key not in seen:
-            seen[key] = e
-    return list(seen.values())
+    out: list[list[FunctionalEntry]] = []
+    for found in entries:
+        seen: dict[str, FunctionalEntry] = {}
+        for e in found:
+            seen.setdefault(e.title.lower(), e)
+        out.append(list(seen.values()))
+    return out
 
 
 def title_overlap(a: str, b: str) -> float:
@@ -307,6 +322,85 @@ def title_overlap(a: str, b: str) -> float:
     if not ta or not tb:
         return 0.0
     return len(ta & tb) / max(len(ta), len(tb))
+
+
+@dataclass(frozen=True)
+class EntryPairing:
+    """How two entry sets line up before any model call: title-matched
+    (old, new) pairs, unpaired old entries, unpaired new entries."""
+
+    pairs: tuple[tuple[FunctionalEntry, FunctionalEntry], ...]
+    removed: tuple[FunctionalEntry, ...]
+    added: tuple[FunctionalEntry, ...]
+
+    def requests(self, model: str) -> list[LlmRequest]:
+        """The classification requests: one per pair, then one per removed
+        entry."""
+        reqs = [request(
+            model,
+            _PAIR_SYSTEM,
+            (f"TASK: classify-entry-pair\nOLD TITLE: {o.title}\n"
+             f"OLD SUMMARY: {o.summary}\nNEW TITLE: {n.title}\n"
+             f"NEW SUMMARY: {n.summary}"),
+            contract=_PAIR_CONTRACT,
+        ) for o, n in self.pairs]
+        reqs += [request(
+            model,
+            _REMOVED_SYSTEM,
+            (f"TASK: classify-removed-entry\nTITLE: {o.title}\n"
+             f"SUMMARY: {o.summary}"),
+            contract=_REMOVED_CONTRACT,
+        ) for o in self.removed]
+        return reqs
+
+    def delta(self, results: Sequence[CompletionResult]) -> FunctionalDelta:
+        """Assemble the delta from the answers to requests(), in order."""
+        answers = [r.parsed["classification"] for r in results]
+        delta = FunctionalDelta()
+        for (o, n), answer in zip(self.pairs, answers):
+            if answer == "modified":
+                delta.modified.append((replace(o, status="modified"),
+                                       replace(n, status="modified")))
+            else:
+                delta.inherited.append(replace(n, status="inherited"))
+        delta.added.extend(replace(n, status="new") for n in self.added)
+        for o, answer in zip(self.removed, answers[len(self.pairs):]):
+            if answer == "deprecated":
+                delta.deprecated.append(replace(o, status="deprecated"))
+            else:
+                delta.inherited.append(replace(o, status="inherited"))
+        delta.validate()
+        return delta
+
+
+def pair_entries(
+    old: Sequence[FunctionalEntry],
+    new: Sequence[FunctionalEntry],
+    *,
+    overlap_threshold: float = DEFAULT_TITLE_OVERLAP,
+) -> EntryPairing:
+    """Pairs form greedily from the highest title overlap down, one partner
+    each, and only pairs at or above the threshold exist at all."""
+    candidates: list[tuple[float, FunctionalEntry, FunctionalEntry]] = []
+    for o in old:
+        for n in new:
+            sim = title_overlap(o.title, n.title)
+            if sim >= overlap_threshold:
+                candidates.append((sim, o, n))
+    candidates.sort(key=lambda t: (-t[0], t[1].id, t[2].id))
+    paired_old: set[str] = set()
+    paired_new: set[str] = set()
+    pairs: list[tuple[FunctionalEntry, FunctionalEntry]] = []
+    for _, o, n in candidates:
+        if o.id in paired_old or n.id in paired_new:
+            continue
+        paired_old.add(o.id)
+        paired_new.add(n.id)
+        pairs.append((o, n))
+    return EntryPairing(
+        pairs=tuple(pairs),
+        removed=tuple(o for o in old if o.id not in paired_old),
+        added=tuple(n for n in new if n.id not in paired_new))
 
 
 def diff_functional_entries(
@@ -319,65 +413,27 @@ def diff_functional_entries(
 ) -> FunctionalDelta:
     """Diff two entry sets into a delta.
 
-    Pairs form greedily from the highest title overlap down, one partner
-    each, and only pairs at or above the threshold exist at all; the model
-    then classifies each pair (modified vs inherited) and each unpaired old
-    entry (deprecated vs inherited by reference). Unpaired new entries are
-    additions, no model call needed.
+    The model classifies each title-matched pair (modified vs inherited)
+    and each unpaired old entry (deprecated vs inherited by reference).
+    Unpaired new entries are additions, no model call needed.
     """
-    candidates: list[tuple[float, FunctionalEntry, FunctionalEntry]] = []
-    for o in old:
-        for n in new:
-            sim = title_overlap(o.title, n.title)
-            if sim >= overlap_threshold:
-                candidates.append((sim, o, n))
-    candidates.sort(key=lambda t: (-t[0], t[1].id, t[2].id))
-    paired_old: dict[str, FunctionalEntry] = {}
-    paired_new: dict[str, FunctionalEntry] = {}
-    pairs: list[tuple[FunctionalEntry, FunctionalEntry]] = []
-    for _, o, n in candidates:
-        if o.id in paired_old or n.id in paired_new:
-            continue
-        paired_old[o.id] = o
-        paired_new[n.id] = n
-        pairs.append((o, n))
+    pairing = pair_entries(old, new, overlap_threshold=overlap_threshold)
+    return diff_pairings([pairing], gateway, model)[0]
 
-    delta = FunctionalDelta()
-    for o, n in pairs:
-        req = request(
-            model,
-            _PAIR_SYSTEM,
-            (f"TASK: classify-entry-pair\nOLD TITLE: {o.title}\n"
-             f"OLD SUMMARY: {o.summary}\nNEW TITLE: {n.title}\n"
-             f"NEW SUMMARY: {n.summary}"),
-            contract=_PAIR_CONTRACT,
-        )
-        result = gateway.complete(req, PHASE_GRAPH)
-        if result.parsed["classification"] == "modified":
-            delta.modified.append((replace(o, status="modified"),
-                                   replace(n, status="modified")))
-        else:
-            delta.inherited.append(replace(n, status="inherited"))
-    for n in new:
-        if n.id not in paired_new:
-            delta.added.append(replace(n, status="new"))
-    for o in old:
-        if o.id in paired_old:
-            continue
-        req = request(
-            model,
-            _REMOVED_SYSTEM,
-            (f"TASK: classify-removed-entry\nTITLE: {o.title}\n"
-             f"SUMMARY: {o.summary}"),
-            contract=_REMOVED_CONTRACT,
-        )
-        result = gateway.complete(req, PHASE_GRAPH)
-        if result.parsed["classification"] == "deprecated":
-            delta.deprecated.append(replace(o, status="deprecated"))
-        else:
-            delta.inherited.append(replace(o, status="inherited"))
-    delta.validate()
-    return delta
+
+def diff_pairings(pairings: Sequence[EntryPairing], gateway: LlmGateway,
+             model: str) -> list[FunctionalDelta]:
+    """The delta of each pairing, with every classification of every
+    pairing in one gateway batch."""
+    per_pairing = [p.requests(model) for p in pairings]
+    results = gateway.complete_all(
+        [r for reqs in per_pairing for r in reqs], PHASE_GRAPH)
+    deltas: list[FunctionalDelta] = []
+    start = 0
+    for pairing, reqs in zip(pairings, per_pairing):
+        deltas.append(pairing.delta(results[start:start + len(reqs)]))
+        start += len(reqs)
+    return deltas
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import run_stages
 from deltaspec.diff_verifier import (
     Finding,
     Trial,
@@ -24,7 +25,13 @@ from deltaspec.errors import (
 )
 from deltaspec.knowledge_graph import Entity, KnowledgeGraph
 from deltaspec.llm_gateway import LlmGateway, MockProvider
-from deltaspec.spec_evolution import FunctionalDelta, FunctionalEntry, Increment
+from deltaspec.report_cli.config import PipelineConfig
+from deltaspec.spec_evolution import (
+    FunctionalDelta,
+    FunctionalEntry,
+    Increment,
+    UpdateChainGraph,
+)
 
 
 def entry(title, concepts=(), rfc=793):
@@ -210,6 +217,20 @@ def test_chain_memo_skips_repeat_cells():
     verify_chain(*args, trials=1, memo=memo, task_log=task_log)
     assert gateway.stats.requests == first
     assert task_log[("toy", 793)] == ["net/a.c:1:fn"]
+
+
+def test_verify_artifacts_do_not_depend_on_version_or_chain_order(
+        mini_config, monkeypatch):
+    forward = run_stages(mini_config("forward"), through="verify")
+    chains = UpdateChainGraph.chains
+    monkeypatch.setattr(UpdateChainGraph, "chains",
+                        lambda self: chains(self)[::-1])
+    monkeypatch.setattr(PipelineConfig, "versions", property(
+        lambda self: tuple(sorted(self.code_trees, reverse=True))))
+    permuted = run_stages(mini_config("permuted"), through="verify")
+    for name in ("matrix.json", "findings.jsonl", "ledger.json"):
+        assert (permuted.workdir / "verify" / name).read_bytes() == \
+            (forward.workdir / "verify" / name).read_bytes()
 
 
 # ----------------------------------------------------------------- findings

@@ -1,15 +1,23 @@
 """Tests for the caching gateway, cost ledger, and offline providers."""
 
 import json
+import sys
+import tempfile
+import threading
+import time
+from pathlib import Path
 
 import jsonschema
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from deltaspec import llm_gateway
-from deltaspec.errors import ContractViolation, ProviderError
+from deltaspec.errors import ContractViolation, NotSent, ProviderError
 from deltaspec.llm_gateway import (
+    CompletionResult,
     CostLedger,
     HashEmbedder,
     HttpProvider,
@@ -39,6 +47,14 @@ def test_fingerprint_is_stable_and_input_sensitive():
     fps = {v.fingerprint for v in variants}
     assert base.fingerprint not in fps
     assert len(fps) == len(variants)
+
+
+def test_fingerprint_is_computed_once_per_request(monkeypatch):
+    req = request("m", "sys", "user text")
+    first = req.fingerprint
+    monkeypatch.setattr(llm_gateway.hashlib, "sha256",
+                        lambda *a: pytest.fail("fingerprint recomputed"))
+    assert req.fingerprint == first
 
 
 def test_request_builds_messages():
@@ -342,3 +358,275 @@ def test_http_provider_reads_text_and_usage(monkeypatch):
         request("m", None, "q"))
     assert text == "hi"
     assert usage == Usage(3, 1)
+
+
+def test_http_client_errors_fail_on_the_first_post(monkeypatch):
+    posts = []
+    monkeypatch.setattr(requests, "post", lambda *a, **k: posts.append(1)
+                        or http_response(401, "bad key"))
+    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+                         max_retries=3, backoff_base=0.0)
+    with pytest.raises(ProviderError, match="401"):
+        gateway.complete(request("m", None, "q"), "graph")
+    assert len(posts) == 1
+    assert gateway.stats.provider_retries == 0
+
+
+def test_http_429_honors_retry_after(monkeypatch):
+    ok = json.dumps({"choices": [{"message": {"content": "hi"}}]})
+    replies = iter([http_response(429, "slow down"), http_response(200, ok)])
+    posts = []
+    sleeps = []
+
+    def post(*args, **kwargs):
+        posts.append(1)
+        resp = next(replies)
+        if resp.status_code == 429:
+            resp.headers["Retry-After"] = "0"
+        return resp
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(llm_gateway.time, "sleep", sleeps.append)
+    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+                         backoff_base=0.5)
+    assert gateway.complete(request("m", None, "q"), "graph").text == "hi"
+    assert len(posts) == 2
+    assert sleeps == []  # Retry-After: 0 overrides the 0.5 s backoff
+
+
+def test_http_retry_after_is_capped(monkeypatch):
+    def post(*args, **kwargs):
+        resp = http_response(503, "maintenance")
+        resp.headers["Retry-After"] = "86400"
+        return resp
+
+    sleeps = []
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(llm_gateway.time, "sleep", sleeps.append)
+    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+                         max_retries=1)
+    with pytest.raises(ProviderError, match="2 attempts"):
+        gateway.complete(request("m", None, "q"), "graph")
+    assert sleeps == [llm_gateway.MAX_RETRY_AFTER_S]
+
+
+def test_http_503_is_retried_max_retries_times(monkeypatch):
+    posts = []
+    monkeypatch.setattr(requests, "post", lambda *a, **k: posts.append(1)
+                        or http_response(503, "unavailable"))
+    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+                         max_retries=2, backoff_base=0.0)
+    with pytest.raises(ProviderError, match="3 attempts"):
+        gateway.complete(request("m", None, "q"), "graph")
+    assert len(posts) == 3
+    assert gateway.stats.provider_retries == 2
+
+
+# --------------------------------------------------------- cache collisions
+
+def test_concurrent_writers_of_one_entry_leave_one_valid_file(tmp_path):
+    gateways = [LlmGateway(provider=MockProvider(rules=lambda r: "x"),
+                           cache_dir=tmp_path) for _ in range(2)]
+    fp = request("m", None, "q").fingerprint
+    start = threading.Barrier(2)
+    errors = []
+
+    def write(gateway, text):
+        start.wait()
+        try:
+            for _ in range(200):
+                gateway._cache_put(fp, "m", text, Usage(1, 1))
+        except Exception as exc:  # pragma: no cover - the failure mode
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(g, t))
+               for g, t in zip(gateways, ("one", "two"))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert errors == []
+    assert [p.name for p in tmp_path.rglob("*")
+            if p.is_file()] == [f"{fp}.json"]
+    assert gateways[0]._cache_get(fp)["response"] in ("one", "two")
+
+
+# ---------------------------------------------------------------- batching
+
+def _answer(req):
+    """Deterministic replies: JSON for contract requests, prose otherwise."""
+    user = req.messages[-1][1]
+    if req.response_contract is not None:
+        return json.dumps({"ok": len(user)})
+    return f"answer to {user}"
+
+
+def _cache_entries(root):
+    out = {}
+    for path in sorted(Path(root).rglob("*.json")):
+        entry = json.loads(path.read_text())
+        entry.pop("created_at")
+        out[path.relative_to(root).as_posix()] = entry
+    return out
+
+
+_POOL = [request("m", "sys", f"q{i}", contract=OK_CONTRACT if i % 2 else None)
+         for i in range(6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.lists(st.sampled_from(range(len(_POOL))), max_size=12),
+       seeded=st.sets(st.sampled_from(range(len(_POOL)))),
+       cached=st.booleans())
+def test_complete_all_matches_serial_complete(batch, seeded, cached):
+    with tempfile.TemporaryDirectory() as serial_dir, \
+            tempfile.TemporaryDirectory() as batch_dir:
+        gateways = []
+        for root in (serial_dir, batch_dir):
+            warm = LlmGateway(provider=MockProvider(rules=_answer),
+                              cache_dir=root)
+            for i in sorted(seeded):
+                warm.complete(_POOL[i], "graph")
+            gateways.append(LlmGateway(provider=MockProvider(rules=_answer),
+                                       cache_dir=root if cached else None))
+        serial, batched = gateways
+        reqs = [_POOL[i] for i in batch]
+
+        expected = [serial.complete(r, "graph") for r in reqs]
+        assert batched.complete_all(reqs, "graph") == expected
+        assert batched.stats == serial.stats
+        assert batched.ledger.as_dict() == serial.ledger.as_dict()
+        assert _cache_entries(batch_dir) == _cache_entries(serial_dir)
+
+
+def test_all_hit_batch_starts_no_thread(tmp_path, monkeypatch):
+    gateway = LlmGateway(provider=MockProvider(rules=_answer),
+                         cache_dir=tmp_path)
+    gateway.complete_all(_POOL, "graph")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(llm_gateway, "ThreadPoolExecutor", no_pool)
+    results = gateway.complete_all(_POOL + _POOL, "graph")
+    assert all(r.cached for r in results)
+    # A lone distinct miss, however often it repeats, is fetched inline.
+    fresh = request("m", None, "fresh")
+    assert not gateway.complete_all([fresh, fresh], "graph")[0].cached
+
+
+class SleepyProvider:
+    """Counts concurrent and per-fingerprint calls; each call sleeps."""
+
+    def __init__(self, delay=0.05, fail=()):
+        self.delay = delay
+        self.fail = set(fail)
+        self.calls: dict[str, int] = {}
+        self.inflight = self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, req):
+        with self._lock:
+            self.calls[req.fingerprint] = self.calls.get(req.fingerprint, 0) + 1
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        try:
+            user = req.messages[-1][1]
+            # Later requests finish first, so completion order is not
+            # input order.
+            time.sleep(self.delay / (1 + int(user[1:])))
+            if user in self.fail:
+                raise ProviderError(f"failed {user}")
+            return _answer(req), None
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+
+@pytest.mark.parametrize("distinct", [2, 3, 8])
+def test_misses_overlap_up_to_max_in_flight(tmp_path, distinct):
+    provider = SleepyProvider()
+    gateway = LlmGateway(provider=provider, cache_dir=tmp_path,
+                         max_in_flight=4)
+    reqs = [request("m", None, f"q{i % distinct}") for i in range(2 * distinct)]
+    results = gateway.complete_all(reqs, "graph")
+    assert provider.peak == min(4, distinct)
+    assert sorted(provider.calls.values()) == [1] * distinct
+    assert [r.cached for r in results] == [False] * distinct + [True] * distinct
+    assert gateway.stats.provider_calls == distinct
+    assert gateway.stats.cache_hits == distinct
+
+
+def test_first_failure_in_input_order_is_raised(tmp_path):
+    provider = SleepyProvider(fail={"q1", "q5"})
+    gateway = LlmGateway(provider=provider, cache_dir=tmp_path,
+                         max_retries=0)
+    reqs = [request("m", None, f"q{i}") for i in range(7)]
+    with pytest.raises(ProviderError, match="failed q1"):
+        gateway.complete_all(reqs, "graph")
+    outcomes = gateway.settle_all(reqs, "graph")
+    assert isinstance(outcomes[0], CompletionResult)
+    assert str(outcomes[1]).endswith("failed q1")
+    # Past the first failure a slot holds a fetch already under way (q5
+    # may fail first, as later requests finish first) or NotSent.
+    for i, outcome in enumerate(outcomes[2:], start=2):
+        assert isinstance(outcome, (CompletionResult, NotSent)) \
+            or str(outcome).endswith(f"failed q{i}")
+
+
+class AlwaysFailing:
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, req):
+        with self._lock:
+            self.calls += 1
+        time.sleep(0.001)
+        raise ProviderError("down")
+
+
+def test_failing_batch_stops_sending(tmp_path):
+    provider = AlwaysFailing()
+    gateway = LlmGateway(provider=provider, cache_dir=tmp_path,
+                         max_retries=3, backoff_base=0.0, max_in_flight=4)
+    reqs = [request("m", None, f"q{i}") for i in range(50)]
+    with pytest.raises(ProviderError, match="after 4 attempts"):
+        gateway.complete_all(reqs, "graph")
+    # Each worker sends at most the one request it holds when the first
+    # failure is known, with its retries; a serial loop sends 1 x 4.
+    assert provider.calls <= 4 * (3 + 1)
+    outcomes = gateway.settle_all(reqs, "graph")
+    assert isinstance(outcomes[0], ProviderError)
+    assert sum(isinstance(o, NotSent) for o in outcomes) >= 50 - 4
+
+
+def test_failing_hit_stops_the_batch(tmp_path):
+    provider = SleepyProvider(delay=0.0)
+    gateway = LlmGateway(provider=provider, cache_dir=tmp_path)
+    bad = request("m", None, "q9", contract=OK_CONTRACT)
+    gateway._cache_put(bad.fingerprint, "m", "not json", Usage(1, 1))
+    reqs = [request("m", None, "q0"), bad, request("m", None, "q2")]
+    with pytest.raises(ContractViolation):
+        gateway.complete_all(reqs, "graph")
+    # As serially: q0 is fetched, nothing after the failing hit is.
+    assert provider.calls == {reqs[0].fingerprint: 1}
+    assert gateway.stats.requests == 2
+
+
+def test_counters_survive_many_concurrent_misses(tmp_path):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        gateway = LlmGateway(provider=MockProvider(rules=_answer),
+                             cache_dir=tmp_path, max_in_flight=8)
+        reqs = [request("m", None, f"q{i}", contract=OK_CONTRACT)
+                for i in range(300)]
+        results = gateway.complete_all(reqs, "graph")
+    finally:
+        sys.setswitchinterval(interval)
+    assert gateway.stats.provider_calls == 300
+    assert gateway.stats.requests == 300
+    assert gateway.ledger.token_total == sum(r.usage.total for r in results)
+    assert len(list(tmp_path.rglob("*.json"))) == 300
