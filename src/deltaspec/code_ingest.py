@@ -1,7 +1,9 @@
 """Kernel source ingestion: file selection plus two-tier function extraction.
 
 Tier 1 parses each candidate definition with pycparser against a typedef
-prelude assembled from stub headers, which yields real parameter types. Kernel
+prelude assembled from stub headers, which yields real parameter types. The
+prelude is parsed once per index; each region is then parsed alone, starting
+from the file scope (typedef and identifier names) the prelude left. Kernel
 code is full of constructs a strict C99 parser rejects (macro-wrapped
 definitions, in-body preprocessor blocks), so tier 2 falls back to a
 brace-matching scanner that still recovers name, signature text and exact
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -373,37 +376,41 @@ def _inspect_open_brace(masked: str, brace_idx: int, prev_end: int) -> _Candidat
                       paren_open=paren_open, paren_close=paren_close)
 
 
-def _line_of(src: str, idx: int) -> int:
-    return src.count("\n", 0, idx) + 1
+def _newline_offsets(src: str) -> list[int]:
+    return [m.start() for m in re.finditer("\n", src)]
 
 
-def _doc_comment_before(src: str, decl_start: int) -> str | None:
+def _line_of(newlines: list[int], idx: int) -> int:
+    """1-based line of offset ``idx``, given the text's newline offsets."""
+    return bisect_left(newlines, idx) + 1
+
+
+def _doc_comment_before(src: str, newlines: list[int], decl_start: int) -> str | None:
     """Contiguous comment block directly above the declaration, if any."""
-    head = src[:decl_start]
-    lines = head.split("\n")
-    # Drop the partial last line (indentation of the declaration itself).
-    if lines and lines[-1].strip() == "":
-        lines = lines[:-1]
-    else:
+    k = bisect_left(newlines, decl_start)  # the declaration's 0-based line
+
+    def start(j: int) -> int:
+        return newlines[j - 1] + 1 if j else 0
+
+    def line(j: int) -> str:
+        return src[start(j):newlines[j]]
+
+    # Only indentation may precede the declaration on its own line.
+    if k == 0 or src[start(k):decl_start].strip():
         return None
-    if not lines or not lines[-1].strip():
+    last = line(k - 1)
+    if not last.strip():
         return None  # blank line breaks contiguity
-    last = lines[-1].rstrip()
-    if last.endswith("*/"):
-        block: list[str] = []
-        for line in reversed(lines):
-            block.append(line)
-            if "/*" in line:
-                return "\n".join(reversed(block)).strip()
+    if last.rstrip().endswith("*/"):
+        for j in range(k - 1, -1, -1):
+            if "/*" in line(j):
+                return src[start(j):newlines[k - 1]].strip()
         return None
     if last.lstrip().startswith("//"):
-        block = []
-        for line in reversed(lines):
-            if line.lstrip().startswith("//"):
-                block.append(line)
-            else:
-                break
-        return "\n".join(reversed(block)).strip()
+        j = k - 1
+        while j > 0 and line(j - 1).lstrip().startswith("//"):
+            j -= 1
+        return src[start(j):newlines[k - 1]].strip()
     return None
 
 
@@ -439,13 +446,46 @@ def _strip_declname(rendered: str, name: str) -> str:
     return rendered.strip()
 
 
-def _try_syntax_tier(region_src: str, prelude: str, name: str) -> c_ast.FuncDef | None:
-    # The parser does no line splicing of its own (translation phase 2).
-    region_src = region_src.replace("\\\n", "")
-    source = prelude + "\n" + region_src if prelude else region_src
+class _PreludeParser(pycparser.CParser):
+    """A CParser whose every parse starts from a copy of a prelude's file
+    scope, so a region parses as if the prelude came first."""
+
+    def __init__(self, file_scope: dict[str, bool]):
+        self._file_scope = file_scope
+        super().__init__()
+
+    # parse() opens each run with a fresh ``[dict()]`` scope stack; seed it.
+    @property
+    def _scope_stack(self) -> list[dict[str, bool]]:
+        return self._stack
+
+    @_scope_stack.setter
+    def _scope_stack(self, stack: list[dict[str, bool]]) -> None:
+        self._stack = [dict(self._file_scope)] if stack == [{}] else stack
+
+
+def _prelude_parser(stub_headers: str | Path | None) -> _PreludeParser | None:
+    """Load, mask and parse the stub prelude once; None when it does not
+    parse on its own, which sends every region to the fallback tier."""
+    prelude = _mask_preprocessor(
+        mask_comments_and_strings(_load_prelude(stub_headers)))
     parser = pycparser.CParser()
     try:
-        ast = parser.parse(source, filename="<region>")
+        parser.parse(prelude, filename="<prelude>")
+    except (ParseError, AssertionError):
+        log.debug("stub prelude does not parse; tier 1 is off")
+        return None
+    return _PreludeParser(parser._scope_stack[0])
+
+
+def _try_syntax_tier(region_src: str, parser: _PreludeParser | None,
+                     name: str) -> c_ast.FuncDef | None:
+    if parser is None:
+        return None
+    # The parser does no line splicing of its own (translation phase 2).
+    region_src = region_src.replace("\\\n", "")
+    try:
+        ast = parser.parse(region_src, filename="<region>")
     except (ParseError, AssertionError):
         return None
     for node in ast.ext:
@@ -476,20 +516,23 @@ def extract_functions(
     regions; without them most regions land in the fallback tier, which is
     functional but loses parameter types.
     """
+    return _extract(source, _prelude_parser(stub_headers))
+
+
+def _extract(source: SourceFile, parser: _PreludeParser | None) -> list[CodeFunction]:
     src = source.content
+    newlines = _newline_offsets(src)
     # The strict parser accepts no comments at all, so tier 1 reads the
     # comment-blanked text (same length, same offsets). Preprocessor lines
     # stay visible to it on purpose: an in-body #ifdef is exactly the kind
     # of region that belongs to the fallback tier.
     comment_free = mask_comments_and_strings(src)
     masked = _mask_preprocessor(comment_free)
-    prelude = _mask_preprocessor(
-        mask_comments_and_strings(_load_prelude(stub_headers)))
     out: list[CodeFunction] = []
     for cand in _scan_candidates(masked):
         region = src[cand.decl_start:cand.close_brace + 1]
         parse_region = comment_free[cand.decl_start:cand.close_brace + 1]
-        funcdef = _try_syntax_tier(parse_region, prelude, cand.name)
+        funcdef = _try_syntax_tier(parse_region, parser, cand.name)
         if funcdef is not None:
             name = cand.name
             params = _param_pairs(funcdef)
@@ -506,8 +549,9 @@ def extract_functions(
             signature=" ".join(sig_src.split()),
             params=params,
             span=Span(cand.decl_start, cand.close_brace + 1,
-                      _line_of(src, cand.decl_start), _line_of(src, cand.close_brace)),
-            doc_comment=_doc_comment_before(src, cand.decl_start),
+                      _line_of(newlines, cand.decl_start),
+                      _line_of(newlines, cand.close_brace)),
+            doc_comment=_doc_comment_before(src, newlines, cand.decl_start),
             file=source.path,
             token_count=count_tokens(region),
             extraction_tier=tier,
@@ -535,9 +579,10 @@ def build_index(
     stub_headers: str | Path | None = None,
 ) -> CodebaseIndex:
     files = select_protocol_sources(tree_root, version, globs=globs, keywords=keywords)
+    parser = _prelude_parser(stub_headers)
     functions: list[CodeFunction] = []
     for f in files:
-        functions.extend(extract_functions(f, stub_headers=stub_headers))
+        functions.extend(_extract(f, parser))
     return CodebaseIndex(version=version, files=files, functions=functions)
 
 

@@ -23,6 +23,7 @@ import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from datetime import timezone
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence
@@ -658,12 +659,22 @@ def _settle(fn: Callable[..., Any], *args: Any) -> Any:
 
 
 def _retry_after(resp: Any) -> float | None:
-    """A numeric Retry-After header in seconds; None when absent or given
-    as an HTTP date."""
+    """The Retry-After header in seconds from now, given as a number or as
+    an HTTP date (a past date is 0); None when absent or unreadable."""
+    value = resp.headers.get("Retry-After", "")
     try:
-        seconds = float(resp.headers.get("Retry-After", ""))
+        seconds = float(value)
     except ValueError:
-        return None
+        # Imported here, like requests: email.utils is only needed on the
+        # live HTTP path and adds about half a megabyte to every run.
+        from email.utils import parsedate_to_datetime
+        try:
+            when = parsedate_to_datetime(value)
+        except ValueError:
+            return None
+        if when.tzinfo is None:  # "-0000": UTC with no zone given
+            when = when.replace(tzinfo=timezone.utc)
+        seconds = max(0.0, when.timestamp() - time.time())
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 

@@ -62,8 +62,7 @@ from ..tokenizer import tokenize
 from ..triplet_store import (
     RetrievalConfig,
     TripletStore,
-    synth_negative,
-    synth_positive,
+    synth_triplets,
 )
 from .config import PipelineConfig
 from .metrics import Confusion, Metrics, compute_metrics
@@ -298,15 +297,14 @@ def build_chains_stage(cfg: PipelineConfig) -> UpdateChainGraph:
 
 def synth_triplets_stage(cfg: PipelineConfig) -> TripletStore:
     gateway = make_gateway(cfg)
+    descriptions = [] if cfg.triplet_descriptions is None \
+        else _read_jsonl(cfg.triplet_descriptions)
+    patches = [] if cfg.triplet_patches is None \
+        else _read_jsonl(cfg.triplet_patches)
     store = TripletStore()
-    if cfg.triplet_descriptions is not None:
-        for rec in _read_jsonl(cfg.triplet_descriptions):
-            store.add(synth_positive(rec, gateway, cfg.model))
-    if cfg.triplet_patches is not None:
-        for rec in _read_jsonl(cfg.triplet_patches):
-            for t in synth_negative(rec, gateway, cfg.model,
-                                    paired_positive=cfg.paired_positive):
-                store.add(t)
+    for t in synth_triplets(descriptions, patches, gateway, cfg.model,
+                            paired_positive=cfg.paired_positive):
+        store.add(t)
     store.save(cfg.workdir / "triplets" / "store.jsonl")
     _write_json(cfg.workdir / "triplets" / "ledger.json",
                 gateway.ledger.as_dict())

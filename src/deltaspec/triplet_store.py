@@ -20,10 +20,10 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyStore, InvalidRecord
-from .llm_gateway import PHASE_GRAPH, LlmGateway, request
+from .llm_gateway import PHASE_GRAPH, LlmGateway, LlmRequest, request
 from .tokenizer import count_tokens, token_texts
 
 LABELS = ("consistent", "inconsistent")
@@ -218,38 +218,39 @@ def _doc_tokens(triplet: DifferentialTriplet) -> list[str]:
     return [t.lower() for t in token_texts(triplet.document())]
 
 
-def _generate_ir(gateway: LlmGateway, model: str, task: str, body: str) -> str:
-    result = gateway.complete(
-        request(model, _IR_SYSTEM, f"TASK: {task}\n{body}"), PHASE_GRAPH)
-    return result.text.strip()
+def _ir_request(model: str, task: str, body: str) -> LlmRequest:
+    return request(model, _IR_SYSTEM, f"TASK: {task}\n{body}")
 
 
-def synth_positive(record: Mapping, gateway: LlmGateway,
-                   model: str) -> DifferentialTriplet:
-    """A consistent triplet from a description/solution record."""
+_Plan = tuple[LlmRequest, Callable[[str], list[DifferentialTriplet]]]
+
+
+def _positive_plan(record: Mapping, model: str) -> _Plan:
+    """A description/solution record's IR request, and the consistent
+    triplet its IR makes."""
     description = str(record.get("description", "")).strip()
     solution = str(record.get("solution", "")).strip()
     if not description or not solution:
         raise InvalidRecord(
             f"record {record.get('id')!r} needs both description and solution")
-    ir = _generate_ir(gateway, model, "synth-ir",
-                      f"DESCRIPTION:\n{description}")
-    return DifferentialTriplet(
-        id=str(record["id"]),
-        spec_text=description,
-        intermediate_repr=ir,
-        code=solution,
-        label="consistent",
-        source="description",
-        complexity=count_tokens(solution),
-    )
+
+    def build(ir: str) -> list[DifferentialTriplet]:
+        return [DifferentialTriplet(
+            id=str(record["id"]),
+            spec_text=description,
+            intermediate_repr=ir,
+            code=solution,
+            label="consistent",
+            source="description",
+            complexity=count_tokens(solution),
+        )]
+    return _ir_request(model, "synth-ir", f"DESCRIPTION:\n{description}"), build
 
 
-def synth_negative(record: Mapping, gateway: LlmGateway, model: str,
-                   *, paired_positive: bool = False) -> list[DifferentialTriplet]:
-    """Triplets from a patch record: the before-image is inconsistent with
-    the patched behavior; with ``paired_positive`` the after-image joins as
-    its consistent twin."""
+def _negative_plan(record: Mapping, model: str, paired_positive: bool) -> _Plan:
+    """A patch record's IR request, and the triplets its IR makes: the
+    before-image is inconsistent with the patched behavior; with
+    ``paired_positive`` the after-image joins as its consistent twin."""
     summary = str(record.get("summary", "")).strip()
     before = str(record.get("before", "")).strip()
     after = str(record.get("after", "")).strip()
@@ -262,28 +263,57 @@ def synth_negative(record: Mapping, gateway: LlmGateway, model: str,
     diff = "\n".join(difflib.unified_diff(
         before.splitlines(), after.splitlines(),
         fromfile="before", tofile="after", lineterm=""))
-    ir = _generate_ir(gateway, model, "synth-ir-negative",
-                      f"SUMMARY:\n{summary}\nDIFF:\n{diff}")
-    out = [DifferentialTriplet(
-        id=f"{record['id']}:before",
-        spec_text=summary,
-        intermediate_repr=ir,
-        code=before,
-        label="inconsistent",
-        source="patch",
-        complexity=count_tokens(before),
-    )]
-    if paired_positive:
-        out.append(DifferentialTriplet(
-            id=f"{record['id']}:after",
+
+    def build(ir: str) -> list[DifferentialTriplet]:
+        out = [DifferentialTriplet(
+            id=f"{record['id']}:before",
             spec_text=summary,
             intermediate_repr=ir,
-            code=after,
-            label="consistent",
+            code=before,
+            label="inconsistent",
             source="patch",
-            complexity=count_tokens(after),
-        ))
-    return out
+            complexity=count_tokens(before),
+        )]
+        if paired_positive:
+            out.append(DifferentialTriplet(
+                id=f"{record['id']}:after",
+                spec_text=summary,
+                intermediate_repr=ir,
+                code=after,
+                label="consistent",
+                source="patch",
+                complexity=count_tokens(after),
+            ))
+        return out
+    return (_ir_request(model, "synth-ir-negative",
+                        f"SUMMARY:\n{summary}\nDIFF:\n{diff}"), build)
+
+
+def synth_triplets(descriptions: Sequence[Mapping], patches: Sequence[Mapping],
+                   gateway: LlmGateway, model: str, *,
+                   paired_positive: bool = False) -> list[DifferentialTriplet]:
+    """Triplets from description records, then patch records, in record
+    order. Every record is checked before any request is sent; the IR
+    requests then go out as one batch."""
+    plans = [_positive_plan(r, model) for r in descriptions]
+    plans += [_negative_plan(r, model, paired_positive) for r in patches]
+    results = gateway.complete_all([req for req, _ in plans], PHASE_GRAPH)
+    return [t for (_, build), result in zip(plans, results)
+            for t in build(result.text.strip())]
+
+
+def synth_positive(record: Mapping, gateway: LlmGateway,
+                   model: str) -> DifferentialTriplet:
+    """A consistent triplet from a description/solution record."""
+    (triplet,) = synth_triplets([record], (), gateway, model)
+    return triplet
+
+
+def synth_negative(record: Mapping, gateway: LlmGateway, model: str,
+                   *, paired_positive: bool = False) -> list[DifferentialTriplet]:
+    """Triplets from one patch record (see ``_negative_plan``)."""
+    return synth_triplets((), [record], gateway, model,
+                          paired_positive=paired_positive)
 
 
 def retrieve_exemplars(

@@ -1,8 +1,12 @@
 """Tests for C source selection, function extraction, and extraction stats."""
 
+import pycparser
 import pytest
+from pycparser import c_ast
+from pycparser.c_parser import ParseError
 
 from conftest import FIXTURES
+from deltaspec import code_ingest
 from deltaspec.code_ingest import (
     CodeFunction,
     ExtractionStats,
@@ -16,6 +20,7 @@ from deltaspec.code_ingest import (
 from deltaspec.errors import EmptyIndex, InvalidInputs, IoError
 
 TOY_A = FIXTURES / "code" / "toy-a"
+TOY_B = FIXTURES / "code" / "toy-b"
 STUBS = FIXTURES / "code" / "stubs"
 ANNOTATED = FIXTURES / "annotated" / "annotated.c"
 
@@ -140,6 +145,119 @@ def test_function_roundtrips_through_dict():
     source = SourceFile.load(ANNOTATED.parent, ANNOTATED.name, "annotated")
     for fn in extract_functions(source):
         assert CodeFunction.from_dict(fn.to_dict()) == fn
+
+
+# ------------------------------------------------- tier 1 against a reference
+
+def reference_tiers(source, stub_headers):
+    """(tier, name, params) per candidate region, parsing the masked prelude
+    and the region together with a fresh parser each time."""
+    src = source.content
+    comment_free = mask_comments_and_strings(src)
+    masked = code_ingest._mask_preprocessor(comment_free)
+    prelude = code_ingest._mask_preprocessor(mask_comments_and_strings(
+        code_ingest._load_prelude(stub_headers)))
+    out = []
+    for cand in code_ingest._scan_candidates(masked):
+        region = comment_free[cand.decl_start:cand.close_brace + 1]
+        region = region.replace("\\\n", "")
+        try:
+            ext = pycparser.CParser().parse(
+                prelude + "\n" + region if prelude else region).ext
+        except (ParseError, AssertionError):
+            ext = []
+        funcdef = next((n for n in ext if isinstance(n, c_ast.FuncDef)
+                        and n.decl.name == cand.name), None)
+        if funcdef is None:
+            out.append(("brace-fallback",
+                        code_ingest._fallback_name(masked, cand), ()))
+        else:
+            out.append(("syntax-tree", cand.name, tuple(
+                (n, code_ingest._strip_declname(t, n))
+                for n, t in code_ingest._param_pairs(funcdef))))
+    return out
+
+
+def new_tiers(source, stub_headers):
+    return [(f.extraction_tier, f.name, f.params)
+            for f in extract_functions(source, stub_headers=stub_headers)]
+
+
+BUNDLED_SOURCES = [f for tree in (TOY_A, TOY_B)
+                   for f in select_protocol_sources(tree, tree.name)] + \
+    [SourceFile.load(ANNOTATED.parent, ANNOTATED.name, "annotated")]
+
+
+@pytest.mark.parametrize("stubs", [STUBS, None], ids=["stubs", "no-stubs"])
+@pytest.mark.parametrize("source", BUNDLED_SOURCES, ids=lambda f: f.path)
+def test_tier1_matches_prelude_plus_region_reference(source, stubs):
+    assert new_tiers(source, stubs) == reference_tiers(source, stubs)
+
+
+def _stub_dir(tmp_path, text):
+    stubs = tmp_path / "stubs"
+    stubs.mkdir()
+    (stubs / "types.h").write_text(text)
+    return stubs
+
+
+def test_prelude_that_does_not_parse_sends_every_region_to_fallback(tmp_path):
+    stubs = _stub_dir(tmp_path, (STUBS / "types.h").read_text() + "int );\n")
+    index = build_index(TOY_A, "toy-a", stub_headers=stubs)
+    assert index.total_functions == 6
+    assert {f.extraction_tier for f in index.functions} == {"brace-fallback"}
+    for source in index.files:
+        assert new_tiers(source, stubs) == reference_tiers(source, stubs)
+
+
+def test_region_redeclaring_a_stub_typedef_matches_reference():
+    src = (
+        "int u32(void)\n{\n    return 0;\n}\n\n"
+        "int shadow_param(int u32)\n{\n    return u32;\n}\n\n"
+        "int shadow_local(void)\n{\n    int u32 = 1;\n    return u32;\n}\n\n"
+        "u32 still_a_type(u32 x)\n{\n    return x;\n}\n"
+    )
+    source = SourceFile(path="redecl.c", version="v", content=src,
+                        line_count=src.count("\n"), token_count=0)
+    tiers = new_tiers(source, STUBS)
+    assert tiers == reference_tiers(source, STUBS)
+    # A file-scope function named like a typedef is rejected, as when the
+    # prelude and the region were parsed as one text; the later regions
+    # still see u32 as a type.
+    assert [t[0] for t in tiers] == ["brace-fallback", "syntax-tree",
+                                     "syntax-tree", "syntax-tree"]
+    assert tiers[3][2] == (("x", "u32"),)
+
+
+def test_prelude_function_of_the_same_name_does_not_shadow_the_region(tmp_path):
+    stubs = _stub_dir(tmp_path, (STUBS / "types.h").read_text() +
+                      "static inline int clamp(int lo)\n{\n\treturn lo;\n}\n")
+    src = "int clamp(u32 a, u32 b)\n{\n    return a < b ? a : b;\n}\n"
+    source = SourceFile(path="clamp.c", version="v", content=src,
+                        line_count=4, token_count=0)
+    params = (("a", "u32"), ("b", "u32"))
+    assert new_tiers(source, stubs) == [("syntax-tree", "clamp", params)]
+    # The one-text reference found the prelude's definition first.
+    assert reference_tiers(source, stubs) == \
+        [("syntax-tree", "clamp", (("lo", "int"),))]
+
+
+def test_build_index_parses_the_prelude_once(tmp_path, monkeypatch):
+    for i in range(3):
+        path = tmp_path / "net" / "ipv4" / f"tcp_part{i}.c"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(f"u32 part{i}_a(u32 x)\n{{\n    return x;\n}}\n\n"
+                        f"u16 part{i}_b(void)\n{{\n    return 0;\n}}\n")
+    texts = []
+    parse = pycparser.CParser.parse
+    monkeypatch.setattr(pycparser.CParser, "parse",
+                        lambda self, text, *a, **k:
+                        texts.append(text) or parse(self, text, *a, **k))
+    index = build_index(tmp_path, "v", stub_headers=STUBS)
+    assert index.total_functions == 6
+    assert {f.extraction_tier for f in index.functions} == {"syntax-tree"}
+    assert sum("typedef" in t for t in texts) == 1
+    assert len(texts) == 1 + 6
 
 
 # -------------------------------------------------------------------- stats

@@ -5,6 +5,8 @@ import sys
 import tempfile
 import threading
 import time
+from datetime import datetime, timezone
+from email.utils import format_datetime
 from pathlib import Path
 
 import jsonschema
@@ -408,6 +410,37 @@ def test_http_retry_after_is_capped(monkeypatch):
     with pytest.raises(ProviderError, match="2 attempts"):
         gateway.complete(request("m", None, "q"), "graph")
     assert sleeps == [llm_gateway.MAX_RETRY_AFTER_S]
+
+
+def test_http_retry_after_reads_an_http_date(monkeypatch):
+    now = 1_700_000_000.0
+    in_30s = format_datetime(datetime.fromtimestamp(now + 30, timezone.utc),
+                             usegmt=True)
+    headers = iter([in_30s,
+                    "Sun, 06 Nov 1994 08:49:37 GMT",  # past: retry at once
+                    "Fri, 31 Dec 9999 23:59:59 GMT",  # capped
+                    "soon"])  # unreadable: exponential backoff
+    ok = json.dumps({"choices": [{"message": {"content": "hi"}}]})
+    posts = []
+    sleeps = []
+
+    def post(*args, **kwargs):
+        posts.append(1)
+        value = next(headers, None)
+        if value is None:
+            return http_response(200, ok)
+        resp = http_response(503, "maintenance")
+        resp.headers["Retry-After"] = value
+        return resp
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.setattr(llm_gateway.time, "sleep", sleeps.append)
+    monkeypatch.setattr(llm_gateway.time, "time", lambda: now)
+    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+                         max_retries=4, backoff_base=0.5)
+    assert gateway.complete(request("m", None, "q"), "graph").text == "hi"
+    assert len(posts) == 5
+    assert sleeps == [30.0, llm_gateway.MAX_RETRY_AFTER_S, 4.0]
 
 
 def test_http_503_is_retried_max_retries_times(monkeypatch):

@@ -3,7 +3,12 @@
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from deltaspec.code_ingest import mask_comments_and_strings
+from deltaspec.code_ingest import (
+    _doc_comment_before,
+    _line_of,
+    _newline_offsets,
+    mask_comments_and_strings,
+)
 from deltaspec.errors import ContractViolation, MalformedDocument
 from deltaspec.llm_gateway import extract_json_payload
 from deltaspec.rfc_ingest import strip_boilerplate
@@ -56,3 +61,60 @@ def test_masking_preserves_length_and_newlines(src):
     assert len(masked) == len(src)
     assert [i for i, ch in enumerate(masked) if ch == "\n"] == \
         [i for i, ch in enumerate(src) if ch == "\n"]
+
+
+def naive_line_of(src: str, idx: int) -> int:
+    return src.count("\n", 0, idx) + 1
+
+
+def naive_doc_comment_before(src: str, decl_start: int) -> str | None:
+    """Reference: split everything before the declaration into lines."""
+    lines = src[:decl_start].split("\n")
+    if lines and lines[-1].strip() == "":
+        lines = lines[:-1]
+    else:
+        return None
+    if not lines or not lines[-1].strip():
+        return None
+    last = lines[-1].rstrip()
+    if last.endswith("*/"):
+        block: list[str] = []
+        for line in reversed(lines):
+            block.append(line)
+            if "/*" in line:
+                return "\n".join(reversed(block)).strip()
+        return None
+    if last.lstrip().startswith("//"):
+        block = []
+        for line in reversed(lines):
+            if line.lstrip().startswith("//"):
+                block.append(line)
+            else:
+                break
+        return "\n".join(reversed(block)).strip()
+    return None
+
+
+_SOURCE_LINES = st.sampled_from([
+    "", " ", "\t", "\r", "/* one-line block */", "/*", " * middle", " */",
+    "*/ trailing", "  /* indented */  ", "// line comment", "   // indented",
+    "//", "int f(void)", "static u32 g(u32 x)", "{", "}", "    return 0;",
+    "x = a / b * c; /* tail */", "y; // tail",
+]) | st.text(alphabet=st.sampled_from(list("/* \t\rab;")), max_size=12)
+
+
+@given(st.lists(_SOURCE_LINES, max_size=25), st.data())
+@settings(max_examples=300)
+def test_line_table_matches_naive_line_and_doc_lookup(lines, data):
+    src = "\n".join(lines)
+    newlines = _newline_offsets(src)
+    for _ in range(5):
+        idx = data.draw(st.integers(min_value=0, max_value=len(src)))
+        assert _line_of(newlines, idx) == naive_line_of(src, idx)
+        assert _doc_comment_before(src, newlines, idx) == \
+            naive_doc_comment_before(src, idx)
+    # Declarations in real files start at a line's first non-blank char.
+    for j, line in enumerate(lines):
+        start = sum(len(x) + 1 for x in lines[:j]) + len(line) - len(line.lstrip())
+        assert _doc_comment_before(src, newlines, start) == \
+            naive_doc_comment_before(src, start)

@@ -1,9 +1,11 @@
 """Tests for differential triplets, BM25/fused retrieval, and synthesis."""
 
+import json
 import math
 
 import pytest
 
+from conftest import FIXTURES
 from deltaspec.errors import EmptyStore, InvalidRecord
 from deltaspec.llm_gateway import HashEmbedder, LlmGateway, MockProvider
 from deltaspec.tokenizer import token_texts
@@ -17,6 +19,7 @@ from deltaspec.triplet_store import (
     retrieve_exemplars,
     synth_negative,
     synth_positive,
+    synth_triplets,
 )
 
 
@@ -233,6 +236,61 @@ def test_synth_negative_rejects_unusable_patches():
     with pytest.raises(InvalidRecord):
         synth_negative({"id": "p3", "summary": "", "before": "a", "after": "b"},
                        synth_gateway(), "m")
+
+
+def _jsonl(path):
+    return [json.loads(line) for line in path.read_text().splitlines()
+            if line.strip()]
+
+
+def _cache_entries(cache_dir):
+    entries = {}
+    for path in sorted(cache_dir.rglob("*.json")):
+        entry = json.loads(path.read_text())
+        entry.pop("created_at")
+        entries[path.relative_to(cache_dir).as_posix()] = entry
+    return entries
+
+
+def test_batched_synthesis_matches_the_serial_loop(tmp_path):
+    descriptions = _jsonl(FIXTURES / "triplets" / "descriptions.jsonl")
+    patches = _jsonl(FIXTURES / "triplets" / "patches.jsonl")
+    # A repeated record is a cache hit on its second request.
+    descriptions.append(descriptions[0])
+
+    def serial(gateway):
+        out = [synth_positive(r, gateway, "judge-1") for r in descriptions]
+        for r in patches:
+            out += synth_negative(r, gateway, "judge-1", paired_positive=True)
+        return out
+
+    def batched(gateway):
+        return synth_triplets(descriptions, patches, gateway, "judge-1",
+                              paired_positive=True)
+
+    runs = {}
+    for name, synth in (("serial", serial), ("batched", batched)):
+        cache = tmp_path / name / "cache"
+        gateway = LlmGateway(provider=MockProvider(rules=ir_rule),
+                             cache_dir=cache)
+        for round_ in ("cold", "warm"):
+            TripletStore(synth(gateway)).save(tmp_path / name / f"{round_}.jsonl")
+        runs[name] = ([(tmp_path / name / f"{r}.jsonl").read_bytes()
+                       for r in ("cold", "warm")],
+                      gateway.ledger.as_dict(), gateway.stats.cache_hits,
+                      gateway.stats.provider_calls, _cache_entries(cache))
+    assert runs["batched"] == runs["serial"]
+    assert runs["batched"][2:4] == (len(descriptions) + len(patches) + 1,
+                                    len(descriptions) + len(patches) - 1)
+
+
+def test_invalid_record_is_rejected_before_any_request():
+    gateway = synth_gateway()
+    good = {"id": "d1", "description": "seed the isn hash", "solution": "k;"}
+    bad = {"id": "p9", "summary": "s", "before": "same;", "after": "same;"}
+    with pytest.raises(InvalidRecord):
+        synth_triplets([good], [bad], gateway, "judge-1")
+    assert gateway.stats.requests == 0
 
 
 # ------------------------------------------------------------- serialization
