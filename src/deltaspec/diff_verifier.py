@@ -359,11 +359,11 @@ def verify_increment(
     return plan.run(gateway, model)[task.code_version][task.rfc]
 
 
-def plan_chain(
+def plan_version(
     plan: VerifyPlan,
-    chain: Sequence[int],
-    increments: Sequence[Increment],
-    root_entries: Sequence[FunctionalEntry],
+    walk: Sequence[tuple[int | None, int]],
+    increments: Mapping[tuple[int, int], Increment],
+    entries: Mapping[int, Sequence[FunctionalEntry]],
     code_version: str,
     graph: KnowledgeGraph,
     store: TripletStore | None,
@@ -372,49 +372,35 @@ def plan_chain(
     *,
     retrieval: RetrievalConfig = RetrievalConfig(),
     budget: int = DEFAULT_BUDGET,
-    memo: dict | None = None,
-    task_log: dict[tuple[str, int], list[str]] | None = None,
-) -> None:
-    """Lay one chain's cells into ``plan.rows[code_version]``.
+) -> dict[int, list[str]]:
+    """Lay one version's row into ``plan.rows[code_version]``: one cell per
+    node of ``walk`` (UpdateChainGraph.walk(), each parent before its
+    children).
 
-    The chain root is verified in whole-RFC mode over all its entries; each
-    edge is verified over its increment targets. An increment with no
-    targets inherits the predecessor's verdict, flagged. ``memo`` (keyed by
-    (version, rfc)) lets overlapping chains share cells; ``task_log`` (same
-    keys) collects the candidate fids each verified cell actually saw.
+    A root is verified in whole-RFC mode over all its entries; any other
+    node over the targets of the increment from its walk parent, or, when
+    that increment has none, it inherits the parent's verdict, flagged.
+    Returns the candidate fids of each verified cell.
     """
     row = plan.rows.setdefault(code_version, {})
-    memo = memo if memo is not None else {}
-
-    def cell_for(rfc: int, rfc_from: int | None,
-                 targets: Sequence[FunctionalEntry]) -> object:
-        key = (code_version, rfc)
-        if key in memo:
-            return memo[key]
-        concepts: list[str] = []
-        for entry in targets:
-            for c in entry.concepts:
-                if c not in concepts:
-                    concepts.append(c)
+    judged: dict[int, list[str]] = {}
+    for parent, rfc in walk:
+        if parent is None:
+            targets = tuple(entries.get(rfc, ()))
+        else:
+            targets = increments[(parent, rfc)].targets
+            if not targets:
+                row[rfc] = _Inherited(row[parent])
+                continue
+        concepts = list(dict.fromkeys(c for e in targets for c in e.concepts))
         candidates = tuple(retrieve_code_for_spec(concepts, graph, k=budget))
         task = VerificationTask(rfc=rfc, code_version=code_version,
-                                targets=tuple(targets), candidates=candidates,
-                                rfc_from=rfc_from, budget=budget)
-        fids = [fid for fid, _ in task.trimmed_candidates()]
-        if task_log is not None:
-            task_log[key] = fids
-        memo[key] = plan.add_task(task, code_text_resolver(fids), store,
-                                  gateway, retrieval)
-        return memo[key]
-
-    previous = row[chain[0]] = cell_for(chain[0], None, tuple(root_entries))
-    for inc in increments:
-        if inc.targets:
-            cell = cell_for(inc.rfc_to, inc.rfc_from, inc.targets)
-        else:
-            cell = memo.setdefault((code_version, inc.rfc_to),
-                                   _Inherited(previous))
-        row[inc.rfc_to] = previous = cell
+                                targets=targets, candidates=candidates,
+                                rfc_from=parent, budget=budget)
+        fids = judged[rfc] = [fid for fid, _ in task.trimmed_candidates()]
+        row[rfc] = plan.add_task(task, code_text_resolver(fids), store,
+                                 gateway, retrieval)
+    return judged
 
 
 def verify_chain(
@@ -431,20 +417,16 @@ def verify_chain(
     retrieval: RetrievalConfig = RetrievalConfig(),
     trials: int = DEFAULT_TRIALS,
     budget: int = DEFAULT_BUDGET,
-    memo: dict | None = None,
-    task_log: dict[tuple[str, int], list[str]] | None = None,
 ) -> dict[int, Verdict]:
     """One matrix row: a Verdict per chain RFC for one code version (a
-    one-chain VerifyPlan; see plan_chain). ``memo`` maps (version, rfc) to
-    the Verdicts of earlier calls and gains this row's."""
+    one-chain VerifyPlan; see plan_version)."""
     plan = VerifyPlan(trials)
-    plan_chain(plan, chain, increments, root_entries, code_version, graph,
-               store, gateway, code_text_resolver, retrieval=retrieval,
-               budget=budget, memo=dict(memo or {}), task_log=task_log)
-    row = plan.run(gateway, model)[code_version]
-    if memo is not None:
-        memo.update(((code_version, rfc), v) for rfc, v in row.items())
-    return row
+    plan_version(plan, list(zip([None, *chain], chain)),
+                 {(inc.rfc_from, inc.rfc_to): inc for inc in increments},
+                 {chain[0]: root_entries}, code_version, graph, store,
+                 gateway, code_text_resolver, retrieval=retrieval,
+                 budget=budget)
+    return plan.run(gateway, model)[code_version]
 
 
 def compile_findings(

@@ -34,7 +34,7 @@ from ..diff_verifier import (
     Verdict,
     VerifyPlan,
     compile_findings,
-    plan_chain,
+    plan_version,
     verify_chain,  # noqa: F401  (kept importable from this module)
 )
 from ..errors import InvalidConfig, MissingArtifact
@@ -54,7 +54,7 @@ from ..spec_evolution import (
     build_update_chain,
     diff_functional_entries,  # noqa: F401  (kept importable from this module)
     diff_pairings,
-    enumerate_increments,
+    enumerate_increments,  # noqa: F401  (kept importable from this module)
     extract_functional_entries_all,
     pair_entries,
 )
@@ -281,14 +281,9 @@ def build_chains_stage(cfg: PipelineConfig) -> UpdateChainGraph:
     _write_jsonl(out / "entries.jsonl",
                  [{"rfc": rfc, "entries": [e.to_dict() for e in items]}
                   for rfc, items in sorted(entries.items())])
-    increments: list[dict] = []
-    for chain in chain_graph.chains():
-        for inc in enumerate_increments(chain_graph, chain):
-            increments.append(inc.to_dict())
-    # Chains sharing a prefix repeat its increments; store each edge once.
-    unique = {(r["rfc_from"], r["rfc_to"]): r for r in increments}
-    _write_jsonl(out / "increments.jsonl",
-                 [unique[k] for k in sorted(unique)])
+    _write_jsonl(out / "increments.jsonl", [
+        Increment(src, dst, delta, tuple(delta.targets())).to_dict()
+        for (src, dst), delta in sorted(chain_graph.deltas.items())])
     _write_json(out / "ledger.json", gateway.ledger.as_dict())
     return chain_graph
 
@@ -333,6 +328,11 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     inc_rows = _read_jsonl(cfg.workdir / "chains" / "increments.jsonl")
     increments = {(r["rfc_from"], r["rfc_to"]): Increment.from_dict(r)
                   for r in inc_rows}
+    for edge in chain_graph.edges:
+        if (edge.src, edge.dst) not in increments:
+            raise MissingArtifact(
+                f"no stored increment for edge {edge.src}->{edge.dst}")
+    walk = chain_graph.walk()
 
     store_path = cfg.workdir / "triplets" / "store.jsonl"
     store = TripletStore.load(store_path) if store_path.is_file() else None
@@ -343,7 +343,6 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     # Lay out every cell of every version first, then judge all tasks in
     # one plan, so provider calls overlap across cells and versions.
     plan = VerifyPlan(cfg.trials)
-    task_log: dict[tuple[str, int], list[str]] = {}
     version_stats: dict[str, dict] = {}
     for version in cfg.versions:
         functions, fmap, chunks, graph = _load_verify_inputs(cfg, version)
@@ -352,22 +351,12 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
             return {fid: reconstruct_function(fid, fmap, chunks)
                     for fid in fids}
 
-        memo: dict = {}
-        for chain in chain_graph.chains():
-            chain_incs = []
-            for src, dst in zip(chain, chain[1:]):
-                if (src, dst) not in increments:
-                    raise MissingArtifact(
-                        f"no stored increment for edge {src}->{dst}")
-                chain_incs.append(increments[(src, dst)])
-            plan_chain(plan, chain, chain_incs, entries.get(chain[0], ()),
-                       version, graph, store, gateway, resolver,
-                       retrieval=retrieval, budget=cfg.budget, memo=memo,
-                       task_log=task_log)
+        judged = plan_version(plan, walk, increments, entries, version,
+                              graph, store, gateway, resolver,
+                              retrieval=retrieval, budget=cfg.budget)
 
         index = CodebaseIndex(version=version, files=[], functions=functions)
-        selected = {rfc: fids for (v, rfc), fids in task_log.items()
-                    if v == version and fids}
+        selected = {rfc: fids for rfc, fids in judged.items() if fids}
         if selected:
             version_stats[version] = compute_extraction_stats(
                 index, selected).to_dict()

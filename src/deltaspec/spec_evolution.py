@@ -239,6 +239,24 @@ class UpdateChainGraph:
             walk([root])
         return out
 
+    def walk(self) -> list[tuple[int | None, int]]:
+        """Every node once, as (parent, node), depth first from the roots in
+        ascending order with successors in ascending order; a root's parent
+        is None. A node's parent is its predecessor on its lowest
+        root-to-node path, which is the first chain that reaches it."""
+        out: list[tuple[int | None, int]] = []
+        seen: set[int] = set()
+        stack: list[tuple[int | None, int]] = \
+            [(None, root) for root in reversed(self.roots())]
+        while stack:
+            parent, node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            out.append((parent, node))
+            stack.extend((node, n) for n in reversed(self.successors(node)))
+        return out
+
     def set_delta(self, src: int, dst: int, delta: FunctionalDelta) -> None:
         delta.validate()
         self.deltas[(src, dst)] = delta

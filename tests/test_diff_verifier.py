@@ -11,8 +11,10 @@ from deltaspec.diff_verifier import (
     Trial,
     VerificationTask,
     Verdict,
+    VerifyPlan,
     compile_findings,
     majority_verdict,
+    plan_version,
     verify_chain,
     verify_increment,
 )
@@ -30,7 +32,9 @@ from deltaspec.spec_evolution import (
     FunctionalDelta,
     FunctionalEntry,
     Increment,
+    RfcMeta,
     UpdateChainGraph,
+    build_update_chain,
 )
 
 
@@ -204,19 +208,58 @@ def test_chain_inherits_verdicts_over_empty_increments():
     assert "whole-rfc" in row[793].flags
 
 
-def test_chain_memo_skips_repeat_cells():
+# RFC 3 updates RFCs 1 and 2, and RFC 2 also updates RFC 1: RFC 3 is a
+# merge node, reached over 1->2->3 and over 1->3.
+MERGE_DOCS = [RfcMeta(1), RfcMeta(2, updates=(1,)), RfcMeta(3, updates=(1, 2))]
+
+
+def merge_increments():
+    def inc(src, dst, *titles):
+        targets = tuple(entry(t, ("rst",), rfc=dst) for t in titles)
+        return Increment(rfc_from=src, rfc_to=dst,
+                         delta=FunctionalDelta(added=list(targets)),
+                         targets=targets)
+
+    return {(1, 2): inc(1, 2),
+            (1, 3): inc(1, 3, "rst window check", "rst rate limit"),
+            (2, 3): inc(2, 3, "challenge ack on rst")}
+
+
+def plan_merge_fixture(docs):
     graph, resolver = chain_fixture()
     gateway = LlmGateway(provider=MockProvider(
-        rules=judge_rule(["implemented"])))
-    memo = {}
-    task_log = {}
-    args = ([793], [], [entry("rst validation", ("rst",))], "toy",
-            graph, None, gateway, "judge-1", resolver)
-    verify_chain(*args, trials=1, memo=memo, task_log=task_log)
-    first = gateway.stats.requests
-    verify_chain(*args, trials=1, memo=memo, task_log=task_log)
-    assert gateway.stats.requests == first
-    assert task_log[("toy", 793)] == ["net/a.c:1:fn"]
+        rules=judge_rule(["implemented", "not-implemented", "implemented"])))
+    plan = VerifyPlan(3)
+    judged = {version: plan_version(
+        plan, build_update_chain(docs).walk(), merge_increments(),
+        {1: [entry("rst validation", ("rst",), rfc=1)]}, version, graph,
+        None, gateway, resolver) for version in ("toy-a", "toy-b")}
+    return plan, judged, plan.run(gateway, "judge-1"), gateway
+
+
+def test_merge_node_is_judged_once_from_its_first_reached_predecessor():
+    plan, judged, rows, gateway = plan_merge_fixture(MERGE_DOCS)
+    cells = [(t.code_version, t.rfc) for t in plan.tasks]
+    assert sorted(cells) == [(v, rfc) for v in ("toy-a", "toy-b")
+                             for rfc in (1, 3)]
+    assert gateway.stats.requests == len(cells) * 3 * 2
+    assert {t.rfc_from for t in plan.tasks if t.rfc == 3} == {2}
+    assert judged == {v: {1: ["net/a.c:1:fn"], 3: ["net/a.c:1:fn"]}
+                      for v in ("toy-a", "toy-b")}
+    for row in rows.values():
+        assert row[3].subject == "challenge ack on rst"
+        assert "inherited" in row[2].flags
+        assert row[2].trials == row[1].trials
+
+
+def test_merge_rows_do_not_depend_on_document_order():
+    def dump(rows):
+        return {v: {rfc: verdict.to_dict() for rfc, verdict in row.items()}
+                for v, row in rows.items()}
+
+    expected = dump(plan_merge_fixture(MERGE_DOCS)[2])
+    for docs in itertools.permutations(MERGE_DOCS):
+        assert dump(plan_merge_fixture(list(docs))[2]) == expected
 
 
 def test_verify_artifacts_do_not_depend_on_version_or_chain_order(

@@ -12,6 +12,7 @@ from deltaspec.code_ingest import (
 from deltaspec.errors import ContractViolation, MalformedDocument
 from deltaspec.llm_gateway import extract_json_payload
 from deltaspec.rfc_ingest import strip_boilerplate
+from deltaspec.spec_evolution import ChainEdge, UpdateChainGraph
 
 # Text biased toward the characters each scanner branches on.
 _C_TEXT = st.text(alphabet=st.sampled_from(list('/*"\'\\\n{}; ax\t\r')) | st.characters(),
@@ -118,3 +119,38 @@ def test_line_table_matches_naive_line_and_doc_lookup(lines, data):
         start = sum(len(x) + 1 for x in lines[:j]) + len(line) - len(line.lstrip())
         assert _doc_comment_before(src, newlines, start) == \
             naive_doc_comment_before(src, start)
+
+
+def path_memo_parents(graph: UpdateChainGraph) -> dict[int, int | None]:
+    """Reference: each node's predecessor on the first chain that reaches
+    it, as a walk over every root-to-leaf path with a memo would set it."""
+    parents: dict[int, int | None] = {}
+    for chain in graph.chains():
+        for k, node in enumerate(chain):
+            parents.setdefault(node, chain[k - 1] if k else None)
+    return parents
+
+
+@st.composite
+def update_dags(draw):
+    """A DAG of up to 8 RFCs whose numbers do not follow its topological
+    order, so the walk's ascending-order rule is exercised."""
+    numbers = draw(st.lists(st.integers(min_value=1, max_value=60),
+                            min_size=1, max_size=8, unique=True))
+    edges = [ChainEdge(src=a, dst=b, kind="updates")
+             for i, a in enumerate(numbers) for b in numbers[i + 1:]
+             if draw(st.booleans())]
+    return UpdateChainGraph(numbers, edges, dates={})
+
+
+@given(update_dags())
+@settings(max_examples=300)
+def test_walk_parents_match_first_path_predecessors(graph):
+    walk = graph.walk()
+    assert sorted(node for _, node in walk) == graph.nodes
+    assert dict((node, parent) for parent, node in walk) == \
+        path_memo_parents(graph)
+    order = [node for _, node in walk]
+    for parent, node in walk:
+        if parent is not None:
+            assert order.index(parent) < order.index(node)

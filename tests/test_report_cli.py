@@ -13,12 +13,14 @@ from deltaspec.errors import (
     SerializationError,
 )
 from deltaspec.llm_gateway import request
+from deltaspec.report_cli import pipeline
 from deltaspec.report_cli.cli import main
 from deltaspec.report_cli.config import load_config
 from deltaspec.report_cli.cost import CostModelInputs, cost_model
 from deltaspec.report_cli.metrics import Confusion, compute_metrics
 from deltaspec.report_cli.render import build_report, render_report
 from deltaspec.report_cli.scripted import scripted_responder
+from deltaspec.spec_evolution import build_update_chain
 
 
 # ------------------------------------------------------------------- metrics
@@ -170,6 +172,46 @@ def test_cli_verify_without_root_entries_exits_one(mini_config, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "9999" in err
     assert err.count("\n") == 1
+
+
+_MERGE_RFC = """\
+Network Working Group                                          A. Author
+Request for Comments: 9998                                 Example Corp.
+Updates: 5961, 6528
+Category: Standards Track                                     March 2020
+
+                     Challenge ACKs for Keyed Sequences
+
+1.  Introduction
+
+   This memo updates two documents at once, so it is reached over two
+   update paths.
+"""
+
+
+def test_cli_verify_checks_increments_of_non_tree_edges(mini_config,
+                                                        tmp_path, capsys):
+    rfc = tmp_path / "rfc9998.txt"
+    rfc.write_text(_MERGE_RFC)
+    sources = json.loads(mini_config().read_text())["rfc_sources"]
+    cfg_path = mini_config("merge", rfc_sources=sources + [str(rfc)])
+    for stage in ("ingest-rfc", "ingest-code", "build-graph", "build-chains",
+                  "synth-triplets"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    cfg = load_config(cfg_path)
+    walk = build_update_chain(pipeline.load_docs(cfg)).walk()
+    assert (6528, 9998) in walk and (5961, 9998) not in walk
+    path = cfg.workdir / "chains" / "increments.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    kept = [line for line in lines
+            if (json.loads(line)["rfc_from"], json.loads(line)["rfc_to"])
+            != (5961, 9998)]
+    assert len(kept) == len(lines) - 1
+    path.write_text("".join(kept))
+    assert main(["verify", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no stored increment for edge 5961->9998\n"
 
 
 def test_cli_ingest_stages_report_counts(mini_config, capsys):
