@@ -8,10 +8,17 @@ code is full of constructs a strict C99 parser rejects (macro-wrapped
 definitions, in-body preprocessor blocks), so tier 2 falls back to a
 brace-matching scanner that still recovers name, signature text and exact
 spans. Unparseable residue that is not function-like is logged, never raised.
+
+build_index can keep each file's functions in a content-keyed cache, so a
+file unchanged since an earlier run, or shared by two versions, is not
+parsed again.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import logging
 import re
 from bisect import bisect_left
@@ -24,9 +31,14 @@ from pycparser import c_ast, c_generator
 from pycparser.c_parser import ParseError
 
 from .errors import EmptyIndex, InvalidInputs, IoError
+from .fsio import write_atomic
 from .tokenizer import count_tokens
 
 log = logging.getLogger(__name__)
+
+# Part of every ingest cache key: bump it whenever _extract can return
+# something different for the same file and prelude.
+EXTRACTOR_VERSION = 1
 
 TIER_SYNTAX = "syntax-tree"
 TIER_FALLBACK = "brace-fallback"
@@ -464,11 +476,10 @@ class _PreludeParser(pycparser.CParser):
         self._stack = [dict(self._file_scope)] if stack == [{}] else stack
 
 
-def _prelude_parser(stub_headers: str | Path | None) -> _PreludeParser | None:
-    """Load, mask and parse the stub prelude once; None when it does not
+def _prelude_parser(prelude: str) -> _PreludeParser | None:
+    """Mask and parse the stub prelude text once; None when it does not
     parse on its own, which sends every region to the fallback tier."""
-    prelude = _mask_preprocessor(
-        mask_comments_and_strings(_load_prelude(stub_headers)))
+    prelude = _mask_preprocessor(mask_comments_and_strings(prelude))
     parser = pycparser.CParser()
     try:
         parser.parse(prelude, filename="<prelude>")
@@ -516,7 +527,7 @@ def extract_functions(
     regions; without them most regions land in the fallback tier, which is
     functional but loses parameter types.
     """
-    return _extract(source, _prelude_parser(stub_headers))
+    return _extract(source, _prelude_parser(_load_prelude(stub_headers)))
 
 
 def _extract(source: SourceFile, parser: _PreludeParser | None) -> list[CodeFunction]:
@@ -570,6 +581,81 @@ def _load_prelude(stub_headers: str | Path | None) -> str:
     raise IoError(f"stub header path not readable: {p}")
 
 
+class _IngestCache:
+    """Extracted functions per source file, one JSON entry each under
+    ``<root>/<k[:2]>/<k>.json``.
+
+    The key ``k`` digests everything extraction reads or depends on: the
+    tree-relative path, the file text, the stub prelude, EXTRACTOR_VERSION
+    and the pycparser version. The code version is not part of it (a
+    function's fid is ``file:line:name``), so a file that two versions share
+    is extracted once.
+    """
+
+    def __init__(self, root: Path, prelude: str):
+        self.root = root
+        self._salt = [hashlib.sha256(prelude.encode("utf-8")).hexdigest(),
+                      EXTRACTOR_VERSION, pycparser.__version__]
+
+    def key(self, source: SourceFile) -> str:
+        canonical = json.dumps([source.path, source.content, *self._salt])
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def _path(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}.json"
+
+    def get(self, source: SourceFile) -> list[CodeFunction] | None:
+        """The entry's functions; None when there is no entry, or when it is
+        unreadable or fails validation (logged, never served)."""
+        key = self.key(source)
+        path = self._path(key)
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return None
+        except (json.JSONDecodeError, OSError, UnicodeDecodeError):
+            log.warning("re-extracting %s: unreadable ingest cache entry %s",
+                        source.path, path.name)
+            return None
+        functions = _entry_functions(entry, key, source)
+        if functions is None:
+            log.warning("re-extracting %s: corrupt ingest cache entry %s",
+                        source.path, path.name)
+        return functions
+
+    def put(self, source: SourceFile, functions: list[CodeFunction]) -> None:
+        key = self.key(source)
+        write_atomic(self._path(key), json.dumps(
+            {"key": key, "functions": [f.to_dict() for f in functions]},
+            sort_keys=True))
+
+
+def _entry_functions(entry: object, key: str,
+                     source: SourceFile) -> list[CodeFunction] | None:
+    """A servable entry is stored under its own key, and each function in
+    it round-trips through from_dict, belongs to the file and spans text
+    inside it; anything else is None."""
+    if not isinstance(entry, dict) or entry.get("key") != key \
+            or not isinstance(entry.get("functions"), list):
+        return None
+    n_chars = len(source.content)
+    n_lines = source.content.count("\n") + 1
+    out: list[CodeFunction] = []
+    for d in entry["functions"]:
+        try:
+            fn = CodeFunction.from_dict(d)
+            span = fn.span
+            ok = fn.to_dict() == d and fn.file == source.path \
+                and 0 <= span.char_start < span.char_end <= n_chars \
+                and 1 <= span.line_start <= span.line_end <= n_lines
+        except (KeyError, IndexError, TypeError, ValueError):
+            return None
+        if not ok:
+            return None
+        out.append(fn)
+    return out
+
+
 def build_index(
     tree_root: str | Path,
     version: str,
@@ -577,12 +663,28 @@ def build_index(
     globs: Sequence[str] = DEFAULT_GLOBS,
     keywords: Sequence[str] = DEFAULT_KEYWORDS,
     stub_headers: str | Path | None = None,
+    cache_dir: str | Path | None = None,
 ) -> CodebaseIndex:
+    """Select a tree's protocol sources and extract their functions.
+
+    With ``cache_dir``, each file's functions are kept under
+    ``cache_dir/ingest/`` (see _IngestCache) and a file whose entry is
+    valid is not parsed again; the stub prelude is parsed only when some
+    file misses.
+    """
     files = select_protocol_sources(tree_root, version, globs=globs, keywords=keywords)
-    parser = _prelude_parser(stub_headers)
+    prelude = _load_prelude(stub_headers)
+    parser = functools.cache(functools.partial(_prelude_parser, prelude))
+    cache = None if cache_dir is None else \
+        _IngestCache(Path(cache_dir) / "ingest", prelude)
     functions: list[CodeFunction] = []
     for f in files:
-        functions.extend(_extract(f, parser))
+        found = cache.get(f) if cache is not None else None
+        if found is None:
+            found = _extract(f, parser())
+            if cache is not None:
+                cache.put(f, found)
+        functions.extend(found)
     return CodebaseIndex(version=version, files=files, functions=functions)
 
 

@@ -16,8 +16,8 @@ import logging
 import math
 import os
 import queue
+import random
 import re
-import tempfile
 import threading
 import time
 from collections import deque
@@ -32,6 +32,7 @@ from jsonschema.exceptions import ValidationError, best_match
 from jsonschema.validators import validator_for
 
 from .errors import ContractViolation, NotSent, ProviderError
+from .fsio import write_atomic
 from .tokenizer import count_tokens, token_texts
 
 log = logging.getLogger(__name__)
@@ -589,7 +590,9 @@ class LlmGateway:
                 if attempt == self.max_retries:
                     break
                 self.stats.add("provider_retries")
-                wait = delay if exc.retry_after is None \
+                # Full jitter: workers that failed together do not all
+                # retry together.
+                wait = random.uniform(0, delay) if exc.retry_after is None \
                     else min(exc.retry_after, MAX_RETRY_AFTER_S)
                 if wait > 0:
                     time.sleep(wait)
@@ -628,7 +631,6 @@ class LlmGateway:
         path = self._cache_path(fp)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "key": fp,
             "model": model,
@@ -637,17 +639,7 @@ class LlmGateway:
                       "completion_tokens": usage.completion_tokens},
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        # A private temp file per writer: concurrent writers of one
-        # fingerprint each replace the entry whole, never a shared file.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            os.fchmod(fd, 0o644)  # mkstemp creates 0600
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(entry, sort_keys=True, indent=1))
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+        write_atomic(path, json.dumps(entry, sort_keys=True, indent=1))
 
 
 def _settle(fn: Callable[..., Any], *args: Any) -> Any:

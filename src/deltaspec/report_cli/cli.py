@@ -104,8 +104,8 @@ def main(argv: list[str] | None = None) -> int:
                       f"{len(graph.communities)} communities")
         elif args.command == "build-chains":
             chain_graph = pipeline.build_chains_stage(cfg)
-            chains = chain_graph.chains()
-            print(f"{len(chain_graph.nodes)} RFCs, {len(chains)} chains")
+            print(f"{len(chain_graph.nodes)} RFCs, "
+                  f"{chain_graph.chain_count()} chains")
         elif args.command == "synth-triplets":
             store = pipeline.synth_triplets_stage(cfg)
             print(f"{len(store)} triplets")

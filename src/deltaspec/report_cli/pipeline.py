@@ -3,8 +3,9 @@
 Each stage reads its inputs from the workdir (or the fixture tree named in
 the config), does its work through the library modules, and writes JSON
 artifacts. Artifacts carry no timestamps and no absolute paths, so two runs
-over the same inputs are byte-for-byte identical; only the response cache
-(kept outside the workdir) differs between cold and warm runs.
+over the same inputs are byte-for-byte identical; only the response
+and code-ingest caches (kept outside the workdir) differ between cold and
+warm runs.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def ingest_code(cfg: PipelineConfig, version: str) -> CodebaseIndex:
     if root is None:
         raise InvalidConfig(f"no code tree configured for version {version!r}")
     index = build_index(root, version, stub_headers=cfg.stub_headers,
-                        **_code_kwargs(cfg))
+                        cache_dir=cfg.cache_dir, **_code_kwargs(cfg))
     out = cfg.workdir / "code" / version
     _write_json(out / "index.json", {
         "version": version,

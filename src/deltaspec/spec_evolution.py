@@ -184,27 +184,30 @@ class UpdateChainGraph:
         self.edges = sorted(set(edges), key=lambda e: (e.src, e.dst, e.kind))
         self.dates = dict(dates)
         self.deltas: dict[tuple[int, int], FunctionalDelta] = {}
-        self._check_dag()
+        self._topological_order()
         self._check_dates()
 
-    def _check_dag(self) -> None:
+    def _topological_order(self) -> list[int]:
+        """Every node after all of its predecessors; raises CycleDetected
+        when there is no such order."""
         indeg = {n: 0 for n in self.nodes}
         adj: dict[int, list[int]] = {n: [] for n in self.nodes}
         for e in self.edges:
             indeg[e.dst] += 1
             adj[e.src].append(e.dst)
         queue = [n for n in self.nodes if indeg[n] == 0]
-        seen = 0
+        order: list[int] = []
         while queue:
             n = queue.pop()
-            seen += 1
+            order.append(n)
             for m in adj[n]:
                 indeg[m] -= 1
                 if indeg[m] == 0:
                     queue.append(m)
-        if seen != len(self.nodes):
+        if len(order) != len(self.nodes):
             cyclic = sorted(n for n in self.nodes if indeg[n] > 0)
             raise CycleDetected(f"update metadata is cyclic around {cyclic}")
+        return order
 
     def _check_dates(self) -> None:
         for e in self.edges:
@@ -238,6 +241,18 @@ class UpdateChainGraph:
         for root in self.roots():
             walk([root])
         return out
+
+    def chain_count(self) -> int:
+        """len(self.chains()), in O(V+E) without listing the paths: the
+        number of root-to-leaf paths summed over the roots, counting paths
+        from each node to a leaf in reverse topological order."""
+        succ: dict[int, set[int]] = {n: set() for n in self.nodes}
+        for e in self.edges:
+            succ[e.src].add(e.dst)
+        to_leaf: dict[int, int] = {}
+        for n in reversed(self._topological_order()):
+            to_leaf[n] = sum(to_leaf[m] for m in succ[n]) or 1
+        return sum(to_leaf[r] for r in self.roots())
 
     def walk(self) -> list[tuple[int | None, int]]:
         """Every node once, as (parent, node), depth first from the roots in

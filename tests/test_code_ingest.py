@@ -1,4 +1,7 @@
-"""Tests for C source selection, function extraction, and extraction stats."""
+"""Tests for C source selection, function extraction, the ingest cache, and
+extraction stats."""
+
+import json
 
 import pycparser
 import pytest
@@ -242,22 +245,144 @@ def test_prelude_function_of_the_same_name_does_not_shadow_the_region(tmp_path):
         [("syntax-tree", "clamp", (("lo", "int"),))]
 
 
+def _count_parses(monkeypatch):
+    """Record the text of every CParser.parse call."""
+    texts = []
+    parse = pycparser.CParser.parse
+    monkeypatch.setattr(pycparser.CParser, "parse",
+                        lambda self, text, *a, **k:
+                        texts.append(text) or parse(self, text, *a, **k))
+    return texts
+
+
 def test_build_index_parses_the_prelude_once(tmp_path, monkeypatch):
     for i in range(3):
         path = tmp_path / "net" / "ipv4" / f"tcp_part{i}.c"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(f"u32 part{i}_a(u32 x)\n{{\n    return x;\n}}\n\n"
                         f"u16 part{i}_b(void)\n{{\n    return 0;\n}}\n")
-    texts = []
-    parse = pycparser.CParser.parse
-    monkeypatch.setattr(pycparser.CParser, "parse",
-                        lambda self, text, *a, **k:
-                        texts.append(text) or parse(self, text, *a, **k))
+    texts = _count_parses(monkeypatch)
     index = build_index(tmp_path, "v", stub_headers=STUBS)
     assert index.total_functions == 6
     assert {f.extraction_tier for f in index.functions} == {"syntax-tree"}
     assert sum("typedef" in t for t in texts) == 1
     assert len(texts) == 1 + 6
+
+
+# ------------------------------------------------------------ ingest cache
+
+def _entries(cache_dir):
+    return sorted((cache_dir / "ingest").rglob("*.json"))
+
+
+CACHED_TREES = [(TOY_A, {}), (TOY_B, {}),
+                (ANNOTATED.parent, {"keywords": ("annotated",)})]
+
+
+@pytest.mark.parametrize("tree,kwargs", CACHED_TREES,
+                         ids=["toy-a", "toy-b", "annotated"])
+def test_cold_and_warm_cached_index_match_the_uncached_one(
+        tmp_path, monkeypatch, tree, kwargs):
+    def index(**extra):
+        return [f.to_dict() for f in build_index(
+            tree, "v", stub_headers=STUBS, **kwargs, **extra).functions]
+
+    expected = index()
+    assert index(cache_dir=tmp_path) == expected
+    assert len(_entries(tmp_path)) == \
+        len(select_protocol_sources(tree, "v", **kwargs))
+    texts = _count_parses(monkeypatch)
+    assert index(cache_dir=tmp_path) == expected
+    assert texts == []  # a fully warm index parses nothing, not even stubs
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _edit_entry(change):
+    def edit(path):
+        entry = json.loads(path.read_text())
+        change(entry)
+        path.write_text(json.dumps(entry))
+    return edit
+
+
+@pytest.mark.parametrize("corrupt", [
+    _truncate,
+    _edit_entry(lambda e: e.update(key="0" * 64)),
+    _edit_entry(lambda e: e.update(functions={})),
+    _edit_entry(lambda e: e["functions"][0].update(file="net/other.c")),
+    _edit_entry(lambda e: e["functions"][0].update(span=[0, 10 ** 6, 1, 9])),
+    _edit_entry(lambda e: e["functions"][0].update(fid="x.c:1:x")),
+    _edit_entry(lambda e: e["functions"][0].pop("extraction_tier")),
+    _edit_entry(lambda e: e["functions"][0].update(params=[["x"]])),
+], ids=["truncated", "wrong-key", "not-a-list", "wrong-file",
+        "span-past-end", "stale-fid", "missing-field", "bad-param"])
+def test_corrupt_ingest_entry_is_rebuilt_not_served(
+        tmp_path, monkeypatch, caplog, corrupt):
+    expected = build_index(TOY_A, "toy-a", stub_headers=STUBS,
+                           cache_dir=tmp_path).functions
+    entries = _entries(tmp_path)
+    good = [p.read_text() for p in entries]
+    corrupt(entries[0])
+    texts = _count_parses(monkeypatch)
+    with caplog.at_level("WARNING", logger="deltaspec.code_ingest"):
+        index = build_index(TOY_A, "toy-a", stub_headers=STUBS,
+                            cache_dir=tmp_path)
+    assert index.functions == expected
+    assert texts  # the damaged file was parsed again
+    assert any("ingest cache entry" in r.getMessage()
+               and r.levelname == "WARNING" for r in caplog.records)
+    # The entry was overwritten with the good one.
+    assert [p.read_text() for p in entries] == good
+
+
+def test_stub_header_and_extractor_version_are_part_of_the_key(
+        tmp_path, monkeypatch):
+    stubs = _stub_dir(tmp_path, (STUBS / "types.h").read_text())
+    cache = tmp_path / "cache"
+    build_index(TOY_A, "toy-a", stub_headers=stubs, cache_dir=cache)
+    texts = _count_parses(monkeypatch)
+    build_index(TOY_A, "toy-a", stub_headers=stubs, cache_dir=cache)
+    assert texts == []
+
+    (stubs / "types.h").write_text((STUBS / "types.h").read_text() +
+                                   "typedef int extra_t;\n")
+    build_index(TOY_A, "toy-a", stub_headers=stubs, cache_dir=cache)
+    assert len(texts) == 1 + 6  # the prelude and every region
+    assert len(_entries(cache)) == 2 * 2
+
+    texts.clear()
+    monkeypatch.setattr(code_ingest, "EXTRACTOR_VERSION",
+                        code_ingest.EXTRACTOR_VERSION + 1)
+    build_index(TOY_A, "toy-a", stub_headers=stubs, cache_dir=cache)
+    assert len(texts) == 1 + 6
+    assert len(_entries(cache)) == 3 * 2
+
+
+def test_a_file_shared_by_two_versions_is_parsed_once(tmp_path, monkeypatch):
+    build_index(TOY_A, "toy-a", stub_headers=STUBS, cache_dir=tmp_path)
+    texts = _count_parses(monkeypatch)
+    index = build_index(TOY_B, "toy-b", stub_headers=STUBS,
+                        cache_dir=tmp_path)
+    assert [f.path for f in index.files] == \
+        ["net/ipv4/tcp_input.c", "net/ipv4/tcp_isn.c"]
+    # tcp_input.c is byte-identical in both trees; only tcp_isn.c differs.
+    changed = [f for f in index.functions if f.file == "net/ipv4/tcp_isn.c"]
+    assert 0 < len(changed) < index.total_functions
+    assert len(texts) == 1 + len(changed)
+    assert {f.version for f in index.files} == {"toy-b"}
+
+
+def test_no_cache_dir_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    writes = []
+    monkeypatch.setattr(code_ingest, "write_atomic",
+                        lambda *a: writes.append(a))
+    build_index(TOY_A, "toy-a", stub_headers=STUBS)
+    assert writes == []
+    assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------------------------------------------- stats

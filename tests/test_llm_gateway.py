@@ -436,11 +436,36 @@ def test_http_retry_after_reads_an_http_date(monkeypatch):
     monkeypatch.setattr(requests, "post", post)
     monkeypatch.setattr(llm_gateway.time, "sleep", sleeps.append)
     monkeypatch.setattr(llm_gateway.time, "time", lambda: now)
+    # The jittered backoff sleeps its full upper bound.
+    monkeypatch.setattr(llm_gateway.random, "uniform", lambda lo, hi: hi)
     gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
                          max_retries=4, backoff_base=0.5)
     assert gateway.complete(request("m", None, "q"), "graph").text == "hi"
     assert len(posts) == 5
     assert sleeps == [30.0, llm_gateway.MAX_RETRY_AFTER_S, 4.0]
+
+
+def test_backoff_without_retry_after_sleeps_a_full_jitter(monkeypatch):
+    ok = json.dumps({"choices": [{"message": {"content": "hi"}}]})
+    replies = iter([http_response(503, "busy"), http_response(429, "slow"),
+                    http_response(503, "busy")])
+    monkeypatch.setattr(requests, "post",
+                        lambda *a, **k: next(replies, http_response(200, ok)))
+    bounds = []
+    sleeps = []
+
+    def uniform(lo, hi):
+        bounds.append((lo, hi))
+        return hi / 4
+
+    monkeypatch.setattr(llm_gateway.random, "uniform", uniform)
+    monkeypatch.setattr(llm_gateway.time, "sleep", sleeps.append)
+    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+                         max_retries=3, backoff_base=0.5)
+    assert gateway.complete(request("m", None, "q"), "graph").text == "hi"
+    # Each wait is drawn from [0, the exponential delay], not the delay.
+    assert bounds == [(0, 0.5), (0, 1.0), (0, 2.0)]
+    assert sleeps == [0.125, 0.25, 0.5]
 
 
 def test_http_503_is_retried_max_retries_times(monkeypatch):

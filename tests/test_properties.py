@@ -154,3 +154,13 @@ def test_walk_parents_match_first_path_predecessors(graph):
     for parent, node in walk:
         if parent is not None:
             assert order.index(parent) < order.index(node)
+
+
+@given(update_dags(), st.data())
+@settings(max_examples=300)
+def test_chain_count_matches_listed_chains(graph, data):
+    # A pair linked both as "updates" and as "obsoletes" is still one step.
+    doubled = [ChainEdge(src=e.src, dst=e.dst, kind="obsoletes")
+               for e in graph.edges if data.draw(st.booleans())]
+    graph = UpdateChainGraph(graph.nodes, graph.edges + doubled, dates={})
+    assert graph.chain_count() == len(graph.chains())

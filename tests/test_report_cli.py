@@ -1,6 +1,7 @@
 """Tests for metrics, the cost model, config loading, the CLI, and reports."""
 
 import json
+import shutil
 
 import pytest
 
@@ -20,7 +21,7 @@ from deltaspec.report_cli.cost import CostModelInputs, cost_model
 from deltaspec.report_cli.metrics import Confusion, compute_metrics
 from deltaspec.report_cli.render import build_report, render_report
 from deltaspec.report_cli.scripted import scripted_responder
-from deltaspec.spec_evolution import build_update_chain
+from deltaspec.spec_evolution import UpdateChainGraph, build_update_chain
 
 
 # ------------------------------------------------------------------- metrics
@@ -222,6 +223,40 @@ def test_cli_ingest_stages_report_counts(mini_config, capsys):
                  "--version-tag", "toy-a"]) == 0
     assert capsys.readouterr().out == \
         "toy-a: 6 functions, 49 function lines\n"
+
+
+def test_ingest_code_artifacts_do_not_depend_on_the_ingest_cache(
+        mini_config, capsys):
+    cfg_path = mini_config()
+    cfg = load_config(cfg_path)
+
+    def ingest():
+        assert main(["ingest-code", "--config", str(cfg_path)]) == 0
+        return {(v, name): (cfg.workdir / "code" / v / name).read_bytes()
+                for v in cfg.versions
+                for name in ("index.json", "functions.jsonl")}
+
+    cold = ingest()
+    assert list((cfg.cache_dir / "ingest").rglob("*.json"))
+    warm = ingest()
+    shutil.rmtree(cfg.cache_dir)
+    emptied = ingest()
+    assert cold == warm == emptied
+    assert capsys.readouterr().out.count("toy-a: 6 functions") == 3
+
+
+def test_cli_build_chains_counts_chains_without_listing_them_again(
+        mini_config, capsys, monkeypatch):
+    cfg_path = mini_config()
+    assert main(["ingest-rfc", "--config", str(cfg_path)]) == 0
+    listed = []
+    chains = UpdateChainGraph.chains
+    monkeypatch.setattr(UpdateChainGraph, "chains",
+                        lambda self: listed.append(1) or chains(self))
+    capsys.readouterr()
+    assert main(["build-chains", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == "4 RFCs, 2 chains\n"
+    assert len(listed) == 1  # chains.json only
 
 
 # ---------------------------------------------------------- scripted backend
