@@ -7,26 +7,35 @@ boundary there, and otherwise cuts at the nominal end. Every chunk after the
 first starts ``redundancy`` tokens before the previous cut, so consecutive
 chunks overlap and no boundary-straddling construct is lost to either side.
 
-Chunks remember the absolute character offset of their text plus per-token
-offsets, which is what lets ``reconstruct_function`` stitch a function that
-crosses chunk boundaries back together byte-for-byte.
+A token stream is two parallel offset lists, token starts and token ends,
+over one text (``tokenizer.token_offsets``). Chunks remember the absolute
+character offset of their text plus per-token offsets, which is what lets
+``reconstruct_function`` stitch a function that crosses chunk boundaries
+back together byte-for-byte.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .code_ingest import CodeFunction
 from .errors import InvalidConfig, SpanMismatch, UnknownFunction
-from .tokenizer import Token
 
 DEFAULT_CHUNK_SIZE = 500
 DEFAULT_REDUNDANCY_RATIO = 0.10
 
-_SENTENCE_ENDERS = (".", "!", "?")
+# (starts, ends): each token's [start, end) character span in one text.
+Offsets = tuple[Sequence[int], Sequence[int]]
+
+# At most one match per punctuation token (a maximal [^\w\s]+ run): from its
+# first ';' or '}' to its end, or its last character if that ends a sentence;
+# word tokens hold none of these. A leading character set scans fast.
+_STATEMENT_END_RE = re.compile(r"[;}][^\w\s]*")
+_SENTENCE_END_RE = re.compile(r"[.!?](?![^\w\s])")
 
 
 @dataclass(frozen=True)
@@ -68,19 +77,20 @@ def _chunk_id(origin: str, index: int, text: str) -> str:
     return hashlib.sha256(f"{origin}#{index}#{digest}".encode()).hexdigest()[:16]
 
 
-def _coerce_tokens(tokens: Sequence[Token] | Sequence[str],
-                   source_text: str | None) -> tuple[list[Token], str]:
+def _coerce_tokens(tokens: Offsets | Sequence[str], source_text: str | None,
+                   ) -> tuple[Sequence[int], Sequence[int], str]:
     """Accept plain strings by synthesizing a space-joined source for them."""
     if tokens and isinstance(tokens[0], str):
-        rendered: list[Token] = []
-        pos = 0
+        starts, ends, pos = [], [], 0
         for t in tokens:
-            rendered.append(Token(t, pos, pos + len(t)))
+            starts.append(pos)
+            ends.append(pos + len(t))
             pos += len(t) + 1
-        return rendered, " ".join(tokens)  # type: ignore[arg-type]
-    if source_text is None and tokens:
-        raise InvalidConfig("token objects require source_text")
-    return list(tokens), source_text or ""  # type: ignore[arg-type]
+        return starts, ends, " ".join(tokens)  # type: ignore[arg-type]
+    starts, ends = tokens if tokens else ((), ())
+    if source_text is None and starts:
+        raise InvalidConfig("token offsets require source_text")
+    return starts, ends, source_text or ""
 
 
 def _latest_in_window(sorted_bounds: Sequence[int], lo: int, hi: int) -> int | None:
@@ -92,7 +102,7 @@ def _latest_in_window(sorted_bounds: Sequence[int], lo: int, hi: int) -> int | N
 
 
 def chunk_stream(
-    tokens: Sequence[Token] | Sequence[str],
+    tokens: Offsets | Sequence[str],
     *,
     origin: str = "stream",
     source_text: str | None = None,
@@ -103,19 +113,20 @@ def chunk_stream(
 ) -> list[Chunk]:
     """Cut a token stream into overlapping chunks.
 
-    ``boundaries`` and ``fallback_boundaries`` are token indices at which a
-    cut is clean (for code: function ends, then statement ends; for prose:
-    sentence ends). Spans always cover the stream; each non-first chunk
-    overlaps its predecessor by exactly ``floor(redundancy_ratio *
-    chunk_size)`` tokens.
+    ``tokens`` is either ``(starts, ends)`` offsets into ``source_text`` or a
+    list of strings, which stand for their space-joined text. ``boundaries``
+    and ``fallback_boundaries`` are token indices at which a cut is clean
+    (for code: function ends, then statement ends; for prose: sentence
+    ends). Spans always cover the stream; each non-first chunk overlaps its
+    predecessor by exactly ``floor(redundancy_ratio * chunk_size)`` tokens.
     """
     if chunk_size <= 0:
         raise InvalidConfig(f"chunk_size must be positive, got {chunk_size}")
     if not 0.0 <= redundancy_ratio <= 0.5:
         raise InvalidConfig(
             f"redundancy_ratio must be in [0, 0.5], got {redundancy_ratio}")
-    toks, text = _coerce_tokens(tokens, source_text)
-    n = len(toks)
+    starts, ends, text = _coerce_tokens(tokens, source_text)
+    n = len(starts)
     if n == 0:
         return []
     redundancy = int(redundancy_ratio * chunk_size)
@@ -135,8 +146,8 @@ def chunk_stream(
             if cut is None:
                 cut = _latest_in_window(secondary, nominal, hi)
             end = cut if cut is not None else nominal
-        char_lo = toks[start].start if index > 0 else 0
-        char_hi = toks[end].start if end < n else len(text)
+        char_lo = starts[start] if index > 0 else 0
+        char_hi = starts[end] if end < n else len(text)
         chunk_text = text[char_lo:char_hi]
         chunks.append(Chunk(
             id=_chunk_id(origin, index, chunk_text),
@@ -146,8 +157,8 @@ def chunk_stream(
             text=chunk_text,
             overlap_prev=0 if index == 0 else chunks[-1].span[1] - start,
             char_start=char_lo,
-            token_starts=tuple(t.start - char_lo for t in toks[start:end]),
-            token_ends=tuple(t.end - char_lo for t in toks[start:end]),
+            token_starts=tuple(s - char_lo for s in starts[start:end]),
+            token_ends=tuple(e - char_lo for e in ends[start:end]),
         ))
         if end >= n:
             break
@@ -156,24 +167,16 @@ def chunk_stream(
     return chunks
 
 
-def statement_boundaries(tokens: Sequence[Token] | Sequence[str]) -> list[int]:
+def statement_boundaries(text: str, starts: Sequence[int]) -> list[int]:
     """Token indices just after ';' or '}' runs (clean cut points in code)."""
-    out = []
-    for i, t in enumerate(tokens):
-        text = t.text if isinstance(t, Token) else t
-        if ";" in text or "}" in text:
-            out.append(i + 1)
-    return out
+    return [bisect_right(starts, m.start())
+            for m in _STATEMENT_END_RE.finditer(text)]
 
 
-def sentence_boundaries(tokens: Sequence[Token] | Sequence[str]) -> list[int]:
+def sentence_boundaries(text: str, starts: Sequence[int]) -> list[int]:
     """Token indices just after sentence-ending punctuation runs."""
-    out = []
-    for i, t in enumerate(tokens):
-        text = t.text if isinstance(t, Token) else t
-        if text and all(not c.isalnum() for c in text) and text[-1] in _SENTENCE_ENDERS:
-            out.append(i + 1)
-    return out
+    return [bisect_right(starts, m.start())
+            for m in _SENTENCE_END_RE.finditer(text)]
 
 
 @dataclass(frozen=True)
@@ -188,10 +191,9 @@ class FunctionSpan:
 
 
 def spans_for_functions(functions: Sequence[CodeFunction],
-                        tokens: Sequence[Token]) -> list[FunctionSpan]:
+                        offsets: Offsets) -> list[FunctionSpan]:
     """Convert extracted char spans to token spans over one file's stream."""
-    starts = [t.start for t in tokens]
-    ends = [t.end for t in tokens]
+    starts, ends = offsets
     spans = []
     for f in functions:
         ts = bisect_left(starts, f.span.char_start)
@@ -271,15 +273,26 @@ def build_map(chunks: Sequence[Chunk],
     chunks overlap, a boundary-straddling function gets overlapping links and
     reconstruction deduplicates them. A span no chunk covers end-to-end is a
     caller bug and raises SpanMismatch.
+
+    Chunk starts and ends must both increase, as they do within one
+    ``chunk_stream`` result, so a function's chunks are found by bisection.
     """
     ordered = sorted(chunks, key=lambda c: c.span[0])
+    chunk_ends = [c.span[1] for c in ordered]
+    if any(a > b for a, b in zip(chunk_ends, chunk_ends[1:])):
+        raise SpanMismatch("chunk spans must increase in start and end")
     fmap = ChunkFunctionMap(chunk_to_functions={c.id: [] for c in ordered},
                             function_to_chunks={}, spans={})
     for span in spans:
         fmap.spans[span.fid] = span
         links: list[MapLink] = []
         covered = span.tok_start
-        for chunk in ordered:
+        # Earlier chunks end at or before tok_start; stop at the first chunk
+        # that starts at or after tok_end.
+        for k in range(bisect_right(chunk_ends, span.tok_start), len(ordered)):
+            chunk = ordered[k]
+            if chunk.span[0] >= span.tok_end:
+                break
             lo = max(chunk.span[0], span.tok_start)
             hi = min(chunk.span[1], span.tok_end)
             if lo >= hi:

@@ -98,8 +98,9 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{version}: {index.total_functions} functions, "
                       f"{index.total_lines} function lines")
         elif args.command == "build-graph":
-            for version in _versions(cfg, args.version_tag):
-                graph = pipeline.build_graph_stage(cfg, version)
+            versions = _versions(cfg, args.version_tag)
+            for version, graph in zip(
+                    versions, pipeline.build_graph_stage(cfg, versions)):
                 print(f"{version}: {len(graph.entities)} entities, "
                       f"{len(graph.communities)} communities")
         elif args.command == "build-chains":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ..chunk_mapper import (
     Chunk,
@@ -27,7 +27,6 @@ from ..chunk_mapper import (
 from ..code_ingest import (
     CodebaseIndex,
     CodeFunction,
-    SourceFile,
     build_index,
     compute_extraction_stats,
 )
@@ -59,7 +58,7 @@ from ..spec_evolution import (
     extract_functional_entries_all,
     pair_entries,
 )
-from ..tokenizer import tokenize
+from ..tokenizer import token_offsets
 from ..triplet_store import (
     RetrievalConfig,
     TripletStore,
@@ -178,20 +177,19 @@ def _text_chunks(cfg: PipelineConfig,
     chunks: list[Chunk] = []
     for doc in docs:
         text = "\n\n".join(s.prose() for s in doc.sections if s.prose().strip())
-        toks = tokenize(text)
+        offsets = token_offsets(text)
         chunks.extend(chunk_stream(
-            toks,
+            offsets,
             origin=f"rfc:{doc.number}",
             source_text=text,
             chunk_size=cfg.chunk_size,
             redundancy_ratio=cfg.redundancy_ratio,
-            boundaries=sentence_boundaries(toks),
+            boundaries=sentence_boundaries(text, offsets[0]),
         ))
     return chunks
 
 
-def _code_chunks(cfg: PipelineConfig, version: str,
-                 files: list[SourceFile],
+def _code_chunks(cfg: PipelineConfig, version: str, root: Path,
                  functions: list[CodeFunction],
                  ) -> tuple[list[Chunk], ChunkFunctionMap]:
     by_file: dict[str, list[CodeFunction]] = {}
@@ -200,65 +198,63 @@ def _code_chunks(cfg: PipelineConfig, version: str,
     all_chunks: list[Chunk] = []
     merged = ChunkFunctionMap(chunk_to_functions={}, function_to_chunks={},
                               spans={})
-    for src in files:
-        toks = tokenize(src.content)
-        if not toks:
-            continue
-        funcs = sorted(by_file.get(src.path, ()),
-                       key=lambda f: f.span.char_start)
-        func_ends = spans_for_functions(funcs, toks)
+    for path in sorted(by_file):
+        # Decoded as SourceFile.load decodes it, so offsets line up.
+        text = (root / path).read_text(encoding="utf-8", errors="replace")
+        offsets = token_offsets(text)
+        funcs = sorted(by_file[path], key=lambda f: f.span.char_start)
+        func_ends = spans_for_functions(funcs, offsets)
         chunks = chunk_stream(
-            toks,
-            origin=f"code:{version}:{src.path}",
-            source_text=src.content,
+            offsets,
+            origin=f"code:{version}:{path}",
+            source_text=text,
             chunk_size=cfg.chunk_size,
             redundancy_ratio=cfg.redundancy_ratio,
             boundaries=[s.tok_end for s in func_ends],
-            fallback_boundaries=statement_boundaries(toks),
+            fallback_boundaries=statement_boundaries(text, offsets[0]),
         )
         all_chunks.extend(chunks)
-        if funcs:
-            fmap = build_map(chunks, func_ends)
-            merged.chunk_to_functions.update(fmap.chunk_to_functions)
-            merged.function_to_chunks.update(fmap.function_to_chunks)
-            merged.spans.update(fmap.spans)
-        else:
-            merged.chunk_to_functions.update({c.id: [] for c in chunks})
+        fmap = build_map(chunks, func_ends)
+        merged.chunk_to_functions.update(fmap.chunk_to_functions)
+        merged.function_to_chunks.update(fmap.function_to_chunks)
+        merged.spans.update(fmap.spans)
     return all_chunks, merged
 
 
-def build_graph_stage(cfg: PipelineConfig, version: str) -> KnowledgeGraph:
-    docs = load_docs(cfg)
-    root = cfg.code_trees.get(version)
-    if root is None:
-        raise InvalidConfig(f"no code tree configured for version {version!r}")
-    functions = load_functions(cfg, version)
-    files = [SourceFile.load(Path(root), rel, version)
-             for rel in sorted({f.file for f in functions})]
-
-    text_chunks = _text_chunks(cfg, docs)
-    code_chunks, fmap = _code_chunks(cfg, version, files, functions)
-    fmap.validate()
-
+def build_graph_stage(cfg: PipelineConfig,
+                      versions: Sequence[str]) -> list[KnowledgeGraph]:
+    """One graph per version. The RFC text is chunked and written once,
+    since it depends only on the docs and the chunking config."""
+    text_chunks = _text_chunks(cfg, load_docs(cfg))
     _write_jsonl(cfg.workdir / "chunks" / "text.jsonl",
                  [c.to_dict() for c in text_chunks])
-    _write_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl",
-                 [c.to_dict() for c in code_chunks])
-    _write_json(cfg.workdir / "maps" / f"{version}.json", fmap.to_dict())
+    graphs = []
+    for version in versions:
+        root = cfg.code_trees.get(version)
+        if root is None:
+            raise InvalidConfig(
+                f"no code tree configured for version {version!r}")
+        functions = load_functions(cfg, version)
+        code_chunks, fmap = _code_chunks(cfg, version, Path(root), functions)
+        fmap.validate()
+        _write_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl",
+                     [c.to_dict() for c in code_chunks])
+        _write_json(cfg.workdir / "maps" / f"{version}.json", fmap.to_dict())
 
-    gateway = make_gateway(cfg)
-    graph = build_graph(
-        text_chunks + code_chunks,
-        gateway,
-        cfg.model,
-        fmap=fmap,
-        function_names={f.fid: f.name for f in functions},
-        damping=cfg.damping,
-    )
-    graph.save(cfg.workdir / "graph" / f"{version}.json")
-    _write_json(cfg.workdir / "graph" / f"ledger-{version}.json",
-                gateway.ledger.as_dict())
-    return graph
+        gateway = make_gateway(cfg)
+        graph = build_graph(
+            text_chunks + code_chunks,
+            gateway,
+            cfg.model,
+            fmap=fmap,
+            function_names={f.fid: f.name for f in functions},
+            damping=cfg.damping,
+        )
+        graph.save(cfg.workdir / "graph" / f"{version}.json")
+        _write_json(cfg.workdir / "graph" / f"ledger-{version}.json",
+                    gateway.ledger.as_dict())
+        graphs.append(graph)
+    return graphs
 
 
 # -- stage: build-chains -----------------------------------------------------

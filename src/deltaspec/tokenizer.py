@@ -9,29 +9,19 @@ cost accounting all agree with each other.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]+")
+# The same rule in one group, so split() keeps the tokens between the gaps.
+_TOKEN_SPLIT_RE = re.compile(f"({_TOKEN_RE.pattern})")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A token plus its [start, end) character span in the source text."""
-
-    text: str
-    start: int
-    end: int
-
-
-def iter_tokens(text: str) -> Iterator[Token]:
-    for m in _TOKEN_RE.finditer(text):
-        yield Token(m.group(0), m.start(), m.end())
-
-
-def tokenize(text: str) -> list[Token]:
-    """Tokens with spans; offsets index into ``text`` exactly."""
-    return list(iter_tokens(text))
+def token_offsets(text: str) -> tuple[list[int], list[int]]:
+    """Each token's [start, end) character span, as two parallel lists."""
+    # split() alternates gap, token, gap, ..., gap; the running lengths of
+    # those pieces are each token's start and end in turn.
+    bounds = list(accumulate(map(len, _TOKEN_SPLIT_RE.split(text))))
+    return bounds[0:-1:2], bounds[1::2]
 
 
 def token_texts(text: str) -> list[str]:
@@ -40,4 +30,4 @@ def token_texts(text: str) -> list[str]:
 
 def count_tokens(text: str) -> int:
     """Number of tokens in ``text``; empty input counts zero."""
-    return sum(1 for _ in _TOKEN_RE.finditer(text))
+    return len(_TOKEN_RE.findall(text))

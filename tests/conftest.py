@@ -63,8 +63,7 @@ def run_stages(cfg_path: Path, *, through: str = "eval"):
             for version in cfg.versions:
                 pipeline.ingest_code(cfg, version)
         elif stage == "build-graph":
-            for version in cfg.versions:
-                pipeline.build_graph_stage(cfg, version)
+            pipeline.build_graph_stage(cfg, cfg.versions)
         elif stage == "build-chains":
             pipeline.build_chains_stage(cfg)
         elif stage == "synth-triplets":

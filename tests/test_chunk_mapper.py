@@ -18,7 +18,7 @@ from deltaspec.chunk_mapper import (
 )
 from deltaspec.code_ingest import SourceFile, extract_functions
 from deltaspec.errors import InvalidConfig, SpanMismatch, UnknownFunction
-from deltaspec.tokenizer import tokenize
+from deltaspec.tokenizer import token_offsets
 
 ANNOTATED = FIXTURES / "annotated" / "annotated.c"
 
@@ -85,11 +85,23 @@ def test_empty_stream_gives_no_chunks():
     assert chunk_stream([], chunk_size=10) == []
 
 
+def joined(words):
+    """The space-joined text of ``words`` and its token starts."""
+    text = " ".join(words)
+    return text, token_offsets(text)[0]
+
+
 def test_boundary_helpers():
-    assert statement_boundaries(["x", "=", "1", ";", "y"]) == [4]
-    assert statement_boundaries(["}", ";"]) == [1, 2]
-    assert sentence_boundaries(["Hello", ".", "World", "!?"]) == [2, 4]
-    assert sentence_boundaries(["v1", ".", "2"]) == [2]
+    assert statement_boundaries(*joined(["x", "=", "1", ";", "y"])) == [4]
+    assert statement_boundaries(*joined(["}", ";"])) == [1, 2]
+    assert sentence_boundaries(*joined(["Hello", ".", "World", "!?"])) == [2, 4]
+    assert sentence_boundaries(*joined(["v1", ".", "2"])) == [2]
+
+
+def test_offsets_without_their_text_are_rejected():
+    with pytest.raises(InvalidConfig):
+        chunk_stream(([0, 2], [1, 3]), chunk_size=10)
+    assert chunk_stream(([], []), chunk_size=10) == []
 
 
 # ------------------------------------------------------------------ mapping
@@ -97,12 +109,13 @@ def test_boundary_helpers():
 def annotated_fixture():
     source = SourceFile.load(ANNOTATED.parent, ANNOTATED.name, "annotated")
     functions = extract_functions(source)
-    tokens = tokenize(source.content)
-    spans = spans_for_functions(functions, tokens)
-    chunks = chunk_stream(tokens, origin="annotated.c",
+    offsets = token_offsets(source.content)
+    spans = spans_for_functions(functions, offsets)
+    chunks = chunk_stream(offsets, origin="annotated.c",
                           source_text=source.content,
                           chunk_size=80, redundancy_ratio=0.1,
-                          boundaries=statement_boundaries(tokens))
+                          boundaries=statement_boundaries(source.content,
+                                                          offsets[0]))
     return source, functions, spans, chunks
 
 
@@ -128,6 +141,16 @@ def test_uncovered_span_is_rejected():
     chunks = chunk_stream(toks(10), chunk_size=10)
     with pytest.raises(SpanMismatch):
         build_map(chunks, [FunctionSpan(fid="f", tok_start=5, tok_end=15)])
+
+
+def test_chunks_whose_ends_decrease_are_rejected():
+    outer = chunk_stream(toks(10), chunk_size=10)[0]
+    inner = Chunk(id="inner", origin="stream", index=1, span=(2, 5),
+                  text="t2 t3 t4", overlap_prev=0, char_start=6,
+                  token_starts=(0, 3, 6), token_ends=(2, 5, 8))
+    with pytest.raises(SpanMismatch):
+        build_map([outer, inner], [FunctionSpan(fid="f", tok_start=3,
+                                                tok_end=4)])
 
 
 def test_validate_catches_tampered_links():

@@ -3,16 +3,27 @@
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from deltaspec.chunk_mapper import (
+    Chunk,
+    ChunkFunctionMap,
+    FunctionSpan,
+    MapLink,
+    build_map,
+    chunk_stream,
+    sentence_boundaries,
+    statement_boundaries,
+)
 from deltaspec.code_ingest import (
     _doc_comment_before,
     _line_of,
     _newline_offsets,
     mask_comments_and_strings,
 )
-from deltaspec.errors import ContractViolation, MalformedDocument
+from deltaspec.errors import ContractViolation, MalformedDocument, SpanMismatch
 from deltaspec.llm_gateway import extract_json_payload
 from deltaspec.rfc_ingest import strip_boilerplate
 from deltaspec.spec_evolution import ChainEdge, UpdateChainGraph
+from deltaspec.tokenizer import token_offsets, token_texts
 
 # Text biased toward the characters each scanner branches on.
 _C_TEXT = st.text(alphabet=st.sampled_from(list('/*"\'\\\n{}; ax\t\r')) | st.characters(),
@@ -164,3 +175,114 @@ def test_chain_count_matches_listed_chains(graph, data):
                for e in graph.edges if data.draw(st.booleans())]
     graph = UpdateChainGraph(graph.nodes, graph.edges + doubled, dates={})
     assert graph.chain_count() == len(graph.chains())
+
+
+def per_token_statement_boundaries(words: list[str]) -> list[int]:
+    """Reference: the index after every token holding ';' or '}'."""
+    return [i + 1 for i, w in enumerate(words) if ";" in w or "}" in w]
+
+
+def per_token_sentence_boundaries(words: list[str]) -> list[int]:
+    """Reference: the index after every all-punctuation token that ends in
+    '.', '!' or '?'."""
+    return [i + 1 for i, w in enumerate(words)
+            if w and all(not c.isalnum() for c in w) and w[-1] in ".!?"]
+
+
+# Words, digits, '_', non-ASCII letters and punctuation runs, glued together
+# with or without whitespace, so punctuation runs merge and split.
+_PROSE_PIECES = st.sampled_from([
+    "word", "42", "_", "é", "ñ_9", "ǅ", "٣", "?).", ";}", "._", ".)", ".", "!",
+    "?", ";", "}", "{", "(", "->", "...", "e.g.", "});", "!?", "-", ",",
+    " ", "  ", "\n", "\t",
+]) | st.characters()
+
+
+@given(st.lists(_PROSE_PIECES, max_size=40))
+@example(["e.g.", "x", "?).", " ", ";}", "._", ".)"])
+@settings(max_examples=300)
+def test_regex_boundaries_match_per_token_rules(pieces):
+    text = "".join(pieces)
+    starts = token_offsets(text)[0]
+    words = token_texts(text)
+    assert statement_boundaries(text, starts) == \
+        per_token_statement_boundaries(words)
+    assert sentence_boundaries(text, starts) == \
+        per_token_sentence_boundaries(words)
+
+
+def all_pairs_map(chunks, spans) -> ChunkFunctionMap:
+    """Reference: test every span against every chunk."""
+    ordered = sorted(chunks, key=lambda c: c.span[0])
+    fmap = ChunkFunctionMap(chunk_to_functions={c.id: [] for c in ordered},
+                            function_to_chunks={}, spans={})
+    for span in spans:
+        fmap.spans[span.fid] = span
+        links = []
+        covered = span.tok_start
+        for chunk in ordered:
+            lo = max(chunk.span[0], span.tok_start)
+            hi = min(chunk.span[1], span.tok_end)
+            if lo >= hi:
+                continue
+            link = MapLink(chunk.id, span.fid, lo, hi)
+            links.append(link)
+            fmap.chunk_to_functions[chunk.id].append(link)
+            if lo <= covered:
+                covered = max(covered, hi)
+        if not links or covered < span.tok_end:
+            raise SpanMismatch(span.fid)
+        fmap.function_to_chunks[span.fid] = links
+    return fmap
+
+
+@st.composite
+def chunkings(draw):
+    """Chunks whose starts and ends both increase: either a chunk_stream
+    result, or arbitrary windows that may overlap, nest at an edge or leave
+    gaps. Returns (chunks, stream length)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=120))
+        chunks = chunk_stream(
+            [f"w{i}" for i in range(n)],
+            chunk_size=draw(st.integers(min_value=1, max_value=40)),
+            redundancy_ratio=draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])),
+            boundaries=draw(st.lists(st.integers(min_value=1, max_value=n),
+                                     max_size=6)))
+        return chunks, n
+    chunks = []
+    start = end = 0
+    for k in range(draw(st.integers(min_value=1, max_value=8))):
+        start += draw(st.integers(min_value=0, max_value=6))
+        end = max(end, start + 1) + draw(st.integers(min_value=0, max_value=6))
+        chunks.append(Chunk(id=f"c{k}", origin="s", index=k, span=(start, end),
+                            text="", overlap_prev=0, char_start=0,
+                            token_starts=(), token_ends=()))
+    return chunks, end
+
+
+@given(chunkings(), st.data())
+@settings(max_examples=400)
+def test_bisect_map_matches_all_pairs_map(chunking, data):
+    chunks, n = chunking
+    spans = []
+    for j in range(data.draw(st.integers(min_value=0, max_value=4))):
+        a = data.draw(st.integers(min_value=-2, max_value=n + 2))
+        b = data.draw(st.integers(min_value=a - 1, max_value=n + 3))
+        spans.append(FunctionSpan(fid=f"f{j}", tok_start=a, tok_end=b))
+    try:
+        expected = all_pairs_map(chunks, spans)
+    except SpanMismatch:
+        expected = None
+    if expected is None:
+        try:
+            build_map(chunks, spans)
+        except SpanMismatch:
+            return
+        raise AssertionError("build_map accepted spans the reference rejects")
+    got = build_map(chunks, spans)
+    assert list(got.chunk_to_functions.items()) == \
+        list(expected.chunk_to_functions.items())
+    assert list(got.function_to_chunks.items()) == \
+        list(expected.function_to_chunks.items())
+    assert got.spans == expected.spans

@@ -1,5 +1,6 @@
 """Tests for metrics, the cost model, config loading, the CLI, and reports."""
 
+import hashlib
 import json
 import shutil
 
@@ -257,6 +258,44 @@ def test_cli_build_chains_counts_chains_without_listing_them_again(
     assert main(["build-chains", "--config", str(cfg_path)]) == 0
     assert capsys.readouterr().out == "4 RFCs, 2 chains\n"
     assert len(listed) == 1  # chains.json only
+
+
+# sha256 of the build-graph chunk and map artifacts on the mini corpus. A
+# change to tokenizing, chunking or mapping that moves any offset shows here.
+BUILD_GRAPH_DIGESTS = {
+    "chunks/code-toy-a.jsonl":
+        "7e597546edb3322276beac91faf333ce5899e0d49d6100074a8b527d64a7d999",
+    "chunks/code-toy-b.jsonl":
+        "e0bd636cb8cc9b9f3f2352bb91f1da56afc504ef7ec437cee3785eeb0c6f37e0",
+    "chunks/text.jsonl":
+        "9c60512235ce488f8fe9758ae6965555b42ddfc6a0a196d2cd7ce77d3dec6a0d",
+    "maps/toy-a.json":
+        "41ff48a657c5d775713c0c843b582d4143a0383c0955fdf988c810c5067692bb",
+    "maps/toy-b.json":
+        "a335221dd17b59c507b058887d7258c0b645b47612cdbd8d37b59659b5d7b2f9",
+}
+
+
+def test_build_graph_chunk_and_map_bytes_are_pinned(mini_config, capsys,
+                                                    monkeypatch):
+    cfg_path = mini_config()
+    cfg = load_config(cfg_path)
+    text_chunkings = []
+    text_chunks = pipeline._text_chunks
+    monkeypatch.setattr(pipeline, "_text_chunks", lambda *a: (
+        text_chunkings.append(1) or text_chunks(*a)))
+    for stage in ("ingest-rfc", "ingest-code", "build-graph"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "toy-a: 7 entities, 3 communities",
+        "toy-b: 7 entities, 3 communities"]
+    assert len(text_chunkings) == 1  # once per invocation, not per version
+    digests = {
+        path.relative_to(cfg.workdir).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for sub in ("chunks", "maps")
+        for path in sorted((cfg.workdir / sub).iterdir())}
+    assert digests == BUILD_GRAPH_DIGESTS
 
 
 # ---------------------------------------------------------- scripted backend
