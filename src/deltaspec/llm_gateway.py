@@ -46,22 +46,96 @@ _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 # Longest wait a provider's Retry-After header may impose, in seconds.
 MAX_RETRY_AFTER_S = 60.0
 
-# Compiled validators keyed by a schema's canonical JSON. Schemas are
-# unhashable dicts and ids get reused, so the key is the value itself.
-_VALIDATORS: dict[str, Any] = {}
+# Compiled contracts, (jsonschema validator, accept-only checker or None),
+# keyed by a schema's JSON text: schemas are unhashable dicts and ids get
+# reused, so the key is the value itself. Key order is part of the key,
+# because jsonschema reports errors in the schema's key order and
+# best_match breaks ties by that order.
+_VALIDATORS: dict[str, tuple[Any, Callable[[Any], bool] | None]] = {}
+
+# The subset of JSON Schema that the pipeline's contracts use.
+_CHECKED_KEYWORDS = frozenset({"type", "properties", "required", "items",
+                               "enum", "minLength", "additionalProperties"})
+_CHECKED_TYPES = {"object": dict, "array": list, "string": str}
 
 
 def schema_error(instance: Any, schema: Mapping) -> ValidationError | None:
     """The error ``jsonschema.validate(instance, schema)`` would raise, or
     None. The schema is checked against its metaschema once, when first
-    seen, so an invalid schema still raises ``SchemaError`` on first use."""
-    key = json.dumps(schema, sort_keys=True)
-    validator = _VALIDATORS.get(key)
-    if validator is None:
+    seen, so an invalid schema still raises ``SchemaError`` on first use.
+
+    An instance the compiled checker accepts is valid; anything else
+    (a rejected instance, or a schema outside the checker's subset) goes to
+    jsonschema, whose best error is returned."""
+    key = json.dumps(schema)
+    compiled = _VALIDATORS.get(key)
+    if compiled is None:
         cls = validator_for(schema)
         cls.check_schema(schema)
-        validator = _VALIDATORS[key] = cls(schema)
+        compiled = _VALIDATORS[key] = (cls(schema), _compile(schema))
+    validator, accepts = compiled
+    if accepts is not None and accepts(instance):
+        return None
     return best_match(validator.iter_errors(instance))
+
+
+def _accept_any(instance: Any) -> bool:
+    return True
+
+
+def _compile(schema: Any) -> Callable[[Any], bool] | None:
+    """An accept-only checker for a schema that passed ``check_schema``, or
+    None when the schema uses anything outside ``_CHECKED_KEYWORDS``, a
+    ``type`` outside ``_CHECKED_TYPES``, a non-string ``enum`` value or a
+    boolean subschema. The checker is sound, not complete: when it returns
+    True jsonschema finds no error; False only means "ask jsonschema"."""
+    if type(schema) is not dict or not _CHECKED_KEYWORDS.issuperset(schema):
+        return None
+    kind: type = object
+    if "type" in schema:
+        name = schema["type"]
+        if type(name) is not str or name not in _CHECKED_TYPES:
+            return None
+        kind = _CHECKED_TYPES[name]
+    props = {name: _compile(sub)
+             for name, sub in schema.get("properties", {}).items()}
+    extra = _compile(schema["additionalProperties"]) \
+        if "additionalProperties" in schema else _accept_any
+    items = _compile(schema["items"]) if "items" in schema else _accept_any
+    if None in props.values() or extra is None or items is None:
+        return None
+    enum = schema.get("enum")
+    if enum is not None:
+        if not all(type(v) is str for v in enum):
+            return None
+        enum = frozenset(enum)
+    min_length = schema.get("minLength", 0)
+    if type(min_length) is not int:
+        return None
+    required = tuple(schema.get("required", ()))
+    walk_values = bool(props) or extra is not _accept_any
+
+    def accepts(instance: Any) -> bool:
+        if not isinstance(instance, kind):
+            return False
+        if isinstance(instance, dict):
+            for name in required:
+                if name not in instance:
+                    return False
+            if walk_values:
+                for name, value in instance.items():
+                    if not props.get(name, extra)(value):
+                        return False
+        elif isinstance(instance, list):
+            if items is not _accept_any:
+                for value in instance:
+                    if not items(value):
+                        return False
+        elif isinstance(instance, str) and len(instance) < min_length:
+            return False
+        return enum is None or (isinstance(instance, str) and instance in enum)
+
+    return accepts
 
 
 @dataclass(frozen=True)
@@ -614,16 +688,26 @@ class LlmGateway:
         return self.cache_dir / fp[:2] / f"{fp}.json"
 
     def _cache_get(self, fp: str) -> dict | None:
-        path = self._cache_path(fp)
-        if path is None or not path.exists():
+        if self.cache_dir is None:
+            return None
+        name = f"{fp}.json"
+        try:
+            with open(f"{self.cache_dir}/{fp[:2]}/{name}", "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return None
+        except OSError:
+            log.warning("dropping unreadable cache entry %s", name)
             return None
         try:
-            entry = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-            log.warning("dropping unreadable cache entry %s", path.name)
+            # write_atomic writes UTF-8; JSONDecodeError and
+            # UnicodeDecodeError are both ValueErrors.
+            entry = json.loads(data.decode("utf-8"))
+        except ValueError:
+            log.warning("dropping unreadable cache entry %s", name)
             return None
         if not _is_cache_entry(entry, fp):
-            log.warning("dropping corrupt cache entry %s", path.name)
+            log.warning("dropping corrupt cache entry %s", name)
             return None
         return entry
 

@@ -22,7 +22,6 @@ class PipelineConfig:
     transcript: Path | None = None
     temperature: float = 0.0
     rfc_sources: tuple[Path, ...] = ()
-    rfc_metadata: Path | None = None
     code_trees: dict[str, Path] = field(default_factory=dict)
     code_globs: tuple[str, ...] | None = None
     code_keywords: tuple[str, ...] | None = None
@@ -94,8 +93,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         temperature=float(raw.get("temperature", 0.0)),
         rfc_sources=tuple(_resolve(base, s)
                           for s in raw.get("rfc_sources", [])),
-        rfc_metadata=(_resolve(base, raw["rfc_metadata"])
-                      if raw.get("rfc_metadata") else None),
         code_trees={v: _resolve(base, root)
                     for v, root in raw.get("code_trees", {}).items()},
         code_globs=(tuple(raw["code_globs"])

@@ -688,3 +688,106 @@ def test_counters_survive_many_concurrent_misses(tmp_path):
     assert gateway.stats.requests == 300
     assert gateway.ledger.token_total == sum(r.usage.total for r in results)
     assert len(list(tmp_path.rglob("*.json"))) == 300
+
+
+# ------------------------------------------------------------- cache reads
+
+def test_missing_shard_directory_is_a_silent_miss(tmp_path, caplog):
+    gateway = LlmGateway(provider=MockProvider(rules=lambda r: "x"),
+                         cache_dir=tmp_path)
+    fp = request("m", None, "q").fingerprint
+    assert gateway._cache_get(fp) is None
+    assert caplog.records == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_path_that_is_a_directory_is_logged_and_refetched(tmp_path,
+                                                                caplog):
+    gateway = LlmGateway(provider=MockProvider(rules=lambda r: '{"ok": 1}'),
+                         cache_dir=tmp_path)
+    req = request("m", None, "q", contract=OK_CONTRACT)
+    fp = req.fingerprint
+    (tmp_path / fp[:2] / f"{fp}.json").mkdir(parents=True)
+    # The refetched reply cannot replace a directory, so the rewrite fails;
+    # what matters here is that the directory is never read as an entry.
+    gateway.settle_all([req], "graph")
+    assert gateway.stats.cache_hits == 0
+    assert gateway.stats.provider_calls == 1
+    assert f"dropping unreadable cache entry {fp}.json" in caplog.text
+
+
+def test_non_utf8_cache_entry_is_logged_and_refetched(tmp_path, caplog):
+    gateway = LlmGateway(provider=MockProvider(rules=lambda r: '{"ok": 1}'),
+                         cache_dir=tmp_path)
+    req = request("m", None, "q", contract=OK_CONTRACT)
+    fp = req.fingerprint
+    gateway.complete(req, "graph")
+    path = tmp_path / fp[:2] / f"{fp}.json"
+    path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))
+
+    result = gateway.complete(req, "graph")
+    assert not result.cached
+    assert gateway.stats.provider_calls == 2
+    assert f"dropping unreadable cache entry {fp}.json" in caplog.text
+    assert json.loads(path.read_bytes().decode("utf-8"))["key"] == fp
+    assert gateway.complete(req, "graph").cached
+
+
+# --------------------------------------------- contracts jsonschema decides
+
+def _reference_error(instance, schema):
+    return jsonschema.exceptions.best_match(
+        validator_for(schema)(schema).iter_errors(instance))
+
+
+@pytest.mark.parametrize("schema, instance", [
+    ({"type": "string", "maxLength": 2}, "abc"),
+    ({"type": "string", "pattern": "^a"}, "b"),
+    ({"$ref": "#/$defs/s", "$defs": {"s": {"type": "string"}}}, 1),
+    ({"type": "object", "additionalProperties": False}, {"a": 1}),
+    ({"type": "object", "additionalProperties": True}, {"a": 1}),
+    ({"type": ["string", "null"]}, None),
+    ({"type": ["string", "null"]}, 1),
+    ({"type": "integer"}, 1.0),
+    ({"enum": [1, "a"]}, True),
+    ({"properties": {"a": True}}, {"a": 1}),
+    ({"$schema": "http://json-schema.org/draft-04/schema#",
+      "type": "object", "required": ["a"]}, {}),
+], ids=["maxLength", "pattern", "ref", "no-additional", "additional-true",
+        "type-list-ok", "type-list-bad", "integer-float", "mixed-enum",
+        "boolean-subschema", "draft-04"])
+def test_schemas_outside_the_compiled_subset_go_to_jsonschema(schema,
+                                                              instance):
+    assert llm_gateway._compile(schema) is None
+    got, ref = llm_gateway.schema_error(instance, schema), \
+        _reference_error(instance, schema)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert got.message == ref.message
+
+
+@pytest.mark.parametrize("instance", [True, 1, "x", ["a"]])
+def test_compiled_enum_rejects_non_strings_and_jsonschema_reports(instance):
+    schema = {"enum": ["True", "1", "a"]}
+    assert llm_gateway._compile(schema)(instance) is False
+    ref = _reference_error(instance, schema)
+    assert ref is not None
+    assert llm_gateway.schema_error(instance, schema).message == ref.message
+
+
+def test_contract_changed_in_place_is_recompiled():
+    contract = {"type": "object", "required": ["a"]}
+    assert llm_gateway.schema_error({"a": 1}, contract) is None
+    contract["required"] = ["b"]
+    error = llm_gateway.schema_error({"a": 1}, contract)
+    assert error is not None and "'b' is a required property" in error.message
+
+
+def test_contracts_equal_up_to_key_order_keep_their_own_best_error():
+    # jsonschema reports errors in schema key order and best_match breaks
+    # ties by it, so these two give different best errors.
+    first = {"type": "object", "enum": []}
+    second = {"enum": [], "type": "object"}
+    for schema in (first, second, first):
+        assert llm_gateway.schema_error(None, schema).message == \
+            _reference_error(None, schema).message

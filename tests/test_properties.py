@@ -1,7 +1,9 @@
 """Property tests for invariants other modules rely on."""
 
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from deltaspec.chunk_mapper import (
     Chunk,
@@ -20,7 +22,7 @@ from deltaspec.code_ingest import (
     mask_comments_and_strings,
 )
 from deltaspec.errors import ContractViolation, MalformedDocument, SpanMismatch
-from deltaspec.llm_gateway import extract_json_payload
+from deltaspec.llm_gateway import _compile, extract_json_payload, schema_error
 from deltaspec.rfc_ingest import strip_boilerplate
 from deltaspec.spec_evolution import ChainEdge, UpdateChainGraph
 from deltaspec.tokenizer import token_offsets, token_texts
@@ -286,3 +288,90 @@ def test_bisect_map_matches_all_pairs_map(chunking, data):
     assert list(got.function_to_chunks.items()) == \
         list(expected.function_to_chunks.items())
     assert got.spans == expected.spans
+
+
+# The compiled contract checker against jsonschema. Schemas use only the
+# keywords the checker compiles; instances are arbitrary JSON values, most
+# of them built from the schema's own shape so that both verdicts occur.
+
+_NAMES = st.sampled_from(["a", "b", "verdict", ""])
+_WORDS = st.sampled_from(["", "a", "ab", "yes", "True", "1"])
+_KEYWORDS = {
+    "type": st.sampled_from(["object", "array", "string"]),
+    "enum": st.lists(_WORDS, max_size=3),
+    "minLength": st.integers(min_value=0, max_value=3),
+}
+
+
+def _contract_schemas():
+    leaf = st.fixed_dictionaries({}, optional=_KEYWORDS)
+    return st.recursive(leaf, lambda sub: st.fixed_dictionaries({}, optional={
+        **_KEYWORDS,
+        "properties": st.dictionaries(_NAMES, sub, max_size=3),
+        "required": st.lists(_NAMES, unique=True, max_size=3),
+        "items": sub,
+        "additionalProperties": sub,
+    }), max_leaves=8)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2)
+    | st.floats(allow_nan=False, allow_infinity=False) | _WORDS
+    | st.text(max_size=3),
+    lambda sub: st.lists(sub, max_size=3)
+    | st.dictionaries(_NAMES | st.text(max_size=2), sub, max_size=3),
+    max_leaves=10)
+
+
+@st.composite
+def _instances_for(draw, schema, depth=0):
+    if depth > 3 or draw(st.integers(0, 7)) == 0:
+        return draw(_JSON_VALUES)
+    if schema.get("enum") and draw(st.booleans()):
+        return draw(st.sampled_from(schema["enum"]))
+    kind = schema.get("type") or draw(st.sampled_from(
+        ["object", "array", "string"]))
+    if kind == "string":
+        n = schema.get("minLength", 0) + draw(st.integers(-1, 1))
+        return draw(st.text(alphabet="ab", min_size=max(n, 0),
+                            max_size=max(n, 0)))
+    if kind == "array":
+        return draw(st.lists(_instances_for(schema.get("items", {}),
+                                            depth + 1), max_size=3))
+    props = schema.get("properties", {})
+    extra = schema.get("additionalProperties", {})
+    obj = {}
+    for name in sorted(set(props) | set(schema.get("required", ()))
+                       | {draw(_NAMES), draw(st.sampled_from(["x", "y"]))}):
+        if draw(st.integers(0, 4)):
+            obj[name] = draw(_instances_for(props.get(name, extra),
+                                            depth + 1))
+    return obj
+
+
+@st.composite
+def _contract_cases(draw):
+    schema = draw(_contract_schemas(), label="schema")
+    return schema, draw(_instances_for(schema), label="instance")
+
+
+@given(_contract_cases())
+@example(({"type": "object", "additionalProperties": {"type": "string"}},
+          {"a": "x", "b": 1}))
+@example(({"type": "array", "items": {"minLength": 1}}, ["", "a"]))
+@example(({"required": ["a"], "properties": {"a": {"enum": ["yes"]}}},
+          {"b": "yes"}))
+@example(({"enum": ["1"]}, 1))
+@settings(max_examples=300, deadline=None)
+def test_compiled_contract_checker_agrees_with_jsonschema(case):
+    schema, instance = case
+    reference = best_match(validator_for(schema)(schema).iter_errors(instance))
+    got = schema_error(instance, schema)
+    event("valid" if reference is None else "invalid")
+    assert (got is None) == (reference is None)
+    if reference is not None:
+        assert got.message == reference.message
+    accepts = _compile(schema)
+    assert accepts is not None
+    if accepts(instance):
+        assert reference is None

@@ -5,8 +5,10 @@ import json
 import shutil
 
 import pytest
+from jsonschema.validators import Draft202012Validator
 
-from conftest import run_stages
+from conftest import FIXTURES, run_stages
+from deltaspec import llm_gateway
 from deltaspec.errors import (
     EmptyEval,
     InvalidConfig,
@@ -15,7 +17,7 @@ from deltaspec.errors import (
     SerializationError,
 )
 from deltaspec.llm_gateway import request
-from deltaspec.report_cli import pipeline
+from deltaspec.report_cli import pipeline, render
 from deltaspec.report_cli.cli import main
 from deltaspec.report_cli.config import load_config
 from deltaspec.report_cli.cost import CostModelInputs, cost_model
@@ -296,6 +298,79 @@ def test_build_graph_chunk_and_map_bytes_are_pinned(mini_config, capsys,
         for sub in ("chunks", "maps")
         for path in sorted((cfg.workdir / sub).iterdir())}
     assert digests == BUILD_GRAPH_DIGESTS
+
+
+# ------------------------------------------------ bundled corpus, warm cache
+
+STAGES = ("ingest-rfc", "ingest-code", "build-graph", "build-chains",
+          "synth-triplets", "verify", "eval", "report")
+BUNDLED = FIXTURES / "mini_corpus"
+
+
+def run_bundled_warm(mini_config, monkeypatch):
+    """All eight stages on a copy of the mini corpus that starts from its
+    bundled response cache. Returns the config and the gateways built."""
+    cfg_path = mini_config("bundled")
+    cfg = load_config(cfg_path)
+    shutil.copytree(BUNDLED / "cache", cfg.cache_dir)
+    built = []
+    make_gateway = pipeline.make_gateway
+    monkeypatch.setattr(pipeline, "make_gateway", lambda *a: (
+        built.append(make_gateway(*a)) or built[-1]))
+    for stage in STAGES:
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    return cfg, built
+
+
+def test_bundled_work_regenerates_byte_for_byte(mini_config, monkeypatch):
+    cfg, built = run_bundled_warm(mini_config, monkeypatch)
+    requests = sum(g.stats.requests for g in built)
+    assert requests > 0
+    assert sum(g.stats.provider_calls for g in built) == 0
+    assert sum(g.stats.cache_hits for g in built) == requests
+
+    def tree(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    def scrub(rel, data):
+        # The report's timestamp: "generated_at" in JSON, "generated at"
+        # in markdown.
+        if not rel.startswith("report/"):
+            return data
+        return b"\n".join(line for line in data.split(b"\n")
+                          if b'"generated_at": ' not in line
+                          and not line.startswith(b"- generated at: "))
+
+    expected, got = tree(BUNDLED / "work"), tree(cfg.workdir)
+    assert sorted(got) == sorted(expected)
+    assert len(expected) >= 20
+    for rel in expected:
+        assert scrub(rel, got[rel]) == scrub(rel, expected[rel]), rel
+
+
+def test_warm_run_checks_every_contract_without_jsonschema(mini_config,
+                                                           monkeypatch):
+    checked, walked = [], []
+    schema_error = llm_gateway.schema_error
+    iter_errors = Draft202012Validator.iter_errors
+
+    def counting_schema_error(instance, schema):
+        checked.append(json.dumps(schema, sort_keys=True))
+        return schema_error(instance, schema)
+
+    def counting_iter_errors(self, *args, **kwargs):
+        walked.append(1)
+        return iter_errors(self, *args, **kwargs)
+
+    monkeypatch.setattr(llm_gateway, "schema_error", counting_schema_error)
+    monkeypatch.setattr(render, "schema_error", counting_schema_error)
+    monkeypatch.setattr(Draft202012Validator, "iter_errors",
+                        counting_iter_errors)
+    run_bundled_warm(mini_config, monkeypatch)
+    assert json.dumps(render.REPORT_SCHEMA, sort_keys=True) in checked
+    assert len(set(checked)) >= 5
+    assert walked == []
 
 
 # ---------------------------------------------------------- scripted backend
