@@ -625,9 +625,14 @@ class _IngestCache:
 
     def put(self, source: SourceFile, functions: list[CodeFunction]) -> None:
         key = self.key(source)
-        write_atomic(self._path(key), json.dumps(
+        text = json.dumps(
             {"key": key, "functions": [f.to_dict() for f in functions]},
-            sort_keys=True))
+            sort_keys=True)
+        try:
+            write_atomic(self._path(key), text)
+        except OSError as exc:
+            raise IoError(f"cannot write ingest cache entry {key}.json "
+                          f"for {source.path}: {exc}") from exc
 
 
 def _entry_functions(entry: object, key: str,

@@ -114,6 +114,10 @@ class ContractViolation(GatewayError):
     """Response failed the declared contract after all retries."""
 
 
+class CacheWriteError(GatewayError):
+    """A fetched reply could not be written to the response cache."""
+
+
 class NotSent(GatewayError):
     """Holds the slot of a batch request that was never sent, because an
     earlier request of the same batch had already failed."""

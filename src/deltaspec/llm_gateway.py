@@ -31,7 +31,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 from jsonschema.exceptions import ValidationError, best_match
 from jsonschema.validators import validator_for
 
-from .errors import ContractViolation, NotSent, ProviderError
+from .errors import CacheWriteError, ContractViolation, NotSent, ProviderError
 from .fsio import write_atomic
 from .tokenizer import count_tokens, token_texts
 
@@ -503,13 +503,17 @@ class LlmGateway:
 
         Cache hits are served on the calling thread, in input order. The
         distinct misses go to a pool of at most ``max_in_flight`` threads
-        (no thread when nothing misses; a lone miss runs inline). With a
-        cache, a later duplicate of a missed fingerprint is then served from
-        the entry its first occurrence wrote, a hit as in a serial loop;
-        without one, every duplicate is fetched, in input order.
+        (no thread when nothing misses; a lone miss runs inline). Workers
+        only fetch; the calling thread caches and accounts each reply as it
+        arrives, while the other workers keep fetching, so every file write
+        and ledger record happens on the caller. With a cache, a later
+        duplicate of a missed fingerprint is then served from the entry its
+        first occurrence wrote, a hit as in a serial loop; without one,
+        every duplicate is fetched, in input order.
 
         The batch stops at its first failure in input order, as a serial
-        loop does: no request after it is sent once the failure is known.
+        loop does, whether a fetch or a cache write failed: no request after
+        it is sent once the failure is known.
         Every slot before it holds its outcome; a slot after it holds either
         the outcome of a fetch that was already under way or ``NotSent``.
         """
@@ -534,10 +538,12 @@ class LlmGateway:
         cached = self.cache_dir is not None
         jobs = [group[:1] if cached else group for group in misses.values()]
 
-        replies: list[list[Any]] = [[] for _ in jobs]
         todo: queue.SimpleQueue[int] = queue.SimpleQueue()
         for k in range(len(jobs)):
             todo.put(k)
+        # (request index, reply or error) per fetch, and None per worker
+        # that has signed off.
+        replies: queue.SimpleQueue[tuple[int, Any] | None] = queue.SimpleQueue()
         failed_lock = threading.Lock()
 
         def fail_at(i: int) -> None:
@@ -546,43 +552,59 @@ class LlmGateway:
                 failed = min(failed, i)
 
         def drain() -> None:
-            # One pool task per worker, pulling jobs until none is left: a
-            # future per job would wake the caller once per reply. Jobs come
-            # in input order, so a job past a known failure is never sent.
-            while True:
-                try:
-                    k = todo.get_nowait()
-                except queue.Empty:
-                    return
-                for i in jobs[k]:
-                    if i > failed:
-                        break
-                    answer = _settle(self._ask, requests[i])
-                    replies[k].append(answer)
-                    if isinstance(answer, Exception):
-                        fail_at(i)
-                        break
+            # Each worker pulls jobs until none is left. Jobs come in input
+            # order, so a job past a known failure is never sent.
+            try:
+                while True:
+                    try:
+                        k = todo.get_nowait()
+                    except queue.Empty:
+                        return
+                    for i in jobs[k]:
+                        if i > failed:
+                            break
+                        answer = _settle(self._ask, requests[i])
+                        replies.put((i, answer))
+                        if isinstance(answer, Exception):
+                            fail_at(i)
+                            break
+            except BaseException:
+                # Interrupted on this worker: the others send nothing more.
+                fail_at(-1)
+                raise
+            finally:
+                replies.put(None)
+
+        def take_reply(i: int, answer: Any) -> None:
+            outcomes[i] = answer if isinstance(answer, Exception) \
+                else _settle(self._store, requests[i], phase, answer)
+            if isinstance(outcomes[i], Exception):
+                fail_at(i)
 
         workers = min(self.max_in_flight, len(jobs))
         if workers > 1:
             with ThreadPoolExecutor(workers) as pool:
                 futures = [pool.submit(drain) for _ in range(workers)]
                 try:
-                    for future in futures:
-                        future.result()
+                    # Store each reply as it lands, while the other
+                    # workers are still waiting on the provider.
+                    while workers:
+                        item = replies.get()
+                        if item is None:
+                            workers -= 1
+                        else:
+                            take_reply(*item)
                 except BaseException:
                     # Interrupted: let the workers finish the request in
                     # hand and send nothing more.
                     fail_at(-1)
                     raise
+            for future in futures:
+                future.result()  # re-raises a worker's BaseException
         else:
             drain()
-        for job, answers in zip(jobs, replies):
-            for i, answer in zip(job, answers):
-                outcomes[i] = answer if isinstance(answer, Exception) \
-                    else _settle(self._store, requests[i], phase, answer)
-                if isinstance(outcomes[i], Exception):
-                    fail_at(i)
+            while (item := replies.get()) is not None:
+                take_reply(*item)
 
         if cached:
             for _, *later in misses.values():
@@ -723,7 +745,12 @@ class LlmGateway:
                       "completion_tokens": usage.completion_tokens},
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         }
-        write_atomic(path, json.dumps(entry, sort_keys=True, indent=1))
+        text = json.dumps(entry, sort_keys=True, indent=1)
+        try:
+            write_atomic(path, text)
+        except OSError as exc:
+            raise CacheWriteError(
+                f"cannot write response cache entry {path.name}: {exc}") from exc
 
 
 def _settle(fn: Callable[..., Any], *args: Any) -> Any:

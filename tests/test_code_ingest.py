@@ -375,6 +375,15 @@ def test_a_file_shared_by_two_versions_is_parsed_once(tmp_path, monkeypatch):
     assert {f.version for f in index.files} == {"toy-b"}
 
 
+def test_ingest_entry_that_cannot_be_written_is_an_io_error(tmp_path):
+    build_index(TOY_A, "toy-a", stub_headers=STUBS, cache_dir=tmp_path)
+    entry = _entries(tmp_path)[0]
+    entry.unlink()
+    entry.mkdir()  # read as unreadable, and no file can replace it
+    with pytest.raises(IoError, match=f"ingest cache entry {entry.name}"):
+        build_index(TOY_A, "toy-a", stub_headers=STUBS, cache_dir=tmp_path)
+
+
 def test_no_cache_dir_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     writes = []

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from deltaspec import llm_gateway
-from deltaspec.errors import ContractViolation, NotSent, ProviderError
+from deltaspec.errors import (CacheWriteError, ContractViolation, NotSent,
+                              ProviderError)
 from deltaspec.llm_gateway import (
     CompletionResult,
     CostLedger,
@@ -688,6 +689,94 @@ def test_counters_survive_many_concurrent_misses(tmp_path):
     assert gateway.stats.requests == 300
     assert gateway.ledger.token_total == sum(r.usage.total for r in results)
     assert len(list(tmp_path.rglob("*.json"))) == 300
+
+
+def test_replies_are_stored_while_later_fetches_wait(tmp_path):
+    reqs = [request("m", None, f"q{i}") for i in range(5)]
+    first = reqs[0].fingerprint
+    stored = threading.Event()
+    seen = []
+
+    def answer(req):
+        if req.fingerprint == reqs[-1].fingerprint:
+            # The last fetch holds its worker until the caller has stored
+            # the first reply; storing only after the pool joins never does.
+            seen.append(stored.wait(timeout=5)
+                        and (tmp_path / first[:2] / f"{first}.json").exists())
+        return _answer(req)
+
+    gateway = LlmGateway(provider=MockProvider(rules=answer),
+                         cache_dir=tmp_path, max_in_flight=2)
+    put = gateway._cache_put
+
+    def put_and_signal(fp, *args):
+        put(fp, *args)
+        if fp == first:
+            stored.set()
+
+    gateway._cache_put = put_and_signal
+    results = gateway.complete_all(reqs, "graph")
+    assert seen == [True]
+    assert [r.cached for r in results] == [False] * len(reqs)
+    assert len(_cache_entries(tmp_path)) == len(reqs)
+
+
+def test_failed_cache_write_stops_later_sends(tmp_path):
+    in_flight = 4
+    reqs = [request("m", None, f"q{i}") for i in range(20)]
+    fp = reqs[0].fingerprint
+    (tmp_path / fp[:2] / f"{fp}.json").mkdir(parents=True)
+    gateway = LlmGateway(
+        provider=MockProvider(rules=lambda r: time.sleep(0.02) or _answer(r)),
+        cache_dir=tmp_path, max_in_flight=in_flight)
+    outcomes = gateway.settle_all(reqs, "graph")
+    assert isinstance(outcomes[0], CacheWriteError)
+    assert f"cannot write response cache entry {fp}.json" in str(outcomes[0])
+    # When q0's write fails, the workers hold at most max_in_flight requests,
+    # and each may have taken one more since q0's reply came back.
+    assert gateway.stats.provider_calls <= 2 * in_flight
+    assert all(isinstance(o, (CompletionResult, NotSent)) for o in outcomes[1:])
+    assert sum(isinstance(o, CompletionResult) for o in outcomes) == \
+        gateway.stats.provider_calls - 1
+    with pytest.raises(CacheWriteError):
+        gateway.complete_all(reqs, "graph")
+
+
+def test_worker_interrupt_propagates_and_stops_the_batch(tmp_path):
+    reqs = [request("m", None, f"q{i}") for i in range(20)]
+    sent = []
+    lock = threading.Lock()
+    interrupted = threading.Event()
+
+    def answer(req):
+        user = req.messages[-1][1]
+        with lock:
+            sent.append(user)
+        if user == "q1":
+            interrupted.set()
+            raise KeyboardInterrupt
+        if user == "q0":
+            # Still in hand when q1 is interrupted on the other worker.
+            interrupted.wait(timeout=5)
+            time.sleep(0.05)
+        return _answer(req)
+
+    gateway = LlmGateway(provider=MockProvider(rules=answer),
+                         cache_dir=tmp_path, max_in_flight=2)
+    raised = []
+
+    def run():
+        try:
+            gateway.settle_all(reqs, "graph")
+        except BaseException as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert [type(exc) for exc in raised] == [KeyboardInterrupt]
+    assert sorted(sent) == ["q0", "q1"]
 
 
 # ------------------------------------------------------------- cache reads

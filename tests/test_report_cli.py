@@ -373,6 +373,24 @@ def test_warm_run_checks_every_contract_without_jsonschema(mini_config,
     assert walked == []
 
 
+def test_cli_cache_entry_that_cannot_be_written_exits_one(mini_config,
+                                                          capsys):
+    cfg_path = mini_config()
+    cfg = load_config(cfg_path)
+    for stage in STAGES[:STAGES.index("verify")]:
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    before = set(cfg.cache_dir.rglob("*.json"))
+    assert main(["verify", "--config", str(cfg_path)]) == 0
+    entry = sorted(set(cfg.cache_dir.rglob("*.json")) - before)[0]
+    entry.unlink()
+    entry.mkdir()  # read as unreadable, and no reply can replace it
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gateway failed on trial")
+    assert f"cannot write response cache entry {entry.name}" in err
+
+
 # ---------------------------------------------------------- scripted backend
 
 def judge_prompt(terms, functions):
