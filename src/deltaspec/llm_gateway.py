@@ -310,13 +310,18 @@ class HashEmbedder:
 
     def __init__(self, dim: int = 256):
         self.dim = dim
+        self._slots: dict[str, tuple[int, float]] = {}  # token -> (slot, sign)
 
     def embed(self, text: str) -> list[float]:
         vec = [0.0] * self.dim
+        slots = self._slots
         for tok in token_texts(text.lower()):
-            h = hashlib.sha256(tok.encode("utf-8")).digest()
-            idx = int.from_bytes(h[:4], "big") % self.dim
-            vec[idx] += 1.0 if h[4] % 2 == 0 else -1.0
+            slot = slots.get(tok)
+            if slot is None:
+                h = hashlib.sha256(tok.encode("utf-8")).digest()
+                slot = slots[tok] = (int.from_bytes(h[:4], "big") % self.dim,
+                                     1.0 if h[4] % 2 == 0 else -1.0)
+            vec[slot[0]] += slot[1]
         norm = math.sqrt(sum(v * v for v in vec))
         if norm > 0.0:
             vec = [v / norm for v in vec]

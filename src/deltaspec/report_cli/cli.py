@@ -8,6 +8,7 @@ is a standalone calculator. Exit codes: 0 success, 1 a pipeline error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -73,9 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "cost-model":
             inputs = CostModelInputs(

@@ -51,6 +51,29 @@ def _resolve(base: Path, value: str) -> Path:
     return p if p.is_absolute() else (base / p).resolve()
 
 
+def _number(key: str, value: object, kind: type) -> int | float:
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(
+            f"config key {key!r} must be a number, got {value!r}") from exc
+
+
+def _object(key: str, value: object) -> dict:
+    if not isinstance(value, dict):
+        raise InvalidConfig(
+            f"config key {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _strings(key: str, value: object) -> tuple[str, ...]:
+    if not (isinstance(value, list)
+            and all(isinstance(v, str) for v in value)):
+        raise InvalidConfig(
+            f"config key {key!r} must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     try:
@@ -68,55 +91,69 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise InvalidConfig(f"config is missing required key {key!r}")
         return raw[key]
 
+    def path_of(key: str, value: object) -> Path:
+        if not isinstance(value, str):
+            raise InvalidConfig(
+                f"config key {key!r} must be a path string, got {value!r}")
+        return _resolve(base, value)
+
+    def optional_path(key: str, value: object) -> Path | None:
+        return path_of(key, value) if value else None
+
     provider = raw.get("provider", "mock")
     if provider not in ("mock", "http"):
         raise InvalidConfig(f"unknown provider {provider!r}")
 
-    chunking = raw.get("chunking", {})
-    retrieval = raw.get("retrieval", {})
-    verification = raw.get("verification", {})
-    triplets = raw.get("triplets", {})
+    def section(name: str) -> dict:
+        return _object(name, raw.get(name, {}))
+
+    def setting(key: str, default: object, kind: type) -> int | float:
+        """The number at ``key``; "a.b" is key b of section a."""
+        name, _, leaf = key.rpartition(".")
+        return _number(key, (section(name) if name else raw).get(leaf, default),
+                       kind)
+
+    triplets = section("triplets")
 
     prices = {}
-    for model, pair in raw.get("prices", {}).items():
+    for model, pair in section("prices").items():
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise InvalidConfig(f"price for {model!r} must be [input, output]")
-        prices[model] = (float(pair[0]), float(pair[1]))
+        prices[model] = (_number(f"prices.{model}", pair[0], float),
+                         _number(f"prices.{model}", pair[1], float))
 
     return PipelineConfig(
-        workdir=_resolve(base, str(need("workdir"))),
-        cache_dir=_resolve(base, str(need("cache_dir"))),
+        workdir=path_of("workdir", need("workdir")),
+        cache_dir=path_of("cache_dir", need("cache_dir")),
         model=str(need("model")),
         provider=provider,
-        transcript=(_resolve(base, raw["transcript"])
-                    if raw.get("transcript") else None),
-        temperature=float(raw.get("temperature", 0.0)),
-        rfc_sources=tuple(_resolve(base, s)
-                          for s in raw.get("rfc_sources", [])),
-        code_trees={v: _resolve(base, root)
-                    for v, root in raw.get("code_trees", {}).items()},
-        code_globs=(tuple(raw["code_globs"])
+        transcript=optional_path("transcript", raw.get("transcript")),
+        temperature=setting("temperature", 0.0, float),
+        rfc_sources=tuple(path_of("rfc_sources", s) for s in
+                          _strings("rfc_sources", raw.get("rfc_sources", []))),
+        code_trees={v: path_of(f"code_trees.{v}", root)
+                    for v, root in section("code_trees").items()},
+        code_globs=(_strings("code_globs", raw["code_globs"])
                     if raw.get("code_globs") is not None else None),
-        code_keywords=(tuple(raw["code_keywords"])
+        code_keywords=(_strings("code_keywords", raw["code_keywords"])
                        if raw.get("code_keywords") is not None else None),
-        stub_headers=(_resolve(base, raw["stub_headers"])
-                      if raw.get("stub_headers") else None),
-        triplet_descriptions=(_resolve(base, triplets["descriptions"])
-                              if triplets.get("descriptions") else None),
-        triplet_patches=(_resolve(base, triplets["patches"])
-                         if triplets.get("patches") else None),
+        stub_headers=optional_path("stub_headers", raw.get("stub_headers")),
+        triplet_descriptions=optional_path(
+            "triplets.descriptions", triplets.get("descriptions")),
+        triplet_patches=optional_path(
+            "triplets.patches", triplets.get("patches")),
         paired_positive=bool(triplets.get("paired_positive", False)),
-        ground_truth=(_resolve(base, raw["ground_truth"])
-                      if raw.get("ground_truth") else None),
-        vulnerability_classes={str(k): str(v) for k, v in
-                               raw.get("vulnerability_classes", {}).items()},
-        chunk_size=int(chunking.get("chunk_size", 500)),
-        redundancy_ratio=float(chunking.get("redundancy_ratio", 0.10)),
-        retrieval_k=int(retrieval.get("k", 5)),
-        fusion_alpha=float(retrieval.get("fusion_alpha", 0.5)),
-        damping=float(retrieval.get("damping", 0.5)),
-        budget=int(retrieval.get("budget", 20)),
-        trials=int(verification.get("trials", 5)),
+        ground_truth=optional_path("ground_truth", raw.get("ground_truth")),
+        vulnerability_classes={
+            str(k): str(v)
+            for k, v in section("vulnerability_classes").items()},
+        chunk_size=setting("chunking.chunk_size", 500, int),
+        redundancy_ratio=setting("chunking.redundancy_ratio", 0.10, float),
+        retrieval_k=setting("retrieval.k", 5, int),
+        fusion_alpha=setting("retrieval.fusion_alpha", 0.5, float),
+        damping=setting("retrieval.damping", 0.5, float),
+        budget=setting("retrieval.budget", 20, int),
+        trials=setting("verification.trials", 5, int),
         prices=prices,
-        price_unit=int(raw.get("price_unit", 1000)),
+        price_unit=setting("price_unit", 1000, int),
     )

@@ -104,16 +104,10 @@ def bm25_score(query_tokens: Sequence[str], doc_tokens: Sequence[str],
                stats: CorpusStats, k1: float = DEFAULT_K1,
                b: float = DEFAULT_B) -> float:
     """Okapi BM25 of one document against a query, given corpus stats."""
-    return bm25_score_tf(query_tokens, term_freqs(doc_tokens), len(doc_tokens),
-                         stats, k1, b)
-
-
-def bm25_score_tf(query_tokens: Sequence[str], tf: Mapping[str, int], dl: int,
-                  stats: CorpusStats, k1: float = DEFAULT_K1,
-                  b: float = DEFAULT_B) -> float:
-    """BM25 of a document given by its term frequencies and token length."""
+    dl = len(doc_tokens)
     if not dl or stats.doc_count == 0:
         return 0.0
+    tf = term_freqs(doc_tokens)
     norm = k1 * (1.0 - b + b * dl / stats.avg_len) if stats.avg_len > 0 else k1
     score = 0.0
     for term in query_tokens:
@@ -142,31 +136,38 @@ def vector_norm(v: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class _DocFeatures:
-    """What retrieval reads of one store document, computed once."""
+class _Index:
+    """What BM25 reads of the store's documents, computed once."""
 
-    tokens: list[str]
-    tf: dict[str, int]
+    lengths: list[int]  # each document's token count
+    postings: dict[str, list[tuple[int, int]]]  # term -> [(doc index, tf)]
+    stats: CorpusStats
 
     @classmethod
-    def of(cls, triplet: DifferentialTriplet) -> "_DocFeatures":
-        tokens = _doc_tokens(triplet)
-        return cls(tokens, term_freqs(tokens))
+    def of(cls, triplets: Sequence[DifferentialTriplet]) -> "_Index":
+        token_lists = [_doc_tokens(t) for t in triplets]
+        postings: dict[str, list[tuple[int, int]]] = {}
+        for i, tokens in enumerate(token_lists):
+            for term, tf in term_freqs(tokens).items():
+                postings.setdefault(term, []).append((i, tf))
+        return cls([len(tokens) for tokens in token_lists], postings,
+                   CorpusStats.from_docs(token_lists))
 
 
 class TripletStore:
     """Labeled exemplars plus the retrieval features of each document.
 
-    The features (tokens, term frequencies, corpus stats, embeddings) are
-    computed on first use and dropped by ``add()``; embeddings are kept
-    only while retrieval asks the same embedder.
+    The features (BM25 index, embeddings) are computed on first use and
+    dropped by ``add()``. Embeddings, and the rankings retrieval memoizes,
+    are kept only while retrieval asks the same embedder.
     """
 
     def __init__(self, triplets: Sequence[DifferentialTriplet] = ()):
         self.triplets: list[DifferentialTriplet] = list(triplets)
-        self._stats: CorpusStats | None = None
-        self._features: list[_DocFeatures] | None = None
+        self._index: _Index | None = None
         self._embedded: tuple[object, list[tuple[list[float], float]]] | None = None
+        self._ranked: tuple[object, dict[tuple[str, RetrievalConfig],
+                                         tuple[DifferentialTriplet, ...]]] | None = None
 
     def __len__(self) -> int:
         return len(self.triplets)
@@ -175,20 +176,17 @@ class TripletStore:
         if not triplet.spec_text.strip() or not triplet.code.strip():
             raise InvalidRecord(f"triplet {triplet.id} has empty spec text or code")
         self.triplets.append(triplet)
-        self._stats = None
-        self._features = None
+        self._index = None
         self._embedded = None
+        self._ranked = None
 
-    def features(self) -> list[_DocFeatures]:
-        if self._features is None:
-            self._features = [_DocFeatures.of(t) for t in self.triplets]
-        return self._features
+    def index(self) -> _Index:
+        if self._index is None:
+            self._index = _Index.of(self.triplets)
+        return self._index
 
     def corpus_stats(self) -> CorpusStats:
-        if self._stats is None:
-            self._stats = CorpusStats.from_docs(
-                [f.tokens for f in self.features()])
-        return self._stats
+        return self.index().stats
 
     def embeddings(self, gateway: LlmGateway) -> list[tuple[list[float], float]]:
         """Each document's embedding under the gateway's embedder, with its
@@ -198,6 +196,15 @@ class TripletStore:
             vecs = [gateway.embed(t.document()) for t in self.triplets]
             self._embedded = (embedder, [(v, vector_norm(v)) for v in vecs])
         return self._embedded[1]
+
+    def rankings(self, gateway: LlmGateway) -> dict[
+            tuple[str, RetrievalConfig], tuple[DifferentialTriplet, ...]]:
+        """The memo of ``retrieve_exemplars`` results under the gateway's
+        embedder, keyed by (query text, config)."""
+        embedder = gateway.embedder
+        if self._ranked is None or self._ranked[0] is not embedder:
+            self._ranked = (embedder, {})
+        return self._ranked[1]
 
     def save(self, path: str | Path) -> None:
         path = Path(path)
@@ -316,27 +323,40 @@ def synth_negative(record: Mapping, gateway: LlmGateway, model: str,
                           paired_positive=paired_positive)
 
 
-def retrieve_exemplars(
-    query_text: str,
-    store: TripletStore,
-    gateway: LlmGateway,
-    cfg: RetrievalConfig = RetrievalConfig(),
-) -> list[DifferentialTriplet]:
-    """Top-k exemplars per label class under the fused score.
+def bm25_scores(q_tokens: Sequence[str], store: TripletStore,
+                k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[float]:
+    """``bm25_score`` of every store document, read off the postings.
 
-    fused = alpha * cosine(embeddings) + (1 - alpha) * minmax(BM25), with
-    BM25 min-max normalized over the store (degenerate spread maps to 0).
-    The union of the per-label winners comes back sorted by ascending
-    complexity, ties by id.
+    Each query term's idf is computed once, and each document adds its
+    contributions in query-token order, so every score is bit-equal to
+    ``bm25_score`` of that document.
     """
-    if len(store) == 0:
-        raise EmptyStore("exemplar retrieval over an empty store")
-    stats = store.corpus_stats()
+    index = store.index()
+    stats = index.stats
+    avg_len = stats.avg_len
+    norms = [k1 * (1.0 - b + b * dl / avg_len) if avg_len > 0 else k1
+             for dl in index.lengths]
+    scores = [0.0] * len(norms)
+    idfs: dict[str, float] = {}
+    for term in q_tokens:
+        hits = index.postings.get(term)
+        if hits is None:
+            continue
+        idf = idfs.get(term)
+        if idf is None:
+            df = len(hits)
+            idf = idfs[term] = math.log(
+                1.0 + (stats.doc_count - df + 0.5) / (df + 0.5))
+        for i, f in hits:
+            scores[i] += idf * f * (k1 + 1.0) / (f + norms[i])
+    return scores
+
+
+def _rank(query_text: str, store: TripletStore, gateway: LlmGateway,
+          cfg: RetrievalConfig) -> tuple[DifferentialTriplet, ...]:
     q_tokens = [t.lower() for t in token_texts(query_text)]
     q_vec = gateway.embed(query_text)
-    raw_bm25 = [bm25_score_tf(q_tokens, f.tf, len(f.tokens), stats,
-                              cfg.bm25_k1, cfg.bm25_b)
-                for f in store.features()]
+    raw_bm25 = bm25_scores(q_tokens, store, cfg.bm25_k1, cfg.bm25_b)
     q_norm = vector_norm(q_vec)
     cosines = [cosine(q_vec, d_vec, q_norm, d_norm)
                for d_vec, d_norm in store.embeddings(gateway)]
@@ -352,4 +372,28 @@ def retrieve_exemplars(
         pool.sort(key=lambda ft: (-ft[0], ft[1].id))
         chosen.extend(t for _, t in pool[:cfg.k])
     chosen.sort(key=lambda t: (t.complexity, t.id))
-    return chosen
+    return tuple(chosen)
+
+
+def retrieve_exemplars(
+    query_text: str,
+    store: TripletStore,
+    gateway: LlmGateway,
+    cfg: RetrievalConfig = RetrievalConfig(),
+) -> list[DifferentialTriplet]:
+    """Top-k exemplars per label class under the fused score.
+
+    fused = alpha * cosine(embeddings) + (1 - alpha) * minmax(BM25), with
+    BM25 min-max normalized over the store (degenerate spread maps to 0).
+    The union of the per-label winners comes back sorted by ascending
+    complexity, ties by id. Each distinct (query, config) is ranked once
+    per store and embedder; every call gets a fresh list.
+    """
+    if len(store) == 0:
+        raise EmptyStore("exemplar retrieval over an empty store")
+    memo = store.rankings(gateway)
+    key = (query_text, cfg)
+    ranked = memo.get(key)
+    if ranked is None:
+        ranked = memo[key] = _rank(query_text, store, gateway, cfg)
+    return list(ranked)

@@ -26,7 +26,8 @@ from deltaspec.errors import (
     VerificationAborted,
 )
 from deltaspec.knowledge_graph import Entity, KnowledgeGraph
-from deltaspec.llm_gateway import LlmGateway, MockProvider
+from deltaspec import triplet_store
+from deltaspec.llm_gateway import HashEmbedder, LlmGateway, MockProvider
 from deltaspec.report_cli.config import PipelineConfig
 from deltaspec.spec_evolution import (
     FunctionalDelta,
@@ -35,6 +36,11 @@ from deltaspec.spec_evolution import (
     RfcMeta,
     UpdateChainGraph,
     build_update_chain,
+)
+from deltaspec.triplet_store import (
+    DifferentialTriplet,
+    RetrievalConfig,
+    TripletStore,
 )
 
 
@@ -260,6 +266,39 @@ def test_merge_rows_do_not_depend_on_document_order():
     expected = dump(plan_merge_fixture(MERGE_DOCS)[2])
     for docs in itertools.permutations(MERGE_DOCS):
         assert dump(plan_merge_fixture(list(docs))[2]) == expected
+
+
+def test_two_version_plan_ranks_each_distinct_query_once(monkeypatch):
+    ranked = []
+    real = triplet_store._rank
+
+    def spy(query_text, *args):
+        ranked.append(query_text)
+        return real(query_text, *args)
+
+    monkeypatch.setattr(triplet_store, "_rank", spy)
+    store = TripletStore([
+        DifferentialTriplet("p", "rst window check", "ir", "check(seq);",
+                            "consistent", "description", 3),
+        DifferentialTriplet("n", "challenge ack on rst", "ir", "ack();",
+                            "inconsistent", "patch", 2)])
+    graph, resolver = chain_fixture()
+    gateway = LlmGateway(provider=MockProvider(rules=judge_rule(
+        ["implemented"])), embedder=HashEmbedder())
+    plan = VerifyPlan(1)
+    for version in ("toy-a", "toy-b"):
+        plan_version(plan, build_update_chain(MERGE_DOCS).walk(),
+                     merge_increments(),
+                     {1: [entry("rst validation", ("rst",), rfc=1)]},
+                     version, graph, store, gateway, resolver,
+                     retrieval=RetrievalConfig(k=1))
+    # Each version queues RFC 1 (whole-RFC) and RFC 3: two distinct queries.
+    assert [(t.code_version, t.rfc) for t in plan.tasks] == [
+        ("toy-a", 1), ("toy-a", 3), ("toy-b", 1), ("toy-b", 3)]
+    assert sorted(ranked) == ["challenge ack on rst s", "rst validation s"]
+    assert plan.exemplars[0] == plan.exemplars[2]
+    assert plan.exemplars[1] == plan.exemplars[3]
+    assert plan.exemplars[0] is not plan.exemplars[2]
 
 
 def test_verify_artifacts_do_not_depend_on_version_or_chain_order(

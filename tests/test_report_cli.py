@@ -17,7 +17,7 @@ from deltaspec.errors import (
     SerializationError,
 )
 from deltaspec.llm_gateway import request
-from deltaspec.report_cli import pipeline, render
+from deltaspec.report_cli import cli, pipeline, render
 from deltaspec.report_cli.cli import main
 from deltaspec.report_cli.config import load_config
 from deltaspec.report_cli.cost import CostModelInputs, cost_model
@@ -116,6 +116,28 @@ def test_config_validation(tmp_path):
         load_config(tmp_path / "missing.json")
 
 
+_BASE_CONFIG = {"workdir": "w", "cache_dir": "c", "model": "m"}
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"rfc_sources": [5]}, "rfc_sources"),
+    ({"code_trees": {"v1": ["a"]}}, "code_trees.v1"),
+    ({"chunking": {"chunk_size": "big"}}, "chunking.chunk_size"),
+    ({"triplets": ["x"]}, "triplets"),
+    ({"prices": {"m": ["a", "b"]}}, "prices.m"),
+    ({"workdir": ["w"]}, "workdir"),
+], ids=["rfc_sources", "code_trees", "chunk_size", "triplets", "prices",
+        "workdir"])
+def test_wrong_typed_config_value_names_its_key(tmp_path, capsys, extra, key):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({**_BASE_CONFIG, **extra}))
+    with pytest.raises(InvalidConfig, match=f"config key '{key}' must be"):
+        load_config(p)
+    assert main(["ingest-rfc", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key") and key in err
+
+
 # ----------------------------------------------------------------------- cli
 
 def test_cli_cost_model_prints_json(capsys):
@@ -137,6 +159,39 @@ def test_cli_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["ingest-rfc"])  # --config is required
     assert err.value.code == 2
+
+
+def test_cli_reuses_one_parser_across_calls(mini_config, capsys,
+                                           monkeypatch):
+    builds = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or real_build())
+    cli._parser.cache_clear()
+    cfg_path = str(mini_config())
+
+    def cost(updates):
+        assert main(["cost-model", "--updates", str(updates),
+                     "--spec-tokens", "1000", "--code-tokens", "500",
+                     "--delta-spec-tokens", "100",
+                     "--delta-code-tokens", "50"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    first = cost(3)
+    with pytest.raises(SystemExit) as err:
+        main(["cost-model", "--updates", "3"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert cost(7) != first and cost(3) == first
+    assert main(["ingest-rfc", "--config", cfg_path]) == 0
+    assert main(["ingest-code", "--config", cfg_path,
+                 "--version-tag", "toy-z"]) == 1
+    capsys.readouterr()
+    # --version-tag from the call before does not carry over.
+    assert main(["ingest-code", "--config", cfg_path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("toy-a:") and "toy-b:" in out
+    assert len(builds) == 1
 
 
 def test_cli_unknown_version_tag_is_a_pipeline_error(mini_config, capsys):

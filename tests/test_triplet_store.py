@@ -1,11 +1,15 @@
 """Tests for differential triplets, BM25/fused retrieval, and synthesis."""
 
+import hashlib
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
+from deltaspec import triplet_store
 from deltaspec.errors import EmptyStore, InvalidRecord
 from deltaspec.llm_gateway import HashEmbedder, LlmGateway, MockProvider
 from deltaspec.tokenizer import token_texts
@@ -15,6 +19,7 @@ from deltaspec.triplet_store import (
     RetrievalConfig,
     TripletStore,
     bm25_score,
+    bm25_scores,
     cosine,
     retrieve_exemplars,
     synth_negative,
@@ -369,3 +374,129 @@ def test_cached_embeddings_follow_the_embedder():
     gateway.embedder = KeywordEmbedder("window")
     picked = retrieve_exemplars("ack window", store, gateway, cfg)
     assert {t.id for t in picked} == {"t2", "t4"}
+
+
+# ------------------------------------------- postings, memo and embedder
+
+_WORDS = st.sampled_from(["rst", "ack", "window", "seq", "Seq", "drop",
+                          "send", "syn", "the", "(", ");", "==", "x1"])
+_TEXT = st.lists(_WORDS, min_size=1, max_size=12).map(" ".join)
+
+
+@st.composite
+def stores(draw):
+    docs = draw(st.lists(st.tuples(_TEXT, _TEXT, st.sampled_from(
+        ("consistent", "inconsistent")), st.integers(0, 3)),
+        min_size=1, max_size=8))
+    store = TripletStore()
+    for i, (spec, code, label, complexity) in enumerate(docs):
+        store.add(triplet(f"t{i}", spec, code, label=label,
+                          complexity=complexity))
+    return store
+
+
+@given(stores(), st.lists(_WORDS, max_size=10),
+       st.floats(0.0, 3.0), st.floats(0.0, 1.0))
+@settings(max_examples=150)
+def test_postings_bm25_is_bit_equal_to_bm25_score(store, query, k1, b):
+    q_tokens = [t.lower() for t in query]
+    stats = store.corpus_stats()
+    got = bm25_scores(q_tokens, store, k1, b)
+    assert got == [bm25_score(q_tokens, [w.lower() for w in
+                                         token_texts(t.document())],
+                              stats, k1, b) for t in store.triplets]
+
+
+@given(stores(), _TEXT, st.integers(1, 4), st.floats(0.0, 1.0))
+@settings(max_examples=150)
+def test_retrieval_matches_the_reference_ranking(store, query, k, alpha):
+    gateway = embed_gateway()
+    cfg = RetrievalConfig(k=k, fusion_alpha=alpha)
+    expected = reference_ranking(query, store, gateway, cfg)
+    assert retrieve_exemplars(query, store, gateway, cfg) == expected
+    # The second call is served from the store's memo.
+    assert retrieve_exemplars(query, store, gateway, cfg) == expected
+
+
+def unmemoized_embed(text, dim):
+    vec = [0.0] * dim
+    for tok in token_texts(text.lower()):
+        h = hashlib.sha256(tok.encode("utf-8")).digest()
+        vec[int.from_bytes(h[:4], "big") % dim] += \
+            1.0 if h[4] % 2 == 0 else -1.0
+    norm = math.sqrt(sum(v * v for v in vec))
+    return [v / norm for v in vec] if norm > 0.0 else vec
+
+
+@given(st.lists(_TEXT | st.text(max_size=40), min_size=1, max_size=6),
+       st.integers(1, 300))
+@settings(max_examples=150)
+def test_memoized_embedder_is_float_for_float_the_unmemoized_one(texts, dim):
+    embedder = HashEmbedder(dim)
+    for text in texts + texts:
+        assert embedder.embed(text) == unmemoized_embed(text, dim)
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The queries ranked anew, in order."""
+    calls = []
+    real = triplet_store._rank
+
+    def spy(query_text, *args):
+        calls.append(query_text)
+        return real(query_text, *args)
+
+    monkeypatch.setattr(triplet_store, "_rank", spy)
+    return calls
+
+
+def test_each_distinct_query_and_config_is_ranked_once(rank_calls):
+    store = demo_store()
+    gateway = embed_gateway()
+    one, two = RetrievalConfig(k=1), RetrievalConfig(k=2)
+    for _ in range(3):
+        retrieve_exemplars("rst window", store, gateway, one)
+        retrieve_exemplars("send ack", store, gateway, one)
+        retrieve_exemplars("rst window", store, gateway, two)
+    assert rank_calls == ["rst window", "send ack", "rst window"]
+
+
+def test_ranking_memo_is_dropped_by_add(rank_calls):
+    store = demo_store()
+    gateway = embed_gateway()
+    cfg = RetrievalConfig(k=1)
+    query = "reseed the secret key"
+    before = retrieve_exemplars(query, store, gateway, cfg)
+    store.add(triplet("t5", "reseed the secret key periodically",
+                      "reseed_secret(key);", complexity=5))
+    after = retrieve_exemplars(query, store, gateway, cfg)
+    assert rank_calls == [query, query]
+    assert "t5" not in {t.id for t in before}
+    assert after == reference_ranking(query, store, gateway, cfg)
+
+
+def test_ranking_memo_follows_the_embedder(rank_calls):
+    store = demo_store()
+    gateway = LlmGateway(provider=MockProvider(), embedder=KeywordEmbedder("ack"))
+    cfg = RetrievalConfig(k=1, fusion_alpha=1.0)
+    retrieve_exemplars("ack window", store, gateway, cfg)
+    gateway.embedder = KeywordEmbedder("window")
+    picked = retrieve_exemplars("ack window", store, gateway, cfg)
+    assert {t.id for t in picked} == {"t2", "t4"}
+    retrieve_exemplars("ack window", store, gateway, cfg)
+    assert rank_calls == ["ack window", "ack window"]
+
+
+def test_mutating_a_result_does_not_change_the_next(rank_calls):
+    store = demo_store()
+    gateway = embed_gateway()
+    cfg = RetrievalConfig(k=2)
+    first = retrieve_exemplars("rst window", store, gateway, cfg)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    second = retrieve_exemplars("rst window", store, gateway, cfg)
+    assert second == expected
+    assert second is not first
+    assert rank_calls == ["rst window"]
