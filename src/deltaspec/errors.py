@@ -79,7 +79,8 @@ class EmptyResponse(DeltaSpecError):
 
 
 class ShapeMismatch(DeltaSpecError):
-    """Verdict matrix and ground truth disagree on their key sets."""
+    """Ground truth is not {version: {RFC number: label}}, or it and the
+    verdict matrix disagree on their key sets."""
 
 
 class VerificationAborted(DeltaSpecError):
@@ -138,4 +139,4 @@ class SerializationError(DeltaSpecError):
 
 
 class MissingArtifact(DeltaSpecError):
-    """A pipeline stage needs an artifact an earlier stage has not written."""
+    """A pipeline stage needs a file that is missing or is not valid JSON."""

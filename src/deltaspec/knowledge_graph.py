@@ -28,6 +28,7 @@ from .llm_gateway import PHASE_GRAPH, LlmGateway, request
 ENTITY_KINDS = ("state", "event", "action", "mechanism")
 FALLBACK_KIND = "mechanism"
 DEFAULT_DAMPING = 0.5
+MAX_ROUNDS = 100  # label-propagation rounds before giving up on convergence
 
 ENTITY_CONTRACT = {
     "type": "array",
@@ -223,14 +224,10 @@ class KnowledgeGraph:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def extract_entities(chunk: Chunk, gateway: LlmGateway, model: str) -> list[Entity]:
-    """Entities mentioned in one chunk; empty chunks cost zero calls."""
-    return extract_entities_all([chunk], gateway, model)[0]
-
-
 def extract_entities_all(chunks: Sequence[Chunk], gateway: LlmGateway,
                          model: str) -> list[list[Entity]]:
-    """extract_entities() for each chunk, in order, as one gateway batch."""
+    """The entities mentioned in each chunk, in order, as one gateway batch;
+    empty chunks cost zero calls."""
     live = [c for c in chunks if c.text.strip()]
     reqs = [request(
         model,
@@ -263,7 +260,6 @@ def build_graph(
     fmap: ChunkFunctionMap | None = None,
     function_names: Mapping[str, str] | None = None,
     damping: float = DEFAULT_DAMPING,
-    seed: int = 0,
 ) -> KnowledgeGraph:
     """Assemble the graph from a chunk corpus (text and code together)."""
     graph = KnowledgeGraph(damping=damping)
@@ -287,25 +283,25 @@ def build_graph(
             for eid in ids:
                 for fid in fids:
                     graph.add_implements(eid, fid)
-    graph.communities = detect_communities(graph, seed=seed)
+    graph.communities = detect_communities(graph)
     return graph
 
 
-def detect_communities(graph: KnowledgeGraph, *, seed: int = 0,
-                       max_rounds: int = 100) -> list[Community]:
+def detect_communities(graph: KnowledgeGraph, *,
+                       seed: int = 0) -> list[Community]:
     """Label propagation over relates-to edges, fully deterministic.
 
     Each round visits nodes in an order shuffled by a seeded RNG; a node
     adopts the neighbor label with the largest total edge weight, breaking
     ties toward the smallest (label ids are entity ids, so "ascending id").
-    Stops at convergence or after ``max_rounds`` rounds. Entities with no
+    Stops at convergence or after ``MAX_ROUNDS`` rounds. Entities with no
     relates-to edges stay in singleton communities.
     """
     ids = sorted(graph.entities)
     adj = graph.relates_adjacency()
     labels = {eid: eid for eid in ids}
     rng = random.Random(seed)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         order = list(ids)
         rng.shuffle(order)
         changed = False

@@ -227,14 +227,6 @@ class CostLedger:
         return sum(sum(v) for (_, p), v in self._totals.items() if p == phase)
 
     @property
-    def token_graph(self) -> int:
-        return self.phase_tokens(PHASE_GRAPH)
-
-    @property
-    def token_reasoning(self) -> int:
-        return self.phase_tokens(PHASE_REASONING)
-
-    @property
     def token_total(self) -> int:
         return sum(sum(v) for v in self._totals.values())
 
@@ -387,26 +379,24 @@ class MockProvider:
 
     def __init__(self,
                  transcript: Mapping[str, Any] | None = None,
-                 rules: Callable[[LlmRequest], str | None] | None = None,
-                 strict: bool = False):
+                 rules: Callable[[LlmRequest], str | None] | None = None):
         self._queues: dict[str, deque] = {}
         for fp, value in (transcript or {}).items():
             values = value if isinstance(value, list) else [value]
             self._queues[fp] = deque(values)
         self.rules = rules
-        self.strict = strict
 
     @classmethod
     def from_jsonl(cls, path: str | Path,
-                   rules: Callable[[LlmRequest], str | None] | None = None,
-                   strict: bool = False) -> "MockProvider":
+                   rules: Callable[[LlmRequest], str | None] | None = None
+                   ) -> "MockProvider":
         transcript: dict[str, Any] = {}
         for line in Path(path).read_text().splitlines():
             if not line.strip():
                 continue
             rec = json.loads(line)
             transcript[rec["fingerprint"]] = rec["response"]
-        return cls(transcript=transcript, rules=rules, strict=strict)
+        return cls(transcript=transcript, rules=rules)
 
     def complete(self, request: LlmRequest) -> tuple[str, Usage | None]:
         queue = self._queues.get(request.fingerprint)
@@ -419,15 +409,14 @@ class MockProvider:
                                   int(value["usage"]["completion_tokens"]))
                 return str(value["response"]), usage
             return str(value), None
-        if self.rules is not None:
-            text = self.rules(request)
-            if text is not None:
-                return text, None
-        if self.strict or self.rules is None:
+        if self.rules is None:
             raise ProviderError(
                 f"mock transcript has no entry for fingerprint "
                 f"{request.fingerprint[:12]}... and no rule matched")
-        raise ProviderError("mock rules returned no response")
+        text = self.rules(request)
+        if text is None:
+            raise ProviderError("mock rules returned no response")
+        return text, None
 
 
 def extract_json_payload(text: str) -> Any:

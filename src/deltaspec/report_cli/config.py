@@ -20,7 +20,6 @@ class PipelineConfig:
     model: str
     provider: str = "mock"
     transcript: Path | None = None
-    temperature: float = 0.0
     rfc_sources: tuple[Path, ...] = ()
     code_trees: dict[str, Path] = field(default_factory=dict)
     code_globs: tuple[str, ...] | None = None
@@ -30,7 +29,7 @@ class PipelineConfig:
     triplet_patches: Path | None = None
     paired_positive: bool = False
     ground_truth: Path | None = None
-    vulnerability_classes: dict[str, str] = field(default_factory=dict)
+    vulnerability_classes: dict[int, str] = field(default_factory=dict)
     chunk_size: int = 500
     redundancy_ratio: float = 0.10
     retrieval_k: int = 5
@@ -113,7 +112,24 @@ def load_config(path: str | Path) -> PipelineConfig:
         return _number(key, (section(name) if name else raw).get(leaf, default),
                        kind)
 
+    def at_least(key: str, default: int, low: int) -> int:
+        value = setting(key, default, int)
+        if value < low:
+            raise InvalidConfig(
+                f"config key {key!r} must be at least {low}, got {value!r}")
+        return value
+
     triplets = section("triplets")
+    paired_positive = triplets.get("paired_positive", False)
+    if not isinstance(paired_positive, bool):
+        raise InvalidConfig("config key 'triplets.paired_positive' must be "
+                            f"true or false, got {paired_positive!r}")
+    classes = {}
+    for rfc, label in section("vulnerability_classes").items():
+        if not rfc.strip().isdecimal():
+            raise InvalidConfig("config key 'vulnerability_classes' must be "
+                                f"keyed by RFC number, got {rfc!r}")
+        classes[int(rfc)] = str(label)
 
     prices = {}
     for model, pair in section("prices").items():
@@ -128,7 +144,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         model=str(need("model")),
         provider=provider,
         transcript=optional_path("transcript", raw.get("transcript")),
-        temperature=setting("temperature", 0.0, float),
         rfc_sources=tuple(path_of("rfc_sources", s) for s in
                           _strings("rfc_sources", raw.get("rfc_sources", []))),
         code_trees={v: path_of(f"code_trees.{v}", root)
@@ -142,18 +157,16 @@ def load_config(path: str | Path) -> PipelineConfig:
             "triplets.descriptions", triplets.get("descriptions")),
         triplet_patches=optional_path(
             "triplets.patches", triplets.get("patches")),
-        paired_positive=bool(triplets.get("paired_positive", False)),
+        paired_positive=paired_positive,
         ground_truth=optional_path("ground_truth", raw.get("ground_truth")),
-        vulnerability_classes={
-            str(k): str(v)
-            for k, v in section("vulnerability_classes").items()},
+        vulnerability_classes=classes,
         chunk_size=setting("chunking.chunk_size", 500, int),
         redundancy_ratio=setting("chunking.redundancy_ratio", 0.10, float),
-        retrieval_k=setting("retrieval.k", 5, int),
+        retrieval_k=at_least("retrieval.k", 5, 0),
         fusion_alpha=setting("retrieval.fusion_alpha", 0.5, float),
         damping=setting("retrieval.damping", 0.5, float),
-        budget=setting("retrieval.budget", 20, int),
+        budget=at_least("retrieval.budget", 20, 0),
         trials=setting("verification.trials", 5, int),
         prices=prices,
-        price_unit=setting("price_unit", 1000, int),
+        price_unit=at_least("price_unit", 1000, 1),
     )

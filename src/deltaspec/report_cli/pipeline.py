@@ -10,9 +10,10 @@ warm runs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 from ..chunk_mapper import (
     Chunk,
@@ -37,7 +38,7 @@ from ..diff_verifier import (
     plan_version,
     verify_chain,  # noqa: F401  (kept importable from this module)
 )
-from ..errors import InvalidConfig, MissingArtifact
+from ..errors import InvalidConfig, MissingArtifact, ShapeMismatch
 from ..knowledge_graph import KnowledgeGraph, build_graph
 from ..llm_gateway import (
     CostLedger,
@@ -82,20 +83,30 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
                     encoding="utf-8")
 
 
-def _read_json(path: Path) -> object:
+@contextlib.contextmanager
+def _reading(path: Path) -> Iterator[None]:
+    """A missing, unreadable or undecodable ``path`` ends as
+    MissingArtifact naming it."""
     if not path.is_file():
         raise MissingArtifact(f"expected artifact {path}; run the earlier "
                               "stages first")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise MissingArtifact(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json(path: Path) -> object:
+    with _reading(path):
+        return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _read_jsonl(path: Path) -> list[dict]:
-    if not path.is_file():
-        raise MissingArtifact(f"expected artifact {path}; run the earlier "
-                              "stages first")
-    return [json.loads(line)
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()]
+    # The text is dropped once split, before the lines are decoded.
+    with _reading(path):
+        return [json.loads(line)
+                for line in path.read_text(encoding="utf-8").splitlines()
+                if line.strip()]
 
 
 def make_gateway(cfg: PipelineConfig) -> LlmGateway:
@@ -369,8 +380,8 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
             for version, row in matrix.items()
         },
     })
-    findings, _ = compile_findings(matrix,
-                                   vulnerability_classes=_classes(cfg))
+    findings, _ = compile_findings(
+        matrix, vulnerability_classes=cfg.vulnerability_classes)
     _write_jsonl(cfg.workdir / "verify" / "findings.jsonl",
                  [f.to_dict() for f in findings])
     # Earlier stages ran in their own processes; fold their ledgers in so
@@ -383,10 +394,6 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     _write_json(cfg.workdir / "verify" / "ledger.json",
                 gateway.ledger.as_dict())
     return matrix
-
-
-def _classes(cfg: PipelineConfig) -> dict[int, str]:
-    return {int(k): v for k, v in cfg.vulnerability_classes.items()}
 
 
 def load_matrix(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
@@ -403,10 +410,16 @@ def eval_stage(cfg: PipelineConfig) -> Metrics:
         raise InvalidConfig("config has no ground_truth path")
     matrix = load_matrix(cfg)
     truth_raw = _read_json(cfg.ground_truth)
+    if not (isinstance(truth_raw, dict) and all(
+            isinstance(cells, dict) and all(rfc.isdecimal() for rfc in cells)
+            for cells in truth_raw.values())):
+        raise ShapeMismatch(f"ground truth {cfg.ground_truth} must map each "
+                            "version to {RFC number: label}")
     truth = {version: {int(rfc): label for rfc, label in cells.items()}
              for version, cells in truth_raw.items()}
-    findings, confusion = compile_findings(matrix, ground_truth=truth,
-                                           vulnerability_classes=_classes(cfg))
+    findings, confusion = compile_findings(
+        matrix, ground_truth=truth,
+        vulnerability_classes=cfg.vulnerability_classes)
     tp, fp, tn, fn = confusion
     conf = Confusion(tp=tp, fp=fp, tn=tn, fn=fn)
     metrics = compute_metrics(conf)

@@ -41,6 +41,8 @@ _CATEGORY_RE = re.compile(r"^Category\s*:\s*(.+?)(?:\s{3,}.*)?$", re.IGNORECASE)
 
 # Characters that dominate ASCII protocol diagrams but are rare in prose.
 _DIAGRAM_CHARS = set("+-|/\\<>=_^:#*")
+FIGURE_DENSITY = 0.15  # diagram-character share that marks a diagram line
+FIGURE_MIN_LINES = 3  # shortest run of diagram lines kept as a figure
 _CAPTION_RE = re.compile(r"^\s*Figure\s+\d+[.:]?\s*(.*)$")
 
 
@@ -299,18 +301,15 @@ def _parse_header(lines: list[str]) -> dict:
 def extract_ascii_figures(
     body_lines: list[str],
     section_id: str,
-    *,
-    density_threshold: float = 0.15,
-    min_lines: int = 3,
 ) -> tuple[list[AsciiFigure], list[str]]:
     """Split diagram blocks out of a section body.
 
     A line is diagram-like when the share of diagram characters among its
-    non-space characters exceeds ``density_threshold``. Runs of at least
-    ``min_lines`` consecutive diagram-like lines become figures, preserved
-    byte-exactly. A "Figure N." line adjacent to the block is copied into the
-    caption but stays in the prose, so prose plus figure lines always adds
-    back up to the original body.
+    non-space characters exceeds ``FIGURE_DENSITY``. Runs of at least
+    ``FIGURE_MIN_LINES`` consecutive diagram-like lines become figures,
+    preserved byte-exactly. A "Figure N." line adjacent to the block is
+    copied into the caption but stays in the prose, so prose plus figure
+    lines always adds back up to the original body.
     """
 
     def is_diagramish(line: str) -> bool:
@@ -318,7 +317,7 @@ def extract_ascii_figures(
         if not stripped:
             return False
         hits = sum(1 for c in stripped if c in _DIAGRAM_CHARS)
-        return hits / len(stripped) > density_threshold
+        return hits / len(stripped) > FIGURE_DENSITY
 
     figures: list[AsciiFigure] = []
     prose: list[str] = []
@@ -329,7 +328,7 @@ def extract_ascii_figures(
             j = i
             while j < n and is_diagramish(body_lines[j]):
                 j += 1
-            if j - i >= min_lines:
+            if j - i >= FIGURE_MIN_LINES:
                 caption = None
                 k = j
                 if k < n and not body_lines[k].strip():
@@ -369,12 +368,7 @@ def _lines_to_paragraphs(lines: list[str]) -> tuple[str, ...]:
     return tuple(paragraphs)
 
 
-def parse_rfc(
-    raw: str,
-    *,
-    density_threshold: float = 0.15,
-    min_figure_lines: int = 3,
-) -> RfcDocument:
+def parse_rfc(raw: str) -> RfcDocument:
     """Parse one RFC text file into a structured document.
 
     Headings nested deeper than two levels fold into their level-2 parent:
@@ -403,9 +397,7 @@ def parse_rfc(
     for pos, (start, sec_id, heading, is_appendix) in enumerate(markers):
         end = markers[pos + 1][0] if pos + 1 < len(markers) else len(lines)
         body_lines = lines[start + 1:end]
-        figures, prose_lines = extract_ascii_figures(
-            body_lines, sec_id,
-            density_threshold=density_threshold, min_lines=min_figure_lines)
+        figures, prose_lines = extract_ascii_figures(body_lines, sec_id)
         body = _lines_to_paragraphs(prose_lines)
         sections.append(RfcSection(
             id=sec_id,

@@ -282,7 +282,6 @@ class UpdateChainGraph:
             "dates": {str(k): v for k, v in sorted(self.dates.items())},
             "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind}
                       for e in self.edges],
-            "chains": self.chains(),
         }
 
 
@@ -301,17 +300,12 @@ def build_update_chain(docs: Sequence[_HasChainMeta]) -> UpdateChainGraph:
                             dates={d.number: d.published for d in docs})
 
 
-def extract_functional_entries(doc: RfcDocument, gateway: LlmGateway,
-                               model: str) -> list[FunctionalEntry]:
-    """One pass per non-empty section, in section order."""
-    return extract_functional_entries_all([doc], gateway, model)[0]
-
-
 def extract_functional_entries_all(docs: Sequence[RfcDocument],
                                    gateway: LlmGateway,
                                    model: str) -> list[list[FunctionalEntry]]:
-    """extract_functional_entries() for each document, in order, with every
-    section of every document in one gateway batch."""
+    """The functional entries of each document, in order: one request per
+    non-empty section, in section order, with every section of every
+    document in one gateway batch."""
     sections: list[tuple[int, str]] = []  # (document index, section id)
     reqs: list[LlmRequest] = []
     for k, doc in enumerate(docs):

@@ -309,20 +309,6 @@ def synth_triplets(descriptions: Sequence[Mapping], patches: Sequence[Mapping],
             for t in build(result.text.strip())]
 
 
-def synth_positive(record: Mapping, gateway: LlmGateway,
-                   model: str) -> DifferentialTriplet:
-    """A consistent triplet from a description/solution record."""
-    (triplet,) = synth_triplets([record], (), gateway, model)
-    return triplet
-
-
-def synth_negative(record: Mapping, gateway: LlmGateway, model: str,
-                   *, paired_positive: bool = False) -> list[DifferentialTriplet]:
-    """Triplets from one patch record (see ``_negative_plan``)."""
-    return synth_triplets((), [record], gateway, model,
-                          paired_positive=paired_positive)
-
-
 def bm25_scores(q_tokens: Sequence[str], store: TripletStore,
                 k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[float]:
     """``bm25_score`` of every store document, read off the postings.

@@ -14,7 +14,7 @@ from deltaspec.knowledge_graph import (
     build_graph,
     detect_communities,
     entity_id,
-    extract_entities,
+    extract_entities_all,
     normalize_name,
     retrieve_code_for_spec,
 )
@@ -185,7 +185,7 @@ def entity_rule(req):
 def test_extract_entities_dedups_and_records_provenance():
     gateway = LlmGateway(provider=MockProvider(rules=entity_rule))
     chunk = one_chunk("alpha text", "rfc0793")
-    found = extract_entities(chunk, gateway, "judge-1")
+    (found,) = extract_entities_all([chunk], gateway, "judge-1")
     assert [(e.kind, e.name) for e in found] == \
         [("state", "Seq State"), ("event", "RST Event")]
     assert all(e.provenance == [chunk.id] for e in found)
@@ -197,7 +197,7 @@ def test_empty_chunk_costs_nothing():
     blank = type(chunk)(id="blank", origin="x", index=1, span=(0, 0), text="  ",
                         overlap_prev=0, char_start=0, token_starts=(),
                         token_ends=())
-    assert extract_entities(blank, gateway, "judge-1") == []
+    assert extract_entities_all([blank], gateway, "judge-1") == [[]]
     assert gateway.stats.requests == 0
 
 

@@ -190,8 +190,8 @@ def test_ledger_costs_and_buckets():
     ledger.record("judge-1", "reasoning", 500, 0)
     ledger.record("mystery", "reasoning", 10, 10)
 
-    assert ledger.token_graph == 3000
-    assert ledger.token_reasoning == 520
+    assert ledger.phase_tokens("graph") == 3000
+    assert ledger.phase_tokens("reasoning") == 520
     assert ledger.token_total == 3520
     assert ledger.cost_for("judge-1") == pytest.approx(
         1500 / 1000 * 0.005 + 2000 / 1000 * 0.015)
@@ -219,8 +219,8 @@ def test_ledger_snapshots_are_absorbable():
     merged = CostLedger(prices={"judge-1": (0.005, 0.015)})
     merged.record("judge-1", "reasoning", 1, 1)
     merged.absorb(json.loads(json.dumps(ledger.as_dict())))
-    assert merged.token_graph == 300
-    assert merged.token_reasoning == 702
+    assert merged.phase_tokens("graph") == 300
+    assert merged.phase_tokens("reasoning") == 702
 
     with pytest.raises(ValueError, match="records"):
         merged.absorb({"phases": {}})

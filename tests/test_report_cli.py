@@ -15,6 +15,7 @@ from deltaspec.errors import (
     InvalidInputs,
     MissingArtifact,
     SerializationError,
+    ShapeMismatch,
 )
 from deltaspec.llm_gateway import request
 from deltaspec.report_cli import cli, pipeline, render
@@ -126,8 +127,14 @@ _BASE_CONFIG = {"workdir": "w", "cache_dir": "c", "model": "m"}
     ({"triplets": ["x"]}, "triplets"),
     ({"prices": {"m": ["a", "b"]}}, "prices.m"),
     ({"workdir": ["w"]}, "workdir"),
+    ({"vulnerability_classes": {"tcp": "x"}}, "vulnerability_classes"),
+    ({"price_unit": 0}, "price_unit"),
+    ({"triplets": {"paired_positive": "false"}}, "triplets.paired_positive"),
+    ({"retrieval": {"budget": -1}}, "retrieval.budget"),
+    ({"retrieval": {"k": -1}}, "retrieval.k"),
 ], ids=["rfc_sources", "code_trees", "chunk_size", "triplets", "prices",
-        "workdir"])
+        "workdir", "vulnerability_classes", "price_unit", "paired_positive",
+        "budget", "k"])
 def test_wrong_typed_config_value_names_its_key(tmp_path, capsys, extra, key):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({**_BASE_CONFIG, **extra}))
@@ -314,7 +321,7 @@ def test_cli_build_chains_counts_chains_without_listing_them_again(
     capsys.readouterr()
     assert main(["build-chains", "--config", str(cfg_path)]) == 0
     assert capsys.readouterr().out == "4 RFCs, 2 chains\n"
-    assert len(listed) == 1  # chains.json only
+    assert len(listed) == 0
 
 
 # sha256 of the build-graph chunk and map artifacts on the mini corpus. A
@@ -402,6 +409,39 @@ def test_bundled_work_regenerates_byte_for_byte(mini_config, monkeypatch):
     assert len(expected) >= 20
     for rel in expected:
         assert scrub(rel, got[rel]) == scrub(rel, expected[rel]), rel
+
+
+def verified_config(mini_config, **overrides):
+    """A mini-corpus config run through verify from the bundled cache."""
+    cfg_path = mini_config(**overrides)
+    shutil.copytree(BUNDLED / "cache", load_config(cfg_path).cache_dir)
+    return cfg_path, run_stages(cfg_path, through="verify")
+
+
+@pytest.mark.parametrize("truth", [
+    {"toy-a": {"r793": "consistent"}},
+    [{"toy-a": {"793": "consistent"}}],
+], ids=["rfc-key-not-a-number", "root-is-a-list"])
+def test_cli_eval_rejects_a_malformed_ground_truth(mini_config, tmp_path,
+                                                   capsys, truth):
+    bad = tmp_path / "truth.json"
+    bad.write_text(json.dumps(truth))
+    cfg_path, cfg = verified_config(mini_config, ground_truth=str(bad))
+    with pytest.raises(ShapeMismatch, match="truth.json"):
+        pipeline.eval_stage(cfg)
+    assert main(["eval", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ground truth")
+
+
+def test_cli_eval_rejects_a_truncated_matrix(mini_config, capsys):
+    cfg_path, cfg = verified_config(mini_config)
+    matrix = cfg.workdir / "verify" / "matrix.json"
+    matrix.write_bytes(matrix.read_bytes()[:40])
+    with pytest.raises(MissingArtifact, match="matrix.json"):
+        pipeline.eval_stage(cfg)
+    assert main(["eval", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "matrix.json" in err
 
 
 def test_warm_run_checks_every_contract_without_jsonschema(mini_config,

@@ -13,6 +13,7 @@ from deltaspec.spec_evolution import (
     FunctionalEntry,
     Increment,
     RfcMeta,
+    UpdateChainGraph,
     build_update_chain,
     diff_functional_entries,
     enumerate_increments,
@@ -79,9 +80,26 @@ def test_backward_dates_are_rejected():
 def test_chain_graph_serializes_chains():
     graph = build_update_chain(load_rfc_metadata(METADATA))
     d = graph.to_dict()
-    assert d["chains"] == graph.chains()
+    assert set(d) == {"nodes", "dates", "edges"}
+    assert d["nodes"] == graph.nodes
     assert {e["kind"] for e in d["edges"]} == {"updates", "obsoletes"}
     json.dumps(d)  # must be plain data
+
+
+def test_ladder_serializes_without_listing_its_paths(monkeypatch):
+    # RFC i updates i-1 and i-2, so the paths from 1 to 30 number F(30).
+    graph = build_update_chain([
+        RfcMeta(i, updates=tuple(j for j in (i - 1, i - 2) if j >= 1),
+                published=f"{1970 + i}-01")
+        for i in range(1, 31)])
+    assert graph.chain_count() == 832040
+    listed = []
+    monkeypatch.setattr(UpdateChainGraph, "chains",
+                        lambda self: listed.append(1) or [])
+    d = graph.to_dict()
+    assert set(d) == {"nodes", "dates", "edges"}
+    assert len(d["nodes"]) == 30 and len(d["edges"]) == 57
+    assert listed == []
 
 
 # ------------------------------------------------------------------ entries

@@ -22,8 +22,6 @@ from deltaspec.triplet_store import (
     bm25_scores,
     cosine,
     retrieve_exemplars,
-    synth_negative,
-    synth_positive,
     synth_triplets,
 )
 
@@ -195,6 +193,18 @@ def ir_rule(req):
 
 def synth_gateway():
     return LlmGateway(provider=MockProvider(rules=ir_rule))
+
+
+def synth_positive(record, gateway, model):
+    """The one triplet of a description record, through the batch API."""
+    (t,) = synth_triplets([record], (), gateway, model)
+    return t
+
+
+def synth_negative(record, gateway, model, *, paired_positive=False):
+    """The triplets of one patch record, through the batch API."""
+    return synth_triplets((), [record], gateway, model,
+                          paired_positive=paired_positive)
 
 
 def test_synth_positive_builds_consistent_triplet():
