@@ -18,21 +18,21 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import importlib.util
 import json
 import logging
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import pycparser
-from pycparser import c_ast, c_generator
-from pycparser.c_parser import ParseError
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import EmptyIndex, InvalidInputs, IoError
 from .fsio import write_atomic
 from .tokenizer import count_tokens
+
+if TYPE_CHECKING:
+    from pycparser import CParser, c_ast
 
 log = logging.getLogger(__name__)
 
@@ -426,10 +426,9 @@ def _doc_comment_before(src: str, newlines: list[int], decl_start: int) -> str |
     return None
 
 
-_TYPE_GEN = c_generator.CGenerator()
-
-
 def _param_pairs(funcdef: c_ast.FuncDef) -> tuple[tuple[str, str], ...]:
+    from pycparser import c_ast, c_generator
+    type_gen = c_generator.CGenerator()
     decl = funcdef.decl.type
     args = decl.args
     if args is None:
@@ -437,14 +436,14 @@ def _param_pairs(funcdef: c_ast.FuncDef) -> tuple[tuple[str, str], ...]:
     pairs: list[tuple[str, str]] = []
     for prm in args.params:
         if isinstance(prm, c_ast.Typename):
-            rendered = _TYPE_GEN.visit(prm)
+            rendered = type_gen.visit(prm)
             if rendered.strip() == "void":
                 continue  # (void) means no parameters
             pairs.append(("", rendered.strip()))
         elif isinstance(prm, c_ast.Decl):
             wrapper = c_ast.Typename(name=None, quals=prm.quals,
                                      align=None, type=prm.type)
-            pairs.append((prm.name or "", _TYPE_GEN.visit(wrapper).strip()))
+            pairs.append((prm.name or "", type_gen.visit(wrapper).strip()))
         elif isinstance(prm, c_ast.EllipsisParam):
             pairs.append(("", "..."))
     return tuple(pairs)
@@ -458,27 +457,32 @@ def _strip_declname(rendered: str, name: str) -> str:
     return rendered.strip()
 
 
-class _PreludeParser(pycparser.CParser):
-    """A CParser whose every parse starts from a copy of a prelude's file
-    scope, so a region parses as if the prelude came first."""
-
-    def __init__(self, file_scope: dict[str, bool]):
-        self._file_scope = file_scope
-        super().__init__()
-
-    # parse() opens each run with a fresh ``[dict()]`` scope stack; seed it.
-    @property
-    def _scope_stack(self) -> list[dict[str, bool]]:
-        return self._stack
-
-    @_scope_stack.setter
-    def _scope_stack(self, stack: list[dict[str, bool]]) -> None:
-        self._stack = [dict(self._file_scope)] if stack == [{}] else stack
-
-
-def _prelude_parser(prelude: str) -> _PreludeParser | None:
+def _prelude_parser(prelude: str) -> CParser | None:
     """Mask and parse the stub prelude text once; None when it does not
-    parse on its own, which sends every region to the fallback tier."""
+    parse on its own, which sends every region to the fallback tier.
+
+    pycparser is first imported here, so a run whose files are all served
+    from the ingest cache never loads it."""
+    import pycparser
+    from pycparser.c_parser import ParseError
+
+    class _PreludeParser(pycparser.CParser):
+        """A CParser whose every parse starts from a copy of a prelude's
+        file scope, so a region parses as if the prelude came first."""
+
+        def __init__(self, file_scope: dict[str, bool]):
+            self._file_scope = file_scope
+            super().__init__()
+
+        # parse() starts each run from a fresh ``[dict()]`` stack; seed it.
+        @property
+        def _scope_stack(self) -> list[dict[str, bool]]:
+            return self._stack
+
+        @_scope_stack.setter
+        def _scope_stack(self, stack: list[dict[str, bool]]) -> None:
+            self._stack = [dict(self._file_scope)] if stack == [{}] else stack
+
     prelude = _mask_preprocessor(mask_comments_and_strings(prelude))
     parser = pycparser.CParser()
     try:
@@ -489,10 +493,12 @@ def _prelude_parser(prelude: str) -> _PreludeParser | None:
     return _PreludeParser(parser._scope_stack[0])
 
 
-def _try_syntax_tier(region_src: str, parser: _PreludeParser | None,
+def _try_syntax_tier(region_src: str, parser: CParser | None,
                      name: str) -> c_ast.FuncDef | None:
     if parser is None:
         return None
+    from pycparser import c_ast
+    from pycparser.c_parser import ParseError
     # The parser does no line splicing of its own (translation phase 2).
     region_src = region_src.replace("\\\n", "")
     try:
@@ -530,7 +536,7 @@ def extract_functions(
     return _extract(source, _prelude_parser(_load_prelude(stub_headers)))
 
 
-def _extract(source: SourceFile, parser: _PreludeParser | None) -> list[CodeFunction]:
+def _extract(source: SourceFile, parser: CParser | None) -> list[CodeFunction]:
     src = source.content
     newlines = _newline_offsets(src)
     # The strict parser accepts no comments at all, so tier 1 reads the
@@ -595,7 +601,7 @@ class _IngestCache:
     def __init__(self, root: Path, prelude: str):
         self.root = root
         self._salt = [hashlib.sha256(prelude.encode("utf-8")).hexdigest(),
-                      EXTRACTOR_VERSION, pycparser.__version__]
+                      EXTRACTOR_VERSION, _pycparser_version()]
 
     def key(self, source: SourceFile) -> str:
         canonical = json.dumps([source.path, source.content, *self._salt])
@@ -633,6 +639,21 @@ class _IngestCache:
         except OSError as exc:
             raise IoError(f"cannot write ingest cache entry {key}.json "
                           f"for {source.path}: {exc}") from exc
+
+
+@functools.cache
+def _pycparser_version() -> str:
+    """pycparser's ``__version__``, read from the ``__init__.py`` that
+    find_spec locates without importing it. If that file cannot be read or
+    holds no such line (``None[1]``, a TypeError), pycparser is imported."""
+    try:
+        spec = importlib.util.find_spec("pycparser")
+        with open(spec.origin, encoding="utf-8") as fh:
+            return re.search(r"^__version__\s*=\s*['\"]([^'\"]+)",
+                             fh.read(), re.MULTILINE)[1]
+    except (AttributeError, OSError, TypeError, UnicodeDecodeError):
+        import pycparser
+        return pycparser.__version__
 
 
 def _entry_functions(entry: object, key: str,

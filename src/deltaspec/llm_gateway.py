@@ -26,14 +26,14 @@ from dataclasses import dataclass, field
 from datetime import timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence
-
-from jsonschema.exceptions import ValidationError, best_match
-from jsonschema.validators import validator_for
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
 
 from .errors import CacheWriteError, ContractViolation, NotSent, ProviderError
 from .fsio import write_atomic
 from .tokenizer import count_tokens, token_texts
+
+if TYPE_CHECKING:
+    from jsonschema.exceptions import ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -46,12 +46,12 @@ _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 # Longest wait a provider's Retry-After header may impose, in seconds.
 MAX_RETRY_AFTER_S = 60.0
 
-# Compiled contracts, (jsonschema validator, accept-only checker or None),
-# keyed by a schema's JSON text: schemas are unhashable dicts and ids get
-# reused, so the key is the value itself. Key order is part of the key,
-# because jsonschema reports errors in the schema's key order and
-# best_match breaks ties by that order.
-_VALIDATORS: dict[str, tuple[Any, Callable[[Any], bool] | None]] = {}
+# Compiled contracts, (accept-only checker or None, jsonschema validator or
+# None until first needed), keyed by a schema's JSON text: schemas are
+# unhashable dicts and ids get reused, so the key is the value itself. Key
+# order is part of the key, because jsonschema reports errors in the
+# schema's key order and best_match breaks ties by that order.
+_VALIDATORS: dict[str, tuple[Callable[[Any], bool] | None, Any]] = {}
 
 # The subset of JSON Schema that the pipeline's contracts use.
 _CHECKED_KEYWORDS = frozenset({"type", "properties", "required", "items",
@@ -61,22 +61,34 @@ _CHECKED_TYPES = {"object": dict, "array": list, "string": str}
 
 def schema_error(instance: Any, schema: Mapping) -> ValidationError | None:
     """The error ``jsonschema.validate(instance, schema)`` would raise, or
-    None. The schema is checked against its metaschema once, when first
-    seen, so an invalid schema still raises ``SchemaError`` on first use.
+    None. A schema _compile accepts is valid by construction; any other is
+    checked against its metaschema once, when first seen, so an invalid
+    schema raises ``SchemaError`` on every use.
 
-    An instance the compiled checker accepts is valid; anything else
-    (a rejected instance, or a schema outside the checker's subset) goes to
-    jsonschema, whose best error is returned."""
+    An instance the compiled checker accepts is valid; anything else goes
+    to jsonschema, imported only then, whose best error is returned."""
     key = json.dumps(schema)
     compiled = _VALIDATORS.get(key)
     if compiled is None:
-        cls = validator_for(schema)
-        cls.check_schema(schema)
-        compiled = _VALIDATORS[key] = (cls(schema), _compile(schema))
-    validator, accepts = compiled
+        accepts = _compile(schema)
+        compiled = _VALIDATORS[key] = \
+            (accepts, None if accepts else _validator(schema, check=True))
+    accepts, validator = compiled
     if accepts is not None and accepts(instance):
         return None
+    if validator is None:
+        validator = _validator(schema, check=False)
+        _VALIDATORS[key] = (accepts, validator)
+    from jsonschema.exceptions import best_match
     return best_match(validator.iter_errors(instance))
+
+
+def _validator(schema: Mapping, *, check: bool) -> Any:
+    from jsonschema.validators import validator_for
+    cls = validator_for(schema)
+    if check:
+        cls.check_schema(schema)
+    return cls(schema)
 
 
 def _accept_any(instance: Any) -> bool:
@@ -84,11 +96,13 @@ def _accept_any(instance: Any) -> bool:
 
 
 def _compile(schema: Any) -> Callable[[Any], bool] | None:
-    """An accept-only checker for a schema that passed ``check_schema``, or
-    None when the schema uses anything outside ``_CHECKED_KEYWORDS``, a
-    ``type`` outside ``_CHECKED_TYPES``, a non-string ``enum`` value or a
-    boolean subschema. The checker is sound, not complete: when it returns
-    True jsonschema finds no error; False only means "ask jsonschema"."""
+    """An accept-only checker, or None when the schema is outside the
+    subset: a keyword outside ``_CHECKED_KEYWORDS``, a ``type`` outside
+    ``_CHECKED_TYPES``, a non-string ``enum`` value, a boolean subschema, or
+    a value the Draft 2020-12 metaschema rejects (so a compiled schema needs
+    no ``check_schema``). The checker is sound, not complete: when it
+    returns True jsonschema finds no error; False only means "ask
+    jsonschema"."""
     if type(schema) is not dict or not _CHECKED_KEYWORDS.issuperset(schema):
         return None
     kind: type = object
@@ -97,22 +111,30 @@ def _compile(schema: Any) -> Callable[[Any], bool] | None:
         if type(name) is not str or name not in _CHECKED_TYPES:
             return None
         kind = _CHECKED_TYPES[name]
-    props = {name: _compile(sub)
-             for name, sub in schema.get("properties", {}).items()}
+    props = schema.get("properties", {})
+    if type(props) is not dict or not all(type(n) is str for n in props):
+        return None
+    props = {name: _compile(sub) for name, sub in props.items()}
     extra = _compile(schema["additionalProperties"]) \
         if "additionalProperties" in schema else _accept_any
     items = _compile(schema["items"]) if "items" in schema else _accept_any
     if None in props.values() or extra is None or items is None:
         return None
-    enum = schema.get("enum")
-    if enum is not None:
-        if not all(type(v) is str for v in enum):
+    enum = None
+    if "enum" in schema:
+        enum = schema["enum"]
+        if type(enum) is not list or not all(type(v) is str for v in enum):
             return None
         enum = frozenset(enum)
     min_length = schema.get("minLength", 0)
-    if type(min_length) is not int:
+    if type(min_length) is not int or min_length < 0:
         return None
-    required = tuple(schema.get("required", ()))
+    required = schema.get("required", [])
+    if type(required) is not list \
+            or not all(type(n) is str for n in required) \
+            or len(set(required)) != len(required):
+        return None
+    required = tuple(required)
     walk_values = bool(props) or extra is not _accept_any
 
     def accepts(instance: Any) -> bool:

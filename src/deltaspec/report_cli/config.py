@@ -51,11 +51,18 @@ def _resolve(base: Path, value: str) -> Path:
 
 
 def _number(key: str, value: object, kind: type) -> int | float:
+    """``value`` as ``kind``: a boolean is not a number, and an integer
+    key takes no fractional value."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(
             f"config key {key!r} must be a number, got {value!r}") from exc
+    if isinstance(value, bool) or isinstance(value, float) and number != value:
+        whole = "" if isinstance(value, bool) else "whole "
+        raise InvalidConfig(
+            f"config key {key!r} must be a {whole}number, got {value!r}")
+    return number
 
 
 def _object(key: str, value: object) -> dict:

@@ -104,9 +104,14 @@ def _read_json(path: Path) -> object:
 def _read_jsonl(path: Path) -> list[dict]:
     # The text is dropped once split, before the lines are decoded.
     with _reading(path):
-        return [json.loads(line)
-                for line in path.read_text(encoding="utf-8").splitlines()
-                if line.strip()]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rows = []
+        for number, line in enumerate(lines, 1):
+            if line.strip():
+                rows.append(json.loads(line))
+                if not isinstance(rows[-1], dict):
+                    raise ValueError(f"line {number} is not a JSON object")
+        return rows
 
 
 def make_gateway(cfg: PipelineConfig) -> LlmGateway:

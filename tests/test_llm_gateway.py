@@ -245,27 +245,47 @@ def test_gateway_requires_embedder_for_embeddings():
 
 # --------------------------------------------------------- compiled contracts
 
-def test_each_contract_is_checked_against_its_metaschema_once(monkeypatch):
+def test_each_contract_is_compiled_once_and_checked_only_outside_the_subset(
+        monkeypatch):
     monkeypatch.setattr(llm_gateway, "_VALIDATORS", {})
+    compiled, checked = [], []
+    real_compile = llm_gateway._compile
+
+    def counting_compile(schema):
+        compiled.append(json.dumps(schema, sort_keys=True))
+        return real_compile(schema)
+
     cls = validator_for(OK_CONTRACT)
-    real = cls.check_schema
-    checked = []
+    real_check = cls.check_schema
 
-    def counting(schema, *args, **kwargs):
+    def counting_check(schema, *args, **kwargs):
         checked.append(json.dumps(schema, sort_keys=True))
-        return real(schema, *args, **kwargs)
+        return real_check(schema, *args, **kwargs)
 
-    monkeypatch.setattr(cls, "check_schema", staticmethod(counting))
+    monkeypatch.setattr(llm_gateway, "_compile", counting_compile)
+    monkeypatch.setattr(cls, "check_schema", staticmethod(counting_check))
     other = {"type": "object", "required": ["ok", "why"]}
+    outside = {"type": "object",
+               "properties": {"ok": {"type": "integer", "minimum": 0}}}
+    rejecting = {"type": "object", "required": ["missing"]}
     for _ in range(2):
         gateway = LlmGateway(
-            provider=MockProvider(rules=lambda r: '{"ok": 1, "why": "x"}'))
+            provider=MockProvider(rules=lambda r: '{"ok": 1, "why": "x"}'),
+            contract_retries=0)
         for i in range(5):
-            for contract in (OK_CONTRACT, dict(other), other):
+            for contract in (OK_CONTRACT, dict(other), other, outside,
+                             dict(outside)):
                 gateway.complete(request("m", None, f"q{i}", contract=contract),
                                  "graph")
-    assert sorted(checked) == sorted(json.dumps(c, sort_keys=True)
-                                     for c in (OK_CONTRACT, other))
+            with pytest.raises(ContractViolation, match="'missing'"):
+                gateway.complete(
+                    request("m", None, f"q{i}", contract=rejecting), "graph")
+    # _compile recurses into subschemas: each is compiled once as well.
+    assert sorted(compiled) == sorted(json.dumps(c, sort_keys=True) for c in (
+        OK_CONTRACT, other, outside, outside["properties"]["ok"], rejecting))
+    # Only the contract outside the compiled subset meets check_schema, once;
+    # a rejected reply to a subset contract is reported without it.
+    assert checked == [json.dumps(outside, sort_keys=True)]
 
 
 def test_invalid_contract_raises_on_every_use():

@@ -375,3 +375,63 @@ def test_compiled_contract_checker_agrees_with_jsonschema(case):
     assert accepts is not None
     if accepts(instance):
         assert reference is None
+
+
+# _compile is the only validity gate for the schemas it compiles: whatever it
+# accepts, the metaschema must accept too. A near miss is a contract schema
+# with one keyword, at any depth, set to a value the metaschema rejects or
+# to a form the subset leaves out.
+
+_BREAKS = st.sampled_from([
+    ("required", "a"), ("required", {"a": "a"}), ("required", ["a", "a"]),
+    ("required", ("a",)), ("required", [1]), ("required", None),
+    ("enum", "yes"), ("enum", None), ("enum", ("yes",)), ("enum", [1, "a"]),
+    ("minLength", -1), ("minLength", True), ("minLength", 1.0),
+    ("minLength", 0.5), ("minLength", None),
+    ("properties", ["a"]), ("properties", "a"), ("properties", {1: {}}),
+    ("properties", {"a": True}), ("properties", None),
+    ("items", False), ("additionalProperties", True),
+    ("type", "integer"), ("type", ["string"]), ("type", 12),
+    ("$schema", "https://json-schema.org/draft/2020-12/schema"),
+    ("$schema", "http://json-schema.org/draft-04/schema#"),
+    ("minimum", "0"), ("maxItems", -1), ("x-note", "free text"),
+])
+
+
+@st.composite
+def _near_miss_schemas(draw):
+    schema = draw(_contract_schemas())
+    if draw(st.booleans()):
+        return schema
+    target = schema
+    while True:
+        children = list(target.get("properties", {}).values()) + [
+            target[k] for k in ("items", "additionalProperties") if k in target]
+        if not children or draw(st.booleans()):
+            break
+        target = draw(st.sampled_from(children))
+    key, value = draw(_BREAKS)
+    target[key] = value
+    return schema
+
+
+@given(_near_miss_schemas())
+@example({"required": "a"})
+@example({"required": {"a": "a"}})
+@example({"required": ["a", "a"]})
+@example({"enum": "yes"})
+@example({"enum": None})
+@example({"minLength": -1})
+@example({"minLength": True})
+@example({"minLength": 1.5})
+@example({"properties": ["a"]})
+@example({"properties": {"a": False}})
+@example({"items": True})
+@example({"$schema": "https://json-schema.org/draft/2020-12/schema"})
+@example({"type": "string", "maxLength": 2})
+@settings(max_examples=300, deadline=None)
+def test_compiled_schemas_pass_their_metaschema(schema):
+    accepts = _compile(schema)
+    event("compiled" if accepts is not None else "not compiled")
+    if accepts is not None:
+        validator_for(schema).check_schema(schema)

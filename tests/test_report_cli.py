@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 from jsonschema.validators import Draft202012Validator
@@ -132,9 +133,23 @@ _BASE_CONFIG = {"workdir": "w", "cache_dir": "c", "model": "m"}
     ({"triplets": {"paired_positive": "false"}}, "triplets.paired_positive"),
     ({"retrieval": {"budget": -1}}, "retrieval.budget"),
     ({"retrieval": {"k": -1}}, "retrieval.k"),
+    ({"verification": {"trials": True}}, "verification.trials"),
+    ({"chunking": {"chunk_size": 160.9}}, "chunking.chunk_size"),
+    ({"chunking": {"redundancy_ratio": False}}, "chunking.redundancy_ratio"),
+    ({"retrieval": {"k": 2.5}}, "retrieval.k"),
+    ({"retrieval": {"budget": True}}, "retrieval.budget"),
+    ({"retrieval": {"fusion_alpha": True}}, "retrieval.fusion_alpha"),
+    ({"retrieval": {"damping": False}}, "retrieval.damping"),
+    ({"price_unit": 1000.5}, "price_unit"),
+    ({"price_unit": True}, "price_unit"),
+    ({"prices": {"m": [True, 0.015]}}, "prices.m"),
+    ({"prices": {"m": [0.005, False]}}, "prices.m"),
 ], ids=["rfc_sources", "code_trees", "chunk_size", "triplets", "prices",
         "workdir", "vulnerability_classes", "price_unit", "paired_positive",
-        "budget", "k"])
+        "budget", "k", "trials-bool", "chunk_size-fraction",
+        "redundancy_ratio-bool", "k-fraction", "budget-bool",
+        "fusion_alpha-bool", "damping-bool", "price_unit-fraction",
+        "price_unit-bool", "price-in-bool", "price-out-bool"])
 def test_wrong_typed_config_value_names_its_key(tmp_path, capsys, extra, key):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({**_BASE_CONFIG, **extra}))
@@ -143,6 +158,19 @@ def test_wrong_typed_config_value_names_its_key(tmp_path, capsys, extra, key):
     assert main(["ingest-rfc", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config key") and key in err
+
+
+def test_whole_float_counts_and_numbers_still_load(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({**_BASE_CONFIG,
+                             "chunking": {"chunk_size": 160.0,
+                                          "redundancy_ratio": 1},
+                             "verification": {"trials": 3},
+                             "prices": {"m": [0, 0.015]}}))
+    cfg = load_config(p)
+    assert (cfg.chunk_size, cfg.redundancy_ratio, cfg.trials) == (160, 1.0, 3)
+    assert type(cfg.chunk_size) is int
+    assert cfg.prices == {"m": (0.0, 0.015)}
 
 
 # ----------------------------------------------------------------------- cli
@@ -278,6 +306,25 @@ def test_cli_verify_checks_increments_of_non_tree_edges(mini_config,
     assert main(["verify", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err == "error: no stored increment for edge 5961->9998\n"
+
+
+@pytest.mark.parametrize("key, row", [
+    ("descriptions", ["not", "an", "object"]),
+    ("patches", 7),
+    ("patches", "text"),
+], ids=["list", "number", "string"])
+def test_cli_synth_triplets_rejects_a_line_that_is_not_an_object(
+        mini_config, tmp_path, capsys, key, row):
+    cfg_path = mini_config()
+    raw = json.loads(cfg_path.read_text())
+    good = Path(raw["triplets"][key]).read_text().splitlines()
+    bad = tmp_path / f"{key}.jsonl"
+    bad.write_text("\n".join(good[:1] + [""] + [json.dumps(row)] + good[1:]))
+    raw["triplets"][key] = str(bad)
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["synth-triplets", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot read {bad}: line 3 is not a JSON object\n"
 
 
 def test_cli_ingest_stages_report_counts(mini_config, capsys):
