@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import EmptyIndex, InvalidInputs, IoError
-from .fsio import write_atomic
+from .fsio import EntryStore
 from .tokenizer import count_tokens
 
 if TYPE_CHECKING:
@@ -588,8 +588,7 @@ def _load_prelude(stub_headers: str | Path | None) -> str:
 
 
 class _IngestCache:
-    """Extracted functions per source file, one JSON entry each under
-    ``<root>/<k[:2]>/<k>.json``.
+    """Extracted functions per source file, one EntryStore entry each.
 
     The key ``k`` digests everything extraction reads or depends on: the
     tree-relative path, the file text, the stub prelude, EXTRACTOR_VERSION
@@ -599,7 +598,7 @@ class _IngestCache:
     """
 
     def __init__(self, root: Path, prelude: str):
-        self.root = root
+        self._store = EntryStore(root, log, "ingest cache entry")
         self._salt = [hashlib.sha256(prelude.encode("utf-8")).hexdigest(),
                       EXTRACTOR_VERSION, _pycparser_version()]
 
@@ -607,35 +606,17 @@ class _IngestCache:
         canonical = json.dumps([source.path, source.content, *self._salt])
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
     def get(self, source: SourceFile) -> list[CodeFunction] | None:
         """The entry's functions; None when there is no entry, or when it is
         unreadable or fails validation (logged, never served)."""
-        key = self.key(source)
-        path = self._path(key)
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, OSError, UnicodeDecodeError):
-            log.warning("re-extracting %s: unreadable ingest cache entry %s",
-                        source.path, path.name)
-            return None
-        functions = _entry_functions(entry, key, source)
-        if functions is None:
-            log.warning("re-extracting %s: corrupt ingest cache entry %s",
-                        source.path, path.name)
-        return functions
+        return self._store.get(self.key(source),
+                               lambda entry: _entry_functions(entry, source),
+                               f"re-extracting {source.path}:")
 
     def put(self, source: SourceFile, functions: list[CodeFunction]) -> None:
         key = self.key(source)
-        text = json.dumps(
-            {"key": key, "functions": [f.to_dict() for f in functions]},
-            sort_keys=True)
         try:
-            write_atomic(self._path(key), text)
+            self._store.put(key, {"functions": [f.to_dict() for f in functions]})
         except OSError as exc:
             raise IoError(f"cannot write ingest cache entry {key}.json "
                           f"for {source.path}: {exc}") from exc
@@ -656,13 +637,11 @@ def _pycparser_version() -> str:
         return pycparser.__version__
 
 
-def _entry_functions(entry: object, key: str,
+def _entry_functions(entry: dict,
                      source: SourceFile) -> list[CodeFunction] | None:
-    """A servable entry is stored under its own key, and each function in
-    it round-trips through from_dict, belongs to the file and spans text
-    inside it; anything else is None."""
-    if not isinstance(entry, dict) or entry.get("key") != key \
-            or not isinstance(entry.get("functions"), list):
+    """A servable entry's functions each round-trip through from_dict,
+    belong to the file and span text inside it; anything else is None."""
+    if not isinstance(entry.get("functions"), list):
         return None
     n_chars = len(source.content)
     n_lines = source.content.count("\n") + 1

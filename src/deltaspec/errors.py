@@ -139,4 +139,4 @@ class SerializationError(DeltaSpecError):
 
 
 class MissingArtifact(DeltaSpecError):
-    """A pipeline stage needs a file that is missing or is not valid JSON."""
+    """A stage input that is missing, undecodable or of the wrong shape."""

@@ -15,10 +15,8 @@ accumulate, so adding an edge never demotes an already-reachable function.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .chunk_mapper import Chunk, ChunkFunctionMap
@@ -213,15 +211,6 @@ class KnowledgeGraph:
             for c in d.get("communities", [])
         ]
         return g
-
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "KnowledgeGraph":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def extract_entities_all(chunks: Sequence[Chunk], gateway: LlmGateway,

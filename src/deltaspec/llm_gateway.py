@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
 
 from .errors import CacheWriteError, ContractViolation, NotSent, ProviderError
-from .fsio import write_atomic
+from .fsio import EntryStore, read_jsonl
 from .tokenizer import count_tokens, token_texts
 
 if TYPE_CHECKING:
@@ -232,7 +232,6 @@ class CostLedger:
         self.prices = {k: (float(v[0]), float(v[1])) for k, v in (prices or {}).items()}
         self.unit = float(unit)
         self._totals: dict[tuple[str, str], list[int]] = {}
-        self._lock = threading.Lock()
 
     def record(self, model: str, phase: str, prompt_tokens: int,
                completion_tokens: int) -> None:
@@ -240,10 +239,9 @@ class CostLedger:
             raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
         if prompt_tokens < 0 or completion_tokens < 0:
             raise ValueError("token counts must be nonnegative")
-        with self._lock:
-            bucket = self._totals.setdefault((model, phase), [0, 0])
-            bucket[0] += prompt_tokens
-            bucket[1] += completion_tokens
+        bucket = self._totals.setdefault((model, phase), [0, 0])
+        bucket[0] += prompt_tokens
+        bucket[1] += completion_tokens
 
     def phase_tokens(self, phase: str) -> int:
         return sum(sum(v) for (_, p), v in self._totals.items() if p == phase)
@@ -412,12 +410,8 @@ class MockProvider:
     def from_jsonl(cls, path: str | Path,
                    rules: Callable[[LlmRequest], str | None] | None = None
                    ) -> "MockProvider":
-        transcript: dict[str, Any] = {}
-        for line in Path(path).read_text().splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            transcript[rec["fingerprint"]] = rec["response"]
+        transcript = dict(read_jsonl(
+            Path(path), lambda rec: (rec["fingerprint"], rec["response"])))
         return cls(transcript=transcript, rules=rules)
 
     def complete(self, request: LlmRequest) -> tuple[str, Usage | None]:
@@ -486,7 +480,8 @@ class LlmGateway:
                  contract_retries: int = 2,
                  max_in_flight: int = 4):
         self.provider = provider
-        self.cache_dir = Path(cache_dir) if cache_dir else None
+        self._cache = EntryStore(cache_dir, log, "cache entry", indent=1) \
+            if cache_dir else None
         self.ledger = ledger if ledger is not None else CostLedger()
         self.embedder = embedder
         self.max_retries = max_retries
@@ -551,7 +546,7 @@ class LlmGateway:
                 failed = i
                 break
 
-        cached = self.cache_dir is not None
+        cached = self._cache is not None
         jobs = [group[:1] if cached else group for group in misses.values()]
 
         todo: queue.SimpleQueue[int] = queue.SimpleQueue()
@@ -720,53 +715,27 @@ class LlmGateway:
                 f"response violates contract: {error.message}") from error
         return payload
 
-    def _cache_path(self, fp: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / fp[:2] / f"{fp}.json"
-
     def _cache_get(self, fp: str) -> dict | None:
-        if self.cache_dir is None:
+        if self._cache is None:
             return None
-        name = f"{fp}.json"
-        try:
-            with open(f"{self.cache_dir}/{fp[:2]}/{name}", "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            log.warning("dropping unreadable cache entry %s", name)
-            return None
-        try:
-            # write_atomic writes UTF-8; JSONDecodeError and
-            # UnicodeDecodeError are both ValueErrors.
-            entry = json.loads(data.decode("utf-8"))
-        except ValueError:
-            log.warning("dropping unreadable cache entry %s", name)
-            return None
-        if not _is_cache_entry(entry, fp):
-            log.warning("dropping corrupt cache entry %s", name)
-            return None
-        return entry
+        return self._cache.get(
+            fp, lambda entry: entry if _is_cache_entry(entry) else None,
+            "dropping")
 
     def _cache_put(self, fp: str, model: str, text: str, usage: Usage) -> None:
-        path = self._cache_path(fp)
-        if path is None:
+        if self._cache is None:
             return
-        entry = {
-            "key": fp,
-            "model": model,
-            "response": text,
-            "usage": {"prompt_tokens": usage.prompt_tokens,
-                      "completion_tokens": usage.completion_tokens},
-            "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        text = json.dumps(entry, sort_keys=True, indent=1)
         try:
-            write_atomic(path, text)
+            self._cache.put(fp, {
+                "model": model,
+                "response": text,
+                "usage": {"prompt_tokens": usage.prompt_tokens,
+                          "completion_tokens": usage.completion_tokens},
+                "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            })
         except OSError as exc:
             raise CacheWriteError(
-                f"cannot write response cache entry {path.name}: {exc}") from exc
+                f"cannot write response cache entry {fp}.json: {exc}") from exc
 
 
 def _settle(fn: Callable[..., Any], *args: Any) -> Any:
@@ -797,11 +766,10 @@ def _retry_after(resp: Any) -> float | None:
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
-def _is_cache_entry(entry: Any, fp: str) -> bool:
-    """A servable entry is stored under its own fingerprint, holds a string
-    response and nonnegative integer token counts."""
-    if not isinstance(entry, dict) or entry.get("key") != fp \
-            or not isinstance(entry.get("response"), str):
+def _is_cache_entry(entry: dict) -> bool:
+    """A servable entry holds a string response and nonnegative integer
+    token counts."""
+    if not isinstance(entry.get("response"), str):
         return False
     usage = entry.get("usage")
     return isinstance(usage, dict) and all(

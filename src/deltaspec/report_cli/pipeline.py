@@ -10,10 +10,8 @@ warm runs.
 
 from __future__ import annotations
 
-import contextlib
-import json
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ..chunk_mapper import (
     Chunk,
@@ -39,6 +37,7 @@ from ..diff_verifier import (
     verify_chain,  # noqa: F401  (kept importable from this module)
 )
 from ..errors import InvalidConfig, MissingArtifact, ShapeMismatch
+from ..fsio import read_json, read_jsonl, write_json, write_jsonl
 from ..knowledge_graph import KnowledgeGraph, build_graph
 from ..llm_gateway import (
     CostLedger,
@@ -61,6 +60,7 @@ from ..spec_evolution import (
 )
 from ..tokenizer import token_offsets
 from ..triplet_store import (
+    DifferentialTriplet,
     RetrievalConfig,
     TripletStore,
     synth_triplets,
@@ -68,50 +68,6 @@ from ..triplet_store import (
 from .config import PipelineConfig
 from .metrics import Confusion, Metrics, compute_metrics
 from .scripted import scripted_responder
-
-
-def _write_json(path: Path, payload: object) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
-
-
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(r, sort_keys=True) for r in rows]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""),
-                    encoding="utf-8")
-
-
-@contextlib.contextmanager
-def _reading(path: Path) -> Iterator[None]:
-    """A missing, unreadable or undecodable ``path`` ends as
-    MissingArtifact naming it."""
-    if not path.is_file():
-        raise MissingArtifact(f"expected artifact {path}; run the earlier "
-                              "stages first")
-    try:
-        yield
-    except (OSError, ValueError) as exc:
-        raise MissingArtifact(f"cannot read {path}: {exc}") from exc
-
-
-def _read_json(path: Path) -> object:
-    with _reading(path):
-        return json.loads(path.read_text(encoding="utf-8"))
-
-
-def _read_jsonl(path: Path) -> list[dict]:
-    # The text is dropped once split, before the lines are decoded.
-    with _reading(path):
-        lines = path.read_text(encoding="utf-8").splitlines()
-        rows = []
-        for number, line in enumerate(lines, 1):
-            if line.strip():
-                rows.append(json.loads(line))
-                if not isinstance(rows[-1], dict):
-                    raise ValueError(f"line {number} is not a JSON object")
-        return rows
 
 
 def make_gateway(cfg: PipelineConfig) -> LlmGateway:
@@ -141,14 +97,14 @@ def ingest_rfcs(cfg: PipelineConfig) -> list[RfcDocument]:
     docs = [parse_rfc(src.read_text(encoding="utf-8"))
             for src in cfg.rfc_sources]
     docs.sort(key=lambda d: d.number)
-    _write_json(cfg.workdir / "rfc" / "docs.json",
-                {"rfcs": [d.to_dict() for d in docs]})
+    write_json(cfg.workdir / "rfc" / "docs.json",
+               {"rfcs": [d.to_dict() for d in docs]})
     return docs
 
 
 def load_docs(cfg: PipelineConfig) -> list[RfcDocument]:
-    data = _read_json(cfg.workdir / "rfc" / "docs.json")
-    return [RfcDocument.from_dict(d) for d in data["rfcs"]]
+    return read_json(cfg.workdir / "rfc" / "docs.json", lambda data: [
+        RfcDocument.from_dict(d) for d in data["rfcs"]])
 
 
 # -- stage: ingest-code ------------------------------------------------------
@@ -169,21 +125,21 @@ def ingest_code(cfg: PipelineConfig, version: str) -> CodebaseIndex:
     index = build_index(root, version, stub_headers=cfg.stub_headers,
                         cache_dir=cfg.cache_dir, **_code_kwargs(cfg))
     out = cfg.workdir / "code" / version
-    _write_json(out / "index.json", {
+    write_json(out / "index.json", {
         "version": version,
         "files": [{"path": f.path, "line_count": f.line_count,
                    "token_count": f.token_count} for f in index.files],
         "total_functions": index.total_functions,
         "total_lines": index.total_lines,
     })
-    _write_jsonl(out / "functions.jsonl",
-                 [f.to_dict() for f in index.functions])
+    write_jsonl(out / "functions.jsonl",
+                [f.to_dict() for f in index.functions])
     return index
 
 
 def load_functions(cfg: PipelineConfig, version: str) -> list[CodeFunction]:
-    rows = _read_jsonl(cfg.workdir / "code" / version / "functions.jsonl")
-    return [CodeFunction.from_dict(r) for r in rows]
+    return read_jsonl(cfg.workdir / "code" / version / "functions.jsonl",
+                      CodeFunction.from_dict)
 
 
 # -- stage: build-graph ------------------------------------------------------
@@ -242,8 +198,8 @@ def build_graph_stage(cfg: PipelineConfig,
     """One graph per version. The RFC text is chunked and written once,
     since it depends only on the docs and the chunking config."""
     text_chunks = _text_chunks(cfg, load_docs(cfg))
-    _write_jsonl(cfg.workdir / "chunks" / "text.jsonl",
-                 [c.to_dict() for c in text_chunks])
+    write_jsonl(cfg.workdir / "chunks" / "text.jsonl",
+                [c.to_dict() for c in text_chunks])
     graphs = []
     for version in versions:
         root = cfg.code_trees.get(version)
@@ -253,9 +209,9 @@ def build_graph_stage(cfg: PipelineConfig,
         functions = load_functions(cfg, version)
         code_chunks, fmap = _code_chunks(cfg, version, Path(root), functions)
         fmap.validate()
-        _write_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl",
-                     [c.to_dict() for c in code_chunks])
-        _write_json(cfg.workdir / "maps" / f"{version}.json", fmap.to_dict())
+        write_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl",
+                    [c.to_dict() for c in code_chunks])
+        write_json(cfg.workdir / "maps" / f"{version}.json", fmap.to_dict())
 
         gateway = make_gateway(cfg)
         graph = build_graph(
@@ -266,9 +222,9 @@ def build_graph_stage(cfg: PipelineConfig,
             function_names={f.fid: f.name for f in functions},
             damping=cfg.damping,
         )
-        graph.save(cfg.workdir / "graph" / f"{version}.json")
-        _write_json(cfg.workdir / "graph" / f"ledger-{version}.json",
-                    gateway.ledger.as_dict())
+        write_json(cfg.workdir / "graph" / f"{version}.json", graph.to_dict())
+        write_json(cfg.workdir / "graph" / f"ledger-{version}.json",
+                   gateway.ledger.as_dict())
         graphs.append(graph)
     return graphs
 
@@ -290,14 +246,14 @@ def build_chains_stage(cfg: PipelineConfig) -> UpdateChainGraph:
         chain_graph.set_delta(edge.src, edge.dst, delta)
 
     out = cfg.workdir / "chains"
-    _write_json(out / "chains.json", chain_graph.to_dict())
-    _write_jsonl(out / "entries.jsonl",
-                 [{"rfc": rfc, "entries": [e.to_dict() for e in items]}
-                  for rfc, items in sorted(entries.items())])
-    _write_jsonl(out / "increments.jsonl", [
+    write_json(out / "chains.json", chain_graph.to_dict())
+    write_jsonl(out / "entries.jsonl",
+                [{"rfc": rfc, "entries": [e.to_dict() for e in items]}
+                 for rfc, items in sorted(entries.items())])
+    write_jsonl(out / "increments.jsonl", [
         Increment(src, dst, delta, tuple(delta.targets())).to_dict()
         for (src, dst), delta in sorted(chain_graph.deltas.items())])
-    _write_json(out / "ledger.json", gateway.ledger.as_dict())
+    write_json(out / "ledger.json", gateway.ledger.as_dict())
     return chain_graph
 
 
@@ -306,16 +262,17 @@ def build_chains_stage(cfg: PipelineConfig) -> UpdateChainGraph:
 def synth_triplets_stage(cfg: PipelineConfig) -> TripletStore:
     gateway = make_gateway(cfg)
     descriptions = [] if cfg.triplet_descriptions is None \
-        else _read_jsonl(cfg.triplet_descriptions)
+        else read_jsonl(cfg.triplet_descriptions)
     patches = [] if cfg.triplet_patches is None \
-        else _read_jsonl(cfg.triplet_patches)
+        else read_jsonl(cfg.triplet_patches)
     store = TripletStore()
     for t in synth_triplets(descriptions, patches, gateway, cfg.model,
                             paired_positive=cfg.paired_positive):
         store.add(t)
-    store.save(cfg.workdir / "triplets" / "store.jsonl")
-    _write_json(cfg.workdir / "triplets" / "ledger.json",
-                gateway.ledger.as_dict())
+    write_jsonl(cfg.workdir / "triplets" / "store.jsonl",
+                [t.to_dict() for t in store.triplets])
+    write_json(cfg.workdir / "triplets" / "ledger.json",
+               gateway.ledger.as_dict())
     return store
 
 
@@ -323,24 +280,24 @@ def synth_triplets_stage(cfg: PipelineConfig) -> TripletStore:
 
 def _load_verify_inputs(cfg: PipelineConfig, version: str):
     functions = load_functions(cfg, version)
-    fmap = ChunkFunctionMap.from_dict(
-        _read_json(cfg.workdir / "maps" / f"{version}.json"))
-    chunk_rows = _read_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl")
-    chunks = {c["id"]: Chunk.from_dict(c) for c in chunk_rows}
-    graph = KnowledgeGraph.load(cfg.workdir / "graph" / f"{version}.json")
+    fmap = read_json(cfg.workdir / "maps" / f"{version}.json",
+                     ChunkFunctionMap.from_dict)
+    chunks = {c.id: c for c in read_jsonl(
+        cfg.workdir / "chunks" / f"code-{version}.jsonl", Chunk.from_dict)}
+    graph = read_json(cfg.workdir / "graph" / f"{version}.json",
+                      KnowledgeGraph.from_dict)
     return functions, fmap, chunks, graph
 
 
 def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     docs = load_docs(cfg)
     chain_graph = build_update_chain(docs)
-    entry_rows = _read_jsonl(cfg.workdir / "chains" / "entries.jsonl")
-    entries = {row["rfc"]: [FunctionalEntry.from_dict(e)
-                            for e in row["entries"]]
-               for row in entry_rows}
-    inc_rows = _read_jsonl(cfg.workdir / "chains" / "increments.jsonl")
-    increments = {(r["rfc_from"], r["rfc_to"]): Increment.from_dict(r)
-                  for r in inc_rows}
+    entries = dict(read_jsonl(
+        cfg.workdir / "chains" / "entries.jsonl", lambda row: (
+            row["rfc"], [FunctionalEntry.from_dict(e) for e in row["entries"]])))
+    increments = dict(read_jsonl(
+        cfg.workdir / "chains" / "increments.jsonl", lambda row: (
+            (row["rfc_from"], row["rfc_to"]), Increment.from_dict(row))))
     for edge in chain_graph.edges:
         if (edge.src, edge.dst) not in increments:
             raise MissingArtifact(
@@ -348,7 +305,8 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     walk = chain_graph.walk()
 
     store_path = cfg.workdir / "triplets" / "store.jsonl"
-    store = TripletStore.load(store_path) if store_path.is_file() else None
+    store = TripletStore(read_jsonl(store_path, DifferentialTriplet.from_dict)) \
+        if store_path.is_file() else None
     retrieval = RetrievalConfig(k=cfg.retrieval_k,
                                 fusion_alpha=cfg.fusion_alpha)
     gateway = make_gateway(cfg)
@@ -376,9 +334,9 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     matrix = plan.run(gateway, cfg.model)
     # Written once every version is judged, so an aborted run leaves none.
     for version, stats in version_stats.items():
-        _write_json(cfg.workdir / "verify" / f"stats-{version}.json", stats)
+        write_json(cfg.workdir / "verify" / f"stats-{version}.json", stats)
 
-    _write_json(cfg.workdir / "verify" / "matrix.json", {
+    write_json(cfg.workdir / "verify" / "matrix.json", {
         "versions": {
             version: {str(rfc): verdict.to_dict()
                       for rfc, verdict in sorted(row.items())}
@@ -387,25 +345,24 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     })
     findings, _ = compile_findings(
         matrix, vulnerability_classes=cfg.vulnerability_classes)
-    _write_jsonl(cfg.workdir / "verify" / "findings.jsonl",
-                 [f.to_dict() for f in findings])
+    write_jsonl(cfg.workdir / "verify" / "findings.jsonl",
+                [f.to_dict() for f in findings])
     # Earlier stages ran in their own processes; fold their ledgers in so
     # this artifact accounts for the whole run, not just the judge trials.
     for snap_path in sorted(cfg.workdir.glob("graph/ledger-*.json")) + [
             cfg.workdir / "chains" / "ledger.json",
             cfg.workdir / "triplets" / "ledger.json"]:
         if snap_path.is_file():
-            gateway.ledger.absorb(_read_json(snap_path))
-    _write_json(cfg.workdir / "verify" / "ledger.json",
-                gateway.ledger.as_dict())
+            read_json(snap_path, gateway.ledger.absorb)
+    write_json(cfg.workdir / "verify" / "ledger.json",
+               gateway.ledger.as_dict())
     return matrix
 
 
 def load_matrix(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
-    data = _read_json(cfg.workdir / "verify" / "matrix.json")
-    return {version: {int(rfc): Verdict.from_dict(v)
-                      for rfc, v in cells.items()}
-            for version, cells in data["versions"].items()}
+    return read_json(cfg.workdir / "verify" / "matrix.json", lambda data: {
+        version: {int(rfc): Verdict.from_dict(v) for rfc, v in cells.items()}
+        for version, cells in data["versions"].items()})
 
 
 # -- stage: eval -------------------------------------------------------------
@@ -414,7 +371,7 @@ def eval_stage(cfg: PipelineConfig) -> Metrics:
     if cfg.ground_truth is None:
         raise InvalidConfig("config has no ground_truth path")
     matrix = load_matrix(cfg)
-    truth_raw = _read_json(cfg.ground_truth)
+    truth_raw = read_json(cfg.ground_truth)
     if not (isinstance(truth_raw, dict) and all(
             isinstance(cells, dict) and all(rfc.isdecimal() for rfc in cells)
             for cells in truth_raw.values())):
@@ -428,7 +385,7 @@ def eval_stage(cfg: PipelineConfig) -> Metrics:
     tp, fp, tn, fn = confusion
     conf = Confusion(tp=tp, fp=fp, tn=tn, fn=fn)
     metrics = compute_metrics(conf)
-    _write_json(cfg.workdir / "eval" / "metrics.json", {
+    write_json(cfg.workdir / "eval" / "metrics.json", {
         "confusion": conf.to_dict(),
         "metrics": metrics.to_dict(),
         "findings": [f.to_dict() for f in findings],

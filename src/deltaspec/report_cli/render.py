@@ -12,9 +12,9 @@ from pathlib import Path
 
 from ..diff_verifier import IMPLEMENTED, NOT_IMPLEMENTED
 from ..errors import SerializationError
+from ..fsio import read_json, read_jsonl, write_json
 from ..llm_gateway import schema_error
 from .config import PipelineConfig
-from .pipeline import _read_json, _read_jsonl, _write_json
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -56,19 +56,18 @@ def build_report(cfg: PipelineConfig) -> dict:
         for p in workdir.rglob("*")
         if p.is_file() and p.relative_to(workdir).parts[0] != "report")
 
-    matrix_raw = _read_json(workdir / "verify" / "matrix.json")
-    matrix = {
+    matrix = read_json(workdir / "verify" / "matrix.json", lambda raw: {
         version: {rfc: _DISPLAY.get(cell["value"], "Unknown")
                   for rfc, cell in cells.items()}
-        for version, cells in matrix_raw["versions"].items()
-    }
-    findings = _read_jsonl(workdir / "verify" / "findings.jsonl")
-    costs = _read_json(workdir / "verify" / "ledger.json")
+        for version, cells in raw["versions"].items()
+    })
+    findings = read_jsonl(workdir / "verify" / "findings.jsonl")
+    costs = read_json(workdir / "verify" / "ledger.json")
     stats = {}
     for version in cfg.versions:
         p = workdir / "verify" / f"stats-{version}.json"
         if p.is_file():
-            stats[version] = _read_json(p)
+            stats[version] = read_json(p)
 
     report: dict = {
         "manifest": manifest,
@@ -83,16 +82,16 @@ def build_report(cfg: PipelineConfig) -> dict:
     }
     eval_path = workdir / "eval" / "metrics.json"
     if eval_path.is_file():
-        evaluation = _read_json(eval_path)
-        report["metrics"] = {
-            "confusion": evaluation["confusion"],
-            **evaluation["metrics"],
-        }
-        mismatches = {(f["system"], str(f["rfc"])) for f in evaluation["findings"]
-                      if "ground-truth-mismatch" in f.get("flags", ())}
-        report["mismatched_cells"] = sorted(
-            f"{system}/{rfc}" for system, rfc in mismatches)
+        report.update(read_json(eval_path, _evaluation))
     return report
+
+
+def _evaluation(raw: dict) -> dict:
+    mismatches = {(f["system"], str(f["rfc"])) for f in raw["findings"]
+                  if "ground-truth-mismatch" in f.get("flags", ())}
+    return {"metrics": {"confusion": raw["confusion"], **raw["metrics"]},
+            "mismatched_cells": sorted(f"{system}/{rfc}"
+                                       for system, rfc in mismatches)}
 
 
 def render_report(report: dict, out_dir: str | Path) -> Path:
@@ -101,7 +100,7 @@ def render_report(report: dict, out_dir: str | Path) -> Path:
         raise SerializationError(f"report fails its schema: {error.message}") from error
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     (out / "report.md").write_text(_to_markdown(report), encoding="utf-8")
     return out / "report.md"
 

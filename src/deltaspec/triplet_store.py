@@ -15,11 +15,9 @@ multiplicity and both sides are casefolded before matching.
 from __future__ import annotations
 
 import difflib
-import json
 import math
 import operator
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyStore, InvalidRecord
@@ -205,20 +203,6 @@ class TripletStore:
         if self._ranked is None or self._ranked[0] is not embedder:
             self._ranked = (embedder, {})
         return self._ranked[1]
-
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = [json.dumps(t.to_dict(), sort_keys=True) for t in self.triplets]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TripletStore":
-        store = cls()
-        for line in Path(path).read_text().splitlines():
-            if line.strip():
-                store.triplets.append(DifferentialTriplet.from_dict(json.loads(line)))
-        return store
 
 
 def _doc_tokens(triplet: DifferentialTriplet) -> list[str]:

@@ -9,7 +9,7 @@ from pycparser import c_ast
 from pycparser.c_parser import ParseError
 
 from conftest import FIXTURES
-from deltaspec import code_ingest
+from deltaspec import code_ingest, fsio
 from deltaspec.code_ingest import (
     CodeFunction,
     ExtractionStats,
@@ -387,8 +387,7 @@ def test_ingest_entry_that_cannot_be_written_is_an_io_error(tmp_path):
 def test_no_cache_dir_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     writes = []
-    monkeypatch.setattr(code_ingest, "write_atomic",
-                        lambda *a: writes.append(a))
+    monkeypatch.setattr(fsio, "write_atomic", lambda *a: writes.append(a))
     build_index(TOY_A, "toy-a", stub_headers=STUBS)
     assert writes == []
     assert list(tmp_path.iterdir()) == []

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from deltaspec import fsio
 from deltaspec.chunk_mapper import ChunkFunctionMap, FunctionSpan, MapLink, chunk_stream
 from deltaspec.errors import EmptyGraph, SchemaViolation
 from deltaspec.knowledge_graph import (
@@ -234,8 +235,8 @@ def test_graph_roundtrips_and_saves_into_new_directories(tmp_path):
     g.add_mention(next(iter(g.entities)), chunk.id)
 
     target = tmp_path / "deep" / "nested" / "graph.json"
-    g.save(target)
-    loaded = KnowledgeGraph.load(target)
+    fsio.write_json(target, g.to_dict())
+    loaded = fsio.read_json(target, KnowledgeGraph.from_dict)
     assert loaded.damping == g.damping
     assert loaded.entities.keys() == g.entities.keys()
     assert loaded.edges == g.edges

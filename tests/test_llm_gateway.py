@@ -637,6 +637,31 @@ def test_misses_overlap_up_to_max_in_flight(tmp_path, distinct):
     assert gateway.stats.cache_hits == distinct
 
 
+class ThreadLedger(CostLedger):
+    """Notes the thread of each record() call."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+
+    def record(self, *args):
+        self.threads.append(threading.get_ident())
+        super().record(*args)
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+def test_ledger_records_only_on_the_calling_thread(tmp_path, cached):
+    ledger = ThreadLedger()
+    provider = SleepyProvider()
+    gateway = LlmGateway(provider=provider, ledger=ledger, max_in_flight=4,
+                         cache_dir=tmp_path if cached else None)
+    reqs = [request("m", None, f"q{i}") for i in (0, 1, 2, 3, 4, 5, 0)]
+    outcomes = gateway.settle_all(reqs, "graph")
+    assert all(isinstance(o, CompletionResult) for o in outcomes)
+    assert provider.peak > 1  # the misses were fetched on pool threads
+    assert ledger.threads == [threading.get_ident()] * len(reqs)
+
+
 def test_first_failure_in_input_order_is_raised(tmp_path):
     provider = SleepyProvider(fail={"q1", "q5"})
     gateway = LlmGateway(provider=provider, cache_dir=tmp_path,

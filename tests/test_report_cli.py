@@ -491,6 +491,31 @@ def test_cli_eval_rejects_a_truncated_matrix(mini_config, capsys):
     assert err.startswith("error: cannot read") and "matrix.json" in err
 
 
+@pytest.mark.parametrize("stage, rel, damage", [
+    ("verify", "maps/toy-a.json", lambda p: p.write_text("{}")),
+    ("verify", "chains/increments.jsonl",
+     lambda p: p.write_text(p.read_text() + '{"rfc_from": 1}\n')),
+    ("build-chains", "rfc/docs.json",
+     lambda p: p.write_text('{"rfcs": [{}]}')),
+    ("verify", "graph/toy-a.json", lambda p: p.unlink()),
+    ("verify", "graph/toy-a.json",
+     lambda p: p.write_bytes(p.read_bytes()[:40])),
+    ("report", "eval/metrics.json", lambda p: p.write_text("{}")),
+], ids=["map-without-spans", "increment-without-rfc-to",
+        "doc-without-number", "graph-missing", "graph-truncated",
+        "metrics-without-findings"])
+def test_cli_malformed_artifact_exits_one(mini_config, capsys, stage, rel,
+                                          damage):
+    cfg_path = mini_config()
+    workdir = load_config(cfg_path).workdir
+    shutil.copytree(BUNDLED / "work", workdir)
+    damage(workdir / rel)
+    assert main([stage, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {workdir / rel}: ")
+    assert "Traceback" not in err
+
+
 def test_warm_run_checks_every_contract_without_jsonschema(mini_config,
                                                            monkeypatch):
     checked, walked = [], []
@@ -588,6 +613,31 @@ def test_scripted_responder_ignores_foreign_prompts():
     assert scripted_responder(request("m", None, "TASK: make-coffee\nnow")) \
         is None
     assert scripted_responder(request("m", None, "no marker here")) is None
+
+
+def test_transcript_entry_replaces_the_scripted_reply(mini_config, tmp_path):
+    canned = judge_prompt(["secret key"], [("a.c:1:f", "u32 secret_key;")])
+    other = judge_prompt(["challenge ack"], [("a.c:1:f", "u32 secret_key;")])
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_text(json.dumps(
+        {"fingerprint": canned.fingerprint, "response": "canned"}) + "\n")
+    gateway = pipeline.make_gateway(
+        load_config(mini_config(transcript=str(transcript))))
+    assert scripted_responder(canned) != "canned"
+    assert gateway.complete(canned, "reasoning").text == "canned"
+    assert gateway.complete(other, "reasoning").text == \
+        scripted_responder(other)
+
+
+def test_cli_malformed_transcript_exits_one(mini_config, tmp_path, capsys):
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_text('{"fingerprint": "00"}\n')
+    cfg_path = mini_config(transcript=str(transcript))
+    assert main(["ingest-rfc", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["build-chains", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read {transcript}: line 1: ")
 
 
 # ------------------------------------------------------------------- reports

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from deltaspec import triplet_store
+from deltaspec import fsio, triplet_store
 from deltaspec.errors import EmptyStore, InvalidRecord
 from deltaspec.llm_gateway import HashEmbedder, LlmGateway, MockProvider
 from deltaspec.tokenizer import token_texts
@@ -289,7 +289,8 @@ def test_batched_synthesis_matches_the_serial_loop(tmp_path):
         gateway = LlmGateway(provider=MockProvider(rules=ir_rule),
                              cache_dir=cache)
         for round_ in ("cold", "warm"):
-            TripletStore(synth(gateway)).save(tmp_path / name / f"{round_}.jsonl")
+            fsio.write_jsonl(tmp_path / name / f"{round_}.jsonl",
+                             [t.to_dict() for t in synth(gateway)])
         runs[name] = ([(tmp_path / name / f"{r}.jsonl").read_bytes()
                        for r in ("cold", "warm")],
                       gateway.ledger.as_dict(), gateway.stats.cache_hits,
@@ -313,8 +314,8 @@ def test_invalid_record_is_rejected_before_any_request():
 def test_store_roundtrips_and_saves_into_new_directories(tmp_path):
     store = demo_store()
     target = tmp_path / "deep" / "triplets.jsonl"
-    store.save(target)
-    loaded = TripletStore.load(target)
+    fsio.write_jsonl(target, [t.to_dict() for t in store.triplets])
+    loaded = TripletStore(fsio.read_jsonl(target, DifferentialTriplet.from_dict))
     assert loaded.triplets == store.triplets
 
 
