@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import EmptyIndex, InvalidInputs, IoError
-from .fsio import EntryStore
+from .fsio import EntryStore, read_text
 from .tokenizer import count_tokens
 
 if TYPE_CHECKING:
@@ -581,9 +581,9 @@ def _load_prelude(stub_headers: str | Path | None) -> str:
         return ""
     p = Path(stub_headers)
     if p.is_file():
-        return p.read_text()
+        return read_text(p)
     if p.is_dir():
-        return "\n".join(h.read_text() for h in sorted(p.glob("*.h")))
+        return "\n".join(read_text(h) for h in sorted(p.glob("*.h")))
     raise IoError(f"stub header path not readable: {p}")
 
 

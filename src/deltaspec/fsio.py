@@ -59,16 +59,22 @@ def _reason(exc: Exception) -> str:
 
 
 @contextlib.contextmanager
-def _reading(path: Path) -> Iterator[None]:
+def _reading(path: Path,
+             hint: str = "; run the earlier stages first") -> Iterator[None]:
     """A missing ``path``, or one the block cannot read, decode or take
     apart, ends as MissingArtifact naming it."""
     if not path.is_file():
-        raise MissingArtifact(f"cannot read {path}: no such file; run the "
-                              "earlier stages first")
+        raise MissingArtifact(f"cannot read {path}: no such file{hint}")
     try:
         yield
     except (OSError, ValueError, *_SHAPE_ERRORS) as exc:
         raise MissingArtifact(f"cannot read {path}: {_reason(exc)}") from exc
+
+
+def read_text(path: Path) -> str:
+    """The UTF-8 text of an input file the config names."""
+    with _reading(path, hint=""):
+        return path.read_text(encoding="utf-8")
 
 
 def read_json(path: Path, decode: Callable[[Any], T] = lambda d: d) -> T:

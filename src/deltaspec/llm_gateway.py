@@ -15,16 +15,15 @@ import json
 import logging
 import math
 import os
-import queue
 import random
 import re
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from datetime import timezone
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
 
@@ -513,121 +512,102 @@ class LlmGateway:
         of raising it.
 
         Cache hits are served on the calling thread, in input order. The
-        distinct misses go to a pool of at most ``max_in_flight`` threads
-        (no thread when nothing misses; a lone miss runs inline). Workers
-        only fetch; the calling thread caches and accounts each reply as it
-        arrives, while the other workers keep fetching, so every file write
-        and ledger record happens on the caller. With a cache, a later
-        duplicate of a missed fingerprint is then served from the entry its
-        first occurrence wrote, a hit as in a serial loop; without one,
-        every duplicate is fetched, in input order.
+        misses are submitted, in input order, to a pool of at most
+        ``max_in_flight`` threads (no thread when nothing misses; a lone
+        miss runs inline). Workers only fetch; the calling thread caches
+        and accounts each reply as its future completes, while the other
+        workers keep fetching, so every file write and ledger record happens
+        on the caller. Each missed fingerprint is fetched once; its later
+        duplicates are then served on the caller, in input order, from the
+        entry its first occurrence wrote, a hit as in a serial loop. Without
+        a cache each duplicate is a fetch of its own; the pipeline always
+        has a cache, since ``cache_dir`` is a required config key.
 
         The batch stops at its first failure in input order, as a serial
-        loop does, whether a fetch or a cache write failed: no request after
-        it is sent once the failure is known.
-        Every slot before it holds its outcome; a slot after it holds either
-        the outcome of a fetch that was already under way or ``NotSent``.
+        loop does, whether a fetch or a cache write failed: the failure
+        cancels every fetch still queued behind it, a failed fetch from a
+        done-callback on its worker before that worker takes another.
+        Every slot before it holds its outcome; a slot after it holds the
+        outcome of a fetch that was already under way, or ``NotSent``.
         """
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
         outcomes: list[Any] = [None] * len(requests)
-        misses: dict[str, list[int]] = {}  # fingerprint -> request indices
-        failed = len(requests)  # lowest index known to have failed
+        fetch: list[int] = []  # indices of the distinct misses
+        later: list[int] = []  # indices of their later duplicates
+        missed: set[str] = set()
         for i, req in enumerate(requests):
             self.stats.add("requests")
-            fp = req.fingerprint
-            if fp in misses:
-                misses[fp].append(i)
+            if req.fingerprint in missed:
+                later.append(i)
                 continue
             outcomes[i] = _settle(self._serve_hit, req, phase)
             if outcomes[i] is None:
-                misses.setdefault(fp, []).append(i)
+                fetch.append(i)
+                missed.add(req.fingerprint)
             elif isinstance(outcomes[i], Exception):
-                failed = i
                 break
 
-        cached = self._cache is not None
-        jobs = [group[:1] if cached else group for group in misses.values()]
-
-        todo: queue.SimpleQueue[int] = queue.SimpleQueue()
-        for k in range(len(jobs)):
-            todo.put(k)
-        # (request index, reply or error) per fetch, and None per worker
-        # that has signed off.
-        replies: queue.SimpleQueue[tuple[int, Any] | None] = queue.SimpleQueue()
-        failed_lock = threading.Lock()
-
-        def fail_at(i: int) -> None:
-            nonlocal failed
-            with failed_lock:
-                failed = min(failed, i)
-
-        def drain() -> None:
-            # Each worker pulls jobs until none is left. Jobs come in input
-            # order, so a job past a known failure is never sent.
-            try:
-                while True:
-                    try:
-                        k = todo.get_nowait()
-                    except queue.Empty:
-                        return
-                    for i in jobs[k]:
-                        if i > failed:
-                            break
-                        answer = _settle(self._ask, requests[i])
-                        replies.put((i, answer))
-                        if isinstance(answer, Exception):
-                            fail_at(i)
-                            break
-            except BaseException:
-                # Interrupted on this worker: the others send nothing more.
-                fail_at(-1)
-                raise
-            finally:
-                replies.put(None)
-
-        def take_reply(i: int, answer: Any) -> None:
-            outcomes[i] = answer if isinstance(answer, Exception) \
-                else _settle(self._store, requests[i], phase, answer)
-            if isinstance(outcomes[i], Exception):
-                fail_at(i)
-
-        workers = min(self.max_in_flight, len(jobs))
-        if workers > 1:
-            with ThreadPoolExecutor(workers) as pool:
-                futures = [pool.submit(drain) for _ in range(workers)]
-                try:
-                    # Store each reply as it lands, while the other
-                    # workers are still waiting on the provider.
-                    while workers:
-                        item = replies.get()
-                        if item is None:
-                            workers -= 1
-                        else:
-                            take_reply(*item)
-                except BaseException:
-                    # Interrupted: let the workers finish the request in
-                    # hand and send nothing more.
-                    fail_at(-1)
-                    raise
-            for future in futures:
-                future.result()  # re-raises a worker's BaseException
+        if min(self.max_in_flight, len(fetch)) > 1:
+            self._fetch_on_pool(requests, phase, fetch, outcomes)
         else:
-            drain()
-            while (item := replies.get()) is not None:
-                take_reply(*item)
+            for i in fetch:
+                outcomes[i] = _settle(self._fetch, requests[i], phase)
+                if isinstance(outcomes[i], Exception):
+                    break
 
-        if cached:
-            for _, *later in misses.values():
-                for i in later:
-                    if i > failed:
-                        break
-                    outcomes[i] = (_settle(self._serve_hit, requests[i], phase)
-                                   or _settle(self._fetch, requests[i], phase))
-                    if isinstance(outcomes[i], Exception):
-                        fail_at(i)
+        failed = next((i for i, outcome in enumerate(outcomes)
+                       if isinstance(outcome, Exception)), len(outcomes))
+        for i in later:
+            if i > failed:
+                break
+            outcomes[i] = (_settle(self._serve_hit, requests[i], phase)
+                           or _settle(self._fetch, requests[i], phase))
+            if isinstance(outcomes[i], Exception):
+                break
         return [NotSent("not sent: an earlier request of the batch failed")
                 if outcome is None else outcome for outcome in outcomes]
+
+    def _fetch_on_pool(self, requests: Sequence[LlmRequest], phase: str,
+                       fetch: list[int], outcomes: list[Any]) -> None:
+        """Fetch ``requests[i]`` for each i in ``fetch`` on a pool and store
+        each reply in ``outcomes[i]`` on the calling thread (see
+        settle_all)."""
+        futures: list[Future] = []  # futures[k] fetches requests[fetch[k]]
+        stop = threading.Event()  # a failure is known: submit no more
+
+        def cancel_after(k: int) -> None:
+            stop.set()
+            for future in futures[k + 1:]:
+                future.cancel()
+
+        def on_done(k: int, future: Future) -> None:
+            # On the worker as its fetch ends, before it takes another.
+            if not future.cancelled() and future.exception() is not None:
+                cancel_after(k)
+
+        pool = ThreadPoolExecutor(min(self.max_in_flight, len(fetch)))
+        try:
+            for k, i in enumerate(fetch):
+                if stop.is_set():
+                    break
+                futures.append(pool.submit(self._ask, requests[i]))
+                futures[k].add_done_callback(partial(on_done, k))
+            position = {future: k for k, future in enumerate(futures)}
+            for future in as_completed(futures):
+                if future.cancelled():
+                    continue
+                k = position[future]
+                i = fetch[k]
+                reply = _settle(future.result)  # re-raises a BaseException
+                outcomes[i] = reply if isinstance(reply, Exception) \
+                    else _settle(self._store, requests[i], phase, reply)
+                if isinstance(outcomes[i], Exception):
+                    cancel_after(k)
+        finally:
+            # On a BaseException, the fetches in hand finish and no queued
+            # one is sent.
+            pool.shutdown(cancel_futures=True)
 
     def embed(self, text: str) -> list[float]:
         if self.embedder is None:

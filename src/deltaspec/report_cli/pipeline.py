@@ -37,7 +37,7 @@ from ..diff_verifier import (
     verify_chain,  # noqa: F401  (kept importable from this module)
 )
 from ..errors import InvalidConfig, MissingArtifact, ShapeMismatch
-from ..fsio import read_json, read_jsonl, write_json, write_jsonl
+from ..fsio import read_json, read_jsonl, read_text, write_json, write_jsonl
 from ..knowledge_graph import KnowledgeGraph, build_graph
 from ..llm_gateway import (
     CostLedger,
@@ -94,8 +94,7 @@ def make_gateway(cfg: PipelineConfig) -> LlmGateway:
 def ingest_rfcs(cfg: PipelineConfig) -> list[RfcDocument]:
     if not cfg.rfc_sources:
         raise InvalidConfig("config lists no rfc_sources")
-    docs = [parse_rfc(src.read_text(encoding="utf-8"))
-            for src in cfg.rfc_sources]
+    docs = [parse_rfc(read_text(src)) for src in cfg.rfc_sources]
     docs.sort(key=lambda d: d.number)
     write_json(cfg.workdir / "rfc" / "docs.json",
                {"rfcs": [d.to_dict() for d in docs]})

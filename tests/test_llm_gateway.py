@@ -691,6 +691,49 @@ class AlwaysFailing:
         raise ProviderError("down")
 
 
+@settings(max_examples=60, deadline=None)
+@given(batch=st.lists(st.sampled_from(range(len(_POOL))), max_size=12),
+       failing=st.sets(st.sampled_from(range(len(_POOL)))),
+       cached=st.booleans(), in_flight=st.sampled_from([1, 4]))
+def test_failing_batch_matches_serial_complete_up_to_its_first_error(
+        batch, failing, cached, in_flight):
+    fail = {f"q{i}" for i in failing}
+    with tempfile.TemporaryDirectory() as serial_dir, \
+            tempfile.TemporaryDirectory() as batch_dir:
+        serial, batched = (
+            LlmGateway(provider=SleepyProvider(delay=0.004, fail=fail),
+                       cache_dir=root if cached else None, max_retries=0,
+                       max_in_flight=in_flight)
+            for root in (serial_dir, batch_dir))
+        reqs = [_POOL[i] for i in batch]
+        expected = []
+        for r in reqs:
+            try:
+                expected.append(serial.complete(r, "graph"))
+            except ProviderError as exc:
+                expected.append(exc)
+                break
+        outcomes = batched.settle_all(reqs, "graph")
+
+    first = len(expected) - 1
+    if not expected or not isinstance(expected[-1], Exception):
+        assert outcomes == expected
+        return
+    assert outcomes[:first] == expected[:first]
+    assert type(outcomes[first]) is ProviderError
+    assert str(outcomes[first]) == str(expected[first])
+    for i in range(first + 1, len(reqs)):
+        if in_flight == 1 or (cached and reqs[i] in reqs[:i]):
+            # Sent only after the failure was known: a serial loop or a
+            # duplicate served from the cache once the fetches are done.
+            assert isinstance(outcomes[i], NotSent)
+        else:
+            assert isinstance(outcomes[i], (CompletionResult, NotSent)) \
+                or str(outcomes[i]).endswith(f"failed {reqs[i].messages[-1][1]}")
+    if in_flight == 1:
+        assert batched.stats.provider_calls == serial.stats.provider_calls
+
+
 def test_failing_batch_stops_sending(tmp_path):
     provider = AlwaysFailing()
     gateway = LlmGateway(provider=provider, cache_dir=tmp_path,
@@ -706,6 +749,26 @@ def test_failing_batch_stops_sending(tmp_path):
     assert sum(isinstance(o, NotSent) for o in outcomes) >= 50 - 4
 
 
+def test_failure_while_fetches_are_queued_stops_queueing(tmp_path):
+    sent = []
+
+    def answer(req):
+        user = req.messages[-1][1]
+        sent.append(user)
+        if user == "q0":
+            raise ProviderError("down", retryable=False)
+        return _answer(req)
+
+    gateway = LlmGateway(provider=MockProvider(rules=answer),
+                         cache_dir=tmp_path, max_in_flight=2)
+    reqs = [request("m", None, f"q{i}") for i in range(200)]
+    outcomes = gateway.settle_all(reqs, "graph")
+    assert str(outcomes[0]) == "down"
+    # q0 fails at once, before most fetches are even queued: past it, at
+    # most the request in the other worker's hand is sent.
+    assert sent[0] == "q0" and len(sent) <= 2
+
+
 def test_failing_hit_stops_the_batch(tmp_path):
     provider = SleepyProvider(delay=0.0)
     gateway = LlmGateway(provider=provider, cache_dir=tmp_path)
@@ -717,6 +780,25 @@ def test_failing_hit_stops_the_batch(tmp_path):
     # As serially: q0 is fetched, nothing after the failing hit is.
     assert provider.calls == {reqs[0].fingerprint: 1}
     assert gateway.stats.requests == 2
+
+
+def test_failed_refetch_of_a_duplicate_stops_the_batch(tmp_path):
+    sent = []
+
+    def answer(req):
+        sent.append(req.messages[-1][1])
+        if sent.count("q0") > 1:
+            raise ProviderError("refetch failed", retryable=False)
+        return _answer(req)
+
+    gateway = LlmGateway(provider=MockProvider(rules=answer),
+                         cache_dir=tmp_path)
+    gateway._cache_get = lambda fp: None  # no entry reads back
+    q0, q1 = request("m", None, "q0"), request("m", None, "q1")
+    outcomes = gateway.settle_all([q0, q1, q0, q0], "graph")
+    assert [type(o) for o in outcomes] == \
+        [CompletionResult, CompletionResult, ProviderError, NotSent]
+    assert sorted(sent) == ["q0", "q0", "q1"]
 
 
 def test_counters_survive_many_concurrent_misses(tmp_path):
@@ -822,6 +904,52 @@ def test_worker_interrupt_propagates_and_stops_the_batch(tmp_path):
     assert not caller.is_alive()
     assert [type(exc) for exc in raised] == [KeyboardInterrupt]
     assert sorted(sent) == ["q0", "q1"]
+
+
+def test_interrupt_while_storing_a_reply_stops_the_batch(tmp_path):
+    reqs = [request("m", None, f"q{i}") for i in range(10)]
+    sent = []
+    lock = threading.Lock()
+    interrupted = threading.Event()
+
+    def answer(req):
+        user = req.messages[-1][1]
+        with lock:
+            sent.append(user)
+        if user != "q0":
+            # In hand until the caller is interrupted storing q0's reply.
+            interrupted.wait(timeout=5)
+            time.sleep(0.05)
+        return _answer(req)
+
+    gateway = LlmGateway(provider=MockProvider(rules=answer),
+                         cache_dir=tmp_path, max_in_flight=2)
+
+    def put(fp, *args):
+        interrupted.set()
+        raise KeyboardInterrupt
+
+    gateway._cache_put = put
+    before = set(threading.enumerate())
+    raised = []
+
+    def run():
+        try:
+            gateway.settle_all(reqs, "graph")
+        except BaseException as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert [type(exc) for exc in raised] == [KeyboardInterrupt]
+    # q1 was in hand, and q2 may have been taken once q0 came back; the
+    # requests queued behind them are never sent.
+    assert sorted(sent)[:2] == ["q0", "q1"] and set(sent) <= {"q0", "q1", "q2"}
+    for thread in set(threading.enumerate()) - before:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 # ------------------------------------------------------------- cache reads

@@ -327,6 +327,27 @@ def test_cli_synth_triplets_rejects_a_line_that_is_not_an_object(
         f"error: cannot read {bad}: line 3 is not a JSON object\n"
 
 
+@pytest.mark.parametrize("command, key, data", [
+    ("ingest-rfc", "rfc_sources", None),
+    ("ingest-rfc", "rfc_sources", b"Request for Comments: 9999\n\xff\n"),
+    ("ingest-code", "stub_headers", b"typedef unsigned int u32;\n\xff\n"),
+], ids=["missing-rfc-source", "non-utf8-rfc-source", "non-utf8-stub-header"])
+def test_cli_unreadable_input_file_exits_one(mini_config, tmp_path, capsys,
+                                             command, key, data):
+    bad = tmp_path / "inputs" / ("stub.h" if key == "stub_headers"
+                                 else "rfc9999.txt")
+    bad.parent.mkdir()
+    if data is not None:
+        bad.write_bytes(data)
+    value = str(bad.parent) if key == "stub_headers" else [str(bad)]
+    cfg_path = mini_config(**{key: value})
+    assert main([command, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: ")
+    # The file is named by the config, not made by an earlier stage.
+    assert "earlier stages" not in err and "Traceback" not in err
+
+
 def test_cli_ingest_stages_report_counts(mini_config, capsys):
     cfg_path = mini_config()
     assert main(["ingest-rfc", "--config", str(cfg_path)]) == 0
