@@ -311,22 +311,18 @@ def build_map(chunks: Sequence[Chunk],
 
 
 def reconstruct_function(fid: str, fmap: ChunkFunctionMap,
-                         chunks: Mapping[str, Chunk] | Sequence[Chunk]) -> str:
+                         chunks: Mapping[str, Chunk]) -> str:
     """Reassemble a function's exact source text from its chunks.
 
     Walks the function's links in order, taking from each only the tokens not
-    already emitted, and slices chunk text by stored offsets; interior cut
-    points borrow the next chunk's first claimed token start so whitespace
-    between tokens survives unchanged.
+    already emitted, and slices chunk text by stored offsets. A link that
+    does not end the function ends its chunk (build_map cuts each link at
+    the nearer end), and a chunk's text runs up to the next token's start,
+    so whitespace between tokens survives unchanged.
     """
     if fid not in fmap.function_to_chunks:
         raise UnknownFunction(fid)
     span = fmap.spans[fid]
-    store: Mapping[str, Chunk]
-    if isinstance(chunks, Mapping):
-        store = chunks
-    else:
-        store = {c.id: c for c in chunks}
     pieces: list[str] = []
     pos = span.tok_start
     for link in fmap.function_to_chunks[fid]:
@@ -334,7 +330,7 @@ def reconstruct_function(fid: str, fmap: ChunkFunctionMap,
         hi = link.tok_end
         if hi <= lo:
             continue
-        chunk = store[link.chunk_id]
+        chunk = chunks[link.chunk_id]
         cs = chunk.span[0]
         if lo == span.tok_start and span.char_start is not None:
             char_lo = span.char_start - chunk.char_start
@@ -345,8 +341,6 @@ def reconstruct_function(fid: str, fmap: ChunkFunctionMap,
                 char_hi = span.char_end - chunk.char_start
             else:
                 char_hi = chunk.token_ends[hi - 1 - cs]
-        elif hi < chunk.span[1]:
-            char_hi = chunk.token_starts[hi - cs]
         else:
             char_hi = len(chunk.text)
         pieces.append(chunk.text[char_lo:char_hi])

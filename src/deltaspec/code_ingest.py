@@ -53,6 +53,11 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _MACRO_NAME_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 
+def read_source(path: Path) -> str:
+    """A source file's text; bytes that are not UTF-8 become U+FFFD."""
+    return read_text(path, errors="replace")
+
+
 @dataclass(frozen=True)
 class SourceFile:
     path: str  # tree-relative, forward slashes
@@ -63,7 +68,7 @@ class SourceFile:
 
     @classmethod
     def load(cls, root: Path, relpath: str, version: str) -> "SourceFile":
-        text = (root / relpath).read_text(encoding="utf-8", errors="replace")
+        text = read_source(root / relpath)
         return cls(path=relpath, version=version, content=text,
                    line_count=len(text.splitlines()),
                    token_count=count_tokens(text))
@@ -695,12 +700,12 @@ def build_index(
 
 def compute_extraction_stats(
     index: CodebaseIndex,
-    selected: Mapping[object, Iterable[CodeFunction | str]],
+    selected: Mapping[object, Iterable[str]],
 ) -> ExtractionStats:
     """Corpus means over per-RFC selections, as extraction rates.
 
-    ``selected`` maps each RFC (any hashable key) to the functions retrieval
-    chose for it, as CodeFunction records or fids resolvable in the index.
+    ``selected`` maps each RFC (any hashable key) to the fids retrieval
+    chose for it; each must be in the index.
     """
     if index.total_functions == 0:
         raise EmptyIndex(f"index {index.version} has no functions")
@@ -710,7 +715,7 @@ def compute_extraction_stats(
     counts: list[int] = []
     lines: list[int] = []
     for _, chosen in sorted(selected.items(), key=lambda kv: str(kv[0])):
-        resolved = [lookup[c] if isinstance(c, str) else c for c in chosen]
+        resolved = [lookup[fid] for fid in chosen]
         counts.append(len(resolved))
         lines.append(sum(f.line_count for f in resolved))
     sf = sum(counts) / len(counts)

@@ -61,10 +61,6 @@ class VerificationTask:
     targets: tuple[FunctionalEntry, ...]
     candidates: tuple[tuple[str, float], ...]  # (fid, retrieval weight)
     rfc_from: int | None = None  # None = whole-RFC mode
-    budget: int = DEFAULT_BUDGET
-
-    def trimmed_candidates(self) -> tuple[tuple[str, float], ...]:
-        return self.candidates[:self.budget]
 
     @property
     def subject(self) -> str:
@@ -200,7 +196,7 @@ def _judge_request(
             lines.append(f"spec: {ex.spec_text}")
             lines.append(f"code:\n{ex.code}")
     lines.append("CANDIDATES:")
-    for fid, _ in task.trimmed_candidates():
+    for fid, _ in task.candidates:
         body = code_texts.get(fid)
         if body is None:
             raise UnknownFunction(f"no code text supplied for candidate {fid}")
@@ -222,7 +218,7 @@ def _trial(task: VerificationTask, index: int, ir: object,
     if isinstance(judgment, Exception):
         raise judgment
     parsed = judgment.parsed
-    allowed = {fid for fid, _ in task.trimmed_candidates()}
+    allowed = {fid for fid, _ in task.candidates}
     cited = tuple(f for f in parsed.get("cited_functions", ()) if f in allowed)
     return Trial(index=index, verdict=parsed["verdict"],
                  rationale=parsed.get("rationale", ""), cited=cited,
@@ -233,24 +229,24 @@ def _trial(task: VerificationTask, index: int, ir: object,
 class _Inherited:
     """A cell that takes its predecessor's verdict, flagged "inherited"."""
 
-    base: object  # a task index, a Verdict, or another _Inherited
+    base: int | _Inherited  # a task index or another _Inherited
 
 
 @dataclass
 class VerifyPlan:
     """Verification tasks and matrix rows, laid out before any trial runs.
 
-    A row cell is the index of the task that judges it, a Verdict already
-    known, or an _Inherited wrapper. run() judges every task of the plan in
-    two gateway batches, the IRs of all (task, trial) slots and then their
-    judgments, and fills the rows in.
+    A row cell is the index of the task that judges it or an _Inherited
+    wrapper. run() judges every task of the plan in two gateway batches,
+    the IRs of all (task, trial) slots and then their judgments, and fills
+    the rows in.
     """
 
     trials: int = DEFAULT_TRIALS
     tasks: list[VerificationTask] = field(default_factory=list)
     code_texts: list[Mapping[str, str]] = field(default_factory=list)
     exemplars: list[Sequence] = field(default_factory=list)
-    rows: dict[str, dict[int, object]] = field(default_factory=dict)
+    rows: dict[str, dict[int, int | _Inherited]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.trials < 1 or self.trials % 2 == 0:
@@ -323,19 +319,17 @@ class VerifyPlan:
             flags: list[str] = []
             if task.rfc_from is None:
                 flags.append("whole-rfc")
-            if not task.trimmed_candidates():
+            if not task.candidates:
                 flags.append("no-candidates")
             verdicts.append(Verdict(value=value, trials=tuple(done),
                                     counts=counts, subject=task.subject,
                                     flags=tuple(flags)))
 
-        def resolve(cell: object) -> Verdict:
+        def resolve(cell: int | _Inherited) -> Verdict:
             if isinstance(cell, int):
                 return verdicts[cell]
-            if isinstance(cell, _Inherited):
-                base = resolve(cell.base)
-                return replace(base, flags=tuple(base.flags) + ("inherited",))
-            return cell
+            base = resolve(cell.base)
+            return replace(base, flags=tuple(base.flags) + ("inherited",))
 
         return {version: {rfc: resolve(cell) for rfc, cell in row.items()}
                 for version, row in self.rows.items()}
@@ -396,8 +390,8 @@ def plan_version(
         candidates = tuple(retrieve_code_for_spec(concepts, graph, k=budget))
         task = VerificationTask(rfc=rfc, code_version=code_version,
                                 targets=targets, candidates=candidates,
-                                rfc_from=parent, budget=budget)
-        fids = judged[rfc] = [fid for fid, _ in task.trimmed_candidates()]
+                                rfc_from=parent)
+        fids = judged[rfc] = [fid for fid, _ in candidates]
         row[rfc] = plan.add_task(task, code_text_resolver(fids), store,
                                  gateway, retrieval)
     return judged

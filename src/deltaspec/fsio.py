@@ -71,10 +71,11 @@ def _reading(path: Path,
         raise MissingArtifact(f"cannot read {path}: {_reason(exc)}") from exc
 
 
-def read_text(path: Path) -> str:
-    """The UTF-8 text of an input file the config names."""
+def read_text(path: Path, errors: str = "strict") -> str:
+    """The UTF-8 text of an input file the config names; ``errors`` is
+    the decoding error handler, as for ``bytes.decode``."""
     with _reading(path, hint=""):
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8", errors=errors)
 
 
 def read_json(path: Path, decode: Callable[[Any], T] = lambda d: d) -> T:

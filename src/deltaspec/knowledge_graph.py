@@ -327,7 +327,7 @@ def retrieve_code_for_spec(
     graph: KnowledgeGraph,
     k: int = 20,
 ) -> list[tuple[str, float]]:
-    """Rank candidate functions for a set of entity names or ids.
+    """Rank candidate functions for a set of entity (concept) names.
 
     Path A follows implements-candidate edges from the query entities at
     weight 1.0. Path B adds the same edges from community siblings of the
@@ -336,12 +336,7 @@ def retrieve_code_for_spec(
     """
     if not graph.entities:
         raise EmptyGraph("cannot retrieve from a graph with no entities")
-    query_ids: set[str] = set()
-    for q in query:
-        if q in graph.entities:
-            query_ids.add(q)
-        else:
-            query_ids.update(e.id for e in graph.entities_by_name(q))
+    query_ids = {e.id for name in query for e in graph.entities_by_name(name)}
     implements = graph.implements_by_entity()
     scores: dict[str, float] = {}
     for eid in sorted(query_ids):

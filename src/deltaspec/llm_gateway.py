@@ -1,11 +1,11 @@
 """Single chokepoint for model calls: caching, retries, contracts, accounting.
 
-Every stage that talks to a model goes through LlmGateway.complete() or
-complete_all() with a phase tag, so token accounting lands in exactly one
-ledger and a warm cache can replay an entire pipeline run without any
-provider traffic. Requests are content-addressed: the cache key is a digest
-of (model, messages, temperature, contract), nothing else, which is what
-makes reruns byte-stable.
+Every stage that talks to a model hands its requests to
+LlmGateway.complete_all() or settle_all() as one batch with a phase tag, so
+token accounting lands in exactly one ledger and a warm cache can replay an
+entire pipeline run without any provider traffic. Requests are
+content-addressed: the cache key is a digest of (model, messages,
+temperature, contract), nothing else, which is what makes reruns byte-stable.
 """
 
 from __future__ import annotations
@@ -381,8 +381,9 @@ class HttpProvider:
             usage = None
             if isinstance(body.get("usage"), dict):
                 u = body["usage"]
-                usage = Usage(int(u.get("prompt_tokens", 0)),
-                              int(u.get("completion_tokens", 0)))
+                if not _is_usage(u):
+                    raise ValueError(f"bad token counts {u}")
+                usage = Usage(u["prompt_tokens"], u["completion_tokens"])
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed provider response: {exc}") from exc
         return text, usage
@@ -746,12 +747,15 @@ def _retry_after(resp: Any) -> float | None:
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
-def _is_cache_entry(entry: dict) -> bool:
-    """A servable entry holds a string response and nonnegative integer
-    token counts."""
-    if not isinstance(entry.get("response"), str):
-        return False
-    usage = entry.get("usage")
+def _is_usage(usage: object) -> bool:
+    """Token counts as a provider reply or a cache entry must hold them:
+    nonnegative ints, not bools, under both keys."""
     return isinstance(usage, dict) and all(
         type(usage.get(k)) is int and usage[k] >= 0
         for k in ("prompt_tokens", "completion_tokens"))
+
+
+def _is_cache_entry(entry: dict) -> bool:
+    """A servable entry holds a string response and token counts."""
+    return isinstance(entry.get("response"), str) \
+        and _is_usage(entry.get("usage"))

@@ -13,24 +13,10 @@ import json
 import sys
 
 from ..errors import DeltaSpecError
-from .config import PipelineConfig, load_config
+from .config import load_config
 from .cost import CostModelInputs, cost_model
 from . import pipeline
 from .render import build_report, render_report
-
-
-def _add_config_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="path to a pipeline "
-                   "config JSON file")
-
-
-def _versions(cfg: PipelineConfig, tag: str | None) -> tuple[str, ...]:
-    if tag is None:
-        return cfg.versions
-    if tag not in cfg.code_trees:
-        raise DeltaSpecError(f"version {tag!r} is not in the config "
-                             f"(have {sorted(cfg.code_trees)})")
-    return (tag,)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,6 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, helptext in (
         ("ingest-rfc", "parse the configured RFC text files"),
+        ("ingest-code", "index the configured source trees"),
+        ("build-graph", "chunk, map and build the knowledge graph"),
         ("build-chains", "extract functional entries and chain deltas"),
         ("synth-triplets", "synthesize the differential triplet store"),
         ("verify", "verify every chain against every code version"),
@@ -48,16 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("report", "assemble and render the final report"),
     ):
         p = sub.add_parser(name, help=helptext)
-        _add_config_arg(p)
-
-    for name, helptext in (
-        ("ingest-code", "index the configured source trees"),
-        ("build-graph", "chunk, map and build the knowledge graph"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        _add_config_arg(p)
-        p.add_argument("--version-tag", default=None,
-                       help="restrict to one configured code version")
+        p.add_argument("--config", required=True,
+                       help="path to a pipeline config JSON file")
 
     p = sub.add_parser("cost-model",
                        help="closed-form token cost comparison")
@@ -99,14 +79,13 @@ def main(argv: list[str] | None = None) -> int:
             docs = pipeline.ingest_rfcs(cfg)
             print(f"parsed {len(docs)} RFC documents")
         elif args.command == "ingest-code":
-            for version in _versions(cfg, args.version_tag):
+            for version in cfg.versions:
                 index = pipeline.ingest_code(cfg, version)
                 print(f"{version}: {index.total_functions} functions, "
                       f"{index.total_lines} function lines")
         elif args.command == "build-graph":
-            versions = _versions(cfg, args.version_tag)
             for version, graph in zip(
-                    versions, pipeline.build_graph_stage(cfg, versions)):
+                    cfg.versions, pipeline.build_graph_stage(cfg, cfg.versions)):
                 print(f"{version}: {len(graph.entities)} entities, "
                       f"{len(graph.communities)} communities")
         elif args.command == "build-chains":

@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..code_ingest import DEFAULT_GLOBS, DEFAULT_KEYWORDS
 from ..errors import InvalidConfig
 
 
@@ -22,8 +23,8 @@ class PipelineConfig:
     transcript: Path | None = None
     rfc_sources: tuple[Path, ...] = ()
     code_trees: dict[str, Path] = field(default_factory=dict)
-    code_globs: tuple[str, ...] | None = None
-    code_keywords: tuple[str, ...] | None = None
+    code_globs: tuple[str, ...] = DEFAULT_GLOBS
+    code_keywords: tuple[str, ...] = DEFAULT_KEYWORDS
     stub_headers: Path | None = None
     triplet_descriptions: Path | None = None
     triplet_patches: Path | None = None
@@ -110,6 +111,11 @@ def load_config(path: str | Path) -> PipelineConfig:
     if provider not in ("mock", "http"):
         raise InvalidConfig(f"unknown provider {provider!r}")
 
+    def strings_or(key: str, default: tuple[str, ...]) -> tuple[str, ...]:
+        """The list at ``key``; absent or null is ``default``, [] is none."""
+        value = raw.get(key)
+        return default if value is None else _strings(key, value)
+
     def section(name: str) -> dict:
         return _object(name, raw.get(name, {}))
 
@@ -155,10 +161,8 @@ def load_config(path: str | Path) -> PipelineConfig:
                           _strings("rfc_sources", raw.get("rfc_sources", []))),
         code_trees={v: path_of(f"code_trees.{v}", root)
                     for v, root in section("code_trees").items()},
-        code_globs=(_strings("code_globs", raw["code_globs"])
-                    if raw.get("code_globs") is not None else None),
-        code_keywords=(_strings("code_keywords", raw["code_keywords"])
-                       if raw.get("code_keywords") is not None else None),
+        code_globs=strings_or("code_globs", DEFAULT_GLOBS),
+        code_keywords=strings_or("code_keywords", DEFAULT_KEYWORDS),
         stub_headers=optional_path("stub_headers", raw.get("stub_headers")),
         triplet_descriptions=optional_path(
             "triplets.descriptions", triplets.get("descriptions")),

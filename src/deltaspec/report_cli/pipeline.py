@@ -28,6 +28,7 @@ from ..code_ingest import (
     CodeFunction,
     build_index,
     compute_extraction_stats,
+    read_source,
 )
 from ..diff_verifier import (
     Verdict,
@@ -94,8 +95,13 @@ def make_gateway(cfg: PipelineConfig) -> LlmGateway:
 def ingest_rfcs(cfg: PipelineConfig) -> list[RfcDocument]:
     if not cfg.rfc_sources:
         raise InvalidConfig("config lists no rfc_sources")
-    docs = [parse_rfc(read_text(src)) for src in cfg.rfc_sources]
-    docs.sort(key=lambda d: d.number)
+    parsed = sorted(((parse_rfc(read_text(src)), src)
+                     for src in cfg.rfc_sources), key=lambda ds: ds[0].number)
+    for (a, a_src), (b, b_src) in zip(parsed, parsed[1:]):
+        if a.number == b.number:
+            raise InvalidConfig(f"rfc_sources {a_src} and {b_src} are both "
+                                f"RFC {a.number}")
+    docs = [doc for doc, _ in parsed]
     write_json(cfg.workdir / "rfc" / "docs.json",
                {"rfcs": [d.to_dict() for d in docs]})
     return docs
@@ -108,21 +114,13 @@ def load_docs(cfg: PipelineConfig) -> list[RfcDocument]:
 
 # -- stage: ingest-code ------------------------------------------------------
 
-def _code_kwargs(cfg: PipelineConfig) -> dict:
-    kwargs: dict = {}
-    if cfg.code_globs is not None:
-        kwargs["globs"] = cfg.code_globs
-    if cfg.code_keywords is not None:
-        kwargs["keywords"] = cfg.code_keywords
-    return kwargs
-
-
 def ingest_code(cfg: PipelineConfig, version: str) -> CodebaseIndex:
     root = cfg.code_trees.get(version)
     if root is None:
         raise InvalidConfig(f"no code tree configured for version {version!r}")
-    index = build_index(root, version, stub_headers=cfg.stub_headers,
-                        cache_dir=cfg.cache_dir, **_code_kwargs(cfg))
+    index = build_index(root, version, globs=cfg.code_globs,
+                        keywords=cfg.code_keywords,
+                        stub_headers=cfg.stub_headers, cache_dir=cfg.cache_dir)
     out = cfg.workdir / "code" / version
     write_json(out / "index.json", {
         "version": version,
@@ -171,7 +169,7 @@ def _code_chunks(cfg: PipelineConfig, version: str, root: Path,
                               spans={})
     for path in sorted(by_file):
         # Decoded as SourceFile.load decodes it, so offsets line up.
-        text = (root / path).read_text(encoding="utf-8", errors="replace")
+        text = read_source(root / path)
         offsets = token_offsets(text)
         funcs = sorted(by_file[path], key=lambda f: f.span.char_start)
         func_ends = spans_for_functions(funcs, offsets)

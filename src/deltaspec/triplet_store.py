@@ -39,8 +39,6 @@ _IR_SYSTEM = (
 class RetrievalConfig:
     k: int = 5
     fusion_alpha: float = 0.5
-    bm25_k1: float = DEFAULT_K1
-    bm25_b: float = DEFAULT_B
 
 
 @dataclass(frozen=True)
@@ -293,9 +291,9 @@ def synth_triplets(descriptions: Sequence[Mapping], patches: Sequence[Mapping],
             for t in build(result.text.strip())]
 
 
-def bm25_scores(q_tokens: Sequence[str], store: TripletStore,
-                k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> list[float]:
-    """``bm25_score`` of every store document, read off the postings.
+def bm25_scores(q_tokens: Sequence[str], store: TripletStore) -> list[float]:
+    """``bm25_score`` of every store document at the default k1 and b,
+    read off the postings.
 
     Each query term's idf is computed once, and each document adds its
     contributions in query-token order, so every score is bit-equal to
@@ -304,6 +302,7 @@ def bm25_scores(q_tokens: Sequence[str], store: TripletStore,
     index = store.index()
     stats = index.stats
     avg_len = stats.avg_len
+    k1, b = DEFAULT_K1, DEFAULT_B
     norms = [k1 * (1.0 - b + b * dl / avg_len) if avg_len > 0 else k1
              for dl in index.lengths]
     scores = [0.0] * len(norms)
@@ -326,7 +325,7 @@ def _rank(query_text: str, store: TripletStore, gateway: LlmGateway,
           cfg: RetrievalConfig) -> tuple[DifferentialTriplet, ...]:
     q_tokens = [t.lower() for t in token_texts(query_text)]
     q_vec = gateway.embed(query_text)
-    raw_bm25 = bm25_scores(q_tokens, store, cfg.bm25_k1, cfg.bm25_b)
+    raw_bm25 = bm25_scores(q_tokens, store)
     q_norm = vector_norm(q_vec)
     cosines = [cosine(q_vec, d_vec, q_norm, d_norm)
                for d_vec, d_norm in store.embeddings(gateway)]

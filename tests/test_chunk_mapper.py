@@ -123,8 +123,9 @@ def test_reconstruction_returns_exact_source_text():
     source, functions, spans, chunks = annotated_fixture()
     fmap = build_map(chunks, spans)
     fmap.validate()
+    store = {c.id: c for c in chunks}
     for fn in functions:
-        rebuilt = reconstruct_function(fn.fid, fmap, chunks)
+        rebuilt = reconstruct_function(fn.fid, fmap, store)
         assert rebuilt == source.content[fn.span.char_start:fn.span.char_end]
 
 

@@ -156,7 +156,7 @@ def test_score_ties_break_on_function_name_not_fid():
     e = g.add_entity(ent("m"))
     g.add_implements(e.id, "z.c:9:aaa", weight=1.0)
     g.add_implements(e.id, "a.c:1:bbb", weight=1.0)
-    results = retrieve_code_for_spec([e.id], g)
+    results = retrieve_code_for_spec([e.name], g)
     assert [fid for fid, _ in results] == ["z.c:9:aaa", "a.c:1:bbb"]
 
 

@@ -383,6 +383,24 @@ def test_http_provider_reads_text_and_usage(monkeypatch):
     assert usage == Usage(3, 1)
 
 
+@pytest.mark.parametrize("count", [-5, True, 1.5, "3", None])
+def test_http_provider_rejects_bad_usage_counts(monkeypatch, tmp_path, count):
+    body = {"choices": [{"message": {"content": "hi"}}],
+            "usage": {"prompt_tokens": count, "completion_tokens": 1}}
+    monkeypatch.setattr(requests, "post",
+                        lambda *a, **k: http_response(200, json.dumps(body)))
+    provider = HttpProvider(base_url="http://provider.invalid")
+    with pytest.raises(ProviderError, match="malformed provider response"):
+        provider.complete(request("m", None, "q"))
+    # Nothing is cached or recorded, so a rerun does not meet a bad entry.
+    gateway = LlmGateway(provider=provider, cache_dir=tmp_path,
+                         ledger=CostLedger(), max_retries=1, backoff_base=0.0)
+    with pytest.raises(ProviderError, match="malformed provider response"):
+        gateway.complete(request("m", None, "q"), "graph")
+    assert not list(tmp_path.rglob("*.json"))
+    assert gateway.ledger.token_total == 0
+
+
 def test_http_client_errors_fail_on_the_first_post(monkeypatch):
     posts = []
     monkeypatch.setattr(requests, "post", lambda *a, **k: posts.append(1)

@@ -10,6 +10,7 @@ from jsonschema.validators import Draft202012Validator
 
 from conftest import FIXTURES, run_stages
 from deltaspec import llm_gateway
+from deltaspec.code_ingest import DEFAULT_GLOBS, DEFAULT_KEYWORDS
 from deltaspec.errors import (
     EmptyEval,
     InvalidConfig,
@@ -121,6 +122,23 @@ def test_config_validation(tmp_path):
 _BASE_CONFIG = {"workdir": "w", "cache_dir": "c", "model": "m"}
 
 
+@pytest.mark.parametrize("value, globs, keywords", [
+    ("absent", DEFAULT_GLOBS, DEFAULT_KEYWORDS),
+    (None, DEFAULT_GLOBS, DEFAULT_KEYWORDS),
+    ([], (), ()),
+    (["a/*.c"], ("a/*.c",), ("a/*.c",)),
+], ids=["absent", "null", "empty", "given"])
+def test_code_selection_defaults_fill_in_only_when_absent(tmp_path, value,
+                                                          globs, keywords):
+    raw = dict(_BASE_CONFIG)
+    if value != "absent":
+        raw["code_globs"] = raw["code_keywords"] = value
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(raw))
+    cfg = load_config(p)
+    assert (cfg.code_globs, cfg.code_keywords) == (globs, keywords)
+
+
 @pytest.mark.parametrize("extra, key", [
     ({"rfc_sources": [5]}, "rfc_sources"),
     ({"code_trees": {"v1": ["a"]}}, "code_trees.v1"),
@@ -219,24 +237,11 @@ def test_cli_reuses_one_parser_across_calls(mini_config, capsys,
     capsys.readouterr()
     assert cost(7) != first and cost(3) == first
     assert main(["ingest-rfc", "--config", cfg_path]) == 0
-    assert main(["ingest-code", "--config", cfg_path,
-                 "--version-tag", "toy-z"]) == 1
     capsys.readouterr()
-    # --version-tag from the call before does not carry over.
     assert main(["ingest-code", "--config", cfg_path]) == 0
     out = capsys.readouterr().out
     assert out.startswith("toy-a:") and "toy-b:" in out
     assert len(builds) == 1
-
-
-def test_cli_unknown_version_tag_is_a_pipeline_error(mini_config, capsys):
-    cfg_path = mini_config()
-    main(["ingest-rfc", "--config", str(cfg_path)])
-    capsys.readouterr()
-    code = main(["ingest-code", "--config", str(cfg_path),
-                 "--version-tag", "toy-z"])
-    assert code == 1
-    assert "toy-z" in capsys.readouterr().err
 
 
 _NO_REQUIREMENT_RFC = """\
@@ -348,14 +353,42 @@ def test_cli_unreadable_input_file_exits_one(mini_config, tmp_path, capsys,
     assert "earlier stages" not in err and "Traceback" not in err
 
 
+def test_cli_duplicate_rfc_number_exits_one(mini_config, tmp_path, capsys):
+    cfg_path = mini_config()
+    sources = json.loads(cfg_path.read_text())["rfc_sources"]
+    copy = tmp_path / "copy-of-793.txt"
+    shutil.copyfile(sources[0], copy)
+    cfg_path = mini_config(rfc_sources=[*sources, str(copy)])
+    assert main(["ingest-rfc", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: rfc_sources {sources[0]} and {copy} are both RFC 793\n"
+    assert not (load_config(cfg_path).workdir / "rfc").exists()
+
+
+def test_cli_build_graph_missing_source_file_exits_one(mini_config, tmp_path,
+                                                       capsys):
+    trees = tmp_path / "code"
+    shutil.copytree(FIXTURES / "code", trees)
+    cfg_path = mini_config(code_trees={v: str(trees / v)
+                                       for v in ("toy-a", "toy-b")})
+    for stage in ("ingest-rfc", "ingest-code"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    gone = trees / "toy-a" / "net" / "ipv4" / "tcp_isn.c"
+    gone.rename(tmp_path / "tcp_isn.c")
+    capsys.readouterr()
+    assert main(["build-graph", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {gone}: ")
+    assert "Traceback" not in err
+
+
 def test_cli_ingest_stages_report_counts(mini_config, capsys):
     cfg_path = mini_config()
     assert main(["ingest-rfc", "--config", str(cfg_path)]) == 0
     assert capsys.readouterr().out == "parsed 4 RFC documents\n"
-    assert main(["ingest-code", "--config", str(cfg_path),
-                 "--version-tag", "toy-a"]) == 0
-    assert capsys.readouterr().out == \
-        "toy-a: 6 functions, 49 function lines\n"
+    assert main(["ingest-code", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "toy-a: 6 functions, 49 function lines\ntoy-b: ")
 
 
 def test_ingest_code_artifacts_do_not_depend_on_the_ingest_cache(
@@ -484,6 +517,24 @@ def verified_config(mini_config, **overrides):
     cfg_path = mini_config(**overrides)
     shutil.copytree(BUNDLED / "cache", load_config(cfg_path).cache_dir)
     return cfg_path, run_stages(cfg_path, through="verify")
+
+
+def test_retrieval_budget_limits_the_candidates(mini_config):
+    _, cfg = verified_config(mini_config, retrieval={
+        "k": 5, "fusion_alpha": 0.5, "damping": 0.5, "budget": 1})
+    stats = sorted((cfg.workdir / "verify").glob("stats-*.json"))
+    assert len(stats) == len(cfg.versions)
+    for path in stats:
+        assert json.loads(path.read_text())["selected_functions"] <= 1
+    matrix = json.loads((cfg.workdir / "verify" / "matrix.json").read_text())
+    cited = [trial["cited"] for row in matrix["versions"].values()
+             for cell in row.values() for trial in cell["trials"]]
+    assert cited and all(len(c) <= 1 for c in cited)
+    # The default budget of the bundled config cites more.
+    bundled = json.loads((BUNDLED / "work" / "verify" / "matrix.json")
+                         .read_text())
+    assert any(len(trial["cited"]) > 1 for row in bundled["versions"].values()
+               for cell in row.values() for trial in cell["trials"])
 
 
 @pytest.mark.parametrize("truth", [

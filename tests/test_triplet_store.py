@@ -325,7 +325,7 @@ def reference_ranking(query, store, gateway, cfg):
     q_tokens = [t.lower() for t in token_texts(query)]
     q_vec = gateway.embed(query)
     raw = [bm25_score(q_tokens, [w.lower() for w in token_texts(t.document())],
-                      stats, cfg.bm25_k1, cfg.bm25_b) for t in store.triplets]
+                      stats) for t in store.triplets]
     lo, hi = min(raw), max(raw)
     chosen = []
     for label in ("consistent", "inconsistent"):
@@ -406,16 +406,15 @@ def stores(draw):
     return store
 
 
-@given(stores(), st.lists(_WORDS, max_size=10),
-       st.floats(0.0, 3.0), st.floats(0.0, 1.0))
+@given(stores(), st.lists(_WORDS, max_size=10))
 @settings(max_examples=150)
-def test_postings_bm25_is_bit_equal_to_bm25_score(store, query, k1, b):
+def test_postings_bm25_is_bit_equal_to_bm25_score(store, query):
     q_tokens = [t.lower() for t in query]
     stats = store.corpus_stats()
-    got = bm25_scores(q_tokens, store, k1, b)
+    got = bm25_scores(q_tokens, store)
     assert got == [bm25_score(q_tokens, [w.lower() for w in
                                          token_texts(t.document())],
-                              stats, k1, b) for t in store.triplets]
+                              stats) for t in store.triplets]
 
 
 @given(stores(), _TEXT, st.integers(1, 4), st.floats(0.0, 1.0))
