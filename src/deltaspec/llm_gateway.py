@@ -25,14 +25,11 @@ from dataclasses import dataclass, field
 from datetime import timezone
 from functools import cached_property, partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from .errors import CacheWriteError, ContractViolation, NotSent, ProviderError
 from .fsio import EntryStore, read_jsonl
 from .tokenizer import count_tokens, token_texts
-
-if TYPE_CHECKING:
-    from jsonschema.exceptions import ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -45,12 +42,9 @@ _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 # Longest wait a provider's Retry-After header may impose, in seconds.
 MAX_RETRY_AFTER_S = 60.0
 
-# Compiled contracts, (accept-only checker or None, jsonschema validator or
-# None until first needed), keyed by a schema's JSON text: schemas are
-# unhashable dicts and ids get reused, so the key is the value itself. Key
-# order is part of the key, because jsonschema reports errors in the
-# schema's key order and best_match breaks ties by that order.
-_VALIDATORS: dict[str, tuple[Callable[[Any], bool] | None, Any]] = {}
+# Compiled contract checkers, keyed by a schema's JSON text: schemas are
+# unhashable dicts and ids get reused, so the key is the value itself.
+_CHECKERS: dict[str, Callable[[Any], str | None]] = {}
 
 # The subset of JSON Schema that the pipeline's contracts use.
 _CHECKED_KEYWORDS = frozenset({"type", "properties", "required", "items",
@@ -58,105 +52,98 @@ _CHECKED_KEYWORDS = frozenset({"type", "properties", "required", "items",
 _CHECKED_TYPES = {"object": dict, "array": list, "string": str}
 
 
-def schema_error(instance: Any, schema: Mapping) -> ValidationError | None:
-    """The error ``jsonschema.validate(instance, schema)`` would raise, or
-    None. A schema _compile accepts is valid by construction; any other is
-    checked against its metaschema once, when first seen, so an invalid
-    schema raises ``SchemaError`` on every use.
-
-    An instance the compiled checker accepts is valid; anything else goes
-    to jsonschema, imported only then, whose best error is returned."""
+def schema_error(instance: Any, schema: Mapping) -> str | None:
+    """The first way ``instance`` breaks ``schema``, as a message naming its
+    JSON path (``$.verdict: 'maybe' is not one of ['yes', 'no']``), or
+    None. A schema outside the checked subset raises ``ValueError`` on every
+    use."""
     key = json.dumps(schema)
-    compiled = _VALIDATORS.get(key)
-    if compiled is None:
-        accepts = _compile(schema)
-        compiled = _VALIDATORS[key] = \
-            (accepts, None if accepts else _validator(schema, check=True))
-    accepts, validator = compiled
-    if accepts is not None and accepts(instance):
-        return None
-    if validator is None:
-        validator = _validator(schema, check=False)
-        _VALIDATORS[key] = (accepts, validator)
-    from jsonschema.exceptions import best_match
-    return best_match(validator.iter_errors(instance))
+    if key not in _CHECKERS:
+        _CHECKERS[key] = _compile(schema)
+    return _CHECKERS[key](instance)
 
 
-def _validator(schema: Mapping, *, check: bool) -> Any:
-    from jsonschema.validators import validator_for
-    cls = validator_for(schema)
-    if check:
-        cls.check_schema(schema)
-    return cls(schema)
+def _outside(keyword: str, value: Any) -> ValueError:
+    return ValueError(f"contract keyword {keyword!r} holds {value!r}, "
+                      f"outside the checked subset")
 
 
-def _accept_any(instance: Any) -> bool:
-    return True
+def _compile(schema: Any, keyword: str | None = None) -> Callable[[Any], str | None]:
+    """The checker for one contract schema (``keyword`` names the keyword a
+    subschema sits under). It returns the first violation as
+    ``"$<path>: <message>"``, or None. Keywords are checked in one order,
+    whatever the schema's key order: ``type``, ``enum``, ``required`` in
+    listed order, object members in instance order, array items by index,
+    then ``minLength``.
 
-
-def _compile(schema: Any) -> Callable[[Any], bool] | None:
-    """An accept-only checker, or None when the schema is outside the
+    Raises ``ValueError`` naming the keyword for a schema outside the
     subset: a keyword outside ``_CHECKED_KEYWORDS``, a ``type`` outside
     ``_CHECKED_TYPES``, a non-string ``enum`` value, a boolean subschema, or
-    a value the Draft 2020-12 metaschema rejects (so a compiled schema needs
-    no ``check_schema``). The checker is sound, not complete: when it
-    returns True jsonschema finds no error; False only means "ask
-    jsonschema"."""
-    if type(schema) is not dict or not _CHECKED_KEYWORDS.issuperset(schema):
-        return None
+    a value the Draft 2020-12 metaschema rejects, so that a compiled schema
+    needs no metaschema check."""
+    if type(schema) is not dict:
+        if keyword is None:
+            raise ValueError(f"contract schema {schema!r} is not an object")
+        raise _outside(keyword, schema)
+    for name in schema:
+        if name not in _CHECKED_KEYWORDS:
+            raise _outside(name, schema[name])
     kind: type = object
+    type_name = schema.get("type")
     if "type" in schema:
-        name = schema["type"]
-        if type(name) is not str or name not in _CHECKED_TYPES:
-            return None
-        kind = _CHECKED_TYPES[name]
+        if type(type_name) is not str or type_name not in _CHECKED_TYPES:
+            raise _outside("type", type_name)
+        kind = _CHECKED_TYPES[type_name]
     props = schema.get("properties", {})
     if type(props) is not dict or not all(type(n) is str for n in props):
-        return None
-    props = {name: _compile(sub) for name, sub in props.items()}
-    extra = _compile(schema["additionalProperties"]) \
-        if "additionalProperties" in schema else _accept_any
-    items = _compile(schema["items"]) if "items" in schema else _accept_any
-    if None in props.values() or extra is None or items is None:
-        return None
-    enum = None
-    if "enum" in schema:
-        enum = schema["enum"]
-        if type(enum) is not list or not all(type(v) is str for v in enum):
-            return None
-        enum = frozenset(enum)
+        raise _outside("properties", props)
+    props = {name: _compile(sub, "properties") for name, sub in props.items()}
+    extra = _compile(schema["additionalProperties"], "additionalProperties") \
+        if "additionalProperties" in schema else lambda instance: None
+    items = _compile(schema["items"], "items") if "items" in schema else None
+    listed = schema.get("enum")
+    if "enum" in schema and (type(listed) is not list
+                             or not all(type(v) is str for v in listed)):
+        raise _outside("enum", listed)
+    enum = None if listed is None else frozenset(listed)
     min_length = schema.get("minLength", 0)
     if type(min_length) is not int or min_length < 0:
-        return None
+        raise _outside("minLength", min_length)
     required = schema.get("required", [])
     if type(required) is not list \
             or not all(type(n) is str for n in required) \
             or len(set(required)) != len(required):
-        return None
+        raise _outside("required", required)
     required = tuple(required)
-    walk_values = bool(props) or extra is not _accept_any
+    walk_values = bool(props) or "additionalProperties" in schema
 
-    def accepts(instance: Any) -> bool:
+    def check(instance: Any) -> str | None:
+        # A nested violation comes back as "$<path>: ..."; each level puts
+        # its own step right after the "$".
         if not isinstance(instance, kind):
-            return False
+            return f"$: {instance!r} is not of type {type_name!r}"
+        if enum is not None and not (isinstance(instance, str)
+                                     and instance in enum):
+            return f"$: {instance!r} is not one of {listed!r}"
         if isinstance(instance, dict):
             for name in required:
                 if name not in instance:
-                    return False
+                    return f"$: {name!r} is a required property"
             if walk_values:
                 for name, value in instance.items():
-                    if not props.get(name, extra)(value):
-                        return False
-        elif isinstance(instance, list):
-            if items is not _accept_any:
-                for value in instance:
-                    if not items(value):
-                        return False
+                    error = props.get(name, extra)(value)
+                    if error is not None:
+                        return f"$.{name}{error[1:]}"
+        elif isinstance(instance, list) and items is not None:
+            for i, value in enumerate(instance):
+                error = items(value)
+                if error is not None:
+                    return f"$[{i}]{error[1:]}"
         elif isinstance(instance, str) and len(instance) < min_length:
-            return False
-        return enum is None or (isinstance(instance, str) and instance in enum)
+            return f"$: {instance!r} is too short"
+        return None
 
-    return accepts
+    return check
 
 
 @dataclass(frozen=True)
@@ -418,13 +405,18 @@ class MockProvider:
         queue = self._queues.get(request.fingerprint)
         if queue:
             value = queue.popleft() if len(queue) > 1 else queue[0]
-            if isinstance(value, dict):
-                usage = None
-                if "usage" in value:
-                    usage = Usage(int(value["usage"]["prompt_tokens"]),
-                                  int(value["usage"]["completion_tokens"]))
-                return str(value["response"]), usage
-            return str(value), None
+            entry = {"response": value} if isinstance(value, str) else value
+            usage = entry.get("usage") if isinstance(entry, dict) else None
+            if not isinstance(entry, dict) \
+                    or not isinstance(entry.get("response"), str) \
+                    or not (usage is None or _is_usage(usage)):
+                raise ProviderError(
+                    f"malformed transcript entry for fingerprint "
+                    f"{request.fingerprint[:12]}...: it needs a string "
+                    f"response and nonnegative int token counts",
+                    retryable=False)
+            return entry["response"], None if usage is None else Usage(
+                usage["prompt_tokens"], usage["completion_tokens"])
         if self.rules is None:
             raise ProviderError(
                 f"mock transcript has no entry for fingerprint "
@@ -439,30 +431,23 @@ def extract_json_payload(text: str) -> Any:
     """Parse a JSON payload out of model text, tolerating code fences."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, ValueError):
+    except ValueError:
         pass
     m = _FENCE_RE.search(text)
     if m:
         try:
             return json.loads(m.group(1))
-        except (json.JSONDecodeError, ValueError):
+        except ValueError:
             pass
-    # Last resort: first balanced object or array.
-    for opener, closer in (("{", "}"), ("[", "]")):
+    # Last resort: the JSON value that opens at the first "{", else at the
+    # first "[".
+    for opener in "{[":
         start = text.find(opener)
-        if start < 0:
-            continue
-        depth = 0
-        for i in range(start, len(text)):
-            if text[i] == opener:
-                depth += 1
-            elif text[i] == closer:
-                depth -= 1
-                if depth == 0:
-                    try:
-                        return json.loads(text[start:i + 1])
-                    except (json.JSONDecodeError, ValueError):
-                        break
+        if start >= 0:
+            try:
+                return json.JSONDecoder().raw_decode(text, start)[0]
+            except ValueError:
+                pass
     raise ContractViolation(f"response is not parseable JSON: {text[:120]!r}")
 
 
@@ -692,8 +677,7 @@ class LlmGateway:
         payload = extract_json_payload(text)
         error = schema_error(payload, request.response_contract)
         if error is not None:
-            raise ContractViolation(
-                f"response violates contract: {error.message}") from error
+            raise ContractViolation(f"response violates contract: {error}")
         return payload
 
     def _cache_get(self, fp: str) -> dict | None:

@@ -97,7 +97,7 @@ def _evaluation(raw: dict) -> dict:
 def render_report(report: dict, out_dir: str | Path) -> Path:
     error = schema_error(report, REPORT_SCHEMA)
     if error is not None:
-        raise SerializationError(f"report fails its schema: {error.message}") from error
+        raise SerializationError(f"report fails its schema: {error}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "report.json", report)

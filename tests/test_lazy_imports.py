@@ -1,5 +1,6 @@
-"""jsonschema and pycparser load only where a run uses them: a warm rerun
-imports neither, and the ingest cache key does not need pycparser loaded."""
+"""No run needs jsonschema, and pycparser loads only where a run uses it: a
+warm rerun does not import it, and the ingest cache key does not need it
+loaded."""
 
 import hashlib
 import json
@@ -18,15 +19,24 @@ STAGES = ("ingest-rfc", "ingest-code", "build-graph", "build-chains",
           "synth-triplets", "verify", "eval", "report")
 
 # Runs the stages named after the config path through cli.main in one fresh
-# interpreter, and prints which of the two packages are loaded after each.
+# interpreter where importing jsonschema fails, then one gateway call whose
+# first reply breaks its contract and is retried. Prints whether pycparser
+# is loaded after each stage.
 _PROBE = """
 import json, sys
+sys.modules["jsonschema"] = None
+from deltaspec.llm_gateway import LlmGateway, MockProvider, request
 from deltaspec.report_cli.cli import main
 loaded = {}
 for stage in sys.argv[2:]:
     if main([stage, "--config", sys.argv[1]]) != 0:
         sys.exit(f"{stage} failed")
-    loaded[stage] = sorted({"jsonschema", "pycparser"} & set(sys.modules))
+    loaded[stage] = sorted({"pycparser"} & set(sys.modules))
+replies = iter(['{"ok": 1}', '{"ok": "yes"}'])
+gateway = LlmGateway(MockProvider(rules=lambda r: next(replies)))
+contract = {"type": "object", "properties": {"ok": {"type": "string"}}}
+gateway.complete(request("m", None, "q", contract=contract), "graph")
+assert gateway.stats.contract_retries == 1
 print(json.dumps(loaded))
 """
 
