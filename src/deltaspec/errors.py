@@ -101,7 +101,8 @@ class ProviderError(GatewayError):
     """Provider unreachable or persistently failing.
 
     ``retryable`` is False for a failure no retry can fix (a 4xx other than
-    429); ``retry_after`` is the wait in seconds the provider asked for.
+    429, a malformed reply); ``retry_after`` is the wait in seconds the
+    provider asked for.
     """
 
     def __init__(self, message: str, *, retryable: bool = True,

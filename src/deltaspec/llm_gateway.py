@@ -372,7 +372,10 @@ class HttpProvider:
                     raise ValueError(f"bad token counts {u}")
                 usage = Usage(u["prompt_tokens"], u["completion_tokens"])
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"malformed provider response: {exc}") from exc
+            # The provider answered; sending the request again gets no
+            # better-formed reply.
+            raise ProviderError(f"malformed provider response: {exc}",
+                                retryable=False) from exc
         return text, usage
 
 
@@ -452,7 +455,9 @@ def extract_json_payload(text: str) -> Any:
 
 
 class LlmGateway:
-    """Caching, retrying, contract-enforcing front door to one provider."""
+    """Caching, retrying, contract-enforcing front door to one provider.
+    A gateway lives for one stage and answers each distinct request once
+    (see settle_all)."""
 
     def __init__(self,
                  provider: Provider,
@@ -474,6 +479,8 @@ class LlmGateway:
         self.contract_retries = contract_retries
         self.max_in_flight = max_in_flight
         self.stats = GatewayStats()
+        # Each fingerprint's first successful answer on this gateway.
+        self._answered: dict[str, CompletionResult] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -497,24 +504,31 @@ class LlmGateway:
         """complete_all() that puts each request's error in its slot instead
         of raising it.
 
+        The gateway answers each distinct request once. The first ask of a
+        fingerprint is served from the cache or the provider, counted in
+        ``stats.requests`` and recorded in the ledger; once it succeeds,
+        every later ask on this gateway, in this batch or a later one,
+        returns that same CompletionResult and reads no file, checks no
+        contract and records nothing. A repeat under another phase is
+        therefore not recorded again; no caller sends one. A failed
+        request is asked again next time.
+
         Cache hits are served on the calling thread, in input order. The
         misses are submitted, in input order, to a pool of at most
         ``max_in_flight`` threads (no thread when nothing misses; a lone
         miss runs inline). Workers only fetch; the calling thread caches
         and accounts each reply as its future completes, while the other
         workers keep fetching, so every file write and ledger record happens
-        on the caller. Each missed fingerprint is fetched once; its later
-        duplicates are then served on the caller, in input order, from the
-        entry its first occurrence wrote, a hit as in a serial loop. Without
-        a cache each duplicate is a fetch of its own; the pipeline always
-        has a cache, since ``cache_dir`` is a required config key.
+        on the caller. The later duplicates of a miss take its answer once
+        the fetches are done.
 
         The batch stops at its first failure in input order, as a serial
         loop does, whether a fetch or a cache write failed: the failure
         cancels every fetch still queued behind it, a failed fetch from a
         done-callback on its worker before that worker takes another.
-        Every slot before it holds its outcome; a slot after it holds the
-        outcome of a fetch that was already under way, or ``NotSent``.
+        Every slot before it holds its outcome; a slot after it holds an
+        answer already in hand (a hit or a remembered one), the outcome of
+        a fetch that was already under way, or ``NotSent``.
         """
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}; expected one of {PHASES}")
@@ -523,10 +537,13 @@ class LlmGateway:
         later: list[int] = []  # indices of their later duplicates
         missed: set[str] = set()
         for i, req in enumerate(requests):
-            self.stats.add("requests")
+            if req.fingerprint in self._answered:
+                outcomes[i] = self._answered[req.fingerprint]
+                continue
             if req.fingerprint in missed:
                 later.append(i)
                 continue
+            self.stats.add("requests")
             outcomes[i] = _settle(self._serve_hit, req, phase)
             if outcomes[i] is None:
                 fetch.append(i)
@@ -547,10 +564,7 @@ class LlmGateway:
         for i in later:
             if i > failed:
                 break
-            outcomes[i] = (_settle(self._serve_hit, requests[i], phase)
-                           or _settle(self._fetch, requests[i], phase))
-            if isinstance(outcomes[i], Exception):
-                break
+            outcomes[i] = self._answered[requests[i].fingerprint]
         return [NotSent("not sent: an earlier request of the batch failed")
                 if outcome is None else outcome for outcome in outcomes]
 
@@ -615,7 +629,9 @@ class LlmGateway:
             parsed = self._validate_contract(request, entry["response"])
         self.ledger.record(request.model, phase,
                            usage.prompt_tokens, usage.completion_tokens)
-        return CompletionResult(entry["response"], usage, True, parsed)
+        result = self._answered[request.fingerprint] = CompletionResult(
+            entry["response"], usage, True, parsed)
+        return result
 
     def _fetch(self, request: LlmRequest, phase: str) -> CompletionResult:
         return self._store(request, phase, self._ask(request))
@@ -645,7 +661,9 @@ class LlmGateway:
         self._cache_put(request.fingerprint, request.model, text, usage)
         self.ledger.record(request.model, phase,
                            usage.prompt_tokens, usage.completion_tokens)
-        return CompletionResult(text, usage, False, parsed)
+        result = self._answered[request.fingerprint] = CompletionResult(
+            text, usage, False, parsed)
+        return result
 
     def _call_provider(self, request: LlmRequest) -> tuple[str, Usage | None]:
         delay = self.backoff_base

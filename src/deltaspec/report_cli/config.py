@@ -7,6 +7,7 @@ so a config can travel with its fixture tree.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,8 +48,11 @@ class PipelineConfig:
 
 
 def _resolve(base: Path, value: str) -> Path:
+    """``value`` joined to the already-resolved ``base`` and normalized
+    lexically: no filesystem call, so a symlink on the way stays as
+    written."""
     p = Path(value)
-    return p if p.is_absolute() else (base / p).resolve()
+    return p if p.is_absolute() else Path(os.path.normpath(base / p))
 
 
 def _number(key: str, value: object, kind: type) -> int | float:

@@ -193,10 +193,12 @@ def _code_chunks(cfg: PipelineConfig, version: str, root: Path,
 def build_graph_stage(cfg: PipelineConfig,
                       versions: Sequence[str]) -> list[KnowledgeGraph]:
     """One graph per version. The RFC text is chunked and written once,
-    since it depends only on the docs and the chunking config."""
+    since it depends only on the docs and the chunking config, and one
+    gateway serves every version, so its entities are asked for once."""
     text_chunks = _text_chunks(cfg, load_docs(cfg))
     write_jsonl(cfg.workdir / "chunks" / "text.jsonl",
                 [c.to_dict() for c in text_chunks])
+    gateway = make_gateway(cfg)
     graphs = []
     for version in versions:
         root = cfg.code_trees.get(version)
@@ -210,7 +212,6 @@ def build_graph_stage(cfg: PipelineConfig,
                     [c.to_dict() for c in code_chunks])
         write_json(cfg.workdir / "maps" / f"{version}.json", fmap.to_dict())
 
-        gateway = make_gateway(cfg)
         graph = build_graph(
             text_chunks + code_chunks,
             gateway,
@@ -220,9 +221,8 @@ def build_graph_stage(cfg: PipelineConfig,
             damping=cfg.damping,
         )
         write_json(cfg.workdir / "graph" / f"{version}.json", graph.to_dict())
-        write_json(cfg.workdir / "graph" / f"ledger-{version}.json",
-                   gateway.ledger.as_dict())
         graphs.append(graph)
+    write_json(cfg.workdir / "graph" / "ledger.json", gateway.ledger.as_dict())
     return graphs
 
 
@@ -346,9 +346,9 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
                 [f.to_dict() for f in findings])
     # Earlier stages ran in their own processes; fold their ledgers in so
     # this artifact accounts for the whole run, not just the judge trials.
-    for snap_path in sorted(cfg.workdir.glob("graph/ledger-*.json")) + [
-            cfg.workdir / "chains" / "ledger.json",
-            cfg.workdir / "triplets" / "ledger.json"]:
+    for snap_path in (cfg.workdir / "graph" / "ledger.json",
+                      cfg.workdir / "chains" / "ledger.json",
+                      cfg.workdir / "triplets" / "ledger.json"):
         if snap_path.is_file():
             read_json(snap_path, gateway.ledger.absorb)
     write_json(cfg.workdir / "verify" / "ledger.json",

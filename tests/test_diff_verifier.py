@@ -248,7 +248,10 @@ def test_merge_node_is_judged_once_from_its_first_reached_predecessor():
     cells = [(t.code_version, t.rfc) for t in plan.tasks]
     assert sorted(cells) == [(v, rfc) for v in ("toy-a", "toy-b")
                              for rfc in (1, 3)]
-    assert gateway.stats.requests == len(cells) * 3 * 2
+    # An IR prompt names no code version, so each (RFC, trial) IR is asked
+    # once for both versions; each (cell, trial) has a judgment of its own.
+    assert gateway.stats.requests == len({rfc for _, rfc in cells}) * 3 \
+        + len(cells) * 3
     assert {t.rfc_from for t in plan.tasks if t.rfc == 3} == {2}
     assert judged == {v: {1: ["net/a.c:1:fn"], 3: ["net/a.c:1:fn"]}
                       for v in ("toy-a", "toy-b")}
@@ -256,6 +259,34 @@ def test_merge_node_is_judged_once_from_its_first_reached_predecessor():
         assert row[3].subject == "challenge ack on rst"
         assert "inherited" in row[2].flags
         assert row[2].trials == row[1].trials
+
+
+def test_two_versions_send_each_ir_once():
+    sent = []
+    rule = judge_rule(["implemented", "not-implemented", "implemented"])
+    graph, resolver = chain_fixture()
+
+    def plan_and_run(versions):
+        gateway = LlmGateway(provider=MockProvider(
+            rules=lambda req: sent.append(req.messages[-1][1]) or rule(req)))
+        plan = VerifyPlan(3)
+        for version in versions:
+            plan_version(plan, build_update_chain(MERGE_DOCS).walk(),
+                         merge_increments(),
+                         {1: [entry("rst validation", ("rst",), rfc=1)]},
+                         version, graph, None, gateway, resolver)
+        return plan, plan.run(gateway, "judge-1")
+
+    plan, rows = plan_and_run(("toy-a", "toy-b"))
+    irs = [u for u in sent if u.startswith("TASK: generate-ir")]
+    assert len(set(sent)) == len(sent)  # nothing is sent twice
+    assert len(irs) == len({t.rfc for t in plan.tasks}) * 3
+    assert len(sent) - len(irs) == len(plan.tasks) * 3
+    # The rows are those of each version judged on a gateway of its own.
+    for version in ("toy-a", "toy-b"):
+        alone = plan_and_run((version,))[1][version]
+        assert {rfc: v.to_dict() for rfc, v in alone.items()} == \
+            {rfc: v.to_dict() for rfc, v in rows[version].items()}
 
 
 def test_merge_rows_do_not_depend_on_document_order():

@@ -68,24 +68,75 @@ def test_request_builds_messages():
 
 # ------------------------------------------------------------------ caching
 
+def _ok_gateway(cache_dir, **kwargs):
+    return LlmGateway(provider=MockProvider(rules=lambda r: '{"ok": 1}'),
+                      cache_dir=cache_dir, **kwargs)
+
+
 def test_cache_replays_without_provider_calls(tmp_path):
-    gateway = LlmGateway(provider=MockProvider(rules=lambda r: '{"ok": 1}'),
-                         cache_dir=tmp_path,
-                         ledger=CostLedger())
+    gateway = _ok_gateway(tmp_path, ledger=CostLedger())
     req = request("m", "sys", "q", contract=OK_CONTRACT)
 
     first = gateway.complete(req, "graph")
     assert not first.cached
     assert gateway.stats.provider_calls == 1
 
-    second = gateway.complete(req, "graph")
+    # A rerun is a second gateway over the same cache.
+    rerun = _ok_gateway(tmp_path, ledger=CostLedger())
+    second = rerun.complete(req, "graph")
     assert second.cached
     assert second.text == first.text
     assert second.parsed == {"ok": 1}  # contract re-validated on replay
-    assert gateway.stats.provider_calls == 1
-    assert gateway.stats.cache_hits == 1
+    assert rerun.stats.provider_calls == 0
+    assert rerun.stats.cache_hits == 1
     # Cached replays still hit the ledger: reruns account tokens identically.
-    assert gateway.ledger.token_total == 2 * first.usage.total
+    assert rerun.ledger.token_total == first.usage.total
+    assert rerun.ledger.as_dict() == gateway.ledger.as_dict()
+
+
+def test_repeats_on_one_gateway_are_answered_from_memory(tmp_path,
+                                                        monkeypatch):
+    gateway = _ok_gateway(tmp_path, ledger=CostLedger())
+    req = request("m", "sys", "q", contract=OK_CONTRACT)
+    first = gateway.complete(req, "graph")
+    reads = []
+    read = gateway._cache_get
+    monkeypatch.setattr(gateway, "_cache_get",
+                        lambda fp: reads.append(fp) or read(fp))
+    monkeypatch.setattr(llm_gateway, "schema_error",
+                        lambda *a: pytest.fail("a repeat was re-validated"))
+    assert gateway.complete(req, "graph") is first
+    other = request("m", None, "other")
+    batch = gateway.complete_all([req, other, req], "graph")
+    assert batch[0] is first and batch[2] is first
+    assert reads == [other.fingerprint]
+    assert gateway.stats.provider_calls == 2
+    assert gateway.stats.requests == 2
+    assert gateway.stats.cache_hits == 0
+    assert gateway.ledger.token_total == first.usage.total + batch[1].usage.total
+
+
+def test_failed_request_is_asked_again_next_time(tmp_path):
+    sent = []
+
+    def answer(req):
+        sent.append(req.messages[-1][1])
+        if len(sent) == 1:
+            raise ProviderError("down", retryable=False)
+        return '{"ok": 1}'
+
+    gateway = LlmGateway(provider=MockProvider(rules=answer),
+                         cache_dir=tmp_path, ledger=CostLedger())
+    req = request("m", None, "q", contract=OK_CONTRACT)
+    with pytest.raises(ProviderError, match="down"):
+        gateway.complete(req, "graph")
+    assert gateway.ledger.token_total == 0
+    result = gateway.complete(req, "graph")
+    assert not result.cached and result.parsed == {"ok": 1}
+    assert gateway.complete(req, "graph") is result
+    assert sent == ["q", "q"]
+    assert gateway.stats.requests == 2
+    assert gateway.ledger.token_total == result.usage.total
 
 
 def test_cache_entries_are_sharded_files(tmp_path):
@@ -313,21 +364,20 @@ def test_contract_violation_message_names_the_json_path():
 ], ids=["key", "response", "no-usage", "no-completion", "string-count",
         "negative-count"])
 def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, caplog, tamper):
-    gateway = LlmGateway(provider=MockProvider(rules=lambda r: '{"ok": 1}'),
-                         cache_dir=tmp_path)
     req = request("m", None, "q", contract=OK_CONTRACT)
-    gateway.complete(req, "graph")
+    _ok_gateway(tmp_path).complete(req, "graph")
     path = tmp_path / req.fingerprint[:2] / f"{req.fingerprint}.json"
     entry = json.loads(path.read_text())
     tamper(entry)
     path.write_text(json.dumps(entry))
 
-    result = gateway.complete(req, "graph")
+    rerun = _ok_gateway(tmp_path)
+    result = rerun.complete(req, "graph")
     assert not result.cached
-    assert gateway.stats.provider_calls == 2
+    assert rerun.stats.provider_calls == 1
     assert "corrupt cache entry" in caplog.text
     assert json.loads(path.read_text())["key"] == req.fingerprint
-    assert gateway.complete(req, "graph").cached
+    assert _ok_gateway(tmp_path).complete(req, "graph").cached
 
 
 # ---------------------------------------------------------------- http path
@@ -340,13 +390,16 @@ def http_response(status_code, body):
     return resp
 
 
-@pytest.mark.parametrize("outcome", [
-    requests.ConnectionError("connection refused"),
-    http_response(500, "internal error"),
-    http_response(200, "<html>not json</html>"),
-    http_response(200, json.dumps({"id": "x", "usage": {}})),
+@pytest.mark.parametrize("outcome, raised", [
+    (requests.ConnectionError("connection refused"), "2 attempts"),
+    (http_response(500, "internal error"), "2 attempts"),
+    # A malformed 200 reply is not posted again.
+    (http_response(200, "<html>not json</html>"), "malformed provider response"),
+    (http_response(200, json.dumps({"id": "x", "usage": {}})),
+     "malformed provider response"),
 ], ids=["transport", "http-500", "non-json", "no-choices"])
-def test_http_provider_failures_end_as_provider_errors(monkeypatch, outcome):
+def test_http_provider_failures_end_as_provider_errors(monkeypatch, outcome,
+                                                       raised):
     def fake_post(*args, **kwargs):
         if isinstance(outcome, Exception):
             raise outcome
@@ -357,8 +410,9 @@ def test_http_provider_failures_end_as_provider_errors(monkeypatch, outcome):
     with pytest.raises(ProviderError):
         provider.complete(request("m", None, "q"))
     gateway = LlmGateway(provider=provider, max_retries=1, backoff_base=0.0)
-    with pytest.raises(ProviderError, match="2 attempts"):
+    with pytest.raises(ProviderError, match=raised):
         gateway.complete(request("m", None, "q"), "graph")
+    assert gateway.stats.provider_calls == (2 if raised == "2 attempts" else 1)
 
 
 def test_http_provider_reads_text_and_usage(monkeypatch):
@@ -376,16 +430,20 @@ def test_http_provider_reads_text_and_usage(monkeypatch):
 def test_http_provider_rejects_bad_usage_counts(monkeypatch, tmp_path, count):
     body = {"choices": [{"message": {"content": "hi"}}],
             "usage": {"prompt_tokens": count, "completion_tokens": 1}}
-    monkeypatch.setattr(requests, "post",
-                        lambda *a, **k: http_response(200, json.dumps(body)))
+    posts = []
+    monkeypatch.setattr(requests, "post", lambda *a, **k: posts.append(1)
+                        or http_response(200, json.dumps(body)))
     provider = HttpProvider(base_url="http://provider.invalid")
     with pytest.raises(ProviderError, match="malformed provider response"):
         provider.complete(request("m", None, "q"))
     # Nothing is cached or recorded, so a rerun does not meet a bad entry.
     gateway = LlmGateway(provider=provider, cache_dir=tmp_path,
                          ledger=CostLedger(), max_retries=1, backoff_base=0.0)
+    posts.clear()
     with pytest.raises(ProviderError, match="malformed provider response"):
         gateway.complete(request("m", None, "q"), "graph")
+    # Not posted again: a resend gets no better-formed reply.
+    assert len(posts) == 1
     assert not list(tmp_path.rglob("*.json"))
     assert gateway.ledger.token_total == 0
 
@@ -614,19 +672,26 @@ def test_complete_all_matches_serial_complete(batch, seeded, cached):
 
 
 def test_all_hit_batch_starts_no_thread(tmp_path, monkeypatch):
-    gateway = LlmGateway(provider=MockProvider(rules=_answer),
-                         cache_dir=tmp_path)
-    gateway.complete_all(_POOL, "graph")
+    LlmGateway(provider=MockProvider(rules=_answer),
+               cache_dir=tmp_path).complete_all(_POOL, "graph")
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started")
 
     monkeypatch.setattr(llm_gateway, "ThreadPoolExecutor", no_pool)
+    gateway = LlmGateway(provider=MockProvider(rules=_answer),
+                         cache_dir=tmp_path)
     results = gateway.complete_all(_POOL + _POOL, "graph")
     assert all(r.cached for r in results)
+    # A repeated hit is answered from memory: read, checked and recorded once.
+    n = len(_POOL)
+    assert all(results[n + i] is results[i] for i in range(n))
+    assert (gateway.stats.requests, gateway.stats.cache_hits) == (n, n)
+    assert gateway.ledger.token_total == sum(r.usage.total for r in results[:n])
     # A lone distinct miss, however often it repeats, is fetched inline.
     fresh = request("m", None, "fresh")
-    assert not gateway.complete_all([fresh, fresh], "graph")[0].cached
+    first, again = gateway.complete_all([fresh, fresh], "graph")
+    assert not first.cached and again is first
 
 
 class SleepyProvider:
@@ -666,9 +731,12 @@ def test_misses_overlap_up_to_max_in_flight(tmp_path, distinct):
     results = gateway.complete_all(reqs, "graph")
     assert provider.peak == min(4, distinct)
     assert sorted(provider.calls.values()) == [1] * distinct
-    assert [r.cached for r in results] == [False] * distinct + [True] * distinct
+    assert [r.cached for r in results] == [False] * (2 * distinct)
+    # The later duplicates take their first occurrence's answer.
+    assert all(results[distinct + i] is results[i] for i in range(distinct))
     assert gateway.stats.provider_calls == distinct
-    assert gateway.stats.cache_hits == distinct
+    assert gateway.stats.requests == distinct
+    assert gateway.stats.cache_hits == 0
 
 
 class ThreadLedger(CostLedger):
@@ -693,7 +761,8 @@ def test_ledger_records_only_on_the_calling_thread(tmp_path, cached):
     outcomes = gateway.settle_all(reqs, "graph")
     assert all(isinstance(o, CompletionResult) for o in outcomes)
     assert provider.peak > 1  # the misses were fetched on pool threads
-    assert ledger.threads == [threading.get_ident()] * len(reqs)
+    # One record per distinct request, each on the calling thread.
+    assert ledger.threads == [threading.get_ident()] * len(set(reqs))
 
 
 def test_first_failure_in_input_order_is_raised(tmp_path):
@@ -816,23 +885,22 @@ def test_failing_hit_stops_the_batch(tmp_path):
     assert gateway.stats.requests == 2
 
 
-def test_failed_refetch_of_a_duplicate_stops_the_batch(tmp_path):
+def test_repeat_after_its_first_ask_failed_is_not_sent(tmp_path):
     sent = []
 
     def answer(req):
         sent.append(req.messages[-1][1])
-        if sent.count("q0") > 1:
-            raise ProviderError("refetch failed", retryable=False)
+        if req.messages[-1][1] == "q1":
+            raise ProviderError("q1 failed", retryable=False)
         return _answer(req)
 
     gateway = LlmGateway(provider=MockProvider(rules=answer),
                          cache_dir=tmp_path)
-    gateway._cache_get = lambda fp: None  # no entry reads back
     q0, q1 = request("m", None, "q0"), request("m", None, "q1")
-    outcomes = gateway.settle_all([q0, q1, q0, q0], "graph")
+    outcomes = gateway.settle_all([q0, q1, q0, q1], "graph")
     assert [type(o) for o in outcomes] == \
-        [CompletionResult, CompletionResult, ProviderError, NotSent]
-    assert sorted(sent) == ["q0", "q0", "q1"]
+        [CompletionResult, ProviderError, NotSent, NotSent]
+    assert sorted(sent) == ["q0", "q1"]
 
 
 def test_counters_survive_many_concurrent_misses(tmp_path):
@@ -1013,20 +1081,19 @@ def test_cache_path_that_is_a_directory_is_logged_and_refetched(tmp_path,
 
 
 def test_non_utf8_cache_entry_is_logged_and_refetched(tmp_path, caplog):
-    gateway = LlmGateway(provider=MockProvider(rules=lambda r: '{"ok": 1}'),
-                         cache_dir=tmp_path)
     req = request("m", None, "q", contract=OK_CONTRACT)
     fp = req.fingerprint
-    gateway.complete(req, "graph")
+    _ok_gateway(tmp_path).complete(req, "graph")
     path = tmp_path / fp[:2] / f"{fp}.json"
     path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))
 
-    result = gateway.complete(req, "graph")
+    rerun = _ok_gateway(tmp_path)
+    result = rerun.complete(req, "graph")
     assert not result.cached
-    assert gateway.stats.provider_calls == 2
+    assert rerun.stats.provider_calls == 1
     assert f"dropping unreadable cache entry {fp}.json" in caplog.text
     assert json.loads(path.read_bytes().decode("utf-8"))["key"] == fp
-    assert gateway.complete(req, "graph").cached
+    assert _ok_gateway(tmp_path).complete(req, "graph").cached
 
 
 # ------------------------------------------ contracts outside the subset

@@ -94,6 +94,26 @@ def test_config_resolves_paths_against_its_directory(mini_config):
     assert cfg.ground_truth.is_file()
 
 
+def test_config_paths_join_lexically(tmp_path):
+    base = tmp_path / "cfg"
+    (base / "elsewhere" / "deep").mkdir(parents=True)
+    (base / "link").symlink_to(base / "elsewhere" / "deep")
+    absolute = str(tmp_path / "x" / ".." / "cache")
+    path = base / "config.json"
+    path.write_text(json.dumps({
+        "workdir": "../work/./run", "cache_dir": absolute, "model": "m",
+        "rfc_sources": ["sub/../rfc.txt", "link/../kept.txt"]}))
+    cfg = load_config(path)
+    root = base.resolve()
+    # A relative value with ".." lands where Path.resolve() puts it ...
+    assert cfg.workdir == (root / "../work/./run").resolve()
+    assert cfg.rfc_sources[0] == (root / "sub/../rfc.txt").resolve()
+    # ... except through a symlink, which keeps the link as written.
+    assert cfg.rfc_sources[1] == root / "kept.txt"
+    # An absolute value is unchanged.
+    assert str(cfg.cache_dir) == absolute
+
+
 def test_config_validation(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("not json")
@@ -509,6 +529,36 @@ def test_bundled_work_regenerates_byte_for_byte(mini_config, monkeypatch):
     assert len(expected) >= 20
     for rel in expected:
         assert scrub(rel, got[rel]) == scrub(rel, expected[rel]), rel
+
+
+def test_cold_run_ledger_equals_the_fetched_tokens(mini_config, monkeypatch):
+    cfg_path = mini_config("cold")
+    built = []
+    make_gateway = pipeline.make_gateway
+    monkeypatch.setattr(pipeline, "make_gateway", lambda *a: (
+        built.append(make_gateway(*a)) or built[-1]))
+
+    def run():
+        built.clear()
+        for stage in STAGES:
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        return {k: sum(getattr(g.stats, k) for g in built)
+                for k in ("requests", "provider_calls", "cache_hits")}
+
+    assert run() == {"requests": 103, "provider_calls": 103, "cache_hits": 0}
+    cfg = load_config(cfg_path)
+    fetched = sum(e["usage"]["prompt_tokens"] + e["usage"]["completion_tokens"]
+                  for e in (json.loads(p.read_text())
+                            for p in cfg.cache_dir.glob("??/*.json")))
+    ledgers = {p.relative_to(cfg.workdir).as_posix(): p.read_bytes()
+               for p in sorted(cfg.workdir.rglob("ledger*.json"))}
+    assert sorted(ledgers) == ["chains/ledger.json", "graph/ledger.json",
+                               "triplets/ledger.json", "verify/ledger.json"]
+    total = json.loads(ledgers["verify/ledger.json"])["token_total"]
+    assert total == fetched == 48_344
+
+    assert run() == {"requests": 103, "provider_calls": 0, "cache_hits": 103}
+    assert {rel: (cfg.workdir / rel).read_bytes() for rel in ledgers} == ledgers
 
 
 def verified_config(mini_config, **overrides):
