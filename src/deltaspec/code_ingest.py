@@ -593,7 +593,8 @@ def _load_prelude(stub_headers: str | Path | None) -> str:
 
 
 class _IngestCache:
-    """Extracted functions per source file, one EntryStore entry each.
+    """Extracted functions per source file, one EntryStore entry each;
+    close() when done.
 
     The key ``k`` digests everything extraction reads or depends on: the
     tree-relative path, the file text, the stub prelude, EXTRACTOR_VERSION
@@ -623,8 +624,11 @@ class _IngestCache:
         try:
             self._store.put(key, {"functions": [f.to_dict() for f in functions]})
         except OSError as exc:
-            raise IoError(f"cannot write ingest cache entry {key}.json "
+            raise IoError(f"cannot write ingest cache entry {key} "
                           f"for {source.path}: {exc}") from exc
+
+    def close(self) -> None:
+        self._store.close()
 
 
 @functools.cache
@@ -688,13 +692,17 @@ def build_index(
     cache = None if cache_dir is None else \
         _IngestCache(Path(cache_dir) / "ingest", prelude)
     functions: list[CodeFunction] = []
-    for f in files:
-        found = cache.get(f) if cache is not None else None
-        if found is None:
-            found = _extract(f, parser())
-            if cache is not None:
-                cache.put(f, found)
-        functions.extend(found)
+    try:
+        for f in files:
+            found = cache.get(f) if cache is not None else None
+            if found is None:
+                found = _extract(f, parser())
+                if cache is not None:
+                    cache.put(f, found)
+            functions.extend(found)
+    finally:
+        if cache is not None:
+            cache.close()
     return CodebaseIndex(version=version, files=files, functions=functions)
 
 

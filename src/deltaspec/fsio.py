@@ -9,7 +9,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, BinaryIO, Callable, Iterator, TypeVar
 
 from .errors import MissingArtifact
 
@@ -17,26 +17,6 @@ T = TypeVar("T")
 
 # What a from_dict raises on a record of the wrong shape.
 _SHAPE_ERRORS = (AttributeError, IndexError, KeyError, TypeError)
-
-
-def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` so that a reader sees the old file or the
-    new one whole, never a partial write.
-
-    Each writer gets a private temp file in the target directory, so
-    concurrent writers of one path each replace the file whole instead of
-    interleaving into a shared one.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        os.fchmod(fd, 0o644)  # mkstemp creates 0600
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
 
 
 def write_json(path: Path, payload: object) -> None:
@@ -107,42 +87,108 @@ def read_jsonl(path: Path,
 
 
 class EntryStore:
-    """JSON entries keyed by a hex digest ``k``, one file each at
-    ``<root>/<k[:2]>/<k>.json``; every entry holds its own key as "key".
+    """JSON entries keyed by a 64-hex digest ``k``, kept as lines
+    ``<k> <json>\\n`` in append-only logs ``<root>/*.log``; every entry
+    holds its own key as "key".
 
-    A missing file is a silent miss. An unreadable entry, one holding
-    another key, or one ``decode`` returns None for is logged as a
-    warning, "<action> unreadable|corrupt <what> <k>.json", and misses.
+    Each store appends to one log of its own, created on its first put
+    under a name no other writer takes, so lines of concurrent writers
+    never interleave. Every log under the root is read once, on the first
+    get, into an index from key to raw lines; a line is parsed only when
+    it is served.
+
+    A key with no line is a silent miss. A line that is torn (a writer was
+    killed mid-append), that does not parse, whose body holds another key,
+    or that ``decode`` returns None for is never served. A key's lines are
+    tried in log-name order and the first that passes is served; when none
+    does, the miss is logged as a warning, "<action> corrupt <what> <k>".
+    A put replaces the key's lines in this store's index.
     """
 
-    def __init__(self, root: str | Path, log: logging.Logger, what: str,
-                 indent: int | None = None):
+    def __init__(self, root: str | Path, log: logging.Logger, what: str):
         self._root = Path(root)
         self._log = log
         self._what = what
-        self._indent = indent
+        self._index: dict[bytes, list[bytes]] | None = None
+        self._out: BinaryIO | None = None  # this store's own log
 
     def get(self, key: str, decode: Callable[[dict], T | None],
             action: str) -> T | None:
         """``decode`` of the entry under ``key``, or None on a miss."""
-        name = f"{key}.json"
-        try:
-            with open(f"{self._root}/{key[:2]}/{name}", "rb") as fh:
+        if self._index is None:
+            self._index = self._read_logs()
+        lines = self._index.get(key.encode("ascii"))
+        if not lines:
+            return None
+        for line in lines:
+            if not line.endswith(b"\n") or line[64:65] != b" ":
+                continue
+            try:
                 # JSONDecodeError and UnicodeDecodeError are ValueErrors.
-                entry = json.loads(fh.read().decode("utf-8"))
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            self._log.warning("%s unreadable %s %s", action, self._what, name)
-            return None
-        found = (decode(entry) if isinstance(entry, dict)
-                 and entry.get("key") == key else None)
-        if found is None:
-            self._log.warning("%s corrupt %s %s", action, self._what, name)
-        return found
+                entry = json.loads(line[65:])
+            except ValueError:
+                continue
+            if isinstance(entry, dict) and entry.get("key") == key:
+                found = decode(entry)
+                if found is not None:
+                    return found
+        self._log.warning("%s corrupt %s %s", action, self._what, key)
+        return None
 
     def put(self, key: str, entry: dict) -> None:
-        """Store ``entry`` under ``key``; OSError if it cannot be written."""
-        write_atomic(self._root / key[:2] / f"{key}.json",
-                     json.dumps({**entry, "key": key}, sort_keys=True,
-                                indent=self._indent))
+        """Append ``entry`` under ``key`` to this store's log; OSError if
+        it cannot be written."""
+        line = b"%s %s\n" % (key.encode("ascii"), json.dumps(
+            {**entry, "key": key}, sort_keys=True).encode("utf-8"))
+        if self._out is None:
+            self._root.mkdir(parents=True, exist_ok=True)
+            fd, _ = tempfile.mkstemp(suffix=".log", prefix="", dir=self._root)
+            try:
+                os.fchmod(fd, 0o644)  # mkstemp creates 0600
+            except OSError:
+                os.close(fd)
+                raise
+            self._out = os.fdopen(fd, "ab")
+        try:
+            self._out.write(line)
+            self._out.flush()
+        except OSError:
+            # The next line would extend a partial one: start a new log.
+            out, self._out = self._out, None
+            with contextlib.suppress(OSError):
+                out.close()
+            raise
+        if self._index is not None:
+            self._index[line[:64]] = [line]
+
+    def close(self) -> None:
+        """Close this store's log and drop the index; a later get reads
+        the logs again and a later put starts a new log."""
+        if self._out is not None:
+            self._out.close()
+            self._out = None
+        self._index = None
+
+    def _read_logs(self) -> dict[bytes, list[bytes]]:
+        try:
+            names = sorted(n for n in os.listdir(self._root)
+                           if n.endswith(".log"))
+        except FileNotFoundError:
+            return {}
+        except OSError as exc:
+            self._log.warning("unreadable %s store %s: %s", self._what,
+                              self._root, exc)
+            return {}
+        index: dict[bytes, list[bytes]] = {}
+        for name in names:
+            try:
+                with open(self._root / name, "rb") as fh:
+                    data = fh.read()
+            except OSError as exc:
+                self._log.warning("unreadable %s log %s: %s", self._what,
+                                  name, exc)
+                continue
+            # Each line keeps its newline; a torn last line has none.
+            for line in data.splitlines(keepends=True):
+                index.setdefault(line[:64], []).append(line)
+        return index

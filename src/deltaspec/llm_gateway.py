@@ -457,7 +457,8 @@ def extract_json_payload(text: str) -> Any:
 class LlmGateway:
     """Caching, retrying, contract-enforcing front door to one provider.
     A gateway lives for one stage and answers each distinct request once
-    (see settle_all)."""
+    (see settle_all). Used as a context manager, it closes its cache on
+    exit (see close)."""
 
     def __init__(self,
                  provider: Provider,
@@ -470,7 +471,7 @@ class LlmGateway:
                  contract_retries: int = 2,
                  max_in_flight: int = 4):
         self.provider = provider
-        self._cache = EntryStore(cache_dir, log, "cache entry", indent=1) \
+        self._cache = EntryStore(cache_dir, log, "cache entry") \
             if cache_dir else None
         self.ledger = ledger if ledger is not None else CostLedger()
         self.embedder = embedder
@@ -481,6 +482,18 @@ class LlmGateway:
         self.stats = GatewayStats()
         # Each fingerprint's first successful answer on this gateway.
         self._answered: dict[str, CompletionResult] = {}
+
+    def __enter__(self) -> "LlmGateway":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the cache's log and drop its index. Answers already given
+        stay remembered, and the stats and ledger stay readable."""
+        if self._cache is not None:
+            self._cache.close()
 
     # -- public API --------------------------------------------------------
 
@@ -718,7 +731,7 @@ class LlmGateway:
             })
         except OSError as exc:
             raise CacheWriteError(
-                f"cannot write response cache entry {fp}.json: {exc}") from exc
+                f"cannot write response cache entry {fp}: {exc}") from exc
 
 
 def _settle(fn: Callable[..., Any], *args: Any) -> Any:

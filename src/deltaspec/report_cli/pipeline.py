@@ -198,30 +198,33 @@ def build_graph_stage(cfg: PipelineConfig,
     text_chunks = _text_chunks(cfg, load_docs(cfg))
     write_jsonl(cfg.workdir / "chunks" / "text.jsonl",
                 [c.to_dict() for c in text_chunks])
-    gateway = make_gateway(cfg)
-    graphs = []
-    for version in versions:
-        root = cfg.code_trees.get(version)
-        if root is None:
-            raise InvalidConfig(
-                f"no code tree configured for version {version!r}")
-        functions = load_functions(cfg, version)
-        code_chunks, fmap = _code_chunks(cfg, version, Path(root), functions)
-        fmap.validate()
-        write_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl",
-                    [c.to_dict() for c in code_chunks])
-        write_json(cfg.workdir / "maps" / f"{version}.json", fmap.to_dict())
+    with make_gateway(cfg) as gateway:
+        graphs = []
+        for version in versions:
+            root = cfg.code_trees.get(version)
+            if root is None:
+                raise InvalidConfig(
+                    f"no code tree configured for version {version!r}")
+            functions = load_functions(cfg, version)
+            code_chunks, fmap = _code_chunks(cfg, version, Path(root),
+                                             functions)
+            fmap.validate()
+            write_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl",
+                        [c.to_dict() for c in code_chunks])
+            write_json(cfg.workdir / "maps" / f"{version}.json",
+                       fmap.to_dict())
 
-        graph = build_graph(
-            text_chunks + code_chunks,
-            gateway,
-            cfg.model,
-            fmap=fmap,
-            function_names={f.fid: f.name for f in functions},
-            damping=cfg.damping,
-        )
-        write_json(cfg.workdir / "graph" / f"{version}.json", graph.to_dict())
-        graphs.append(graph)
+            graph = build_graph(
+                text_chunks + code_chunks,
+                gateway,
+                cfg.model,
+                fmap=fmap,
+                function_names={f.fid: f.name for f in functions},
+                damping=cfg.damping,
+            )
+            write_json(cfg.workdir / "graph" / f"{version}.json",
+                       graph.to_dict())
+            graphs.append(graph)
     write_json(cfg.workdir / "graph" / "ledger.json", gateway.ledger.as_dict())
     return graphs
 
@@ -230,17 +233,16 @@ def build_graph_stage(cfg: PipelineConfig,
 
 def build_chains_stage(cfg: PipelineConfig) -> UpdateChainGraph:
     docs = load_docs(cfg)
-    gateway = make_gateway(cfg)
     chain_graph = build_update_chain(docs)
-
-    entries = dict(zip(
-        (doc.number for doc in docs),
-        extract_functional_entries_all(docs, gateway, cfg.model)))
-    pairings = [pair_entries(entries[e.src], entries[e.dst])
-                for e in chain_graph.edges]
-    for edge, delta in zip(chain_graph.edges,
-                           diff_pairings(pairings, gateway, cfg.model)):
-        chain_graph.set_delta(edge.src, edge.dst, delta)
+    with make_gateway(cfg) as gateway:
+        entries = dict(zip(
+            (doc.number for doc in docs),
+            extract_functional_entries_all(docs, gateway, cfg.model)))
+        pairings = [pair_entries(entries[e.src], entries[e.dst])
+                    for e in chain_graph.edges]
+        for edge, delta in zip(chain_graph.edges,
+                               diff_pairings(pairings, gateway, cfg.model)):
+            chain_graph.set_delta(edge.src, edge.dst, delta)
 
     out = cfg.workdir / "chains"
     write_json(out / "chains.json", chain_graph.to_dict())
@@ -257,15 +259,15 @@ def build_chains_stage(cfg: PipelineConfig) -> UpdateChainGraph:
 # -- stage: synth-triplets ---------------------------------------------------
 
 def synth_triplets_stage(cfg: PipelineConfig) -> TripletStore:
-    gateway = make_gateway(cfg)
     descriptions = [] if cfg.triplet_descriptions is None \
         else read_jsonl(cfg.triplet_descriptions)
     patches = [] if cfg.triplet_patches is None \
         else read_jsonl(cfg.triplet_patches)
     store = TripletStore()
-    for t in synth_triplets(descriptions, patches, gateway, cfg.model,
-                            paired_positive=cfg.paired_positive):
-        store.add(t)
+    with make_gateway(cfg) as gateway:
+        for t in synth_triplets(descriptions, patches, gateway, cfg.model,
+                                paired_positive=cfg.paired_positive):
+            store.add(t)
     write_jsonl(cfg.workdir / "triplets" / "store.jsonl",
                 [t.to_dict() for t in store.triplets])
     write_json(cfg.workdir / "triplets" / "ledger.json",
@@ -306,29 +308,29 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
         if store_path.is_file() else None
     retrieval = RetrievalConfig(k=cfg.retrieval_k,
                                 fusion_alpha=cfg.fusion_alpha)
-    gateway = make_gateway(cfg)
-
     # Lay out every cell of every version first, then judge all tasks in
     # one plan, so provider calls overlap across cells and versions.
     plan = VerifyPlan(cfg.trials)
     version_stats: dict[str, dict] = {}
-    for version in cfg.versions:
-        functions, fmap, chunks, graph = _load_verify_inputs(cfg, version)
+    with make_gateway(cfg) as gateway:
+        for version in cfg.versions:
+            functions, fmap, chunks, graph = _load_verify_inputs(cfg, version)
 
-        def resolver(fids, fmap=fmap, chunks=chunks):
-            return {fid: reconstruct_function(fid, fmap, chunks)
-                    for fid in fids}
+            def resolver(fids, fmap=fmap, chunks=chunks):
+                return {fid: reconstruct_function(fid, fmap, chunks)
+                        for fid in fids}
 
-        judged = plan_version(plan, walk, increments, entries, version,
-                              graph, store, gateway, resolver,
-                              retrieval=retrieval, budget=cfg.budget)
+            judged = plan_version(plan, walk, increments, entries, version,
+                                  graph, store, gateway, resolver,
+                                  retrieval=retrieval, budget=cfg.budget)
 
-        index = CodebaseIndex(version=version, files=[], functions=functions)
-        selected = {rfc: fids for rfc, fids in judged.items() if fids}
-        if selected:
-            version_stats[version] = compute_extraction_stats(
-                index, selected).to_dict()
-    matrix = plan.run(gateway, cfg.model)
+            index = CodebaseIndex(version=version, files=[],
+                                  functions=functions)
+            selected = {rfc: fids for rfc, fids in judged.items() if fids}
+            if selected:
+                version_stats[version] = compute_extraction_stats(
+                    index, selected).to_dict()
+        matrix = plan.run(gateway, cfg.model)
     # Written once every version is judged, so an aborted run leaves none.
     for version, stats in version_stats.items():
         write_json(cfg.workdir / "verify" / f"stats-{version}.json", stats)

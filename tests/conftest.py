@@ -47,6 +47,78 @@ def mini_config(tmp_path):
     return factory
 
 
+@pytest.fixture(autouse=True)
+def _close_gateways(monkeypatch):
+    """Close every gateway a test builds once the test ends, as each stage
+    closes its own, so no cache log is left open for the collector."""
+    from deltaspec.llm_gateway import LlmGateway
+
+    built = []
+    init = LlmGateway.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(LlmGateway, "__init__", tracked_init)
+    yield
+    for gateway in built:
+        gateway.close()
+
+
+class EntryLogs:
+    """The lines an EntryStore appended to its logs under ``root``: one
+    ``<key> <json>\\n`` line per put, in ``<root>/*.log``."""
+
+    def __init__(self, root: Path | str):
+        self.root = Path(root)
+
+    def logs(self) -> list[Path]:
+        return sorted(p for p in self.root.glob("*.log") if p.is_file())
+
+    def lines(self) -> list[tuple[str, bytes]]:
+        """(key, body) of every line, in log-name order; the body is the
+        bytes after ``<key> ``, without the newline."""
+        return [(line[:64].decode("ascii"), line[65:])
+                for path in self.logs()
+                for line in path.read_bytes().splitlines()]
+
+    def keys(self) -> list[str]:
+        return [key for key, _ in self.lines()]
+
+    def entries(self) -> list[tuple[str, dict]]:
+        """(key, parsed body) of every line, sorted, without the write
+        time, so two stores that cached the same replies compare equal."""
+        out = []
+        for key, body in self.lines():
+            entry = json.loads(body)
+            entry.pop("created_at", None)
+            out.append((key, entry))
+        return sorted(out, key=lambda kv: json.dumps(kv, sort_keys=True))
+
+    def tamper(self, key: str, change) -> bytes:
+        """Rewrite the one line of ``key`` in place, its body (bytes)
+        becoming ``change(body)``. Returns the new body."""
+        prefix = key.encode("ascii") + b" "
+        found = [(path, lines, i) for path in self.logs()
+                 for lines in [path.read_bytes().split(b"\n")]
+                 for i, line in enumerate(lines) if line.startswith(prefix)]
+        assert len(found) == 1, f"{len(found)} lines for {key}"
+        path, lines, i = found[0]
+        body = change(lines[i][len(prefix):])
+        lines[i] = prefix + body
+        path.write_bytes(b"\n".join(lines))
+        return body
+
+    def edit(self, key: str, change) -> bytes:
+        """tamper() with ``change`` editing the parsed entry in place."""
+        def apply(body):
+            entry = json.loads(body)
+            change(entry)
+            return json.dumps(entry).encode("utf-8")
+        return self.tamper(key, apply)
+
+
 def run_stages(cfg_path: Path, *, through: str = "eval"):
     """Drive the in-process pipeline in stage order, stopping after
     ``through``. Returns the loaded config."""

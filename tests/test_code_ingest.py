@@ -1,14 +1,12 @@
 """Tests for C source selection, function extraction, the ingest cache, and
 extraction stats."""
 
-import json
-
 import pycparser
 import pytest
 from pycparser import c_ast
 from pycparser.c_parser import ParseError
 
-from conftest import FIXTURES
+from conftest import FIXTURES, EntryLogs
 from deltaspec import code_ingest, fsio
 from deltaspec.code_ingest import (
     CodeFunction,
@@ -272,7 +270,7 @@ def test_build_index_parses_the_prelude_once(tmp_path, monkeypatch):
 # ------------------------------------------------------------ ingest cache
 
 def _entries(cache_dir):
-    return sorted((cache_dir / "ingest").rglob("*.json"))
+    return EntryLogs(cache_dir / "ingest")
 
 
 CACHED_TREES = [(TOY_A, {}), (TOY_B, {}),
@@ -289,23 +287,19 @@ def test_cold_and_warm_cached_index_match_the_uncached_one(
 
     expected = index()
     assert index(cache_dir=tmp_path) == expected
-    assert len(_entries(tmp_path)) == \
+    assert len(_entries(tmp_path).keys()) == \
         len(select_protocol_sources(tree, "v", **kwargs))
     texts = _count_parses(monkeypatch)
     assert index(cache_dir=tmp_path) == expected
     assert texts == []  # a fully warm index parses nothing, not even stubs
 
 
-def _truncate(path):
-    path.write_text(path.read_text()[:40])
+def _truncate(logs, key):
+    return logs.tamper(key, lambda body: body[:40])
 
 
 def _edit_entry(change):
-    def edit(path):
-        entry = json.loads(path.read_text())
-        change(entry)
-        path.write_text(json.dumps(entry))
-    return edit
+    return lambda logs, key: logs.edit(key, change)
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -323,9 +317,10 @@ def test_corrupt_ingest_entry_is_rebuilt_not_served(
         tmp_path, monkeypatch, caplog, corrupt):
     expected = build_index(TOY_A, "toy-a", stub_headers=STUBS,
                            cache_dir=tmp_path).functions
-    entries = _entries(tmp_path)
-    good = [p.read_text() for p in entries]
-    corrupt(entries[0])
+    logs = _entries(tmp_path)
+    good = logs.lines()
+    key = good[0][0]
+    corrupted = corrupt(logs, key)
     texts = _count_parses(monkeypatch)
     with caplog.at_level("WARNING", logger="deltaspec.code_ingest"):
         index = build_index(TOY_A, "toy-a", stub_headers=STUBS,
@@ -334,8 +329,9 @@ def test_corrupt_ingest_entry_is_rebuilt_not_served(
     assert texts  # the damaged file was parsed again
     assert any("ingest cache entry" in r.getMessage()
                and r.levelname == "WARNING" for r in caplog.records)
-    # The entry was overwritten with the good one.
-    assert [p.read_text() for p in entries] == good
+    # The entry was written again, the same as the good one; the damaged
+    # line stays, never served.
+    assert sorted(logs.lines()) == sorted(good + [(key, corrupted)])
 
 
 def test_stub_header_and_extractor_version_are_part_of_the_key(
@@ -351,14 +347,14 @@ def test_stub_header_and_extractor_version_are_part_of_the_key(
                                    "typedef int extra_t;\n")
     build_index(TOY_A, "toy-a", stub_headers=stubs, cache_dir=cache)
     assert len(texts) == 1 + 6  # the prelude and every region
-    assert len(_entries(cache)) == 2 * 2
+    assert len(_entries(cache).keys()) == 2 * 2
 
     texts.clear()
     monkeypatch.setattr(code_ingest, "EXTRACTOR_VERSION",
                         code_ingest.EXTRACTOR_VERSION + 1)
     build_index(TOY_A, "toy-a", stub_headers=stubs, cache_dir=cache)
     assert len(texts) == 1 + 6
-    assert len(_entries(cache)) == 3 * 2
+    assert len(_entries(cache).keys()) == 3 * 2
 
 
 def test_a_file_shared_by_two_versions_is_parsed_once(tmp_path, monkeypatch):
@@ -376,18 +372,22 @@ def test_a_file_shared_by_two_versions_is_parsed_once(tmp_path, monkeypatch):
 
 
 def test_ingest_entry_that_cannot_be_written_is_an_io_error(tmp_path):
-    build_index(TOY_A, "toy-a", stub_headers=STUBS, cache_dir=tmp_path)
-    entry = _entries(tmp_path)[0]
-    entry.unlink()
-    entry.mkdir()  # read as unreadable, and no file can replace it
-    with pytest.raises(IoError, match=f"ingest cache entry {entry.name}"):
-        build_index(TOY_A, "toy-a", stub_headers=STUBS, cache_dir=tmp_path)
+    build_index(TOY_A, "toy-a", stub_headers=STUBS, cache_dir=tmp_path / "a")
+    key = _entries(tmp_path / "a").keys()[0]  # the first file's entry
+    (tmp_path / "b").mkdir()
+    # A file at the store's root: read as no entries, and no log can be
+    # made under it.
+    (tmp_path / "b" / "ingest").write_text("")
+    with pytest.raises(IoError, match=f"ingest cache entry {key}"):
+        build_index(TOY_A, "toy-a", stub_headers=STUBS,
+                    cache_dir=tmp_path / "b")
 
 
 def test_no_cache_dir_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     writes = []
-    monkeypatch.setattr(fsio, "write_atomic", lambda *a: writes.append(a))
+    monkeypatch.setattr(fsio.EntryStore, "put",
+                        lambda *a: writes.append(a))
     build_index(TOY_A, "toy-a", stub_headers=STUBS)
     assert writes == []
     assert list(tmp_path.iterdir()) == []

@@ -1,9 +1,16 @@
-"""Tests for the artifact readers."""
+"""Tests for the artifact readers and the cache entry store."""
+
+import json
+import logging
+import sys
+import threading
 
 import pytest
 
 from deltaspec.errors import MissingArtifact
-from deltaspec.fsio import read_jsonl
+from deltaspec.fsio import EntryStore, read_jsonl
+
+LOG = logging.getLogger("deltaspec.test_fsio")
 
 
 def test_jsonl_decode_error_names_the_file_line(tmp_path):
@@ -23,3 +30,108 @@ def test_jsonl_record_of_the_wrong_shape_names_the_file_line(tmp_path):
     assert str(err.value) == \
         f"cannot read {path}: line 2: unexpected shape (KeyError: 'a')"
 
+
+# ------------------------------------------------------------- entry store
+
+def _key(n):
+    return f"{n:064x}"
+
+
+def _line(key, entry):
+    return f"{key} {json.dumps({**entry, 'key': key})}\n"
+
+
+def _get(store, key):
+    return store.get(key, lambda entry: entry, "dropping")
+
+
+def test_line_whose_prefix_and_body_keys_disagree_is_corrupt(tmp_path, caplog):
+    body = json.dumps({"key": _key(2), "v": 1})
+    (tmp_path / "a.log").write_text(f"{_key(1)} {body}\n")
+    store = EntryStore(tmp_path, LOG, "test entry")
+    with caplog.at_level("WARNING", logger=LOG.name):
+        assert _get(store, _key(1)) is None
+        assert _get(store, _key(2)) is None  # no line is filed under it
+    assert [r.getMessage() for r in caplog.records] == \
+        [f"dropping corrupt test entry {_key(1)}"]
+
+
+@pytest.mark.parametrize("corrupt_first", [True, False])
+@pytest.mark.parametrize("damage", [
+    lambda line: line[:-20] + "\n",  # cut short
+    lambda line: line.replace('"v": 1', '"v": 2'),  # fails the decode check
+    lambda line: line[:64] + "x" + line[65:],  # no separator
+], ids=["truncated", "rejected", "separator"])
+def test_corrupt_line_is_superseded_by_a_valid_one_in_any_log_order(
+        tmp_path, caplog, corrupt_first, damage):
+    good = _line(_key(1), {"v": 1})
+    names = ["a.log", "b.log"] if corrupt_first else ["b.log", "a.log"]
+    (tmp_path / names[0]).write_text(damage(good))
+    (tmp_path / names[1]).write_text(good)
+    store = EntryStore(tmp_path, LOG, "test entry")
+    with caplog.at_level("WARNING", logger=LOG.name):
+        found = store.get(_key(1), lambda e: e if e["v"] == 1 else None,
+                          "dropping")
+    assert found == {"key": _key(1), "v": 1}
+    assert caplog.records == []
+
+
+def test_torn_last_line_is_not_served_and_a_later_put_is(tmp_path, caplog):
+    first = EntryStore(tmp_path, LOG, "test entry")
+    first.put(_key(1), {"v": 1})
+    first.put(_key(2), {"v": 2})
+    first.close()
+    [log] = tmp_path.iterdir()
+    log.write_bytes(log.read_bytes()[:-1])  # only the newline is lost
+
+    second = EntryStore(tmp_path, LOG, "test entry")
+    with caplog.at_level("WARNING", logger=LOG.name):
+        assert _get(second, _key(1)) == {"key": _key(1), "v": 1}
+        assert _get(second, _key(2)) is None
+    assert [r.getMessage() for r in caplog.records] == \
+        [f"dropping corrupt test entry {_key(2)}"]
+    second.put(_key(2), {"v": 2})
+    assert _get(second, _key(2)) == {"key": _key(2), "v": 2}
+    second.close()
+    assert _get(EntryStore(tmp_path, LOG, "test entry"), _key(2)) == \
+        {"key": _key(2), "v": 2}
+
+
+def test_concurrent_writers_each_append_whole_lines(tmp_path):
+    stores = [EntryStore(tmp_path, LOG, "test entry") for _ in range(2)]
+    start = threading.Barrier(len(stores))
+    errors = []
+
+    def write(w, store):
+        start.wait()
+        try:
+            for i in range(200):
+                store.put(_key(1000 * w + i), {"w": w, "text": "x" * i})
+        except Exception as exc:  # pragma: no cover - the failure mode
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=(w, store))
+                   for w, store in enumerate(stores)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        for store in stores:
+            store.close()
+    assert errors == []
+    logs = sorted(tmp_path.iterdir())
+    assert len(logs) == 2
+    for log in logs:
+        data = log.read_bytes()
+        assert data.endswith(b"\n") and data.count(b"\n") == 200
+    reader = EntryStore(tmp_path, LOG, "test entry")
+    for w in range(2):
+        for i in range(200):
+            assert _get(reader, _key(1000 * w + i)) == \
+                {"key": _key(1000 * w + i), "w": w, "text": "x" * i}

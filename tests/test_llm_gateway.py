@@ -1,5 +1,6 @@
 """Tests for the caching gateway, cost ledger, and offline providers."""
 
+import errno
 import json
 import re
 import sys
@@ -8,7 +9,6 @@ import threading
 import time
 from datetime import datetime, timezone
 from email.utils import format_datetime
-from pathlib import Path
 
 import jsonschema
 import pytest
@@ -16,6 +16,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EntryLogs
 from deltaspec import llm_gateway
 from deltaspec.errors import (CacheWriteError, ContractViolation, NotSent,
                               ProviderError)
@@ -139,13 +140,21 @@ def test_failed_request_is_asked_again_next_time(tmp_path):
     assert gateway.ledger.token_total == result.usage.total
 
 
-def test_cache_entries_are_sharded_files(tmp_path):
-    gateway = LlmGateway(provider=MockProvider(rules=lambda r: "x"),
-                         cache_dir=tmp_path)
-    req = request("m", None, "q")
-    gateway.complete(req, "graph")
-    fp = req.fingerprint
-    assert (tmp_path / fp[:2] / f"{fp}.json").is_file()
+def test_cache_entries_are_lines_of_one_log(tmp_path):
+    with LlmGateway(provider=MockProvider(rules=lambda r: "x"),
+                    cache_dir=tmp_path) as gateway:
+        reqs = [request("m", None, "q"), request("m", None, "r")]
+        gateway.complete_all(reqs, "graph")
+    [log] = tmp_path.iterdir()
+    assert log.suffix == ".log" and log.stat().st_mode & 0o777 == 0o644
+    assert [(key, entry["key"], entry["response"])
+            for key, entry in EntryLogs(tmp_path).entries()] == \
+        sorted((r.fingerprint, r.fingerprint, "x") for r in reqs)
+    # A warm rerun creates no log.
+    with LlmGateway(provider=MockProvider(rules=lambda r: "x"),
+                    cache_dir=tmp_path) as rerun:
+        assert all(r.cached for r in rerun.complete_all(reqs, "graph"))
+    assert list(tmp_path.iterdir()) == [log]
 
 
 def test_unknown_phase_is_rejected(tmp_path):
@@ -366,17 +375,19 @@ def test_contract_violation_message_names_the_json_path():
 def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, caplog, tamper):
     req = request("m", None, "q", contract=OK_CONTRACT)
     _ok_gateway(tmp_path).complete(req, "graph")
-    path = tmp_path / req.fingerprint[:2] / f"{req.fingerprint}.json"
-    entry = json.loads(path.read_text())
-    tamper(entry)
-    path.write_text(json.dumps(entry))
+    logs = EntryLogs(tmp_path)
+    good = logs.entries()
+    damaged = json.loads(logs.edit(req.fingerprint, tamper))
+    damaged.pop("created_at")
 
     rerun = _ok_gateway(tmp_path)
     result = rerun.complete(req, "graph")
     assert not result.cached
     assert rerun.stats.provider_calls == 1
     assert "corrupt cache entry" in caplog.text
-    assert json.loads(path.read_text())["key"] == req.fingerprint
+    # The reply was cached again, beside the damaged line.
+    assert sorted(logs.entries(), key=str) == \
+        sorted(good + [(req.fingerprint, damaged)], key=str)
     assert _ok_gateway(tmp_path).complete(req, "graph").cached
 
 
@@ -444,7 +455,7 @@ def test_http_provider_rejects_bad_usage_counts(monkeypatch, tmp_path, count):
         gateway.complete(request("m", None, "q"), "graph")
     # Not posted again: a resend gets no better-formed reply.
     assert len(posts) == 1
-    assert not list(tmp_path.rglob("*.json"))
+    assert list(tmp_path.iterdir()) == []
     assert gateway.ledger.token_total == 0
 
 
@@ -471,7 +482,7 @@ def test_mock_provider_rejects_malformed_transcript_entries(tmp_path, entry):
         gateway.complete(req, "graph")
     # Not retried, and nothing is cached or recorded.
     assert gateway.stats.provider_calls == 1
-    assert not list(tmp_path.rglob("*.json"))
+    assert list(tmp_path.iterdir()) == []
     assert gateway.ledger.token_total == 0
 
 
@@ -595,7 +606,7 @@ def test_http_503_is_retried_max_retries_times(monkeypatch):
 
 # --------------------------------------------------------- cache collisions
 
-def test_concurrent_writers_of_one_entry_leave_one_valid_file(tmp_path):
+def test_concurrent_writers_of_one_entry_leave_whole_lines(tmp_path):
     gateways = [LlmGateway(provider=MockProvider(rules=lambda r: "x"),
                            cache_dir=tmp_path) for _ in range(2)]
     fp = request("m", None, "q").fingerprint
@@ -618,8 +629,17 @@ def test_concurrent_writers_of_one_entry_leave_one_valid_file(tmp_path):
         t.join(timeout=30)
         assert not t.is_alive()
     assert errors == []
-    assert [p.name for p in tmp_path.rglob("*")
-            if p.is_file()] == [f"{fp}.json"]
+    # Each writer appended to a log of its own, so no line interleaves.
+    logs = sorted(tmp_path.iterdir())
+    assert len(logs) == 2
+    for log in logs:
+        lines = log.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        entries = [json.loads(line[65:]) for line in lines]
+        assert len(entries) == 200
+        assert all(line[:65] == fp.encode() + b" " for line in lines)
+        assert len({e["response"] for e in entries}) == 1
+        assert all(e["key"] == fp for e in entries)
     assert gateways[0]._cache_get(fp)["response"] in ("one", "two")
 
 
@@ -634,12 +654,7 @@ def _answer(req):
 
 
 def _cache_entries(root):
-    out = {}
-    for path in sorted(Path(root).rglob("*.json")):
-        entry = json.loads(path.read_text())
-        entry.pop("created_at")
-        out[path.relative_to(root).as_posix()] = entry
-    return out
+    return EntryLogs(root).entries()
 
 
 _POOL = [request("m", "sys", f"q{i}", contract=OK_CONTRACT if i % 2 else None)
@@ -917,7 +932,8 @@ def test_counters_survive_many_concurrent_misses(tmp_path):
     assert gateway.stats.provider_calls == 300
     assert gateway.stats.requests == 300
     assert gateway.ledger.token_total == sum(r.usage.total for r in results)
-    assert len(list(tmp_path.rglob("*.json"))) == 300
+    assert sorted(EntryLogs(tmp_path).keys()) == \
+        sorted(r.fingerprint for r in reqs)
 
 
 def test_replies_are_stored_while_later_fetches_wait(tmp_path):
@@ -931,7 +947,7 @@ def test_replies_are_stored_while_later_fetches_wait(tmp_path):
             # The last fetch holds its worker until the caller has stored
             # the first reply; storing only after the pool joins never does.
             seen.append(stored.wait(timeout=5)
-                        and (tmp_path / first[:2] / f"{first}.json").exists())
+                        and first in EntryLogs(tmp_path).keys())
         return _answer(req)
 
     gateway = LlmGateway(provider=MockProvider(rules=answer),
@@ -954,13 +970,20 @@ def test_failed_cache_write_stops_later_sends(tmp_path):
     in_flight = 4
     reqs = [request("m", None, f"q{i}") for i in range(20)]
     fp = reqs[0].fingerprint
-    (tmp_path / fp[:2] / f"{fp}.json").mkdir(parents=True)
     gateway = LlmGateway(
         provider=MockProvider(rules=lambda r: time.sleep(0.02) or _answer(r)),
         cache_dir=tmp_path, max_in_flight=in_flight)
+    put = gateway._cache.put
+
+    def put_unless_q0(key, entry):
+        if key == fp:  # only q0's line meets a full disk
+            raise OSError(errno.ENOSPC, "No space left on device")
+        put(key, entry)
+
+    gateway._cache.put = put_unless_q0
     outcomes = gateway.settle_all(reqs, "graph")
     assert isinstance(outcomes[0], CacheWriteError)
-    assert f"cannot write response cache entry {fp}.json" in str(outcomes[0])
+    assert f"cannot write response cache entry {fp}: " in str(outcomes[0])
     # When q0's write fails, the workers hold at most max_in_flight requests,
     # and each may have taken one more since q0's reply came back.
     assert gateway.stats.provider_calls <= 2 * in_flight
@@ -969,6 +992,29 @@ def test_failed_cache_write_stops_later_sends(tmp_path):
         gateway.stats.provider_calls - 1
     with pytest.raises(CacheWriteError):
         gateway.complete_all(reqs, "graph")
+
+
+def test_failed_cache_write_at_a_file_root_stops_later_sends(tmp_path):
+    in_flight = 4
+    reqs = [request("m", None, f"q{i}") for i in range(20)]
+    root = tmp_path / "cache"
+    root.write_text("")  # read as no entries; no log can be made under it
+    gateway = LlmGateway(
+        provider=MockProvider(rules=lambda r: time.sleep(0.02) or _answer(r)),
+        cache_dir=root, max_in_flight=in_flight)
+    outcomes = gateway.settle_all(reqs, "graph")
+    # q0 is always in a worker's hand when the first write fails, so it is
+    # fetched, and its write fails too.
+    assert isinstance(outcomes[0], CacheWriteError)
+    assert f"cannot write response cache entry {reqs[0].fingerprint}: " \
+        in str(outcomes[0])
+    assert gateway.stats.provider_calls <= 2 * in_flight
+    assert all(isinstance(o, (CacheWriteError, NotSent)) for o in outcomes)
+    assert sum(isinstance(o, CacheWriteError) for o in outcomes) == \
+        gateway.stats.provider_calls
+    with pytest.raises(CacheWriteError):
+        gateway.complete_all(reqs, "graph")
+    assert root.read_text() == ""
 
 
 def test_worker_interrupt_propagates_and_stops_the_batch(tmp_path):
@@ -1056,11 +1102,12 @@ def test_interrupt_while_storing_a_reply_stops_the_batch(tmp_path):
 
 # ------------------------------------------------------------- cache reads
 
-def test_missing_shard_directory_is_a_silent_miss(tmp_path, caplog):
-    gateway = LlmGateway(provider=MockProvider(rules=lambda r: "x"),
-                         cache_dir=tmp_path)
+def test_cache_without_logs_is_a_silent_miss(tmp_path, caplog):
     fp = request("m", None, "q").fingerprint
-    assert gateway._cache_get(fp) is None
+    for root in (tmp_path, tmp_path / "missing"):
+        gateway = LlmGateway(provider=MockProvider(rules=lambda r: "x"),
+                             cache_dir=root)
+        assert gateway._cache_get(fp) is None
     assert caplog.records == []
     assert list(tmp_path.iterdir()) == []
 
@@ -1070,29 +1117,33 @@ def test_cache_path_that_is_a_directory_is_logged_and_refetched(tmp_path,
     gateway = LlmGateway(provider=MockProvider(rules=lambda r: '{"ok": 1}'),
                          cache_dir=tmp_path)
     req = request("m", None, "q", contract=OK_CONTRACT)
-    fp = req.fingerprint
-    (tmp_path / fp[:2] / f"{fp}.json").mkdir(parents=True)
-    # The refetched reply cannot replace a directory, so the rewrite fails;
-    # what matters here is that the directory is never read as an entry.
-    gateway.settle_all([req], "graph")
+    (tmp_path / "stray.log").mkdir()
+    # The directory is never read as a log; the reply goes to a new one.
+    [result] = gateway.settle_all([req], "graph")
+    assert not result.cached
     assert gateway.stats.cache_hits == 0
     assert gateway.stats.provider_calls == 1
-    assert f"dropping unreadable cache entry {fp}.json" in caplog.text
+    assert "unreadable cache entry log stray.log" in caplog.text
+    assert EntryLogs(tmp_path).keys() == [req.fingerprint]
 
 
 def test_non_utf8_cache_entry_is_logged_and_refetched(tmp_path, caplog):
     req = request("m", None, "q", contract=OK_CONTRACT)
     fp = req.fingerprint
     _ok_gateway(tmp_path).complete(req, "graph")
-    path = tmp_path / fp[:2] / f"{fp}.json"
-    path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))
+    logs = EntryLogs(tmp_path)
+    damaged = logs.tamper(fp, lambda body: body.decode("utf-8")
+                          .encode("utf-16"))
 
     rerun = _ok_gateway(tmp_path)
     result = rerun.complete(req, "graph")
     assert not result.cached
     assert rerun.stats.provider_calls == 1
-    assert f"dropping unreadable cache entry {fp}.json" in caplog.text
-    assert json.loads(path.read_bytes().decode("utf-8"))["key"] == fp
+    assert f"dropping corrupt cache entry {fp}" in caplog.text
+    bodies = [body for key, body in logs.lines() if key == fp]
+    assert len(bodies) == 2 and damaged in bodies
+    bodies.remove(damaged)
+    assert json.loads(bodies[0].decode("utf-8"))["key"] == fp
     assert _ok_gateway(tmp_path).complete(req, "graph").cached
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, run_stages
+from conftest import FIXTURES, EntryLogs, run_stages
 from deltaspec import llm_gateway
 from deltaspec.code_ingest import DEFAULT_GLOBS, DEFAULT_KEYWORDS
 from deltaspec.errors import (
@@ -422,7 +422,7 @@ def test_ingest_code_artifacts_do_not_depend_on_the_ingest_cache(
                 for name in ("index.json", "functions.jsonl")}
 
     cold = ingest()
-    assert list((cfg.cache_dir / "ingest").rglob("*.json"))
+    assert EntryLogs(cfg.cache_dir / "ingest").keys()
     warm = ingest()
     shutil.rmtree(cfg.cache_dir)
     emptied = ingest()
@@ -529,6 +529,42 @@ def test_bundled_work_regenerates_byte_for_byte(mini_config, monkeypatch):
     assert len(expected) >= 20
     for rel in expected:
         assert scrub(rel, got[rel]) == scrub(rel, expected[rel]), rel
+    # The warm run created no response-cache log and changed no cache byte.
+    # (Ingest entries carry the pycparser version in their key, so another
+    # version appends a log under ingest/.)
+    def logs(root):
+        return {rel: data for rel, data in tree(root).items() if "/" not in rel}
+
+    assert logs(cfg.cache_dir) == logs(BUNDLED / "cache")
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
+                    reason="needs /proc/self/fd")
+def test_pipeline_run_leaves_no_cache_log_open(mini_config, monkeypatch):
+    # Every gateway is kept alive, as a caller that reads their stats after
+    # the run does, so only closing them releases their logs.
+    built = []
+    make_gateway = pipeline.make_gateway
+    monkeypatch.setattr(pipeline, "make_gateway", lambda *a: (
+        built.append(make_gateway(*a)) or built[-1]))
+
+    def open_fds():
+        fds = {}
+        for fd in Path("/proc/self/fd").iterdir():
+            try:
+                fds[fd.name] = str(fd.readlink())
+            except OSError:  # the directory's own fd, closed by now
+                pass
+        return fds
+
+    before = open_fds()
+    cfg = run_stages(mini_config(), through="eval")
+    after = open_fds()
+    assert len(built) == 4
+    assert EntryLogs(cfg.cache_dir).keys()
+    assert EntryLogs(cfg.cache_dir / "ingest").keys()
+    assert [path for path in after.values() if path.endswith(".log")] == []
+    assert len(after) <= len(before)
 
 
 def test_cold_run_ledger_equals_the_fetched_tokens(mini_config, monkeypatch):
@@ -548,8 +584,7 @@ def test_cold_run_ledger_equals_the_fetched_tokens(mini_config, monkeypatch):
     assert run() == {"requests": 103, "provider_calls": 103, "cache_hits": 0}
     cfg = load_config(cfg_path)
     fetched = sum(e["usage"]["prompt_tokens"] + e["usage"]["completion_tokens"]
-                  for e in (json.loads(p.read_text())
-                            for p in cfg.cache_dir.glob("??/*.json")))
+                  for _, e in EntryLogs(cfg.cache_dir).entries())
     ledgers = {p.relative_to(cfg.workdir).as_posix(): p.read_bytes()
                for p in sorted(cfg.workdir.rglob("ledger*.json"))}
     assert sorted(ledgers) == ["chains/ledger.json", "graph/ledger.json",
@@ -659,16 +694,20 @@ def test_cli_cache_entry_that_cannot_be_written_exits_one(mini_config,
     cfg = load_config(cfg_path)
     for stage in STAGES[:STAGES.index("verify")]:
         assert main([stage, "--config", str(cfg_path)]) == 0
-    before = set(cfg.cache_dir.rglob("*.json"))
+    before = set(EntryLogs(cfg.cache_dir).keys())
     assert main(["verify", "--config", str(cfg_path)]) == 0
-    entry = sorted(set(cfg.cache_dir.rglob("*.json")) - before)[0]
-    entry.unlink()
-    entry.mkdir()  # read as unreadable, and no reply can replace it
+    entries = set(EntryLogs(cfg.cache_dir).keys()) - before
+    # A file at the cache root: read as no entries, and no log can be made
+    # under it, so verify's first reply cannot be written.
+    shutil.rmtree(cfg.cache_dir)
+    cfg.cache_dir.write_text("")
     capsys.readouterr()
     assert main(["verify", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: gateway failed on trial")
-    assert f"cannot write response cache entry {entry.name}" in err
+    named = [key for key in entries
+             if f"cannot write response cache entry {key}: " in err]
+    assert len(named) == 1
 
 
 # ---------------------------------------------------------- scripted backend
@@ -759,7 +798,7 @@ def test_cli_malformed_transcript_entry_exits_one(mini_config, tmp_path,
     scout = mini_config("scout")
     assert main(["ingest-rfc", "--config", str(scout)]) == 0
     assert main(["build-chains", "--config", str(scout)]) == 0
-    fingerprint = sorted(load_config(scout).cache_dir.rglob("*.json"))[0].stem
+    fingerprint = sorted(EntryLogs(load_config(scout).cache_dir).keys())[0]
     transcript = tmp_path / "transcript.jsonl"
     transcript.write_text(json.dumps({
         "fingerprint": fingerprint,
@@ -773,7 +812,7 @@ def test_cli_malformed_transcript_entry_exits_one(mini_config, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "malformed transcript entry" in err
-    assert not list(load_config(cfg_path).cache_dir.rglob(f"{fingerprint}.json"))
+    assert fingerprint not in EntryLogs(load_config(cfg_path).cache_dir).keys()
 
 
 # ------------------------------------------------------------------- reports

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, EntryLogs
 from deltaspec import fsio, triplet_store
 from deltaspec.errors import EmptyStore, InvalidRecord
 from deltaspec.llm_gateway import HashEmbedder, LlmGateway, MockProvider
@@ -259,12 +259,7 @@ def _jsonl(path):
 
 
 def _cache_entries(cache_dir):
-    entries = {}
-    for path in sorted(cache_dir.rglob("*.json")):
-        entry = json.loads(path.read_text())
-        entry.pop("created_at")
-        entries[path.relative_to(cache_dir).as_posix()] = entry
-    return entries
+    return EntryLogs(cache_dir).entries()
 
 
 def test_batched_synthesis_matches_the_serial_loop(tmp_path):
