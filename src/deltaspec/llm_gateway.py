@@ -26,7 +26,9 @@ from datetime import timezone
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Protocol, Sequence
+from urllib.parse import urlsplit
 
+from . import __version__
 from .errors import CacheWriteError, ContractViolation, NotSent, ProviderError
 from .fsio import EntryStore, read_jsonl
 from .tokenizer import count_tokens, token_texts
@@ -335,48 +337,59 @@ class HttpProvider:
         self.base_url = (base_url or os.environ.get("DELTASPEC_API_BASE") or "").rstrip("/")
         self.api_key = api_key or os.environ.get("DELTASPEC_API_KEY") or ""
         self.timeout = timeout
-        if not self.base_url:
+        base = self.base_url
+        try:
+            url = urlsplit(base)
+            url.port  # raises on a port that is not a number in 0-65535
+        except ValueError:
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname \
+                or not (base.isascii() and base.isprintable()) or " " in base:
             raise ProviderError(
-                "no API base configured; set DELTASPEC_API_BASE or pass base_url")
+                f"API base {base!r} is not an http:// or https:// URL with a host, in "
+                f"printable ASCII without spaces; set DELTASPEC_API_BASE or pass base_url")
+        if not (self.api_key.isascii() and self.api_key.isprintable()):
+            raise ProviderError("the API key is not printable ASCII")
 
     def complete(self, request: LlmRequest) -> tuple[str, Usage | None]:
-        import requests as _requests
+        # Imported here: a run on the mock provider loads no HTTP or TLS code.
+        import http.client
+        import urllib.request
 
-        payload = {
-            "model": request.model,
-            "messages": [{"role": r, "content": c} for r, c in request.messages],
-            "temperature": request.temperature,
-        }
-        headers = {"Content-Type": "application/json"}
+        payload = {"model": request.model, "temperature": request.temperature,
+                   "messages": [{"role": r, "content": c} for r, c in request.messages]}
+        headers = {"Content-Type": "application/json",
+                   "User-Agent": f"deltaspec/{__version__}"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        post = urllib.request.Request(f"{self.base_url}/chat/completions",
+                                      json.dumps(payload).encode("utf-8"), headers)
+        # Proxies, HTTP and HTTPS only: with no error or redirect handler every
+        # status comes back as a reply, so a 3xx never resends the key elsewhere.
+        opener = urllib.request.OpenerDirector()
+        for handler in (urllib.request.ProxyHandler(), urllib.request.HTTPHandler(),
+                        urllib.request.HTTPSHandler()):
+            opener.add_handler(handler)
         try:
-            resp = _requests.post(f"{self.base_url}/chat/completions",
-                                  json=payload, headers=headers, timeout=self.timeout)
-        except _requests.RequestException as exc:
+            with opener.open(post, timeout=self.timeout) as resp:
+                status, raw = resp.status, resp.read().decode("utf-8", "replace")
+        except (OSError, http.client.HTTPException) as exc:
             raise ProviderError(f"provider unreachable: {exc}") from exc
-        status = resp.status_code
         if status != 200:
             # Only overload and server faults can clear up on a retry.
             raise ProviderError(
-                f"provider returned {status}: {resp.text[:200]}",
+                f"provider returned {status}: {raw[:200]}",
                 retryable=status == 429 or status >= 500,
                 retry_after=_retry_after(resp) if status in (429, 503) else None)
         try:
-            body = resp.json()
-            text = body["choices"][0]["message"]["content"]
-            usage = None
-            if isinstance(body.get("usage"), dict):
-                u = body["usage"]
-                if not _is_usage(u):
-                    raise ValueError(f"bad token counts {u}")
-                usage = Usage(u["prompt_tokens"], u["completion_tokens"])
+            body = json.loads(raw)
+            text, usage = body["choices"][0]["message"]["content"], body.get("usage")
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             # The provider answered; sending the request again gets no
             # better-formed reply.
             raise ProviderError(f"malformed provider response: {exc}",
                                 retryable=False) from exc
-        return text, usage
+        return _reply(text, usage, "provider response")
 
 
 class MockProvider:
@@ -408,18 +421,10 @@ class MockProvider:
         queue = self._queues.get(request.fingerprint)
         if queue:
             value = queue.popleft() if len(queue) > 1 else queue[0]
-            entry = {"response": value} if isinstance(value, str) else value
-            usage = entry.get("usage") if isinstance(entry, dict) else None
-            if not isinstance(entry, dict) \
-                    or not isinstance(entry.get("response"), str) \
-                    or not (usage is None or _is_usage(usage)):
-                raise ProviderError(
-                    f"malformed transcript entry for fingerprint "
-                    f"{request.fingerprint[:12]}...: it needs a string "
-                    f"response and nonnegative int token counts",
-                    retryable=False)
-            return entry["response"], None if usage is None else Usage(
-                usage["prompt_tokens"], usage["completion_tokens"])
+            entry = value if isinstance(value, dict) else {"response": value}
+            return _reply(entry.get("response"), entry.get("usage"),
+                          f"transcript entry for fingerprint "
+                          f"{request.fingerprint[:12]}...")
         if self.rules is None:
             raise ProviderError(
                 f"mock transcript has no entry for fingerprint "
@@ -749,8 +754,8 @@ def _retry_after(resp: Any) -> float | None:
     try:
         seconds = float(value)
     except ValueError:
-        # Imported here, like requests: email.utils is only needed on the
-        # live HTTP path and adds about half a megabyte to every run.
+        # Imported here, like urllib.request: email.utils is only needed on
+        # the live HTTP path and adds about half a megabyte to every run.
         from email.utils import parsedate_to_datetime
         try:
             when = parsedate_to_datetime(value)
@@ -760,6 +765,15 @@ def _retry_after(resp: Any) -> float | None:
             when = when.replace(tzinfo=timezone.utc)
         seconds = max(0.0, when.timestamp() - time.time())
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
+
+
+def _reply(text: object, usage: object, source: str) -> tuple[str, Usage | None]:
+    """A reply's text must be a string; its usage None or pass _is_usage."""
+    if not isinstance(text, str) or not (usage is None or _is_usage(usage)):
+        raise ProviderError(f"malformed {source}: it needs a string response "
+                            f"and nonnegative int token counts", retryable=False)
+    return text, None if usage is None else Usage(
+        usage["prompt_tokens"], usage["completion_tokens"])
 
 
 def _is_usage(usage: object) -> bool:

@@ -1,5 +1,12 @@
 import json
+import socket
+import socketserver
+import struct
+import threading
+from collections import deque
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -145,6 +152,117 @@ def run_stages(cfg_path: Path, *, through: str = "eval"):
         elif stage == "eval":
             pipeline.eval_stage(cfg)
     return cfg
+
+
+# --- loopback provider -------------------------------------------------------
+
+def http_reply(status: int, body: str | bytes = b"",
+               headers: dict | None = None) -> bytes:
+    """A whole HTTP/1.1 response. ``headers`` adds to and overrides the
+    default Content-Length and Connection: close; a None value drops one."""
+    body = body.encode("utf-8") if isinstance(body, str) else body
+    fields = {"Content-Length": str(len(body)), "Connection": "close",
+              **(headers or {})}
+    head = [f"HTTP/1.1 {status} Scripted"] + [
+        f"{name}: {value}" for name, value in fields.items() if value is not None]
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+def chat_reply(content, usage=None) -> bytes:
+    """An OpenAI-style chat completion carrying ``content``, and ``usage``
+    when it is given."""
+    body = {"choices": [{"message": {"content": content}}]}
+    if usage is not None:
+        body["usage"] = usage
+    return http_reply(200, json.dumps(body))
+
+
+class Fault(NamedTuple):
+    """Write ``sent``, then end the connection the way ``kind`` says:
+    "reset" aborts it (RST), "stall" holds it open until the server stops."""
+    kind: str
+    sent: bytes = b""
+
+
+class Post(NamedTuple):
+    path: str
+    headers: dict
+    body: dict
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        server = self.server
+        length = int(self.headers.get("Content-Length", 0))
+        post = Post(self.path, dict(self.headers),
+                    json.loads(self.rfile.read(length)) if length else None)
+        with server.lock:
+            server.posts.append(post)
+            script = server.script
+            if callable(script):
+                answer = script(post)
+            else:
+                answer = script.popleft() if len(script) > 1 else script[0]
+        fault = answer if isinstance(answer, Fault) else Fault("close", answer)
+        self.wfile.write(fault.sent)  # one write per reply
+        if fault.kind == "reset":
+            self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                       struct.pack("ii", 1, 0))
+            self.connection.close()  # closes for real once rfile is closed
+        elif fault.kind == "stall":
+            # An Event, not time.sleep: tests patch the time module.
+            server.stopping.wait(30)
+        self.close_connection = True
+
+    do_GET = do_POST  # a followed redirect arrives as a GET: keep it too
+
+    def log_message(self, format, *args):
+        pass
+
+
+class FaultServer(socketserver.ThreadingTCPServer):
+    """A chat endpoint on 127.0.0.1 that answers the n-th POST with the n-th
+    item of the script, the last item repeating; an item is a raw response
+    (see http_reply) or a Fault. A script that is one callable maps each
+    Post to its answer instead. Every request is kept in ``posts``; a GET,
+    which only a followed redirect sends, has the body None."""
+
+    daemon_threads = True
+
+    def __init__(self, *script):
+        super().__init__(("127.0.0.1", 0), _ScriptedHandler)
+        self.script = script[0] if len(script) == 1 and callable(script[0]) \
+            else deque(script)
+        self.posts: list[Post] = []
+        self.lock = threading.Lock()
+        self.stopping = threading.Event()
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1"
+        threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.05},
+                         daemon=True).start()
+
+    def stop(self) -> None:
+        self.stopping.set()
+        self.shutdown()
+        self.server_close()
+
+
+@pytest.fixture
+def fault_server(monkeypatch):
+    """Factory: fault_server(*script) -> a running FaultServer, stopped when
+    the test ends. A proxy set in the environment is bypassed for it."""
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.setenv(name, "127.0.0.1")
+    started = []
+
+    def factory(*script) -> FaultServer:
+        started.append(FaultServer(*script))
+        return started[-1]
+
+    yield factory
+    for server in started:
+        server.stop()
 
 
 # --- acceptance summary -----------------------------------------------------

@@ -1,6 +1,6 @@
 """No run needs jsonschema, and pycparser loads only where a run uses it: a
 warm rerun does not import it, and the ingest cache key does not need it
-loaded."""
+loaded. A run on the mock provider loads no HTTP or TLS code."""
 
 import hashlib
 import json
@@ -20,8 +20,8 @@ STAGES = ("ingest-rfc", "ingest-code", "build-graph", "build-chains",
 
 # Runs the stages named after the config path through cli.main in one fresh
 # interpreter where importing jsonschema fails, then one gateway call whose
-# first reply breaks its contract and is retried. Prints whether pycparser
-# is loaded after each stage.
+# first reply breaks its contract and is retried. Prints which of pycparser
+# and the HTTP modules are loaded after each stage.
 _PROBE = """
 import json, sys
 sys.modules["jsonschema"] = None
@@ -31,7 +31,8 @@ loaded = {}
 for stage in sys.argv[2:]:
     if main([stage, "--config", sys.argv[1]]) != 0:
         sys.exit(f"{stage} failed")
-    loaded[stage] = sorted({"pycparser"} & set(sys.modules))
+    loaded[stage] = sorted({"pycparser", "urllib.request", "http.client",
+                            "ssl", "requests"} & set(sys.modules))
 replies = iter(['{"ok": 1}', '{"ok": "yes"}'])
 gateway = LlmGateway(MockProvider(rules=lambda r: next(replies)))
 contract = {"type": "object", "properties": {"ok": {"type": "string"}}}
@@ -54,10 +55,13 @@ def _loaded_after_each_stage(cfg_path: Path, stages) -> dict:
 
 
 def test_warm_stages_import_neither_jsonschema_nor_pycparser(mini_config):
+    # Cold or warm, no stage on the mock provider loads urllib.request,
+    # http.client, ssl or requests.
     cfg_path = mini_config()  # empty response and ingest caches
     cold = _loaded_after_each_stage(cfg_path, STAGES)
     assert cold["ingest-rfc"] == []
     assert cold["ingest-code"] == ["pycparser"]  # every file missed
+    assert cold["report"] == ["pycparser"]  # all that the cold run loaded
     cache = json.loads(cfg_path.read_text())["cache_dir"]
     assert EntryLogs(Path(cache) / "ingest").keys()
 

@@ -12,11 +12,11 @@ from email.utils import format_datetime
 
 import jsonschema
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EntryLogs
+import deltaspec
+from conftest import EntryLogs, Fault, chat_reply, http_reply
 from deltaspec import llm_gateway
 from deltaspec.errors import (CacheWriteError, ContractViolation, NotSent,
                               ProviderError)
@@ -392,71 +392,164 @@ def test_corrupt_cache_entry_is_a_miss_and_is_rewritten(tmp_path, caplog, tamper
 
 
 # ---------------------------------------------------------------- http path
+#
+# HttpProvider talks to a FaultServer (conftest) on 127.0.0.1; posts are
+# counted on the server side.
 
-def http_response(status_code, body):
-    resp = requests.Response()
-    resp.status_code = status_code
-    resp._content = body.encode("utf-8")
-    resp.encoding = "utf-8"
-    return resp
+_OK_BODY = json.dumps({"choices": [{"message": {"content": "hi"}}]}).encode()
+OK_REPLY = http_reply(200, _OK_BODY)
 
 
-@pytest.mark.parametrize("outcome, raised", [
-    (requests.ConnectionError("connection refused"), "2 attempts"),
-    (http_response(500, "internal error"), "2 attempts"),
+_HEAD_100 = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n"
+
+
+@pytest.mark.parametrize("answer, raised", [
+    (Fault("reset"), "2 attempts"),
+    (http_reply(500, "internal error"), "2 attempts"),
     # A malformed 200 reply is not posted again.
-    (http_response(200, "<html>not json</html>"), "malformed provider response"),
-    (http_response(200, json.dumps({"id": "x", "usage": {}})),
+    (http_reply(200, "<html>not json</html>"), "malformed provider response"),
+    (http_reply(200, json.dumps({"id": "x", "usage": {}})),
      "malformed provider response"),
-], ids=["transport", "http-500", "non-json", "no-choices"])
-def test_http_provider_failures_end_as_provider_errors(monkeypatch, outcome,
+    (Fault("reset", _HEAD_100 + b'{"choices"'), "2 attempts"),
+    (Fault("reset", b"HTTP/1.1 401 No\r\nContent-Length: 100\r\n\r\nbad"),
+     "2 attempts"),
+    (http_reply(200, _OK_BODY[:10], {"Content-Length": "100"}), "2 attempts"),
+    (b"garbage\r\n\r\n", "2 attempts"),
+    (Fault("stall", _HEAD_100 + b'{"choices"'), "2 attempts"),
+    # Not retried.
+    (http_reply(204), "provider returned 204"),
+], ids=["transport", "http-500", "non-json", "no-choices",
+        "reset-mid-body", "reset-mid-error-body", "short-body",
+        "bad-status-line", "slow-body", "http-204"])
+def test_http_provider_failures_end_as_provider_errors(fault_server, answer,
                                                        raised):
-    def fake_post(*args, **kwargs):
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    provider = HttpProvider(base_url="http://provider.invalid", api_key="k")
+    server = fault_server(answer)
+    stalls = isinstance(answer, Fault) and answer.kind == "stall"
+    provider = HttpProvider(base_url=server.url, api_key="k",
+                            timeout=0.2 if stalls else 30)
     with pytest.raises(ProviderError):
         provider.complete(request("m", None, "q"))
     gateway = LlmGateway(provider=provider, max_retries=1, backoff_base=0.0)
     with pytest.raises(ProviderError, match=raised):
         gateway.complete(request("m", None, "q"), "graph")
     assert gateway.stats.provider_calls == (2 if raised == "2 attempts" else 1)
+    assert len(server.posts) == 1 + gateway.stats.provider_calls
 
 
-def test_http_provider_reads_text_and_usage(monkeypatch):
-    body = {"choices": [{"message": {"content": "hi"}}],
-            "usage": {"prompt_tokens": 3, "completion_tokens": 1}}
-    monkeypatch.setattr(requests, "post",
-                        lambda *a, **k: http_response(200, json.dumps(body)))
-    text, usage = HttpProvider(base_url="http://provider.invalid").complete(
-        request("m", None, "q"))
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_http_provider_follows_no_redirect(fault_server, status):
+    # Following it would send the key to the host the Location names.
+    elsewhere = fault_server(OK_REPLY)
+    server = fault_server(http_reply(
+        status, "moved", {"Location": f"{elsewhere.url}/chat/completions"}))
+    gateway = LlmGateway(provider=HttpProvider(base_url=server.url, api_key="k"),
+                         max_retries=3, backoff_base=0.0)
+    with pytest.raises(ProviderError, match=f"provider returned {status}: moved"):
+        gateway.complete(request("m", None, "q"), "graph")
+    assert len(server.posts) == 1
+    assert gateway.stats.provider_retries == 0
+    assert elsewhere.posts == []
+
+
+def test_http_provider_reads_text_and_usage(fault_server):
+    server = fault_server(
+        chat_reply("hi", usage={"prompt_tokens": 3, "completion_tokens": 1}))
+    text, usage = HttpProvider(base_url=server.url, api_key="k").complete(
+        request("m", "sys", "q", temperature=0.5))
     assert text == "hi"
     assert usage == Usage(3, 1)
+    [post] = server.posts
+    assert post.path == "/v1/chat/completions"
+    assert post.headers["Content-Type"] == "application/json"
+    assert post.headers["Authorization"] == "Bearer k"
+    assert post.headers["User-Agent"] == f"deltaspec/{deltaspec.__version__}"
+    assert post.body == {"model": "m", "temperature": 0.5, "messages": [
+        {"role": "system", "content": "sys"}, {"role": "user", "content": "q"}]}
+
+
+def test_http_provider_reads_a_chunked_reply(fault_server):
+    server = fault_server(http_reply(200, b"".join(
+        b"%x\r\n%s\r\n" % (len(part), part)
+        for part in (_OK_BODY[:9], _OK_BODY[9:], b"")),
+        {"Content-Length": None, "Transfer-Encoding": "chunked"}))
+    assert HttpProvider(base_url=server.url).complete(request("m", None, "q")) \
+        == ("hi", None)
 
 
 @pytest.mark.parametrize("count", [-5, True, 1.5, "3", None])
-def test_http_provider_rejects_bad_usage_counts(monkeypatch, tmp_path, count):
-    body = {"choices": [{"message": {"content": "hi"}}],
-            "usage": {"prompt_tokens": count, "completion_tokens": 1}}
-    posts = []
-    monkeypatch.setattr(requests, "post", lambda *a, **k: posts.append(1)
-                        or http_response(200, json.dumps(body)))
-    provider = HttpProvider(base_url="http://provider.invalid")
+def test_http_provider_rejects_bad_usage_counts(fault_server, tmp_path, count):
+    server = fault_server(chat_reply(
+        "hi", usage={"prompt_tokens": count, "completion_tokens": 1}))
+    provider = HttpProvider(base_url=server.url)
     with pytest.raises(ProviderError, match="malformed provider response"):
         provider.complete(request("m", None, "q"))
     # Nothing is cached or recorded, so a rerun does not meet a bad entry.
     gateway = LlmGateway(provider=provider, cache_dir=tmp_path,
                          ledger=CostLedger(), max_retries=1, backoff_base=0.0)
-    posts.clear()
+    server.posts.clear()
     with pytest.raises(ProviderError, match="malformed provider response"):
         gateway.complete(request("m", None, "q"), "graph")
     # Not posted again: a resend gets no better-formed reply.
-    assert len(posts) == 1
+    assert len(server.posts) == 1
     assert list(tmp_path.iterdir()) == []
     assert gateway.ledger.token_total == 0
+
+
+@pytest.mark.parametrize("response, usage, ok", [
+    ("hi", None, True),
+    ("hi", {"prompt_tokens": 3, "completion_tokens": 1}, True),
+    (None, None, False),
+    (7, None, False),
+    (["hi"], None, False),
+    ("hi", "nope", False),
+    ("hi", [3, 1], False),
+    ("hi", {"prompt_tokens": 3}, False),
+], ids=["null-usage", "usage", "null-text", "number-text", "list-text",
+        "usage-string", "usage-list", "usage-missing-count"])
+def test_http_and_mock_providers_take_a_reply_by_one_rule(fault_server,
+                                                         response, usage, ok):
+    req = request("m", None, "q")
+    server = fault_server(http_reply(200, json.dumps(
+        {"choices": [{"message": {"content": response}}], "usage": usage})))
+    providers = [HttpProvider(base_url=server.url), MockProvider(
+        transcript={req.fingerprint: {"response": response, "usage": usage}})]
+    for provider in providers:
+        if ok:
+            assert provider.complete(req) == \
+                ("hi", None if usage is None else Usage(3, 1))
+            continue
+        with pytest.raises(ProviderError, match="malformed") as failed:
+            provider.complete(req)
+        assert not failed.value.retryable
+
+
+@pytest.mark.parametrize("base_url", [
+    "", "localhost:8000", "ftp://example.com/v1", "http://", "http:///v1",
+    "http://127.0.0.1:port/v1", "http://127.0.0.1:99999/v1", "http://[::1/v1",
+    "http://127.0.0.1/v\u00fc", "http://127.0.0.1/v 1",
+])
+def test_http_provider_rejects_a_bad_base_url(monkeypatch, base_url):
+    message = ("is not an http:// or https:// URL with a host, in printable "
+               "ASCII without spaces; set DELTASPEC_API_BASE")
+    with pytest.raises(ProviderError, match=message):
+        HttpProvider(base_url=base_url)
+    monkeypatch.setenv("DELTASPEC_API_BASE", base_url)
+    with pytest.raises(ProviderError, match=message):
+        HttpProvider()
+
+
+@pytest.mark.parametrize("api_key", ["k\u20ac", "k\nX-Injected: 1"],
+                         ids=["not-latin-1", "newline"])
+def test_http_provider_rejects_an_api_key_that_cannot_be_a_header(api_key):
+    with pytest.raises(ProviderError, match="not printable ASCII"):
+        HttpProvider(base_url="http://127.0.0.1:9/v1", api_key=api_key)
+
+
+def test_http_completion_does_not_need_requests(fault_server, monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)  # import fails
+    server = fault_server(OK_REPLY)
+    assert HttpProvider(base_url=server.url).complete(request("m", None, "q")) \
+        == ("hi", None)
 
 
 @pytest.mark.parametrize("entry", [
@@ -486,95 +579,68 @@ def test_mock_provider_rejects_malformed_transcript_entries(tmp_path, entry):
     assert gateway.ledger.token_total == 0
 
 
-def test_http_client_errors_fail_on_the_first_post(monkeypatch):
-    posts = []
-    monkeypatch.setattr(requests, "post", lambda *a, **k: posts.append(1)
-                        or http_response(401, "bad key"))
-    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+def test_http_client_errors_fail_on_the_first_post(fault_server):
+    server = fault_server(http_reply(401, "bad key"))
+    gateway = LlmGateway(provider=HttpProvider(base_url=server.url),
                          max_retries=3, backoff_base=0.0)
     with pytest.raises(ProviderError, match="401"):
         gateway.complete(request("m", None, "q"), "graph")
-    assert len(posts) == 1
+    assert len(server.posts) == 1
     assert gateway.stats.provider_retries == 0
 
 
-def test_http_429_honors_retry_after(monkeypatch):
-    ok = json.dumps({"choices": [{"message": {"content": "hi"}}]})
-    replies = iter([http_response(429, "slow down"), http_response(200, ok)])
-    posts = []
+def test_http_429_honors_retry_after(fault_server, monkeypatch):
+    server = fault_server(http_reply(429, "slow down", {"Retry-After": "0"}),
+                          OK_REPLY)
     sleeps = []
-
-    def post(*args, **kwargs):
-        posts.append(1)
-        resp = next(replies)
-        if resp.status_code == 429:
-            resp.headers["Retry-After"] = "0"
-        return resp
-
-    monkeypatch.setattr(requests, "post", post)
     monkeypatch.setattr(llm_gateway.time, "sleep", sleeps.append)
-    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+    gateway = LlmGateway(provider=HttpProvider(base_url=server.url),
                          backoff_base=0.5)
     assert gateway.complete(request("m", None, "q"), "graph").text == "hi"
-    assert len(posts) == 2
+    assert len(server.posts) == 2
     assert sleeps == []  # Retry-After: 0 overrides the 0.5 s backoff
 
 
-def test_http_retry_after_is_capped(monkeypatch):
-    def post(*args, **kwargs):
-        resp = http_response(503, "maintenance")
-        resp.headers["Retry-After"] = "86400"
-        return resp
-
+def test_http_retry_after_is_capped(fault_server, monkeypatch):
+    server = fault_server(
+        http_reply(503, "maintenance", {"Retry-After": "86400"}))
     sleeps = []
-    monkeypatch.setattr(requests, "post", post)
     monkeypatch.setattr(llm_gateway.time, "sleep", sleeps.append)
-    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+    gateway = LlmGateway(provider=HttpProvider(base_url=server.url),
                          max_retries=1)
     with pytest.raises(ProviderError, match="2 attempts"):
         gateway.complete(request("m", None, "q"), "graph")
     assert sleeps == [llm_gateway.MAX_RETRY_AFTER_S]
+    assert len(server.posts) == 2
 
 
-def test_http_retry_after_reads_an_http_date(monkeypatch):
+def test_http_retry_after_reads_an_http_date(fault_server, monkeypatch):
     now = 1_700_000_000.0
     in_30s = format_datetime(datetime.fromtimestamp(now + 30, timezone.utc),
                              usegmt=True)
-    headers = iter([in_30s,
-                    "Sun, 06 Nov 1994 08:49:37 GMT",  # past: retry at once
-                    "Fri, 31 Dec 9999 23:59:59 GMT",  # capped
-                    "soon"])  # unreadable: exponential backoff
-    ok = json.dumps({"choices": [{"message": {"content": "hi"}}]})
-    posts = []
+    server = fault_server(*[
+        http_reply(503, "maintenance", {"Retry-After": value})
+        for value in [in_30s,
+                      "Sun, 06 Nov 1994 08:49:37 GMT",  # past: retry at once
+                      "Fri, 31 Dec 9999 23:59:59 GMT",  # capped
+                      "soon"]],  # unreadable: exponential backoff
+        OK_REPLY)
     sleeps = []
-
-    def post(*args, **kwargs):
-        posts.append(1)
-        value = next(headers, None)
-        if value is None:
-            return http_response(200, ok)
-        resp = http_response(503, "maintenance")
-        resp.headers["Retry-After"] = value
-        return resp
-
-    monkeypatch.setattr(requests, "post", post)
     monkeypatch.setattr(llm_gateway.time, "sleep", sleeps.append)
     monkeypatch.setattr(llm_gateway.time, "time", lambda: now)
     # The jittered backoff sleeps its full upper bound.
     monkeypatch.setattr(llm_gateway.random, "uniform", lambda lo, hi: hi)
-    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+    gateway = LlmGateway(provider=HttpProvider(base_url=server.url),
                          max_retries=4, backoff_base=0.5)
     assert gateway.complete(request("m", None, "q"), "graph").text == "hi"
-    assert len(posts) == 5
+    assert len(server.posts) == 5
     assert sleeps == [30.0, llm_gateway.MAX_RETRY_AFTER_S, 4.0]
 
 
-def test_backoff_without_retry_after_sleeps_a_full_jitter(monkeypatch):
-    ok = json.dumps({"choices": [{"message": {"content": "hi"}}]})
-    replies = iter([http_response(503, "busy"), http_response(429, "slow"),
-                    http_response(503, "busy")])
-    monkeypatch.setattr(requests, "post",
-                        lambda *a, **k: next(replies, http_response(200, ok)))
+def test_backoff_without_retry_after_sleeps_a_full_jitter(fault_server,
+                                                          monkeypatch):
+    server = fault_server(http_reply(503, "busy"), http_reply(429, "slow"),
+                          http_reply(503, "busy"), OK_REPLY)
     bounds = []
     sleeps = []
 
@@ -584,23 +650,22 @@ def test_backoff_without_retry_after_sleeps_a_full_jitter(monkeypatch):
 
     monkeypatch.setattr(llm_gateway.random, "uniform", uniform)
     monkeypatch.setattr(llm_gateway.time, "sleep", sleeps.append)
-    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+    gateway = LlmGateway(provider=HttpProvider(base_url=server.url),
                          max_retries=3, backoff_base=0.5)
     assert gateway.complete(request("m", None, "q"), "graph").text == "hi"
     # Each wait is drawn from [0, the exponential delay], not the delay.
     assert bounds == [(0, 0.5), (0, 1.0), (0, 2.0)]
     assert sleeps == [0.125, 0.25, 0.5]
+    assert len(server.posts) == 4
 
 
-def test_http_503_is_retried_max_retries_times(monkeypatch):
-    posts = []
-    monkeypatch.setattr(requests, "post", lambda *a, **k: posts.append(1)
-                        or http_response(503, "unavailable"))
-    gateway = LlmGateway(provider=HttpProvider(base_url="http://provider.invalid"),
+def test_http_503_is_retried_max_retries_times(fault_server):
+    server = fault_server(http_reply(503, "unavailable"))
+    gateway = LlmGateway(provider=HttpProvider(base_url=server.url),
                          max_retries=2, backoff_base=0.0)
     with pytest.raises(ProviderError, match="3 attempts"):
         gateway.complete(request("m", None, "q"), "graph")
-    assert len(posts) == 3
+    assert len(server.posts) == 3
     assert gateway.stats.provider_retries == 2
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, EntryLogs, run_stages
+from conftest import FIXTURES, EntryLogs, chat_reply, http_reply, run_stages
 from deltaspec import llm_gateway
 from deltaspec.code_ingest import DEFAULT_GLOBS, DEFAULT_KEYWORDS
 from deltaspec.errors import (
@@ -18,7 +18,7 @@ from deltaspec.errors import (
     SerializationError,
     ShapeMismatch,
 )
-from deltaspec.llm_gateway import request
+from deltaspec.llm_gateway import LlmRequest, request
 from deltaspec.report_cli import cli, pipeline, render
 from deltaspec.report_cli.cli import main
 from deltaspec.report_cli.config import load_config
@@ -225,6 +225,31 @@ def test_cli_pipeline_errors_exit_one(mini_config, capsys):
     code = main(["eval", "--config", str(mini_config())])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("api_base, error", [
+    (None, "error: provider returned 401: bad key"),
+    ("localhost:8000", "error: API base 'localhost:8000' is not an http:// "
+                       "or https:// URL with a host"),
+], ids=["http-401", "bad-api-base"])
+def test_cli_http_provider_failure_exits_one(mini_config, fault_server,
+                                            monkeypatch, capsys, api_base,
+                                            error):
+    server = fault_server(http_reply(401, "bad key"))
+    monkeypatch.setenv("DELTASPEC_API_BASE", api_base or server.url)
+    cfg_path = mini_config(provider="http")
+    for stage in ("ingest-rfc", "ingest-code"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["build-graph", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error)
+    assert "Traceback" not in err
+    # A 401 is not retried: each question was posted at most once. A bad
+    # base URL fails before anything is posted.
+    bodies = [json.dumps(post.body, sort_keys=True) for post in server.posts]
+    assert len(bodies) == len(set(bodies))
+    assert bool(bodies) == (api_base is None)
 
 
 def test_cli_usage_errors_exit_two():
@@ -504,16 +529,18 @@ def run_bundled_warm(mini_config, monkeypatch):
     return cfg, built
 
 
+def tree(root):
+    """The bytes of every file under ``root``, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_bundled_work_regenerates_byte_for_byte(mini_config, monkeypatch):
     cfg, built = run_bundled_warm(mini_config, monkeypatch)
     requests = sum(g.stats.requests for g in built)
     assert requests > 0
     assert sum(g.stats.provider_calls for g in built) == 0
     assert sum(g.stats.cache_hits for g in built) == requests
-
-    def tree(root):
-        return {p.relative_to(root).as_posix(): p.read_bytes()
-                for p in sorted(root.rglob("*")) if p.is_file()}
 
     def scrub(rel, data):
         # The report's timestamp: "generated_at" in JSON, "generated at"
@@ -536,6 +563,35 @@ def test_bundled_work_regenerates_byte_for_byte(mini_config, monkeypatch):
         return {rel: data for rel, data in tree(root).items() if "/" not in rel}
 
     assert logs(cfg.cache_dir) == logs(BUNDLED / "cache")
+
+
+def _scripted_chat(post):
+    """A chat endpoint that answers like the mock provider's rules and
+    reports no usage, so the gateway counts tokens as on the mock path."""
+    req = LlmRequest(model=post.body["model"],
+                     messages=tuple((m["role"], m["content"])
+                                    for m in post.body["messages"]),
+                     temperature=post.body["temperature"])
+    text = scripted_responder(req)
+    return http_reply(404, "no rule") if text is None else chat_reply(text)
+
+
+def test_http_run_writes_the_mock_runs_artifacts(mini_config, fault_server,
+                                                 monkeypatch):
+    server = fault_server(_scripted_chat)
+    monkeypatch.setenv("DELTASPEC_API_BASE", server.url)
+    cfg_path = mini_config(provider="http")  # empty work/ and cache/
+    for stage in STAGES:
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    assert server.posts
+
+    def work(root):
+        return {rel: data for rel, data in tree(root).items()
+                if not rel.startswith("report/")}
+
+    expected = work(BUNDLED / "work")
+    assert len(expected) >= 20
+    assert work(load_config(cfg_path).workdir) == expected
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(),
@@ -563,7 +619,9 @@ def test_pipeline_run_leaves_no_cache_log_open(mini_config, monkeypatch):
     assert len(built) == 4
     assert EntryLogs(cfg.cache_dir).keys()
     assert EntryLogs(cfg.cache_dir / "ingest").keys()
-    assert [path for path in after.values() if path.endswith(".log")] == []
+    # A log the process held before the run (say, redirected output) aside.
+    assert [path for path in after.values()
+            if path.endswith(".log") and path not in before.values()] == []
     assert len(after) <= len(before)
 
 
