@@ -8,8 +8,9 @@ first starts ``redundancy`` tokens before the previous cut, so consecutive
 chunks overlap and no boundary-straddling construct is lost to either side.
 
 A token stream is two parallel offset lists, token starts and token ends,
-over one text (``tokenizer.token_offsets``). Chunks remember the absolute
-character offset of their text plus per-token offsets, which is what lets
+over one text (``tokenizer.token_offsets``). A chunk's text runs from its
+first token's start to the next chunk's cut, and a chunk remembers the
+absolute character offset of that text, which is what lets
 ``reconstruct_function`` stitch a function that crosses chunk boundaries
 back together byte-for-byte.
 """
@@ -20,10 +21,12 @@ import hashlib
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .code_ingest import CodeFunction
 from .errors import InvalidConfig, SpanMismatch, UnknownFunction
+from .tokenizer import token_offsets
 
 DEFAULT_CHUNK_SIZE = 500
 DEFAULT_REDUNDANCY_RATIO = 0.10
@@ -47,8 +50,6 @@ class Chunk:
     text: str
     overlap_prev: int  # tokens shared with the previous chunk
     char_start: int  # absolute offset of text[0] in the source
-    token_starts: tuple[int, ...]  # per-token offsets relative to char_start
-    token_ends: tuple[int, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -59,17 +60,13 @@ class Chunk:
             "text": self.text,
             "overlap_prev": self.overlap_prev,
             "char_start": self.char_start,
-            "token_starts": list(self.token_starts),
-            "token_ends": list(self.token_ends),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Chunk":
         return cls(id=d["id"], origin=d["origin"], index=d["index"],
                    span=(d["span"][0], d["span"][1]), text=d["text"],
-                   overlap_prev=d["overlap_prev"], char_start=d["char_start"],
-                   token_starts=tuple(d["token_starts"]),
-                   token_ends=tuple(d["token_ends"]))
+                   overlap_prev=d["overlap_prev"], char_start=d["char_start"])
 
 
 def _chunk_id(origin: str, index: int, text: str) -> str:
@@ -78,19 +75,16 @@ def _chunk_id(origin: str, index: int, text: str) -> str:
 
 
 def _coerce_tokens(tokens: Offsets | Sequence[str], source_text: str | None,
-                   ) -> tuple[Sequence[int], Sequence[int], str]:
-    """Accept plain strings by synthesizing a space-joined source for them."""
+                   ) -> tuple[Sequence[int], str]:
+    """Token starts and their text; plain strings stand for their
+    space-joined text."""
     if tokens and isinstance(tokens[0], str):
-        starts, ends, pos = [], [], 0
-        for t in tokens:
-            starts.append(pos)
-            ends.append(pos + len(t))
-            pos += len(t) + 1
-        return starts, ends, " ".join(tokens)  # type: ignore[arg-type]
-    starts, ends = tokens if tokens else ((), ())
+        starts = accumulate((len(t) + 1 for t in tokens[:-1]), initial=0)
+        return list(starts), " ".join(tokens)  # type: ignore[arg-type]
+    starts = tokens[0] if tokens else ()
     if source_text is None and starts:
         raise InvalidConfig("token offsets require source_text")
-    return starts, ends, source_text or ""
+    return starts, source_text or ""
 
 
 def _latest_in_window(sorted_bounds: Sequence[int], lo: int, hi: int) -> int | None:
@@ -114,7 +108,9 @@ def chunk_stream(
     """Cut a token stream into overlapping chunks.
 
     ``tokens`` is either ``(starts, ends)`` offsets into ``source_text`` or a
-    list of strings, which stand for their space-joined text. ``boundaries``
+    list of strings, which stand for their space-joined text; each string
+    must then be one token under the tokenizer's rule, because rebuilding a
+    span that has no character offsets re-tokenizes that text. ``boundaries``
     and ``fallback_boundaries`` are token indices at which a cut is clean
     (for code: function ends, then statement ends; for prose: sentence
     ends). Spans always cover the stream; each non-first chunk overlaps its
@@ -125,7 +121,7 @@ def chunk_stream(
     if not 0.0 <= redundancy_ratio <= 0.5:
         raise InvalidConfig(
             f"redundancy_ratio must be in [0, 0.5], got {redundancy_ratio}")
-    starts, ends, text = _coerce_tokens(tokens, source_text)
+    starts, text = _coerce_tokens(tokens, source_text)
     n = len(starts)
     if n == 0:
         return []
@@ -157,8 +153,6 @@ def chunk_stream(
             text=chunk_text,
             overlap_prev=0 if index == 0 else chunks[-1].span[1] - start,
             char_start=char_lo,
-            token_starts=tuple(s - char_lo for s in starts[start:end]),
-            token_ends=tuple(e - char_lo for e in ends[start:end]),
         ))
         if end >= n:
             break
@@ -270,9 +264,10 @@ def build_map(chunks: Sequence[Chunk],
     """Create mutual links for every chunk/function span intersection.
 
     Links carry the raw intersection in token space; because consecutive
-    chunks overlap, a boundary-straddling function gets overlapping links and
-    reconstruction deduplicates them. A span no chunk covers end-to-end is a
-    caller bug and raises SpanMismatch.
+    chunks overlap, a boundary-straddling function gets overlapping links,
+    and reconstruction joins their chunks' texts without repeating the
+    shared part. A span no chunk covers end-to-end is a caller bug and
+    raises SpanMismatch.
 
     Chunk starts and ends must both increase, as they do within one
     ``chunk_stream`` result, so a function's chunks are found by bisection.
@@ -314,35 +309,25 @@ def reconstruct_function(fid: str, fmap: ChunkFunctionMap,
                          chunks: Mapping[str, Chunk]) -> str:
     """Reassemble a function's exact source text from its chunks.
 
-    Walks the function's links in order, taking from each only the tokens not
-    already emitted, and slices chunk text by stored offsets. A link that
-    does not end the function ends its chunk (build_map cuts each link at
-    the nearer end), and a chunk's text runs up to the next token's start,
-    so whitespace between tokens survives unchanged.
+    Joins the function's linked chunks, each chunk's text taken from where
+    the join so far ends. A link that does not end the function ends its
+    chunk (build_map cuts each link at the nearer end), and a chunk's text
+    runs up to the next token's start, so the join is the source from a
+    token start (or the source's start) to a token start (or its end). It
+    tokenizes as the source does, and a span without character offsets is
+    sliced at the join's own token offsets.
     """
     if fid not in fmap.function_to_chunks:
         raise UnknownFunction(fid)
-    span = fmap.spans[fid]
-    pieces: list[str] = []
-    pos = span.tok_start
-    for link in fmap.function_to_chunks[fid]:
-        lo = max(link.tok_start, pos)
-        hi = link.tok_end
-        if hi <= lo:
-            continue
+    span, links = fmap.spans[fid], fmap.function_to_chunks[fid]
+    first = chunks[links[0].chunk_id]
+    text = first.text
+    for link in links[1:]:
         chunk = chunks[link.chunk_id]
-        cs = chunk.span[0]
-        if lo == span.tok_start and span.char_start is not None:
-            char_lo = span.char_start - chunk.char_start
-        else:
-            char_lo = chunk.token_starts[lo - cs]
-        if hi == span.tok_end:
-            if span.char_end is not None:
-                char_hi = span.char_end - chunk.char_start
-            else:
-                char_hi = chunk.token_ends[hi - 1 - cs]
-        else:
-            char_hi = len(chunk.text)
-        pieces.append(chunk.text[char_lo:char_hi])
-        pos = hi
-    return "".join(pieces)
+        text += chunk.text[first.char_start + len(text) - chunk.char_start:]
+    if span.char_start is None or span.char_end is None:
+        starts, ends = token_offsets(text)
+        k = first.span[0]
+        return text[starts[span.tok_start - k]:ends[span.tok_end - 1 - k]]
+    return text[span.char_start - first.char_start:
+                span.char_end - first.char_start]

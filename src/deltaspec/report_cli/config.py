@@ -85,6 +85,15 @@ def _strings(key: str, value: object) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _version_tag(tag: str) -> str:
+    """A tag names files under the workdir, so it is one path component."""
+    if tag in ("", ".", "..") or any(c in tag for c in "/\\\0"):
+        key = f"code_trees.{tag}"
+        raise InvalidConfig(
+            f"config key {key!r} must be a version tag of one path component")
+    return tag
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     try:
@@ -163,7 +172,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         transcript=optional_path("transcript", raw.get("transcript")),
         rfc_sources=tuple(path_of("rfc_sources", s) for s in
                           _strings("rfc_sources", raw.get("rfc_sources", []))),
-        code_trees={v: path_of(f"code_trees.{v}", root)
+        code_trees={_version_tag(v): path_of(f"code_trees.{v}", root)
                     for v, root in section("code_trees").items()},
         code_globs=strings_or("code_globs", DEFAULT_GLOBS),
         code_keywords=strings_or("code_keywords", DEFAULT_KEYWORDS),

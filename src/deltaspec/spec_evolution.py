@@ -184,6 +184,11 @@ class UpdateChainGraph:
         self.edges = sorted(set(edges), key=lambda e: (e.src, e.dst, e.kind))
         self.dates = dict(dates)
         self.deltas: dict[tuple[int, int], FunctionalDelta] = {}
+        # Each node's distinct successors, ascending as the edges are sorted.
+        self._succ: dict[int, list[int]] = {n: [] for n in self.nodes}
+        for e in self.edges:
+            if e.dst not in self._succ[e.src][-1:]:
+                self._succ[e.src].append(e.dst)
         self._topological_order()
         self._check_dates()
 
@@ -191,16 +196,15 @@ class UpdateChainGraph:
         """Every node after all of its predecessors; raises CycleDetected
         when there is no such order."""
         indeg = {n: 0 for n in self.nodes}
-        adj: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            indeg[e.dst] += 1
-            adj[e.src].append(e.dst)
+        for targets in self._succ.values():
+            for m in targets:
+                indeg[m] += 1
         queue = [n for n in self.nodes if indeg[n] == 0]
         order: list[int] = []
         while queue:
             n = queue.pop()
             order.append(n)
-            for m in adj[n]:
+            for m in self._succ[n]:
                 indeg[m] -= 1
                 if indeg[m] == 0:
                     queue.append(m)
@@ -217,7 +221,7 @@ class UpdateChainGraph:
                     f"({self.dates.get(e.src)} > {self.dates.get(e.dst)})")
 
     def successors(self, node: int) -> list[int]:
-        return sorted({e.dst for e in self.edges if e.src == node})
+        return list(self._succ.get(node, ()))
 
     def predecessors(self, node: int) -> list[int]:
         return sorted({e.src for e in self.edges if e.dst == node})
@@ -231,7 +235,7 @@ class UpdateChainGraph:
         out: list[list[int]] = []
 
         def walk(path: list[int]) -> None:
-            nxt = self.successors(path[-1])
+            nxt = self._succ[path[-1]]
             if not nxt:
                 out.append(list(path))
                 return
@@ -246,12 +250,9 @@ class UpdateChainGraph:
         """len(self.chains()), in O(V+E) without listing the paths: the
         number of root-to-leaf paths summed over the roots, counting paths
         from each node to a leaf in reverse topological order."""
-        succ: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for e in self.edges:
-            succ[e.src].add(e.dst)
         to_leaf: dict[int, int] = {}
         for n in reversed(self._topological_order()):
-            to_leaf[n] = sum(to_leaf[m] for m in succ[n]) or 1
+            to_leaf[n] = sum(to_leaf[m] for m in self._succ[n]) or 1
         return sum(to_leaf[r] for r in self.roots())
 
     def walk(self) -> list[tuple[int | None, int]]:
@@ -269,7 +270,7 @@ class UpdateChainGraph:
                 continue
             seen.add(node)
             out.append((parent, node))
-            stack.extend((node, n) for n in reversed(self.successors(node)))
+            stack.extend((node, n) for n in reversed(self._succ[node]))
         return out
 
     def set_delta(self, src: int, dst: int, delta: FunctionalDelta) -> None:

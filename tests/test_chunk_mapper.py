@@ -106,27 +106,53 @@ def test_offsets_without_their_text_are_rejected():
 
 # ------------------------------------------------------------------ mapping
 
-def annotated_fixture():
+def annotated_fixture(chunk_size=80, redundancy_ratio=0.1):
     source = SourceFile.load(ANNOTATED.parent, ANNOTATED.name, "annotated")
     functions = extract_functions(source)
     offsets = token_offsets(source.content)
     spans = spans_for_functions(functions, offsets)
     chunks = chunk_stream(offsets, origin="annotated.c",
                           source_text=source.content,
-                          chunk_size=80, redundancy_ratio=0.1,
+                          chunk_size=chunk_size,
+                          redundancy_ratio=redundancy_ratio,
                           boundaries=statement_boundaries(source.content,
                                                           offsets[0]))
     return source, functions, spans, chunks
 
 
-def test_reconstruction_returns_exact_source_text():
-    source, functions, spans, chunks = annotated_fixture()
+@pytest.mark.parametrize("redundancy_ratio", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("chunk_size", [3, 7, 16, 80])
+def test_reconstruction_returns_exact_source_text(chunk_size,
+                                                  redundancy_ratio):
+    source, functions, spans, chunks = annotated_fixture(chunk_size,
+                                                         redundancy_ratio)
     fmap = build_map(chunks, spans)
     fmap.validate()
-    store = {c.id: c for c in chunks}
+    # The stored records alone are enough to rebuild a function.
+    store = {c.id: Chunk.from_dict(c.to_dict()) for c in chunks}
     for fn in functions:
         rebuilt = reconstruct_function(fn.fid, fmap, store)
         assert rebuilt == source.content[fn.span.char_start:fn.span.char_end]
+    if chunk_size <= 16:
+        assert max(map(len, fmap.function_to_chunks.values())) >= 3
+
+    # Spans without character offsets run from their first token's start to
+    # their last token's end, also where tokens touch, as in "foo(".
+    starts, ends = token_offsets(source.content)
+    assert any(e == s for e, s in zip(ends, starts[1:]))
+    rng = random.Random(chunk_size)
+    bare = [FunctionSpan(fid=s.fid, tok_start=s.tok_start, tok_end=s.tok_end)
+            for s in spans]
+    for j in range(40):
+        a = rng.randrange(len(starts))
+        bare.append(FunctionSpan(fid=f"r{j}", tok_start=a,
+                                 tok_end=rng.randint(a + 1, len(starts))))
+    bare.append(FunctionSpan(fid="all", tok_start=0, tok_end=len(starts)))
+    fmap = build_map(chunks, bare)
+    fmap.validate()
+    for sp in bare:
+        assert reconstruct_function(sp.fid, fmap, store) == \
+            source.content[starts[sp.tok_start]:ends[sp.tok_end - 1]]
 
 
 def test_map_roundtrips_through_dict():
@@ -147,8 +173,7 @@ def test_uncovered_span_is_rejected():
 def test_chunks_whose_ends_decrease_are_rejected():
     outer = chunk_stream(toks(10), chunk_size=10)[0]
     inner = Chunk(id="inner", origin="stream", index=1, span=(2, 5),
-                  text="t2 t3 t4", overlap_prev=0, char_start=6,
-                  token_starts=(0, 3, 6), token_ends=(2, 5, 8))
+                  text="t2 t3 t4", overlap_prev=0, char_start=6)
     with pytest.raises(SpanMismatch):
         build_map([outer, inner], [FunctionSpan(fid="f", tok_start=3,
                                                 tok_end=4)])

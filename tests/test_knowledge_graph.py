@@ -196,8 +196,7 @@ def test_empty_chunk_costs_nothing():
     gateway = LlmGateway(provider=MockProvider(rules=entity_rule))
     chunk = one_chunk("alpha", "x")
     blank = type(chunk)(id="blank", origin="x", index=1, span=(0, 0), text="  ",
-                        overlap_prev=0, char_start=0, token_starts=(),
-                        token_ends=())
+                        overlap_prev=0, char_start=0)
     assert extract_entities_all([blank], gateway, "judge-1") == [[]]
     assert gateway.stats.requests == 0
 

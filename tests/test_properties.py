@@ -257,8 +257,7 @@ def chunkings(draw):
         start += draw(st.integers(min_value=0, max_value=6))
         end = max(end, start + 1) + draw(st.integers(min_value=0, max_value=6))
         chunks.append(Chunk(id=f"c{k}", origin="s", index=k, span=(start, end),
-                            text="", overlap_prev=0, char_start=0,
-                            token_starts=(), token_ends=()))
+                            text="", overlap_prev=0, char_start=0))
     return chunks, end
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -137,6 +138,12 @@ def test_config_validation(tmp_path):
     with pytest.raises(InvalidConfig, match="cannot read"):
         load_config(tmp_path / "missing.json")
 
+    # A version tag is one path component; dots and dashes inside it are fine.
+    p.write_text(json.dumps({"workdir": "w", "cache_dir": "c", "model": "m",
+                             "code_trees": {"v1.3-big": "t", "toy-a": "u",
+                                            "...": "v"}}))
+    assert load_config(p).versions == ("...", "toy-a", "v1.3-big")
+
 
 _BASE_CONFIG = {"workdir": "w", "cache_dir": "c", "model": "m"}
 
@@ -181,20 +188,30 @@ def test_code_selection_defaults_fill_in_only_when_absent(tmp_path, value,
     ({"price_unit": True}, "price_unit"),
     ({"prices": {"m": [True, 0.015]}}, "prices.m"),
     ({"prices": {"m": [0.005, False]}}, "prices.m"),
+    ({"code_trees": {"../../escaped": "t"}}, "code_trees.../../escaped"),
+    ({"code_trees": {"a/b": "t"}}, "code_trees.a/b"),
+    ({"code_trees": {"a\\b": "t"}}, "code_trees.a\\b"),
+    ({"code_trees": {"a\0b": "t"}}, "code_trees.a\0b"),
+    ({"code_trees": {"": "t"}}, "code_trees."),
+    ({"code_trees": {".": "t"}}, "code_trees.."),
+    ({"code_trees": {"..": "t"}}, "code_trees..."),
 ], ids=["rfc_sources", "code_trees", "chunk_size", "triplets", "prices",
         "workdir", "vulnerability_classes", "price_unit", "paired_positive",
         "budget", "k", "trials-bool", "chunk_size-fraction",
         "redundancy_ratio-bool", "k-fraction", "budget-bool",
         "fusion_alpha-bool", "damping-bool", "price_unit-fraction",
-        "price_unit-bool", "price-in-bool", "price-out-bool"])
+        "price_unit-bool", "price-in-bool", "price-out-bool",
+        "tag-escapes", "tag-slash", "tag-backslash", "tag-nul", "tag-empty",
+        "tag-dot", "tag-dotdot"])
 def test_wrong_typed_config_value_names_its_key(tmp_path, capsys, extra, key):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({**_BASE_CONFIG, **extra}))
-    with pytest.raises(InvalidConfig, match=f"config key '{key}' must be"):
+    with pytest.raises(InvalidConfig,
+                       match=re.escape(f"config key {key!r} must be")):
         load_config(p)
     assert main(["ingest-rfc", "--config", str(p)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: config key") and key in err
+    assert err.startswith("error: config key") and repr(key) in err
 
 
 def test_whole_float_counts_and_numbers_still_load(tmp_path):
@@ -473,11 +490,11 @@ def test_cli_build_chains_counts_chains_without_listing_them_again(
 # change to tokenizing, chunking or mapping that moves any offset shows here.
 BUILD_GRAPH_DIGESTS = {
     "chunks/code-toy-a.jsonl":
-        "7e597546edb3322276beac91faf333ce5899e0d49d6100074a8b527d64a7d999",
+        "0e3f73d88da0631d5bd19fc790ace94ed7a55bb44a63cbd033bdd09385ec355e",
     "chunks/code-toy-b.jsonl":
-        "e0bd636cb8cc9b9f3f2352bb91f1da56afc504ef7ec437cee3785eeb0c6f37e0",
+        "c3976819da543fab85bebd144087a19d1b69ade6a265147e385bdc406ff2043b",
     "chunks/text.jsonl":
-        "9c60512235ce488f8fe9758ae6965555b42ddfc6a0a196d2cd7ce77d3dec6a0d",
+        "6443516a2f1cde33004712169f4535fdc16ec9dcab364c38b0903008225a9361",
     "maps/toy-a.json":
         "41ff48a657c5d775713c0c843b582d4143a0383c0955fdf988c810c5067692bb",
     "maps/toy-b.json":
