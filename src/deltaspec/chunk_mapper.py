@@ -1,4 +1,4 @@
-"""Redundancy-aware chunking and the chunk/function bidirectional map.
+"""Redundancy-aware chunking and the chunk/function map.
 
 The chunker cuts a token stream into windows of ``chunk_size`` tokens with a
 trailing redundancy region. A cut prefers the latest primary boundary inside
@@ -208,18 +208,21 @@ class MapLink:
 
 @dataclass
 class ChunkFunctionMap:
-    chunk_to_functions: dict[str, list[MapLink]]
+    """Each function's span and its links to chunks, in stream order."""
+
     function_to_chunks: dict[str, list[MapLink]]
     spans: dict[str, FunctionSpan]
 
+    def links_by_chunk(self) -> dict[str, list[MapLink]]:
+        """Each linked chunk's links, in function order."""
+        out: dict[str, list[MapLink]] = {}
+        for links in self.function_to_chunks.values():
+            for link in links:
+                out.setdefault(link.chunk_id, []).append(link)
+        return out
+
     def validate(self) -> None:
-        """Mutual-inverse links and gap-free ordered coverage per function."""
-        forward = {(l.chunk_id, l.fid, l.tok_start, l.tok_end)
-                   for links in self.chunk_to_functions.values() for l in links}
-        backward = {(l.chunk_id, l.fid, l.tok_start, l.tok_end)
-                    for links in self.function_to_chunks.values() for l in links}
-        if forward != backward:
-            raise SpanMismatch("chunk->function and function->chunk links differ")
+        """Gap-free ordered coverage per function."""
         for fid, links in self.function_to_chunks.items():
             span = self.spans[fid]
             pos = span.tok_start
@@ -246,7 +249,7 @@ class ChunkFunctionMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChunkFunctionMap":
-        fmap = cls(chunk_to_functions={}, function_to_chunks={}, spans={})
+        fmap = cls(function_to_chunks={}, spans={})
         for fid, s in d["spans"].items():
             fmap.spans[fid] = FunctionSpan(fid=fid, tok_start=s["tok_start"],
                                            tok_end=s["tok_end"],
@@ -254,14 +257,13 @@ class ChunkFunctionMap:
                                            char_end=s.get("char_end"))
         for l in d["links"]:
             link = MapLink(l["chunk_id"], l["fid"], l["tok_start"], l["tok_end"])
-            fmap.chunk_to_functions.setdefault(link.chunk_id, []).append(link)
             fmap.function_to_chunks.setdefault(link.fid, []).append(link)
         return fmap
 
 
 def build_map(chunks: Sequence[Chunk],
               spans: Iterable[FunctionSpan]) -> ChunkFunctionMap:
-    """Create mutual links for every chunk/function span intersection.
+    """Link every function to each chunk its span intersects.
 
     Links carry the raw intersection in token space; because consecutive
     chunks overlap, a boundary-straddling function gets overlapping links,
@@ -276,8 +278,7 @@ def build_map(chunks: Sequence[Chunk],
     chunk_ends = [c.span[1] for c in ordered]
     if any(a > b for a, b in zip(chunk_ends, chunk_ends[1:])):
         raise SpanMismatch("chunk spans must increase in start and end")
-    fmap = ChunkFunctionMap(chunk_to_functions={c.id: [] for c in ordered},
-                            function_to_chunks={}, spans={})
+    fmap = ChunkFunctionMap(function_to_chunks={}, spans={})
     for span in spans:
         fmap.spans[span.fid] = span
         links: list[MapLink] = []
@@ -294,7 +295,6 @@ def build_map(chunks: Sequence[Chunk],
                 continue
             link = MapLink(chunk.id, span.fid, lo, hi)
             links.append(link)
-            fmap.chunk_to_functions[chunk.id].append(link)
             if lo <= covered:
                 covered = max(covered, hi)
         if not links or covered < span.tok_end:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .errors import EmptyIndex, InvalidInputs, IoError
+from .errors import EmptyIndex, InvalidInputs, IoError, UnknownFunction
 from .fsio import EntryStore, read_text
 from .tokenizer import count_tokens
 
@@ -713,7 +713,7 @@ def compute_extraction_stats(
     """Corpus means over per-RFC selections, as extraction rates.
 
     ``selected`` maps each RFC (any hashable key) to the fids retrieval
-    chose for it; each must be in the index.
+    chose for it; each must be in the index, else UnknownFunction.
     """
     if index.total_functions == 0:
         raise EmptyIndex(f"index {index.version} has no functions")
@@ -723,7 +723,12 @@ def compute_extraction_stats(
     counts: list[int] = []
     lines: list[int] = []
     for _, chosen in sorted(selected.items(), key=lambda kv: str(kv[0])):
-        resolved = [lookup[fid] for fid in chosen]
+        try:
+            resolved = [lookup[fid] for fid in chosen]
+        except KeyError as exc:
+            raise UnknownFunction(
+                f"{exc.args[0]} is not in the function index of "
+                f"{index.version}; rerun build-graph") from None
         counts.append(len(resolved))
         lines.append(sum(f.line_count for f in resolved))
     sf = sum(counts) / len(counts)

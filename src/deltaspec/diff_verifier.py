@@ -133,13 +133,6 @@ class Finding:
                 "vulnerability_class": self.vulnerability_class,
                 "evidence": list(self.evidence), "flags": list(self.flags)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Finding":
-        return cls(system=d["system"], rfc=d["rfc"],
-                   description=d["description"],
-                   vulnerability_class=d["vulnerability_class"],
-                   evidence=tuple(d["evidence"]), flags=tuple(d.get("flags", ())))
-
 
 def majority_verdict(votes: Sequence[str]) -> tuple[str, dict[str, int]]:
     """Strict-majority vote: a decided value must win more than half the
@@ -225,28 +218,22 @@ def _trial(task: VerificationTask, index: int, ir: object,
                  ir_text=ir.text.strip())
 
 
-@dataclass(frozen=True)
-class _Inherited:
-    """A cell that takes its predecessor's verdict, flagged "inherited"."""
-
-    base: int | _Inherited  # a task index or another _Inherited
-
-
 @dataclass
 class VerifyPlan:
     """Verification tasks and matrix rows, laid out before any trial runs.
 
-    A row cell is the index of the task that judges it or an _Inherited
-    wrapper. run() judges every task of the plan in two gateway batches,
-    the IRs of all (task, trial) slots and then their judgments, and fills
-    the rows in.
+    A row cell is the index of the task that judges it, or ``(parent,)``
+    when it inherits the verdict of its walk parent, an earlier cell of its
+    row. run() judges every task in two gateway batches, the IRs of all
+    (task, trial) slots and then their judgments, and fills each row in
+    order, each inherited cell adding one "inherited" flag to its parent's.
     """
 
     trials: int = DEFAULT_TRIALS
     tasks: list[VerificationTask] = field(default_factory=list)
     code_texts: list[Mapping[str, str]] = field(default_factory=list)
     exemplars: list[Sequence] = field(default_factory=list)
-    rows: dict[str, dict[int, int | _Inherited]] = field(default_factory=dict)
+    rows: dict[str, dict[int, int | tuple[int]]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.trials < 1 or self.trials % 2 == 0:
@@ -325,14 +312,16 @@ class VerifyPlan:
                                     counts=counts, subject=task.subject,
                                     flags=tuple(flags)))
 
-        def resolve(cell: int | _Inherited) -> Verdict:
-            if isinstance(cell, int):
-                return verdicts[cell]
-            base = resolve(cell.base)
-            return replace(base, flags=tuple(base.flags) + ("inherited",))
-
-        return {version: {rfc: resolve(cell) for rfc, cell in row.items()}
-                for version, row in self.rows.items()}
+        matrix: dict[str, dict[int, Verdict]] = {}
+        for version, row in self.rows.items():
+            cells = matrix[version] = {}
+            for rfc, cell in row.items():
+                if isinstance(cell, int):
+                    cells[rfc] = verdicts[cell]
+                else:
+                    base = cells[cell[0]]
+                    cells[rfc] = replace(base, flags=base.flags + ("inherited",))
+        return matrix
 
 
 def verify_increment(
@@ -384,7 +373,7 @@ def plan_version(
         else:
             targets = increments[(parent, rfc)].targets
             if not targets:
-                row[rfc] = _Inherited(row[parent])
+                row[rfc] = (parent,)
                 continue
         concepts = list(dict.fromkeys(c for e in targets for c in e.concepts))
         candidates = tuple(retrieve_code_for_spec(concepts, graph, k=budget))
@@ -424,7 +413,7 @@ def verify_chain(
 
 
 def compile_findings(
-    matrix: Mapping[str, Mapping[int, Verdict | str]],
+    matrix: Mapping[str, Mapping[int, Verdict]],
     ground_truth: Mapping[str, Mapping[int, str]] | None = None,
     vulnerability_classes: Mapping[int, str] | None = None,
 ) -> tuple[list[Finding], tuple[int, int, int, int] | None]:
@@ -450,13 +439,8 @@ def compile_findings(
     tp = fp = fn = tn = 0
     for version in sorted(matrix):
         for rfc in sorted(matrix[version]):
-            cell = matrix[version][rfc]
-            if isinstance(cell, Verdict):
-                value = cell.value
-                verdict = cell
-            else:
-                value = cell
-                verdict = None
+            verdict = matrix[version][rfc]
+            value = verdict.value
             predicted_positive = value != IMPLEMENTED
             flags: list[str] = []
             if value == UNKNOWN:
@@ -482,20 +466,13 @@ def compile_findings(
             if not (predicted_positive or mismatch):
                 continue
             description = f"RFC {rfc} functionality not confirmed in {version}"
-            evidence: tuple[str, ...] = ()
-            if verdict is not None:
-                majority_trials = [t for t in verdict.trials if t.verdict == value]
-                source_trials = majority_trials or list(verdict.trials)
-                if source_trials and source_trials[0].rationale:
-                    description = f"{verdict.subject}: {source_trials[0].rationale}"
-                elif verdict.subject:
-                    description = verdict.subject
-                cited: list[str] = []
-                for t in source_trials:
-                    for fid in t.cited:
-                        if fid not in cited:
-                            cited.append(fid)
-                evidence = tuple(sorted(cited))
+            majority_trials = [t for t in verdict.trials if t.verdict == value]
+            source_trials = majority_trials or list(verdict.trials)
+            if source_trials and source_trials[0].rationale:
+                description = f"{verdict.subject}: {source_trials[0].rationale}"
+            elif verdict.subject:
+                description = verdict.subject
+            evidence = tuple(sorted({f for t in source_trials for f in t.cited}))
             findings.append(Finding(
                 system=version,
                 rfc=rfc,

@@ -257,6 +257,7 @@ def build_graph(
     ordered = sorted(chunks, key=lambda c: (c.origin, c.index))
     for chunk in ordered:
         graph.register_chunk(chunk)
+    chunk_links = fmap.links_by_chunk() if fmap is not None else {}
     for chunk, found in zip(ordered,
                             extract_entities_all(ordered, gateway, model)):
         merged = [graph.add_entity(e) for e in found]
@@ -266,12 +267,10 @@ def build_graph(
         for i, a in enumerate(ids):
             for b in ids[i + 1:]:
                 graph.add_relates(a, b)
-        if fmap is not None:
-            links = fmap.chunk_to_functions.get(chunk.id, ())
-            fids = sorted({l.fid for l in links})
-            for eid in ids:
-                for fid in fids:
-                    graph.add_implements(eid, fid)
+        fids = sorted({l.fid for l in chunk_links.get(chunk.id, ())})
+        for eid in ids:
+            for fid in fids:
+                graph.add_implements(eid, fid)
     graph.communities = detect_communities(graph)
     return graph
 

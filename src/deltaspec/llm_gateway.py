@@ -690,8 +690,6 @@ class LlmGateway:
             try:
                 self.stats.add("provider_calls")
                 return self.provider.complete(request)
-            except ContractViolation:
-                raise
             except ProviderError as exc:
                 if not exc.retryable:
                     raise

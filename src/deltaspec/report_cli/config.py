@@ -8,11 +8,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from ..chunk_mapper import DEFAULT_CHUNK_SIZE, DEFAULT_REDUNDANCY_RATIO
 from ..code_ingest import DEFAULT_GLOBS, DEFAULT_KEYWORDS
+from ..diff_verifier import DEFAULT_BUDGET, DEFAULT_TRIALS
 from ..errors import InvalidConfig
+from ..knowledge_graph import DEFAULT_DAMPING
+from ..triplet_store import RetrievalConfig
 
 
 @dataclass
@@ -20,27 +24,27 @@ class PipelineConfig:
     workdir: Path
     cache_dir: Path
     model: str
-    provider: str = "mock"
-    transcript: Path | None = None
-    rfc_sources: tuple[Path, ...] = ()
-    code_trees: dict[str, Path] = field(default_factory=dict)
-    code_globs: tuple[str, ...] = DEFAULT_GLOBS
-    code_keywords: tuple[str, ...] = DEFAULT_KEYWORDS
-    stub_headers: Path | None = None
-    triplet_descriptions: Path | None = None
-    triplet_patches: Path | None = None
-    paired_positive: bool = False
-    ground_truth: Path | None = None
-    vulnerability_classes: dict[int, str] = field(default_factory=dict)
-    chunk_size: int = 500
-    redundancy_ratio: float = 0.10
-    retrieval_k: int = 5
-    fusion_alpha: float = 0.5
-    damping: float = 0.5
-    budget: int = 20
-    trials: int = 5
-    prices: dict[str, tuple[float, float]] = field(default_factory=dict)
-    price_unit: int = 1000
+    provider: str
+    transcript: Path | None
+    rfc_sources: tuple[Path, ...]
+    code_trees: dict[str, Path]
+    code_globs: tuple[str, ...]
+    code_keywords: tuple[str, ...]
+    stub_headers: Path | None
+    triplet_descriptions: Path | None
+    triplet_patches: Path | None
+    paired_positive: bool
+    ground_truth: Path | None
+    vulnerability_classes: dict[int, str]
+    chunk_size: int
+    redundancy_ratio: float
+    retrieval_k: int
+    fusion_alpha: float
+    damping: float
+    budget: int
+    trials: int
+    prices: dict[str, tuple[float, float]]
+    price_unit: int
 
     @property
     def versions(self) -> tuple[str, ...]:
@@ -86,11 +90,12 @@ def _strings(key: str, value: object) -> tuple[str, ...]:
 
 
 def _version_tag(tag: str) -> str:
-    """A tag names files under the workdir, so it is one path component."""
-    if tag in ("", ".", "..") or any(c in tag for c in "/\\\0"):
+    """A tag names files under the workdir, so it is one path component,
+    and not ``ledger``: ``graph/ledger.json`` is build-graph's ledger."""
+    if tag in ("", ".", "..", "ledger") or any(c in tag for c in "/\\\0"):
         key = f"code_trees.{tag}"
-        raise InvalidConfig(
-            f"config key {key!r} must be a version tag of one path component")
+        raise InvalidConfig(f"config key {key!r} must be a version tag of "
+                            "one path component other than 'ledger'")
     return tag
 
 
@@ -184,13 +189,15 @@ def load_config(path: str | Path) -> PipelineConfig:
         paired_positive=paired_positive,
         ground_truth=optional_path("ground_truth", raw.get("ground_truth")),
         vulnerability_classes=classes,
-        chunk_size=setting("chunking.chunk_size", 500, int),
-        redundancy_ratio=setting("chunking.redundancy_ratio", 0.10, float),
-        retrieval_k=at_least("retrieval.k", 5, 0),
-        fusion_alpha=setting("retrieval.fusion_alpha", 0.5, float),
-        damping=setting("retrieval.damping", 0.5, float),
-        budget=at_least("retrieval.budget", 20, 0),
-        trials=setting("verification.trials", 5, int),
+        chunk_size=setting("chunking.chunk_size", DEFAULT_CHUNK_SIZE, int),
+        redundancy_ratio=setting("chunking.redundancy_ratio",
+                                 DEFAULT_REDUNDANCY_RATIO, float),
+        retrieval_k=at_least("retrieval.k", RetrievalConfig.k, 0),
+        fusion_alpha=setting("retrieval.fusion_alpha",
+                             RetrievalConfig.fusion_alpha, float),
+        damping=setting("retrieval.damping", DEFAULT_DAMPING, float),
+        budget=at_least("retrieval.budget", DEFAULT_BUDGET, 0),
+        trials=setting("verification.trials", DEFAULT_TRIALS, int),
         prices=prices,
         price_unit=at_least("price_unit", 1000, 1),
     )

@@ -165,8 +165,7 @@ def _code_chunks(cfg: PipelineConfig, version: str, root: Path,
     for f in functions:
         by_file.setdefault(f.file, []).append(f)
     all_chunks: list[Chunk] = []
-    merged = ChunkFunctionMap(chunk_to_functions={}, function_to_chunks={},
-                              spans={})
+    merged = ChunkFunctionMap(function_to_chunks={}, spans={})
     for path in sorted(by_file):
         # Decoded as SourceFile.load decodes it, so offsets line up.
         text = read_source(root / path)
@@ -184,7 +183,6 @@ def _code_chunks(cfg: PipelineConfig, version: str, root: Path,
         )
         all_chunks.extend(chunks)
         fmap = build_map(chunks, func_ends)
-        merged.chunk_to_functions.update(fmap.chunk_to_functions)
         merged.function_to_chunks.update(fmap.function_to_chunks)
         merged.spans.update(fmap.spans)
     return all_chunks, merged
@@ -208,7 +206,6 @@ def build_graph_stage(cfg: PipelineConfig,
             functions = load_functions(cfg, version)
             code_chunks, fmap = _code_chunks(cfg, version, Path(root),
                                              functions)
-            fmap.validate()
             write_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl",
                         [c.to_dict() for c in code_chunks])
             write_json(cfg.workdir / "maps" / f"{version}.json",
@@ -250,7 +247,7 @@ def build_chains_stage(cfg: PipelineConfig) -> UpdateChainGraph:
                 [{"rfc": rfc, "entries": [e.to_dict() for e in items]}
                  for rfc, items in sorted(entries.items())])
     write_jsonl(out / "increments.jsonl", [
-        Increment(src, dst, delta, tuple(delta.targets())).to_dict()
+        Increment(src, dst, delta).to_dict()
         for (src, dst), delta in sorted(chain_graph.deltas.items())])
     write_json(out / "ledger.json", gateway.ledger.as_dict())
     return chain_graph

@@ -145,12 +145,6 @@ class RfcDocument:
         if keys != sorted(keys):
             raise MalformedDocument(f"sections out of order in RFC {self.number}")
 
-    def section(self, section_id: str) -> RfcSection:
-        for s in self.sections:
-            if s.id == section_id:
-                return s
-        raise KeyError(section_id)
-
     def to_dict(self) -> dict:
         return {
             "number": self.number,

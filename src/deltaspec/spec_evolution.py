@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CycleDetected, MissingDelta
 from .llm_gateway import (PHASE_GRAPH, CompletionResult, LlmGateway,
@@ -143,13 +143,6 @@ class FunctionalDelta:
         )
 
 
-class _HasChainMeta(Protocol):
-    number: int
-    updates: tuple[int, ...]
-    obsoletes: tuple[int, ...]
-    published: str
-
-
 @dataclass(frozen=True)
 class RfcMeta:
     """Chain-relevant metadata when full document text is not needed."""
@@ -220,12 +213,6 @@ class UpdateChainGraph:
                     f"edge {e.src}->{e.dst} goes backward in time "
                     f"({self.dates.get(e.src)} > {self.dates.get(e.dst)})")
 
-    def successors(self, node: int) -> list[int]:
-        return list(self._succ.get(node, ()))
-
-    def predecessors(self, node: int) -> list[int]:
-        return sorted({e.src for e in self.edges if e.dst == node})
-
     def roots(self) -> list[int]:
         have_incoming = {e.dst for e in self.edges}
         return [n for n in self.nodes if n not in have_incoming]
@@ -286,7 +273,7 @@ class UpdateChainGraph:
         }
 
 
-def build_update_chain(docs: Sequence[_HasChainMeta]) -> UpdateChainGraph:
+def build_update_chain(docs: Sequence[RfcDocument | RfcMeta]) -> UpdateChainGraph:
     """Edges point old -> new: an RFC that updates or obsoletes X hangs off X."""
     numbers = {d.number for d in docs}
     edges: list[ChainEdge] = []
@@ -469,7 +456,10 @@ class Increment:
     rfc_from: int
     rfc_to: int
     delta: FunctionalDelta
-    targets: tuple[FunctionalEntry, ...]
+
+    @property
+    def targets(self) -> tuple[FunctionalEntry, ...]:
+        return tuple(self.delta.targets())
 
     def to_dict(self) -> dict:
         return {"rfc_from": self.rfc_from, "rfc_to": self.rfc_to,
@@ -479,8 +469,7 @@ class Increment:
     @classmethod
     def from_dict(cls, d: dict) -> "Increment":
         return cls(rfc_from=d["rfc_from"], rfc_to=d["rfc_to"],
-                   delta=FunctionalDelta.from_dict(d["delta"]),
-                   targets=tuple(FunctionalEntry.from_dict(e) for e in d["targets"]))
+                   delta=FunctionalDelta.from_dict(d["delta"]))
 
 
 def enumerate_increments(graph: UpdateChainGraph,
@@ -491,6 +480,5 @@ def enumerate_increments(graph: UpdateChainGraph,
         delta = graph.deltas.get((src, dst))
         if delta is None:
             raise MissingDelta(f"no delta computed for edge {src}->{dst}")
-        out.append(Increment(rfc_from=src, rfc_to=dst, delta=delta,
-                             targets=tuple(delta.targets())))
+        out.append(Increment(rfc_from=src, rfc_to=dst, delta=delta))
     return out

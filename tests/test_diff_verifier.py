@@ -203,15 +203,18 @@ def test_chain_inherits_verdicts_over_empty_increments():
     graph, resolver = chain_fixture()
     gateway = LlmGateway(provider=MockProvider(
         rules=judge_rule(["implemented"])))
-    increments = [Increment(rfc_from=793, rfc_to=1948,
-                            delta=FunctionalDelta(), targets=())]
-    row = verify_chain([793, 1948], increments,
+    increments = [Increment(rfc_from=src, rfc_to=dst, delta=FunctionalDelta())
+                  for src, dst in ((793, 1948), (1948, 6528))]
+    row = verify_chain([793, 1948, 6528], increments,
                        [entry("rst validation", ("rst",))], "toy",
                        graph, None, gateway, "judge-1", resolver, trials=1)
-    assert row[793].value == "implemented"
-    assert row[1948].value == "implemented"
-    assert "inherited" in row[1948].flags
-    assert "whole-rfc" in row[793].flags
+    assert [row[rfc].value for rfc in (793, 1948, 6528)] == \
+        ["implemented"] * 3
+    # Each empty increment stacks one more "inherited" on its parent's flags.
+    assert row[793].flags == ("whole-rfc",)
+    assert row[1948].flags == ("whole-rfc", "inherited")
+    assert row[6528].flags == ("whole-rfc", "inherited", "inherited")
+    assert row[6528].trials == row[793].trials
 
 
 # RFC 3 updates RFCs 1 and 2, and RFC 2 also updates RFC 1: RFC 3 is a
@@ -223,8 +226,7 @@ def merge_increments():
     def inc(src, dst, *titles):
         targets = tuple(entry(t, ("rst",), rfc=dst) for t in titles)
         return Increment(rfc_from=src, rfc_to=dst,
-                         delta=FunctionalDelta(added=list(targets)),
-                         targets=targets)
+                         delta=FunctionalDelta(added=list(targets)))
 
     return {(1, 2): inc(1, 2),
             (1, 3): inc(1, 3, "rst window check", "rst rate limit"),
@@ -369,14 +371,19 @@ WRONG_CELLS = {
 }
 
 
+def cell(value):
+    """A verdict cell with no trials, subject or flags."""
+    return Verdict(value=value, trials=(), counts={}, subject="")
+
+
 def evaluation_grid():
     matrix = {c: {} for c in COLS}
     truth = {c: {} for c in COLS}
     for rfc, row in GRID.items():
         for col, shown in zip(COLS, row):
             implemented = shown == "T"
-            matrix[col][rfc] = "implemented" if implemented \
-                else "not-implemented"
+            matrix[col][rfc] = cell("implemented" if implemented
+                                    else "not-implemented")
             consistent = implemented
             if (rfc, col) in WRONG_CELLS:
                 consistent = not consistent
@@ -441,7 +448,7 @@ def test_findings_pull_evidence_from_majority_trials():
 
 def test_unknown_cells_count_as_findings_with_flag():
     findings, confusion = compile_findings(
-        {"sys": {793: "unknown"}}, {"sys": {793: "consistent"}})
+        {"sys": {793: cell("unknown")}}, {"sys": {793: "consistent"}})
     (finding,) = findings
     assert "unknown-verdict" in finding.flags
     assert "ground-truth-mismatch" in finding.flags
@@ -456,6 +463,9 @@ def test_verdict_and_finding_roundtrip_through_dicts():
                       subject="s", flags=("whole-rfc",))
     assert Verdict.from_dict(json.loads(json.dumps(verdict.to_dict()))) \
         == verdict
+    # Findings are read back as plain dicts.
     finding = Finding(system="sys", rfc=793, description="d",
                       vulnerability_class="v", evidence=("e",), flags=("f",))
-    assert Finding.from_dict(finding.to_dict()) == finding
+    assert json.loads(json.dumps(finding.to_dict())) == {
+        "system": "sys", "rfc": 793, "description": "d",
+        "vulnerability_class": "v", "evidence": ["e"], "flags": ["f"]}

@@ -206,7 +206,6 @@ def test_build_graph_connects_cooccurring_entities():
     c1 = one_chunk("alpha prose", "rfc:1")
     c2 = one_chunk("beta prose", "rfc:2")
     fmap = ChunkFunctionMap(
-        chunk_to_functions={c1.id: [MapLink(c1.id, "x.c:1:fa", 0, 2)]},
         function_to_chunks={"x.c:1:fa": [MapLink(c1.id, "x.c:1:fa", 0, 2)]},
         spans={"x.c:1:fa": FunctionSpan("x.c:1:fa", 0, 2)},
     )

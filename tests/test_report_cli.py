@@ -195,6 +195,7 @@ def test_code_selection_defaults_fill_in_only_when_absent(tmp_path, value,
     ({"code_trees": {"": "t"}}, "code_trees."),
     ({"code_trees": {".": "t"}}, "code_trees.."),
     ({"code_trees": {"..": "t"}}, "code_trees..."),
+    ({"code_trees": {"ledger": "t"}}, "code_trees.ledger"),
 ], ids=["rfc_sources", "code_trees", "chunk_size", "triplets", "prices",
         "workdir", "vulnerability_classes", "price_unit", "paired_positive",
         "budget", "k", "trials-bool", "chunk_size-fraction",
@@ -202,7 +203,7 @@ def test_code_selection_defaults_fill_in_only_when_absent(tmp_path, value,
         "fusion_alpha-bool", "damping-bool", "price_unit-fraction",
         "price_unit-bool", "price-in-bool", "price-out-bool",
         "tag-escapes", "tag-slash", "tag-backslash", "tag-nul", "tag-empty",
-        "tag-dot", "tag-dotdot"])
+        "tag-dot", "tag-dotdot", "tag-ledger"])
 def test_wrong_typed_config_value_names_its_key(tmp_path, capsys, extra, key):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({**_BASE_CONFIG, **extra}))
@@ -440,6 +441,26 @@ def test_cli_build_graph_missing_source_file_exits_one(mini_config, tmp_path,
     assert main(["build-graph", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {gone}: ")
+    assert "Traceback" not in err
+
+
+def test_cli_verify_on_a_stale_function_index_exits_one(mini_config, tmp_path,
+                                                       capsys):
+    # A source edit and a second ingest-code shift a function's fid; the
+    # graph and map built before still name the old one.
+    trees = tmp_path / "code"
+    shutil.copytree(FIXTURES / "code", trees)
+    cfg_path = mini_config(code_trees={v: str(trees / v)
+                                       for v in ("toy-a", "toy-b")})
+    run_stages(cfg_path, through="synth-triplets")
+    edited = trees / "toy-a" / "net" / "ipv4" / "tcp_isn.c"
+    edited.write_text("/* edited */\n" + edited.read_text())
+    assert main(["ingest-code", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: net/ipv4/tcp_isn.c:23:net_secret_init is "
+                          "not in the function index of toy-a")
     assert "Traceback" not in err
 
 

@@ -68,15 +68,16 @@ def test_tiny_rfc_structure():
     assert doc.status == "experimental"
     assert doc.published == "2001-06"
     assert [s.id for s in doc.sections] == ["1", "2", "2.1"]
-    intro = doc.section("1").prose()
+    sections = {s.id: s for s in doc.sections}
+    intro = sections["1"].prose()
     assert "tiny extension" in intro
     # page furniture must not leak into prose
     assert "[Page" not in intro and "Table of Contents" not in intro
-    behavior = doc.section("2")
+    behavior = sections["2"]
     assert behavior.body == ("   Senders MUST set the tiny bit.",
                              "   Receivers ignore it.")
     # depth-3 heading stays inside its level-2 parent
-    details = doc.section("2.1").prose()
+    details = sections["2.1"].prose()
     assert "2.1.1" in details and "fold into their parent" in details
 
 
@@ -112,7 +113,7 @@ def test_bundled_fixture_headers(name, number, title, status, updates,
 
 def test_figure_extraction_from_fixture():
     doc = parse_rfc((FIXTURES / "rfc" / "rfc0793.txt").read_text())
-    intro = doc.section("1")
+    intro = {s.id: s for s in doc.sections}["1"]
     assert len(intro.figures) == 1
     fig = intro.figures[0]
     assert len(fig.lines) == 5
