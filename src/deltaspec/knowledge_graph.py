@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .chunk_mapper import Chunk, ChunkFunctionMap
 from .errors import ContractViolation, EmptyGraph, SchemaViolation
@@ -61,7 +61,6 @@ class Entity:
     kind: str
     name: str
     description: str = ""
-    provenance: list[str] = field(default_factory=list)  # chunk ids, in order
 
     def __post_init__(self):
         if self.kind not in ENTITY_KINDS:
@@ -91,8 +90,6 @@ class KnowledgeGraph:
     def __init__(self, damping: float = DEFAULT_DAMPING):
         self.damping = damping
         self.entities: dict[str, Entity] = {}
-        self.chunk_origins: dict[str, str] = {}  # chunk id -> origin
-        self.function_names: dict[str, str] = {}  # fid -> function name
         self._mentions: dict[tuple[str, str], float] = {}
         self._relates: dict[tuple[str, str], float] = {}
         self._implements: dict[tuple[str, str], float] = {}
@@ -107,17 +104,9 @@ class KnowledgeGraph:
             return entity
         if not existing.description and entity.description:
             existing.description = entity.description
-        for chunk_id in entity.provenance:
-            if chunk_id not in existing.provenance:
-                existing.provenance.append(chunk_id)
         return existing
 
-    def register_chunk(self, chunk: Chunk) -> None:
-        self.chunk_origins[chunk.id] = chunk.origin
-
     def add_mention(self, eid: str, chunk_id: str, weight: float = 1.0) -> None:
-        if chunk_id not in self.chunk_origins:
-            raise SchemaViolation(f"mention references unknown chunk {chunk_id}")
         key = (eid, chunk_id)
         self._mentions[key] = self._mentions.get(key, 0.0) + weight
 
@@ -161,11 +150,6 @@ class KnowledgeGraph:
         return [e for _, e in sorted(self.entities.items())
                 if normalize_name(e.name) == norm]
 
-    def function_name(self, fid: str) -> str:
-        if fid in self.function_names:
-            return self.function_names[fid]
-        return fid.rsplit(":", 1)[-1]
-
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -173,11 +157,9 @@ class KnowledgeGraph:
             "damping": self.damping,
             "entities": [
                 {"id": e.id, "kind": e.kind, "name": e.name,
-                 "description": e.description, "provenance": e.provenance}
+                 "description": e.description}
                 for _, e in sorted(self.entities.items())
             ],
-            "chunk_origins": dict(sorted(self.chunk_origins.items())),
-            "function_names": dict(sorted(self.function_names.items())),
             "edges": [
                 {"src": e.src, "dst": e.dst, "relation": e.relation, "weight": e.weight}
                 for e in self.edges
@@ -193,19 +175,14 @@ class KnowledgeGraph:
         g = cls(damping=d.get("damping", DEFAULT_DAMPING))
         for e in d["entities"]:
             ent = Entity(kind=e["kind"], name=e["name"],
-                         description=e.get("description", ""),
-                         provenance=list(e.get("provenance", [])))
+                         description=e.get("description", ""))
             g.entities[ent.id] = ent
-        g.chunk_origins = dict(d.get("chunk_origins", {}))
-        g.function_names = dict(d.get("function_names", {}))
+        by_relation = {"mentions": g._mentions, "relates-to": g._relates,
+                       "implements-candidate": g._implements}
         for e in d["edges"]:
-            key = (e["src"], e["dst"])
-            if e["relation"] == "mentions":
-                g._mentions[key] = e["weight"]
-            elif e["relation"] == "relates-to":
-                g._relates[key] = e["weight"]
-            else:
-                g._implements[key] = e["weight"]
+            if e["relation"] not in by_relation:
+                raise ValueError(f"unknown edge relation {e['relation']!r}")
+            by_relation[e["relation"]][(e["src"], e["dst"])] = e["weight"]
         g.communities = [
             Community(id=c["id"], members=frozenset(c["members"]), summary=c["summary"])
             for c in d.get("communities", [])
@@ -234,8 +211,7 @@ def extract_entities_all(chunks: Sequence[Chunk], gateway: LlmGateway,
         if chunk.text.strip():
             for item in next(results).parsed:
                 ent = Entity(kind=item["kind"], name=item["name"],
-                             description=item.get("description", ""),
-                             provenance=[chunk.id])
+                             description=item.get("description", ""))
                 seen.setdefault(ent.id, ent)
         out.append(list(seen.values()))
     return out
@@ -247,16 +223,11 @@ def build_graph(
     model: str,
     *,
     fmap: ChunkFunctionMap | None = None,
-    function_names: Mapping[str, str] | None = None,
     damping: float = DEFAULT_DAMPING,
 ) -> KnowledgeGraph:
     """Assemble the graph from a chunk corpus (text and code together)."""
     graph = KnowledgeGraph(damping=damping)
-    if function_names:
-        graph.function_names.update(function_names)
     ordered = sorted(chunks, key=lambda c: (c.origin, c.index))
-    for chunk in ordered:
-        graph.register_chunk(chunk)
     chunk_links = fmap.links_by_chunk() if fmap is not None else {}
     for chunk, found in zip(ordered,
                             extract_entities_all(ordered, gateway, model)):
@@ -331,7 +302,8 @@ def retrieve_code_for_spec(
     Path A follows implements-candidate edges from the query entities at
     weight 1.0. Path B adds the same edges from community siblings of the
     query entities, damped by the graph's damping factor. Ties break
-    lexicographically by function name, then fid.
+    lexicographically by function name (the last ``:`` field of the fid),
+    then fid.
     """
     if not graph.entities:
         raise EmptyGraph("cannot retrieve from a graph with no entities")
@@ -349,5 +321,5 @@ def retrieve_code_for_spec(
         for fid, w in implements.get(eid, ()):
             scores[fid] = scores.get(fid, 0.0) + w * graph.damping
     ranked = sorted(scores.items(),
-                    key=lambda kv: (-kv[1], graph.function_name(kv[0]), kv[0]))
+                    key=lambda kv: (-kv[1], kv[0].rsplit(":", 1)[-1], kv[0]))
     return ranked[:k]

@@ -89,6 +89,24 @@ def _strings(key: str, value: object) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _string(key: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise InvalidConfig(
+            f"config key {key!r} must be a string, got {value!r}")
+    return value
+
+
+def _tree_pattern(pattern: str) -> str:
+    """A ``code_globs`` pattern matches inside the code tree only: it is
+    relative, not empty, and takes no ``..`` step."""
+    path = Path(pattern)
+    if not pattern or path.is_absolute() or ".." in path.parts:
+        raise InvalidConfig("config key 'code_globs' must be a list of "
+                            "non-empty patterns inside the code tree, "
+                            f"got {pattern!r}")
+    return pattern
+
+
 def _version_tag(tag: str) -> str:
     """A tag names files under the workdir, so it is one path component,
     and not ``ledger``: ``graph/ledger.json`` is build-graph's ledger."""
@@ -160,7 +178,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         if not rfc.strip().isdecimal():
             raise InvalidConfig("config key 'vulnerability_classes' must be "
                                 f"keyed by RFC number, got {rfc!r}")
-        classes[int(rfc)] = str(label)
+        classes[int(rfc)] = _string(f"vulnerability_classes.{rfc}", label)
 
     prices = {}
     for model, pair in section("prices").items():
@@ -172,14 +190,15 @@ def load_config(path: str | Path) -> PipelineConfig:
     return PipelineConfig(
         workdir=path_of("workdir", need("workdir")),
         cache_dir=path_of("cache_dir", need("cache_dir")),
-        model=str(need("model")),
+        model=_string("model", need("model")),
         provider=provider,
         transcript=optional_path("transcript", raw.get("transcript")),
         rfc_sources=tuple(path_of("rfc_sources", s) for s in
                           _strings("rfc_sources", raw.get("rfc_sources", []))),
         code_trees={_version_tag(v): path_of(f"code_trees.{v}", root)
                     for v, root in section("code_trees").items()},
-        code_globs=strings_or("code_globs", DEFAULT_GLOBS),
+        code_globs=tuple(map(_tree_pattern,
+                             strings_or("code_globs", DEFAULT_GLOBS))),
         code_keywords=strings_or("code_keywords", DEFAULT_KEYWORDS),
         stub_headers=optional_path("stub_headers", raw.get("stub_headers")),
         triplet_descriptions=optional_path(

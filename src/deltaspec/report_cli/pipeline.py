@@ -216,7 +216,6 @@ def build_graph_stage(cfg: PipelineConfig,
                 gateway,
                 cfg.model,
                 fmap=fmap,
-                function_names={f.fid: f.name for f in functions},
                 damping=cfg.damping,
             )
             write_json(cfg.workdir / "graph" / f"{version}.json",

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from conftest import FIXTURES
 from deltaspec import fsio
 from deltaspec.chunk_mapper import ChunkFunctionMap, FunctionSpan, MapLink, chunk_stream
-from deltaspec.errors import EmptyGraph, SchemaViolation
+from deltaspec.errors import EmptyGraph, MissingArtifact
 from deltaspec.knowledge_graph import (
     Community,
     Entity,
@@ -43,14 +44,12 @@ def test_unknown_kind_falls_back():
     assert Entity(kind="protocol", name="x").kind == "mechanism"
 
 
-def test_add_entity_merges_description_and_provenance():
+def test_add_entity_merges_description():
     g = KnowledgeGraph()
-    g.add_entity(Entity("state", "isn", provenance=["c1"]))
-    merged = g.add_entity(Entity("state", "ISN", description="initial seq",
-                                 provenance=["c1", "c2"]))
+    g.add_entity(Entity("state", "isn"))
+    merged = g.add_entity(Entity("state", "ISN", description="initial seq"))
     assert len(g.entities) == 1
     assert merged.description == "initial seq"
-    assert merged.provenance == ["c1", "c2"]
 
 
 def test_name_lookup_normalizes():
@@ -62,13 +61,10 @@ def test_name_lookup_normalizes():
 
 # -------------------------------------------------------------------- edges
 
-def test_mentions_need_registered_chunks_and_accumulate():
+def test_mentions_accumulate():
     g = KnowledgeGraph()
     chunk = one_chunk("some prose", "rfc")
     e = g.add_entity(ent("window"))
-    with pytest.raises(SchemaViolation):
-        g.add_mention(e.id, chunk.id)
-    g.register_chunk(chunk)
     g.add_mention(e.id, chunk.id)
     g.add_mention(e.id, chunk.id, weight=2.0)
     (edge,) = [x for x in g.edges if x.relation == "mentions"]
@@ -183,13 +179,12 @@ def entity_rule(req):
     ])
 
 
-def test_extract_entities_dedups_and_records_provenance():
+def test_extract_entities_dedups():
     gateway = LlmGateway(provider=MockProvider(rules=entity_rule))
     chunk = one_chunk("alpha text", "rfc0793")
     (found,) = extract_entities_all([chunk], gateway, "judge-1")
     assert [(e.kind, e.name) for e in found] == \
         [("state", "Seq State"), ("event", "RST Event")]
-    assert all(e.provenance == [chunk.id] for e in found)
 
 
 def test_empty_chunk_costs_nothing():
@@ -216,6 +211,15 @@ def test_build_graph_connects_cooccurring_entities():
     # RST Event co-occurs once with each chunk-mate.
     assert set(adj[rst]) == {entity_id("state", "seq state"),
                              entity_id("action", "send ack")}
+    # Each entity links to the chunks that mention it, once per chunk.
+    mentions = {(e.src, e.dst): e.weight for e in g.edges
+                if e.relation == "mentions"}
+    assert mentions == {
+        (entity_id("state", "seq state"), c1.id): 1.0,
+        (rst, c1.id): 1.0,
+        (rst, c2.id): 1.0,
+        (entity_id("action", "send ack"), c2.id): 1.0,
+    }
     impl = g.implements_by_entity()
     assert impl[entity_id("state", "seq state")] == [("x.c:1:fa", 1.0)]
     assert impl[rst] == [("x.c:1:fa", 1.0)]
@@ -226,10 +230,8 @@ def test_build_graph_connects_cooccurring_entities():
 
 def test_graph_roundtrips_and_saves_into_new_directories(tmp_path):
     g, _ = triangle_graph()
-    g.function_names["x.c:1:fa"] = "fa"
     g.communities = detect_communities(g)
     chunk = one_chunk("prose", "rfc")
-    g.register_chunk(chunk)
     g.add_mention(next(iter(g.entities)), chunk.id)
 
     target = tmp_path / "deep" / "nested" / "graph.json"
@@ -239,4 +241,49 @@ def test_graph_roundtrips_and_saves_into_new_directories(tmp_path):
     assert loaded.entities.keys() == g.entities.keys()
     assert loaded.edges == g.edges
     assert loaded.communities == g.communities
-    assert loaded.function_names == g.function_names
+
+
+def test_graph_file_holds_only_the_graph():
+    paths = sorted((FIXTURES / "mini_corpus" / "work" / "graph").glob("toy-*"))
+    assert len(paths) == 2
+    for path in paths:
+        d = json.loads(path.read_text())
+        assert sorted(d) == ["communities", "damping", "edges", "entities"]
+        assert all(sorted(e) == ["description", "id", "kind", "name"]
+                   for e in d["entities"])
+
+
+def test_parent_format_graph_loads_to_the_same_graph():
+    """A graph file that also carries function_names, chunk_origins and
+    per-entity provenance, as files written before those copies were
+    dropped do, loads to the same graph and ranks the same functions."""
+    g = retrieval_graph()
+    chunk = one_chunk("query mech prose", "rfc:1")
+    for eid in sorted(g.entities):
+        g.add_mention(eid, chunk.id)
+    old = g.to_dict()
+    old["chunk_origins"] = {chunk.id: chunk.origin}
+    old["function_names"] = {"net/a.c:1:direct_fn": "direct_fn",
+                             "net/a.c:9:sibling_fn": "sibling_fn",
+                             "net/b.c:3:far_fn": "far_fn"}
+    for e in old["entities"]:
+        e["provenance"] = [chunk.id]
+    loaded = KnowledgeGraph.from_dict(old)
+    assert loaded.to_dict() == g.to_dict()
+    for query in (["query mech"], ["sibling mech"], ["far mech"]):
+        assert retrieve_code_for_spec(query, loaded) == \
+            retrieve_code_for_spec(query, g)
+
+
+def test_unknown_edge_relation_is_not_read_as_another(tmp_path):
+    g = retrieval_graph()
+    d = g.to_dict()
+    d["edges"].append({"src": "a", "dst": "b", "relation": "mention",
+                       "weight": 1.0})
+    with pytest.raises(ValueError, match="unknown edge relation 'mention'"):
+        KnowledgeGraph.from_dict(d)
+    target = tmp_path / "graph.json"
+    fsio.write_json(target, d)
+    with pytest.raises(MissingArtifact,
+                       match=r"cannot read .*graph\.json: .*'mention'"):
+        fsio.read_json(target, KnowledgeGraph.from_dict)

@@ -196,6 +196,15 @@ def test_code_selection_defaults_fill_in_only_when_absent(tmp_path, value,
     ({"code_trees": {".": "t"}}, "code_trees.."),
     ({"code_trees": {"..": "t"}}, "code_trees..."),
     ({"code_trees": {"ledger": "t"}}, "code_trees.ledger"),
+    ({"model": None}, "model"),
+    ({"model": 7}, "model"),
+    ({"vulnerability_classes": {"6528": None}}, "vulnerability_classes.6528"),
+    ({"vulnerability_classes": {"6528": ["x"]}},
+     "vulnerability_classes.6528"),
+    ({"code_globs": ["/etc/*.c"]}, "code_globs"),
+    ({"code_globs": ["../toy-b/net/ipv4/*.c"]}, "code_globs"),
+    ({"code_globs": ["net/**/../../x.c"]}, "code_globs"),
+    ({"code_globs": [""]}, "code_globs"),
 ], ids=["rfc_sources", "code_trees", "chunk_size", "triplets", "prices",
         "workdir", "vulnerability_classes", "price_unit", "paired_positive",
         "budget", "k", "trials-bool", "chunk_size-fraction",
@@ -203,7 +212,9 @@ def test_code_selection_defaults_fill_in_only_when_absent(tmp_path, value,
         "fusion_alpha-bool", "damping-bool", "price_unit-fraction",
         "price_unit-bool", "price-in-bool", "price-out-bool",
         "tag-escapes", "tag-slash", "tag-backslash", "tag-nul", "tag-empty",
-        "tag-dot", "tag-dotdot", "tag-ledger"])
+        "tag-dot", "tag-dotdot", "tag-ledger", "model-null", "model-number",
+        "class-null", "class-list", "glob-absolute", "glob-parent",
+        "glob-inner-parent", "glob-empty"])
 def test_wrong_typed_config_value_names_its_key(tmp_path, capsys, extra, key):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({**_BASE_CONFIG, **extra}))
