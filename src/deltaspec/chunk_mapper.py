@@ -26,6 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .code_ingest import CodeFunction
 from .errors import InvalidConfig, SpanMismatch, UnknownFunction
+from .fsio import Record
 from .tokenizer import token_offsets
 
 DEFAULT_CHUNK_SIZE = 500
@@ -42,7 +43,7 @@ _SENTENCE_END_RE = re.compile(r"[.!?](?![^\w\s])")
 
 
 @dataclass(frozen=True)
-class Chunk:
+class Chunk(Record):
     id: str
     origin: str  # "rfc:793:3.2" or "code:v6.9:net/ipv4/tcp.c"
     index: int
@@ -50,23 +51,6 @@ class Chunk:
     text: str
     overlap_prev: int  # tokens shared with the previous chunk
     char_start: int  # absolute offset of text[0] in the source
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "origin": self.origin,
-            "index": self.index,
-            "span": list(self.span),
-            "text": self.text,
-            "overlap_prev": self.overlap_prev,
-            "char_start": self.char_start,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Chunk":
-        return cls(id=d["id"], origin=d["origin"], index=d["index"],
-                   span=(d["span"][0], d["span"][1]), text=d["text"],
-                   overlap_prev=d["overlap_prev"], char_start=d["char_start"])
 
 
 def _chunk_id(origin: str, index: int, text: str) -> str:

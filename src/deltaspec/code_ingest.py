@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import EmptyIndex, InvalidInputs, IoError, UnknownFunction
-from .fsio import EntryStore, read_text
+from .fsio import EntryStore, Record, read_text
 from .tokenizer import count_tokens
 
 if TYPE_CHECKING:
@@ -145,7 +145,7 @@ class CodebaseIndex:
 
 
 @dataclass(frozen=True)
-class ExtractionStats:
+class ExtractionStats(Record):
     version: str
     total_functions: int
     total_lines: int
@@ -172,17 +172,6 @@ class ExtractionStats:
             function_extraction_rate=round(100.0 * selected_functions / total_functions, 1),
             line_extraction_rate=round(100.0 * selected_lines / total_lines, 1),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "total_functions": self.total_functions,
-            "total_lines": self.total_lines,
-            "selected_functions": self.selected_functions,
-            "selected_lines": self.selected_lines,
-            "function_extraction_rate": self.function_extraction_rate,
-            "line_extraction_rate": self.line_extraction_rate,
-        }
 
 
 def select_protocol_sources(

@@ -15,6 +15,7 @@ from typing import Callable, Mapping, Sequence
 from .errors import (ContractViolation, EmptyResponse, GatewayError,
                      InvalidInputs, ShapeMismatch, UnknownFunction,
                      VerificationAborted)
+from .fsio import Record
 from .knowledge_graph import KnowledgeGraph, retrieve_code_for_spec
 from .llm_gateway import PHASE_REASONING, LlmGateway, LlmRequest, request
 from .spec_evolution import FunctionalEntry, Increment
@@ -76,62 +77,39 @@ class VerificationTask:
 
 
 @dataclass(frozen=True)
-class Trial:
+class Trial(Record):
     index: int
     verdict: str
     rationale: str
     cited: tuple[str, ...]
     ir_text: str
 
+    def __post_init__(self):
+        if self.verdict not in VERDICT_VALUES:
+            raise ValueError(f"unknown verdict value {self.verdict!r}")
+
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     value: str
     trials: tuple[Trial, ...]
     counts: dict[str, int]
     subject: str
     flags: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "counts": {k: self.counts.get(k, 0) for k in VERDICT_VALUES},
-            "subject": self.subject,
-            "flags": list(self.flags),
-            "trials": [
-                {"index": t.index, "verdict": t.verdict, "rationale": t.rationale,
-                 "cited": list(t.cited), "ir_text": t.ir_text}
-                for t in self.trials
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Verdict":
-        return cls(
-            value=d["value"],
-            trials=tuple(Trial(index=t["index"], verdict=t["verdict"],
-                               rationale=t["rationale"], cited=tuple(t["cited"]),
-                               ir_text=t["ir_text"]) for t in d["trials"]),
-            counts=dict(d["counts"]),
-            subject=d["subject"],
-            flags=tuple(d.get("flags", ())),
-        )
+    def __post_init__(self):
+        if self.value not in VERDICT_VALUES:
+            raise ValueError(f"unknown verdict value {self.value!r}")
 
 
 @dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     system: str
     rfc: int
     description: str
     vulnerability_class: str
     evidence: tuple[str, ...]
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {"system": self.system, "rfc": self.rfc,
-                "description": self.description,
-                "vulnerability_class": self.vulnerability_class,
-                "evidence": list(self.evidence), "flags": list(self.flags)}
 
 
 def majority_verdict(votes: Sequence[str]) -> tuple[str, dict[str, int]]:

@@ -1,22 +1,111 @@
-"""JSON on disk: the workdir artifacts the stages hand each other, and the
-entry store both caches keep."""
+"""JSON on disk: the record codec, the workdir artifacts the stages hand
+each other, and the entry store both caches keep."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import json
 import logging
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterator, TypeVar
+from typing import (Any, BinaryIO, Callable, Iterator, TypeVar, get_args,
+                    get_origin, get_type_hints)
 
 from .errors import MissingArtifact
 
 T = TypeVar("T")
+R = TypeVar("R", bound="Record")
 
 # What a from_dict raises on a record of the wrong shape.
 _SHAPE_ERRORS = (AttributeError, IndexError, KeyError, TypeError)
+
+
+class Record:
+    """A dataclass whose JSON form is an object of its fields by name.
+
+    A nested record is an object, a tuple or list is an array, and any
+    other value is written as it is. On decode the field annotations turn
+    arrays back into tuples or lists, a fixed-length tuple only from an
+    array of its length, and objects back into records. A missing key takes
+    the field's default, or raises KeyError when the field has none; an
+    unknown key is ignored.
+    """
+
+    def to_dict(self) -> dict:
+        return _record_plan(type(self))[0](self)
+
+    @classmethod
+    def from_dict(cls: type[R], d: dict) -> R:
+        return _record_plan(cls)[1](d)
+
+
+def _array(value: Any) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def _codec(annotation: Any) -> tuple[Callable, Callable] | None:
+    """(encode, decode) of a field's values; None for plain JSON values."""
+    if isinstance(annotation, type) and issubclass(annotation, Record):
+        return _record_plan(annotation)
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin not in (tuple, list):
+        return None
+    if origin is tuple and args[-1:] != (...,):
+        items = [_codec(a) for a in args]
+
+        def decode_fixed(value: Any) -> tuple:
+            if len(_array(value)) != len(items):
+                raise ValueError(f"expected an array of {len(items)}, "
+                                 f"got {len(value)}")
+            return tuple(v if c is None else c[1](v)
+                         for c, v in zip(items, value))
+
+        if not any(items):
+            return list, decode_fixed
+        return (lambda value: [v if c is None else c[0](v)
+                               for c, v in zip(items, value)], decode_fixed)
+    item = _codec(args[0])
+    if item is None:
+        return list, lambda value: origin(_array(value))
+    enc, dec = item
+    return (lambda value: list(map(enc, value)),
+            lambda value: origin(map(dec, _array(value))))
+
+
+@functools.cache
+def _record_plan(cls: type) -> tuple[Callable[[Any], dict],
+                                     Callable[[Any], Any]]:
+    hints = get_type_hints(cls)
+    encoders, decoders = [], []
+    for f in dataclasses.fields(cls):
+        enc, dec = _codec(hints[f.name]) or (None, None)
+        encoders.append((f.name, enc))
+        decoders.append((f.name, dec, f.default is dataclasses.MISSING
+                         and f.default_factory is dataclasses.MISSING))
+
+    def encode(record: Any) -> dict:
+        values, out = vars(record), {}
+        for name, enc in encoders:
+            out[name] = values[name] if enc is None else enc(values[name])
+        return out
+
+    def decode(d: Any) -> Any:
+        if not isinstance(d, dict):
+            raise TypeError(f"expected an object, got {type(d).__name__}")
+        kwargs = {}
+        for name, dec, required in decoders:
+            if name in d:
+                kwargs[name] = d[name] if dec is None else dec(d[name])
+            elif required:
+                raise KeyError(name)
+        return cls(**kwargs)
+
+    return encode, decode
 
 
 def write_json(path: Path, payload: object) -> None:

@@ -174,8 +174,13 @@ class KnowledgeGraph:
     def from_dict(cls, d: dict) -> "KnowledgeGraph":
         g = cls(damping=d.get("damping", DEFAULT_DAMPING))
         for e in d["entities"]:
+            if e["kind"] not in ENTITY_KINDS:
+                raise ValueError(f"unknown entity kind {e['kind']!r}")
             ent = Entity(kind=e["kind"], name=e["name"],
                          description=e.get("description", ""))
+            if e["id"] != ent.id:
+                raise ValueError(f"entity id {e['id']!r} is not the id of "
+                                 f"{ent.kind} {ent.name!r}")
             g.entities[ent.id] = ent
         by_relation = {"mentions": g._mentions, "relates-to": g._relates,
                        "implements-candidate": g._implements}

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import InvalidInputs
+from ..fsio import Record
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,12 @@ class CostModelInputs:
 
 
 @dataclass(frozen=True)
-class CostModelResult:
+class CostModelResult(Record):
     naive: int
     reasoning: int
     graph: int
     total: int
     delta: int
-
-    def to_dict(self) -> dict:
-        return {"naive": self.naive, "reasoning": self.reasoning,
-                "graph": self.graph, "total": self.total, "delta": self.delta}
 
 
 def cost_model(inputs: CostModelInputs) -> CostModelResult:

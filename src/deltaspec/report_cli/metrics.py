@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import EmptyEval, InvalidInputs
+from ..fsio import Record
 
 
 @dataclass(frozen=True)
-class Confusion:
+class Confusion(Record):
     tp: int
     fp: int
     tn: int
@@ -27,9 +28,6 @@ class Confusion:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
-
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import MalformedDocument
+from .fsio import Record
 from .tokenizer import count_tokens
 
 STATUSES = ("standards-track", "informational", "experimental", "historic", "unknown")
@@ -47,7 +48,7 @@ _CAPTION_RE = re.compile(r"^\s*Figure\s+\d+[.:]?\s*(.*)$")
 
 
 @dataclass(frozen=True)
-class AsciiFigure:
+class AsciiFigure(Record):
     """A diagram block preserved byte-exactly, with its origin recorded."""
 
     lines: tuple[str, ...]
@@ -58,7 +59,7 @@ class AsciiFigure:
 
 
 @dataclass(frozen=True)
-class RfcSection:
+class RfcSection(Record):
     id: str
     heading: str
     body: tuple[str, ...]  # paragraphs, blank-line separated in the source
@@ -68,45 +69,6 @@ class RfcSection:
 
     def prose(self) -> str:
         return "\n\n".join(self.body)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "heading": self.heading,
-            "body": list(self.body),
-            "figures": [
-                {
-                    "lines": list(f.lines),
-                    "caption": f.caption,
-                    "section_id": f.section_id,
-                    "line_start": f.line_start,
-                    "line_end": f.line_end,
-                }
-                for f in self.figures
-            ],
-            "token_count": self.token_count,
-            "is_appendix": self.is_appendix,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RfcSection":
-        return cls(
-            id=d["id"],
-            heading=d["heading"],
-            body=tuple(d["body"]),
-            figures=tuple(
-                AsciiFigure(
-                    lines=tuple(f["lines"]),
-                    caption=f.get("caption"),
-                    section_id=f["section_id"],
-                    line_start=f["line_start"],
-                    line_end=f["line_end"],
-                )
-                for f in d.get("figures", ())
-            ),
-            token_count=d["token_count"],
-            is_appendix=d.get("is_appendix", False),
-        )
 
 
 def section_sort_key(section_id: str) -> tuple:
@@ -121,7 +83,7 @@ def section_sort_key(section_id: str) -> tuple:
 
 
 @dataclass(frozen=True)
-class RfcDocument:
+class RfcDocument(Record):
     number: int
     title: str
     status: str
@@ -144,29 +106,6 @@ class RfcDocument:
         keys = [section_sort_key(i) for i in ids]
         if keys != sorted(keys):
             raise MalformedDocument(f"sections out of order in RFC {self.number}")
-
-    def to_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "title": self.title,
-            "status": self.status,
-            "updates": list(self.updates),
-            "obsoletes": list(self.obsoletes),
-            "published": self.published,
-            "sections": [s.to_dict() for s in self.sections],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RfcDocument":
-        return cls(
-            number=d["number"],
-            title=d["title"],
-            status=d["status"],
-            updates=tuple(d["updates"]),
-            obsoletes=tuple(d["obsoletes"]),
-            published=d["published"],
-            sections=tuple(RfcSection.from_dict(s) for s in d.get("sections", ())),
-        )
 
 
 def _is_heading(line: str) -> bool:

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import CycleDetected, MissingDelta
+from .fsio import Record
 from .llm_gateway import (PHASE_GRAPH, CompletionResult, LlmGateway,
                           LlmRequest, request)
 from .rfc_ingest import RfcDocument, section_sort_key
@@ -72,7 +73,7 @@ _REMOVED_SYSTEM = (
 
 
 @dataclass(frozen=True)
-class FunctionalEntry:
+class FunctionalEntry(Record):
     rfc: int
     section: str
     title: str
@@ -89,20 +90,9 @@ class FunctionalEntry:
         key = f"{self.rfc}|{self.section}|{self.title.lower()}"
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
-    def to_dict(self) -> dict:
-        return {"rfc": self.rfc, "section": self.section, "title": self.title,
-                "summary": self.summary, "concepts": list(self.concepts),
-                "status": self.status}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionalEntry":
-        return cls(rfc=d["rfc"], section=d["section"], title=d["title"],
-                   summary=d["summary"], concepts=tuple(d.get("concepts", ())),
-                   status=d.get("status", "new"))
-
 
 @dataclass
-class FunctionalDelta:
+class FunctionalDelta(Record):
     added: list[FunctionalEntry] = field(default_factory=list)
     modified: list[tuple[FunctionalEntry, FunctionalEntry]] = field(default_factory=list)
     deprecated: list[FunctionalEntry] = field(default_factory=list)
@@ -123,24 +113,6 @@ class FunctionalDelta:
     def targets(self) -> list[FunctionalEntry]:
         """Entries an implementation of the newer spec must newly satisfy."""
         return list(self.added) + [new for _, new in self.modified]
-
-    def to_dict(self) -> dict:
-        return {
-            "added": [e.to_dict() for e in self.added],
-            "modified": [[o.to_dict(), n.to_dict()] for o, n in self.modified],
-            "deprecated": [e.to_dict() for e in self.deprecated],
-            "inherited": [e.to_dict() for e in self.inherited],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionalDelta":
-        return cls(
-            added=[FunctionalEntry.from_dict(e) for e in d.get("added", ())],
-            modified=[(FunctionalEntry.from_dict(o), FunctionalEntry.from_dict(n))
-                      for o, n in d.get("modified", ())],
-            deprecated=[FunctionalEntry.from_dict(e) for e in d.get("deprecated", ())],
-            inherited=[FunctionalEntry.from_dict(e) for e in d.get("inherited", ())],
-        )
 
 
 @dataclass(frozen=True)
@@ -452,7 +424,7 @@ def diff_pairings(pairings: Sequence[EntryPairing], gateway: LlmGateway,
 
 
 @dataclass(frozen=True)
-class Increment:
+class Increment(Record):
     rfc_from: int
     rfc_to: int
     delta: FunctionalDelta
@@ -462,14 +434,8 @@ class Increment:
         return tuple(self.delta.targets())
 
     def to_dict(self) -> dict:
-        return {"rfc_from": self.rfc_from, "rfc_to": self.rfc_to,
-                "delta": self.delta.to_dict(),
+        return {**super().to_dict(),
                 "targets": [e.to_dict() for e in self.targets]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Increment":
-        return cls(rfc_from=d["rfc_from"], rfc_to=d["rfc_to"],
-                   delta=FunctionalDelta.from_dict(d["delta"]))
 
 
 def enumerate_increments(graph: UpdateChainGraph,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import EmptyStore, InvalidRecord
+from .fsio import Record
 from .llm_gateway import PHASE_GRAPH, LlmGateway, LlmRequest, request
 from .tokenizer import count_tokens, token_texts
 
@@ -42,7 +43,7 @@ class RetrievalConfig:
 
 
 @dataclass(frozen=True)
-class DifferentialTriplet:
+class DifferentialTriplet(Record):
     id: str
     spec_text: str
     intermediate_repr: str
@@ -57,19 +58,6 @@ class DifferentialTriplet:
 
     def document(self) -> str:
         return f"{self.spec_text}\n{self.code}"
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "spec_text": self.spec_text,
-                "intermediate_repr": self.intermediate_repr, "code": self.code,
-                "label": self.label, "source": self.source,
-                "complexity": self.complexity}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DifferentialTriplet":
-        return cls(id=d["id"], spec_text=d["spec_text"],
-                   intermediate_repr=d["intermediate_repr"], code=d["code"],
-                   label=d["label"], source=d["source"],
-                   complexity=d["complexity"])
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Tests for the artifact readers and the cache entry store."""
 
+import dataclasses
 import json
 import logging
 import sys
@@ -7,8 +8,16 @@ import threading
 
 import pytest
 
+from deltaspec.chunk_mapper import Chunk
+from deltaspec.code_ingest import ExtractionStats
+from deltaspec.diff_verifier import Finding, Trial, Verdict
 from deltaspec.errors import MissingArtifact
-from deltaspec.fsio import EntryStore, read_jsonl
+from deltaspec.fsio import EntryStore, read_jsonl, write_jsonl
+from deltaspec.report_cli.cost import CostModelInputs, cost_model
+from deltaspec.report_cli.metrics import Confusion
+from deltaspec.rfc_ingest import AsciiFigure, RfcDocument, RfcSection
+from deltaspec.spec_evolution import FunctionalDelta, FunctionalEntry, Increment
+from deltaspec.triplet_store import DifferentialTriplet
 
 LOG = logging.getLogger("deltaspec.test_fsio")
 
@@ -29,6 +38,74 @@ def test_jsonl_record_of_the_wrong_shape_names_the_file_line(tmp_path):
         read_jsonl(path, lambda row: row["a"])
     assert str(err.value) == \
         f"cannot read {path}: line 2: unexpected shape (KeyError: 'a')"
+
+
+# ------------------------------------------------------------- record codec
+
+_CHUNK = Chunk(id="c0", origin="code:v:net/a.c", index=0, span=(0, 3),
+               text="int x;", overlap_prev=0, char_start=0)
+_TRIAL = Trial(1, "implemented", "seeded", ("net/a.c:1:f",), "ir")
+_FIGURE = AsciiFigure(lines=("+--+", "|  |", "+--+"), caption=None,
+                      section_id="3.1", line_start=4, line_end=6)
+_SECTION = RfcSection(id="3.1", heading="Header Format",
+                      body=("One.", "Two."), figures=(_FIGURE,),
+                      token_count=12)
+_ENTRIES = [FunctionalEntry(rfc=793, section="3.3", title=f"entry {i}",
+                            summary="s", concepts=("isn",)) for i in range(4)]
+_DELTA = FunctionalDelta(added=[_ENTRIES[0]],
+                         modified=[(_ENTRIES[1], _ENTRIES[2])],
+                         inherited=[_ENTRIES[3]])
+
+RECORDS = [
+    _CHUNK,
+    ExtractionStats.from_raw("v", 10, 100, 2, 20),
+    _TRIAL,
+    Verdict(value="implemented", trials=(_TRIAL,),
+            counts={"implemented": 1, "not-implemented": 0, "unknown": 0},
+            subject="isn", flags=("whole-rfc",)),
+    Finding(system="v", rfc=793, description="d", vulnerability_class="c",
+            evidence=("net/a.c:1:f",)),
+    _FIGURE,
+    _SECTION,
+    RfcDocument(number=6528, title="t", status="standards-track",
+                updates=(793,), obsoletes=(1948,), published="2012-02",
+                sections=(_SECTION,)),
+    _ENTRIES[0],
+    _DELTA,
+    Increment(rfc_from=793, rfc_to=6528, delta=_DELTA),
+    DifferentialTriplet(id="t0", spec_text="s", intermediate_repr="ir",
+                        code="int f(void);", label="consistent",
+                        source="description", complexity=4),
+    cost_model(CostModelInputs(3, 1000, 500, 100, 50)),
+    Confusion(tp=1, fp=2, tn=3, fn=4),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_codec_round_trips_and_reads_keys_by_field(record):
+    cls = type(record)
+    d = json.loads(json.dumps(record.to_dict()))
+    assert cls.from_dict(d) == record
+    assert cls.from_dict({**d, "unknown": [1]}) == record
+    for f in dataclasses.fields(cls):
+        rest = {k: v for k, v in d.items() if k != f.name}
+        if f.default is not dataclasses.MISSING:
+            assert getattr(cls.from_dict(rest), f.name) == f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            assert getattr(cls.from_dict(rest), f.name) == f.default_factory()
+        else:
+            with pytest.raises(KeyError, match=f.name):
+                cls.from_dict(rest)
+
+
+@pytest.mark.parametrize("span", [[0], [0, 3, 5]])
+def test_bad_record_line_names_the_file_line(tmp_path, span):
+    path = tmp_path / "chunks.jsonl"
+    write_jsonl(path, [_CHUNK.to_dict(), {**_CHUNK.to_dict(), "span": span}])
+    with pytest.raises(MissingArtifact) as err:
+        read_jsonl(path, Chunk.from_dict)
+    assert str(err.value) == (f"cannot read {path}: line 2: expected an "
+                              f"array of 2, got {len(span)}")
 
 
 # ------------------------------------------------------------- entry store

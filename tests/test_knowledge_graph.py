@@ -275,6 +275,23 @@ def test_parent_format_graph_loads_to_the_same_graph():
             retrieve_code_for_spec(query, g)
 
 
+@pytest.mark.parametrize("kind, reason", [
+    ("stat", "unknown entity kind 'stat'"),
+    ("event", "entity id '[0-9a-f]{16}' is not the id of event "),
+], ids=["misspelt", "another"])
+def test_graph_entity_of_another_kind_is_not_loaded(tmp_path, kind, reason):
+    """A stored entity whose kind is misspelt, or is not the kind its id
+    was made from, would load under an id that no edge names."""
+    text = (FIXTURES / "mini_corpus" / "work" / "graph" / "toy-b.json") \
+        .read_text()
+    assert text.count('"kind": "state"') == 1
+    target = tmp_path / "toy-b.json"
+    target.write_text(text.replace('"kind": "state"', f'"kind": "{kind}"'))
+    with pytest.raises(MissingArtifact,
+                       match=rf"cannot read .*toy-b\.json: {reason}"):
+        fsio.read_json(target, KnowledgeGraph.from_dict)
+
+
 def test_unknown_edge_relation_is_not_read_as_another(tmp_path):
     g = retrieval_graph()
     d = g.to_dict()

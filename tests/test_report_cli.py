@@ -475,6 +475,26 @@ def test_cli_verify_on_a_stale_function_index_exits_one(mini_config, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("misspell", [
+    lambda cell: cell.update(value="implemnted"),
+    lambda cell: cell["trials"][0].update(verdict="implemnted"),
+], ids=["value", "trial"])
+def test_cli_eval_on_a_misspelt_verdict_exits_one(mini_config, capsys,
+                                                  misspell):
+    cfg_path = mini_config()
+    work = load_config(cfg_path).workdir
+    shutil.copytree(FIXTURES / "mini_corpus" / "work", work)
+    matrix = work / "verify" / "matrix.json"
+    data = json.loads(matrix.read_text())
+    misspell(data["versions"]["toy-a"]["793"])
+    matrix.write_text(json.dumps(data))
+    assert main(["eval", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {matrix}: unknown verdict "
+                          "value 'implemnted'")
+    assert "Traceback" not in err
+
+
 def test_cli_ingest_stages_report_counts(mini_config, capsys):
     cfg_path = mini_config()
     assert main(["ingest-rfc", "--config", str(cfg_path)]) == 0
