@@ -53,11 +53,6 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _MACRO_NAME_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 
-def read_source(path: Path) -> str:
-    """A source file's text; bytes that are not UTF-8 become U+FFFD."""
-    return read_text(path, errors="replace")
-
-
 @dataclass(frozen=True)
 class SourceFile:
     path: str  # tree-relative, forward slashes
@@ -68,7 +63,8 @@ class SourceFile:
 
     @classmethod
     def load(cls, root: Path, relpath: str, version: str) -> "SourceFile":
-        text = read_source(root / relpath)
+        """The file's text; bytes that are not UTF-8 become U+FFFD."""
+        text = read_text(root / relpath, errors="replace")
         return cls(path=relpath, version=version, content=text,
                    line_count=len(text.splitlines()),
                    token_count=count_tokens(text))
@@ -695,6 +691,12 @@ def build_index(
     return CodebaseIndex(version=version, files=files, functions=functions)
 
 
+def stale_fid(fid: str, version: str) -> UnknownFunction:
+    """A graph built before the last ingest-code names ``fid``."""
+    return UnknownFunction(f"{fid} is not in the function index of "
+                           f"{version}; rerun build-graph")
+
+
 def compute_extraction_stats(
     index: CodebaseIndex,
     selected: Mapping[object, Iterable[str]],
@@ -715,9 +717,7 @@ def compute_extraction_stats(
         try:
             resolved = [lookup[fid] for fid in chosen]
         except KeyError as exc:
-            raise UnknownFunction(
-                f"{exc.args[0]} is not in the function index of "
-                f"{index.version}; rerun build-graph") from None
+            raise stale_fid(exc.args[0], index.version) from None
         counts.append(len(resolved))
         lines.append(sum(f.line_count for f in resolved))
     sf = sum(counts) / len(counts)

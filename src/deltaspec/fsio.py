@@ -14,13 +14,15 @@ from pathlib import Path
 from typing import (Any, BinaryIO, Callable, Iterator, TypeVar, get_args,
                     get_origin, get_type_hints)
 
-from .errors import MissingArtifact
+from .errors import InvalidRecord, MalformedDocument, MissingArtifact
 
 T = TypeVar("T")
 R = TypeVar("R", bound="Record")
 
 # What a from_dict raises on a record of the wrong shape.
 _SHAPE_ERRORS = (AttributeError, IndexError, KeyError, TypeError)
+# What a decode or a record's own checks raise on a value they reject.
+_VALUE_ERRORS = (ValueError, InvalidRecord, MalformedDocument)
 
 
 class Record:
@@ -122,7 +124,7 @@ def write_jsonl(path: Path, rows: list[dict]) -> None:
 
 
 def _reason(exc: Exception) -> str:
-    if isinstance(exc, (OSError, ValueError)):
+    if isinstance(exc, (OSError, *_VALUE_ERRORS)):
         return str(exc)
     return f"unexpected shape ({type(exc).__name__}: {exc})"
 
@@ -136,7 +138,7 @@ def _reading(path: Path,
         raise MissingArtifact(f"cannot read {path}: no such file{hint}")
     try:
         yield
-    except (OSError, ValueError, *_SHAPE_ERRORS) as exc:
+    except (OSError, *_VALUE_ERRORS, *_SHAPE_ERRORS) as exc:
         raise MissingArtifact(f"cannot read {path}: {_reason(exc)}") from exc
 
 
@@ -169,7 +171,7 @@ def read_jsonl(path: Path,
                 if isinstance(row, dict):
                     rows.append(decode(row))
                     continue
-            except (ValueError, *_SHAPE_ERRORS) as exc:
+            except (*_VALUE_ERRORS, *_SHAPE_ERRORS) as exc:
                 raise ValueError(f"line {number}: {_reason(exc)}") from exc
             raise ValueError(f"line {number} is not a JSON object")
         return rows

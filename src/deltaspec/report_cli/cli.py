@@ -26,9 +26,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, helptext in (
-        ("ingest-rfc", "parse the configured RFC text files"),
-        ("ingest-code", "index the configured source trees"),
-        ("build-graph", "chunk, map and build the knowledge graph"),
+        ("ingest-rfc", "parse and chunk the configured RFC text files"),
+        ("ingest-code", "index, chunk and map the configured source trees"),
+        ("build-graph", "build the knowledge graph from the chunks"),
         ("build-chains", "extract functional entries and chain deltas"),
         ("synth-triplets", "synthesize the differential triplet store"),
         ("verify", "verify every chain against every code version"),

@@ -10,7 +10,7 @@ warm runs.
 
 from __future__ import annotations
 
-from pathlib import Path
+from itertools import groupby
 from typing import Sequence
 
 from ..chunk_mapper import (
@@ -28,7 +28,7 @@ from ..code_ingest import (
     CodeFunction,
     build_index,
     compute_extraction_stats,
-    read_source,
+    stale_fid,
 )
 from ..diff_verifier import (
     Verdict,
@@ -37,7 +37,8 @@ from ..diff_verifier import (
     plan_version,
     verify_chain,  # noqa: F401  (kept importable from this module)
 )
-from ..errors import InvalidConfig, MissingArtifact, ShapeMismatch
+from ..errors import (InvalidConfig, MissingArtifact, ShapeMismatch,
+                      UnknownFunction)
 from ..fsio import read_json, read_jsonl, read_text, write_json, write_jsonl
 from ..knowledge_graph import KnowledgeGraph, build_graph
 from ..llm_gateway import (
@@ -104,7 +105,26 @@ def ingest_rfcs(cfg: PipelineConfig) -> list[RfcDocument]:
     docs = [doc for doc, _ in parsed]
     write_json(cfg.workdir / "rfc" / "docs.json",
                {"rfcs": [d.to_dict() for d in docs]})
+    write_jsonl(cfg.workdir / "chunks" / "text.jsonl",
+                [c.to_dict() for c in _text_chunks(cfg, docs)])
     return docs
+
+
+def _text_chunks(cfg: PipelineConfig,
+                 docs: list[RfcDocument]) -> list[Chunk]:
+    chunks: list[Chunk] = []
+    for doc in docs:
+        text = "\n\n".join(s.prose() for s in doc.sections if s.prose().strip())
+        offsets = token_offsets(text)
+        chunks.extend(chunk_stream(
+            offsets,
+            origin=f"rfc:{doc.number}",
+            source_text=text,
+            chunk_size=cfg.chunk_size,
+            redundancy_ratio=cfg.redundancy_ratio,
+            boundaries=sentence_boundaries(text, offsets[0]),
+        ))
+    return chunks
 
 
 def load_docs(cfg: PipelineConfig) -> list[RfcDocument]:
@@ -131,50 +151,27 @@ def ingest_code(cfg: PipelineConfig, version: str) -> CodebaseIndex:
     })
     write_jsonl(out / "functions.jsonl",
                 [f.to_dict() for f in index.functions])
+    chunks, fmap = _code_chunks(cfg, index)
+    write_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl",
+                [c.to_dict() for c in chunks])
+    write_json(cfg.workdir / "maps" / f"{version}.json", fmap.to_dict())
     return index
 
 
-def load_functions(cfg: PipelineConfig, version: str) -> list[CodeFunction]:
-    return read_jsonl(cfg.workdir / "code" / version / "functions.jsonl",
-                      CodeFunction.from_dict)
-
-
-# -- stage: build-graph ------------------------------------------------------
-
-def _text_chunks(cfg: PipelineConfig,
-                 docs: list[RfcDocument]) -> list[Chunk]:
-    chunks: list[Chunk] = []
-    for doc in docs:
-        text = "\n\n".join(s.prose() for s in doc.sections if s.prose().strip())
-        offsets = token_offsets(text)
-        chunks.extend(chunk_stream(
-            offsets,
-            origin=f"rfc:{doc.number}",
-            source_text=text,
-            chunk_size=cfg.chunk_size,
-            redundancy_ratio=cfg.redundancy_ratio,
-            boundaries=sentence_boundaries(text, offsets[0]),
-        ))
-    return chunks
-
-
-def _code_chunks(cfg: PipelineConfig, version: str, root: Path,
-                 functions: list[CodeFunction],
+def _code_chunks(cfg: PipelineConfig, index: CodebaseIndex,
                  ) -> tuple[list[Chunk], ChunkFunctionMap]:
-    by_file: dict[str, list[CodeFunction]] = {}
-    for f in functions:
-        by_file.setdefault(f.file, []).append(f)
+    """Chunks of the indexed text of each file with functions, and the map.
+    build_index lists the functions file by file, each file's in order."""
+    texts = {source.path: source.content for source in index.files}
     all_chunks: list[Chunk] = []
     merged = ChunkFunctionMap(function_to_chunks={}, spans={})
-    for path in sorted(by_file):
-        # Decoded as SourceFile.load decodes it, so offsets line up.
-        text = read_source(root / path)
+    for path, funcs in groupby(index.functions, key=lambda f: f.file):
+        text = texts[path]
         offsets = token_offsets(text)
-        funcs = sorted(by_file[path], key=lambda f: f.span.char_start)
-        func_ends = spans_for_functions(funcs, offsets)
+        func_ends = spans_for_functions(list(funcs), offsets)
         chunks = chunk_stream(
             offsets,
-            origin=f"code:{version}:{path}",
+            origin=f"code:{index.version}:{path}",
             source_text=text,
             chunk_size=cfg.chunk_size,
             redundancy_ratio=cfg.redundancy_ratio,
@@ -188,36 +185,32 @@ def _code_chunks(cfg: PipelineConfig, version: str, root: Path,
     return all_chunks, merged
 
 
+def load_code_chunks(cfg: PipelineConfig, version: str,
+                     ) -> tuple[ChunkFunctionMap, dict[str, Chunk]]:
+    """A version's chunk/function map and its code chunks by id."""
+    fmap = read_json(cfg.workdir / "maps" / f"{version}.json",
+                     ChunkFunctionMap.from_dict)
+    chunks = {c.id: c for c in read_jsonl(
+        cfg.workdir / "chunks" / f"code-{version}.jsonl", Chunk.from_dict)}
+    return fmap, chunks
+
+
+# -- stage: build-graph ------------------------------------------------------
+
 def build_graph_stage(cfg: PipelineConfig,
                       versions: Sequence[str]) -> list[KnowledgeGraph]:
-    """One graph per version. The RFC text is chunked and written once,
-    since it depends only on the docs and the chunking config, and one
-    gateway serves every version, so its entities are asked for once."""
-    text_chunks = _text_chunks(cfg, load_docs(cfg))
-    write_jsonl(cfg.workdir / "chunks" / "text.jsonl",
-                [c.to_dict() for c in text_chunks])
+    """One graph per version, from the chunks and maps the ingest stages
+    wrote. One gateway serves every version, so the entities of the RFC
+    text chunks they share are asked for once."""
+    text_chunks = read_jsonl(cfg.workdir / "chunks" / "text.jsonl",
+                             Chunk.from_dict)
     with make_gateway(cfg) as gateway:
         graphs = []
         for version in versions:
-            root = cfg.code_trees.get(version)
-            if root is None:
-                raise InvalidConfig(
-                    f"no code tree configured for version {version!r}")
-            functions = load_functions(cfg, version)
-            code_chunks, fmap = _code_chunks(cfg, version, Path(root),
-                                             functions)
-            write_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl",
-                        [c.to_dict() for c in code_chunks])
-            write_json(cfg.workdir / "maps" / f"{version}.json",
-                       fmap.to_dict())
-
-            graph = build_graph(
-                text_chunks + code_chunks,
-                gateway,
-                cfg.model,
-                fmap=fmap,
-                damping=cfg.damping,
-            )
+            fmap, code_chunks = load_code_chunks(cfg, version)
+            graph = build_graph(text_chunks + list(code_chunks.values()),
+                                gateway, cfg.model, fmap=fmap,
+                                damping=cfg.damping)
             write_json(cfg.workdir / "graph" / f"{version}.json",
                        graph.to_dict())
             graphs.append(graph)
@@ -274,11 +267,9 @@ def synth_triplets_stage(cfg: PipelineConfig) -> TripletStore:
 # -- stage: verify -----------------------------------------------------------
 
 def _load_verify_inputs(cfg: PipelineConfig, version: str):
-    functions = load_functions(cfg, version)
-    fmap = read_json(cfg.workdir / "maps" / f"{version}.json",
-                     ChunkFunctionMap.from_dict)
-    chunks = {c.id: c for c in read_jsonl(
-        cfg.workdir / "chunks" / f"code-{version}.jsonl", Chunk.from_dict)}
+    functions = read_jsonl(cfg.workdir / "code" / version / "functions.jsonl",
+                           CodeFunction.from_dict)
+    fmap, chunks = load_code_chunks(cfg, version)
     graph = read_json(cfg.workdir / "graph" / f"{version}.json",
                       KnowledgeGraph.from_dict)
     return functions, fmap, chunks, graph
@@ -312,9 +303,13 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
         for version in cfg.versions:
             functions, fmap, chunks, graph = _load_verify_inputs(cfg, version)
 
-            def resolver(fids, fmap=fmap, chunks=chunks):
-                return {fid: reconstruct_function(fid, fmap, chunks)
-                        for fid in fids}
+            def resolver(fids, fmap=fmap, chunks=chunks, version=version):
+                # A fid the map lacks comes from a stale graph.
+                try:
+                    return {fid: reconstruct_function(fid, fmap, chunks)
+                            for fid in fids}
+                except UnknownFunction as exc:
+                    raise stale_fid(exc.args[0], version) from None
 
             judged = plan_version(plan, walk, increments, entries, version,
                                   graph, store, gateway, resolver,

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import FIXTURES, EntryLogs, chat_reply, http_reply, run_stages
 from deltaspec import llm_gateway
+from deltaspec.chunk_mapper import reconstruct_function
 from deltaspec.code_ingest import DEFAULT_GLOBS, DEFAULT_KEYWORDS
 from deltaspec.errors import (
     EmptyEval,
@@ -438,21 +439,51 @@ def test_cli_duplicate_rfc_number_exits_one(mini_config, tmp_path, capsys):
     assert not (load_config(cfg_path).workdir / "rfc").exists()
 
 
-def test_cli_build_graph_missing_source_file_exits_one(mini_config, tmp_path,
-                                                       capsys):
+def copied_trees_config(mini_config, tmp_path):
+    """A mini-corpus config whose code trees are a copy under ``tmp_path``;
+    returns the config path and the copy's root."""
     trees = tmp_path / "code"
     shutil.copytree(FIXTURES / "code", trees)
-    cfg_path = mini_config(code_trees={v: str(trees / v)
-                                       for v in ("toy-a", "toy-b")})
+    return mini_config(code_trees={v: str(trees / v)
+                                   for v in ("toy-a", "toy-b")}), trees
+
+
+def test_cli_build_graph_reads_no_source_tree(mini_config, tmp_path, capsys):
+    # The ingest stages write the chunks and maps; build-graph reads only
+    # the workdir, so the trees may be gone by then.
+    cfg_path, trees = copied_trees_config(mini_config, tmp_path)
+    workdir = load_config(cfg_path).workdir
     for stage in ("ingest-rfc", "ingest-code"):
         assert main([stage, "--config", str(cfg_path)]) == 0
-    gone = trees / "toy-a" / "net" / "ipv4" / "tcp_isn.c"
-    gone.rename(tmp_path / "tcp_isn.c")
-    capsys.readouterr()
-    assert main(["build-graph", "--config", str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {gone}: ")
-    assert "Traceback" not in err
+    trees.rename(tmp_path / "moved")
+    assert main(["build-graph", "--config", str(cfg_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    digests = {
+        path.relative_to(workdir).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for sub in ("chunks", "maps")
+        for path in sorted((workdir / sub).iterdir())}
+    assert digests == BUILD_GRAPH_DIGESTS
+
+
+def test_source_edit_after_ingest_code_leaves_the_indexed_text(
+        mini_config, tmp_path):
+    # A source edited after a whole run, then build-graph and verify only:
+    # each function still rebuilds to its span of the text ingest-code read,
+    # not to the old span's offsets in the edited file.
+    cfg_path, trees = copied_trees_config(mini_config, tmp_path)
+    cfg = run_stages(cfg_path, through="eval")
+    edited = trees / "toy-a" / "net" / "ipv4" / "tcp_isn.c"
+    indexed = edited.read_text()
+    edited.write_text("/* edited */\n" + indexed)
+    for stage in ("build-graph", "verify"):
+        assert main([stage, "--config", str(cfg_path)]) == 0
+    functions, fmap, chunks, _ = pipeline._load_verify_inputs(cfg, "toy-a")
+    isn = [f for f in functions if f.file == "net/ipv4/tcp_isn.c"]
+    assert len(isn) == 4
+    for f in isn:
+        assert reconstruct_function(f.fid, fmap, chunks) == \
+            indexed[f.span.char_start:f.span.char_end], f.fid
 
 
 def test_cli_verify_on_a_stale_function_index_exits_one(mini_config, tmp_path,
@@ -774,28 +805,46 @@ def test_cli_eval_rejects_a_truncated_matrix(mini_config, capsys):
     assert err.startswith("error: cannot read") and "matrix.json" in err
 
 
-@pytest.mark.parametrize("stage, rel, damage", [
-    ("verify", "maps/toy-a.json", lambda p: p.write_text("{}")),
+def _replace_on_line(number, old, new):
+    """Damage: replace ``old`` with ``new`` on line ``number`` (from 1)."""
+    def damage(path):
+        lines = path.read_text().splitlines(keepends=True)
+        assert old in lines[number - 1]
+        lines[number - 1] = lines[number - 1].replace(old, new)
+        path.write_text("".join(lines))
+    return damage
+
+
+@pytest.mark.parametrize("stage, rel, damage, reason", [
+    ("verify", "maps/toy-a.json", lambda p: p.write_text("{}"), ""),
     ("verify", "chains/increments.jsonl",
-     lambda p: p.write_text(p.read_text() + '{"rfc_from": 1}\n')),
+     lambda p: p.write_text(p.read_text() + '{"rfc_from": 1}\n'), ""),
     ("build-chains", "rfc/docs.json",
-     lambda p: p.write_text('{"rfcs": [{}]}')),
-    ("verify", "graph/toy-a.json", lambda p: p.unlink()),
+     lambda p: p.write_text('{"rfcs": [{}]}'), ""),
+    ("build-chains", "rfc/docs.json",
+     lambda p: p.write_text(p.read_text().replace(
+         '"standards-track"', '"standard"', 1)),
+     "unknown status 'standard'\n"),
+    ("verify", "triplets/store.jsonl",
+     _replace_on_line(2, '"label": "consistent"', '"label": "consistnet"'),
+     "line 2: unknown label 'consistnet'\n"),
+    ("verify", "graph/toy-a.json", lambda p: p.unlink(), ""),
     ("verify", "graph/toy-a.json",
-     lambda p: p.write_bytes(p.read_bytes()[:40])),
-    ("report", "eval/metrics.json", lambda p: p.write_text("{}")),
+     lambda p: p.write_bytes(p.read_bytes()[:40]), ""),
+    ("report", "eval/metrics.json", lambda p: p.write_text("{}"), ""),
 ], ids=["map-without-spans", "increment-without-rfc-to",
-        "doc-without-number", "graph-missing", "graph-truncated",
+        "doc-without-number", "doc-with-unknown-status",
+        "triplet-with-unknown-label", "graph-missing", "graph-truncated",
         "metrics-without-findings"])
 def test_cli_malformed_artifact_exits_one(mini_config, capsys, stage, rel,
-                                          damage):
+                                          damage, reason):
     cfg_path = mini_config()
     workdir = load_config(cfg_path).workdir
     shutil.copytree(BUNDLED / "work", workdir)
     damage(workdir / rel)
     assert main([stage, "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {workdir / rel}: ")
+    assert err.startswith(f"error: cannot read {workdir / rel}: {reason}")
     assert "Traceback" not in err
 
 
