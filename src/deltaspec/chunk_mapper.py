@@ -159,13 +159,13 @@ def sentence_boundaries(text: str, starts: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class FunctionSpan:
-    """A function's extent in token space, optionally pinned to char space."""
+    """A function's extent in token space, in char space, or in both."""
 
     fid: str
-    tok_start: int
-    tok_end: int  # exclusive
+    tok_start: int | None = None
+    tok_end: int | None = None  # exclusive
     char_start: int | None = None
-    char_end: int | None = None
+    char_end: int | None = None  # exclusive
 
 
 def spans_for_functions(functions: Sequence[CodeFunction],
@@ -186,8 +186,8 @@ def spans_for_functions(functions: Sequence[CodeFunction],
 class MapLink:
     chunk_id: str
     fid: str
-    tok_start: int
-    tok_end: int
+    tok_start: int | None = None  # the token range build_map cuts
+    tok_end: int | None = None
 
 
 @dataclass
@@ -206,7 +206,7 @@ class ChunkFunctionMap:
         return out
 
     def validate(self) -> None:
-        """Gap-free ordered coverage per function."""
+        """Gap-free ordered coverage per function, in token space."""
         for fid, links in self.function_to_chunks.items():
             span = self.spans[fid]
             pos = span.tok_start
@@ -216,33 +216,6 @@ class ChunkFunctionMap:
                 pos = max(pos, link.tok_end)
             if pos < span.tok_end:
                 raise SpanMismatch(f"{fid} not covered past token {pos}")
-
-    def to_dict(self) -> dict:
-        return {
-            "links": [
-                {"chunk_id": l.chunk_id, "fid": l.fid,
-                 "tok_start": l.tok_start, "tok_end": l.tok_end}
-                for links in self.function_to_chunks.values() for l in links
-            ],
-            "spans": {
-                fid: {"tok_start": s.tok_start, "tok_end": s.tok_end,
-                      "char_start": s.char_start, "char_end": s.char_end}
-                for fid, s in sorted(self.spans.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChunkFunctionMap":
-        fmap = cls(function_to_chunks={}, spans={})
-        for fid, s in d["spans"].items():
-            fmap.spans[fid] = FunctionSpan(fid=fid, tok_start=s["tok_start"],
-                                           tok_end=s["tok_end"],
-                                           char_start=s.get("char_start"),
-                                           char_end=s.get("char_end"))
-        for l in d["links"]:
-            link = MapLink(l["chunk_id"], l["fid"], l["tok_start"], l["tok_end"])
-            fmap.function_to_chunks.setdefault(link.fid, []).append(link)
-        return fmap
 
 
 def build_map(chunks: Sequence[Chunk],
@@ -289,17 +262,45 @@ def build_map(chunks: Sequence[Chunk],
     return fmap
 
 
+def map_by_chars(chunks: Iterable[Chunk],
+                 spans: Iterable[tuple[str, FunctionSpan]],
+                 ) -> ChunkFunctionMap:
+    """build_map's links, without their token ranges, from char offsets: a
+    span, given with its stream's origin, links to each chunk of that origin
+    whose text, ``[char_start, char_start + len(text))``, overlaps its
+    ``[char_start, char_end)``. A gap in its coverage raises SpanMismatch.
+    """
+    ordered = sorted(chunks, key=lambda c: (c.origin, c.char_start))
+    origins = [c.origin for c in ordered]
+    starts = [c.char_start for c in ordered]
+    ends = [c.char_start + len(c.text) for c in ordered]
+    fmap = ChunkFunctionMap(function_to_chunks={}, spans={})
+    for origin, span in spans:
+        a, b = bisect_left(origins, origin), bisect_right(origins, origin)
+        lo, hi = span.char_start, span.char_end
+        # Chunks overlap, so the first linked chunk is found by its end.
+        i, j = bisect_right(ends, lo, a, b), bisect_left(starts, hi, a, b)
+        # Each chunk starts by the end of the one before, the first by lo.
+        if i == j or ends[j - 1] < hi or any(
+                s > e for s, e in zip(starts[i:j], [lo, *ends[i:j]])):
+            raise SpanMismatch(f"{span.fid}: its chunks do not cover "
+                               f"characters [{span.char_start}, "
+                               f"{span.char_end})")
+        fmap.spans[span.fid] = span
+        fmap.function_to_chunks[span.fid] = [MapLink(c.id, span.fid)
+                                             for c in ordered[i:j]]
+    return fmap
+
+
 def reconstruct_function(fid: str, fmap: ChunkFunctionMap,
                          chunks: Mapping[str, Chunk]) -> str:
     """Reassemble a function's exact source text from its chunks.
 
     Joins the function's linked chunks, each chunk's text taken from where
-    the join so far ends. A link that does not end the function ends its
-    chunk (build_map cuts each link at the nearer end), and a chunk's text
-    runs up to the next token's start, so the join is the source from a
-    token start (or the source's start) to a token start (or its end). It
-    tokenizes as the source does, and a span without character offsets is
-    sliced at the join's own token offsets.
+    the join so far ends. A chunk's text runs from a token start (or the
+    source's start) up to the next token's start (or the source's end), so
+    the join does too: it tokenizes as the source does, and a span without
+    character offsets is sliced at the join's own token offsets.
     """
     if fid not in fmap.function_to_chunks:
         raise UnknownFunction(fid)

@@ -114,6 +114,10 @@ class CodeFunction:
     @classmethod
     def from_dict(cls, d: dict) -> "CodeFunction":
         s = d["span"]
+        if not (len(s) == 4 and all(type(v) is int for v in s)
+                and s[0] <= s[1] and s[2] <= s[3]):
+            raise ValueError(f"span {s!r} is not [char_start, char_end, "
+                             "line_start, line_end], each start <= its end")
         return cls(name=d["name"], signature=d["signature"],
                    params=tuple((p[0], p[1]) for p in d["params"]),
                    span=Span(s[0], s[1], s[2], s[3]),

@@ -11,6 +11,7 @@ import logging
 import os
 import tempfile
 from pathlib import Path
+from types import NoneType, UnionType
 from typing import (Any, BinaryIO, Callable, Iterator, TypeVar, get_args,
                     get_origin, get_type_hints)
 
@@ -23,6 +24,9 @@ R = TypeVar("R", bound="Record")
 _SHAPE_ERRORS = (AttributeError, IndexError, KeyError, TypeError)
 # What a decode or a record's own checks raise on a value they reject.
 _VALUE_ERRORS = (ValueError, InvalidRecord, MalformedDocument)
+# The JSON types a scalar field takes: an int is a float, a bool no int.
+_SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,),
+                 bool: (bool,), NoneType: (NoneType,)}
 
 
 class Record:
@@ -31,9 +35,11 @@ class Record:
     A nested record is an object, a tuple or list is an array, and any
     other value is written as it is. On decode the field annotations turn
     arrays back into tuples or lists, a fixed-length tuple only from an
-    array of its length, and objects back into records. A missing key takes
-    the field's default, or raises KeyError when the field has none; an
-    unknown key is ignored.
+    array of its length, and objects back into records. A scalar field
+    (``int``, ``float``, ``str``, ``bool`` or ``X | None``) takes only a
+    value of its JSON type, else TypeError. A missing key takes the field's
+    default, or raises KeyError when the field has none; an unknown key is
+    ignored.
     """
 
     def to_dict(self) -> dict:
@@ -79,13 +85,33 @@ def _codec(annotation: Any) -> tuple[Callable, Callable] | None:
             lambda value: origin(map(dec, _array(value))))
 
 
+def _scalar(name: str, annotation: Any) -> Callable | None:
+    """Decode of a scalar field: its value if the type fits; None for a
+    field of another kind."""
+    args = get_args(annotation) if isinstance(annotation, UnionType) \
+        else (annotation,)
+    if not all(a in _SCALAR_TYPES for a in args):
+        return None
+    accepted = frozenset(t for a in args for t in _SCALAR_TYPES[a])
+    expected = getattr(annotation, "__name__", annotation)
+
+    def check(value: Any) -> Any:
+        if type(value) not in accepted:
+            raise TypeError(f"{name}: expected {expected}, got "
+                            f"{type(value).__name__}")
+        return value
+
+    return check
+
+
 @functools.cache
 def _record_plan(cls: type) -> tuple[Callable[[Any], dict],
                                      Callable[[Any], Any]]:
     hints = get_type_hints(cls)
     encoders, decoders = [], []
     for f in dataclasses.fields(cls):
-        enc, dec = _codec(hints[f.name]) or (None, None)
+        enc, dec = _codec(hints[f.name]) or (
+            None, _scalar(f.name, hints[f.name]))
         encoders.append((f.name, enc))
         decoders.append((f.name, dec, f.default is dataclasses.MISSING
                          and f.default_factory is dataclasses.MISSING))

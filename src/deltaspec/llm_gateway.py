@@ -280,9 +280,14 @@ class CostLedger:
         the final accounting covers the whole run.
         """
         records = snapshot.get("records")
-        if records is None:
-            raise ValueError("ledger snapshot has no 'records' entry")
+        if not isinstance(records, list):
+            raise ValueError("ledger snapshot has no 'records' array")
         for rec in records:
+            if not (isinstance(rec, dict)
+                    and all(type(rec.get(k)) is str for k in ("model", "phase"))
+                    and all(type(rec.get(k)) is int
+                            for k in ("prompt_tokens", "completion_tokens"))):
+                raise ValueError(f"malformed ledger record {rec!r}")
             self.record(rec["model"], rec["phase"],
                         rec["prompt_tokens"], rec["completion_tokens"])
 

@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, helptext in (
         ("ingest-rfc", "parse and chunk the configured RFC text files"),
-        ("ingest-code", "index, chunk and map the configured source trees"),
+        ("ingest-code", "index and chunk the configured source trees"),
         ("build-graph", "build the knowledge graph from the chunks"),
         ("build-chains", "extract functional entries and chain deltas"),
         ("synth-triplets", "synthesize the differential triplet store"),

@@ -16,8 +16,9 @@ from typing import Sequence
 from ..chunk_mapper import (
     Chunk,
     ChunkFunctionMap,
-    build_map,
+    FunctionSpan,
     chunk_stream,
+    map_by_chars,
     reconstruct_function,
     sentence_boundaries,
     spans_for_functions,
@@ -38,7 +39,7 @@ from ..diff_verifier import (
     verify_chain,  # noqa: F401  (kept importable from this module)
 )
 from ..errors import (InvalidConfig, MissingArtifact, ShapeMismatch,
-                      UnknownFunction)
+                      SpanMismatch, UnknownFunction)
 from ..fsio import read_json, read_jsonl, read_text, write_json, write_jsonl
 from ..knowledge_graph import KnowledgeGraph, build_graph
 from ..llm_gateway import (
@@ -151,63 +152,63 @@ def ingest_code(cfg: PipelineConfig, version: str) -> CodebaseIndex:
     })
     write_jsonl(out / "functions.jsonl",
                 [f.to_dict() for f in index.functions])
-    chunks, fmap = _code_chunks(cfg, index)
     write_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl",
-                [c.to_dict() for c in chunks])
-    write_json(cfg.workdir / "maps" / f"{version}.json", fmap.to_dict())
+                [c.to_dict() for c in _code_chunks(cfg, index)])
     return index
 
 
-def _code_chunks(cfg: PipelineConfig, index: CodebaseIndex,
-                 ) -> tuple[list[Chunk], ChunkFunctionMap]:
-    """Chunks of the indexed text of each file with functions, and the map.
-    build_index lists the functions file by file, each file's in order."""
+def _code_chunks(cfg: PipelineConfig, index: CodebaseIndex) -> list[Chunk]:
+    """Chunks of the indexed text of each file with functions. build_index
+    lists the functions file by file, each file's in order."""
     texts = {source.path: source.content for source in index.files}
-    all_chunks: list[Chunk] = []
-    merged = ChunkFunctionMap(function_to_chunks={}, spans={})
+    chunks: list[Chunk] = []
     for path, funcs in groupby(index.functions, key=lambda f: f.file):
         text = texts[path]
         offsets = token_offsets(text)
-        func_ends = spans_for_functions(list(funcs), offsets)
-        chunks = chunk_stream(
+        chunks.extend(chunk_stream(
             offsets,
             origin=f"code:{index.version}:{path}",
             source_text=text,
             chunk_size=cfg.chunk_size,
             redundancy_ratio=cfg.redundancy_ratio,
-            boundaries=[s.tok_end for s in func_ends],
+            boundaries=[s.tok_end
+                        for s in spans_for_functions(list(funcs), offsets)],
             fallback_boundaries=statement_boundaries(text, offsets[0]),
-        )
-        all_chunks.extend(chunks)
-        fmap = build_map(chunks, func_ends)
-        merged.function_to_chunks.update(fmap.function_to_chunks)
-        merged.spans.update(fmap.spans)
-    return all_chunks, merged
+        ))
+    return chunks
 
 
-def load_code_chunks(cfg: PipelineConfig, version: str,
-                     ) -> tuple[ChunkFunctionMap, dict[str, Chunk]]:
-    """A version's chunk/function map and its code chunks by id."""
-    fmap = read_json(cfg.workdir / "maps" / f"{version}.json",
-                     ChunkFunctionMap.from_dict)
-    chunks = {c.id: c for c in read_jsonl(
-        cfg.workdir / "chunks" / f"code-{version}.jsonl", Chunk.from_dict)}
-    return fmap, chunks
+def load_code_chunks(cfg: PipelineConfig, version: str) -> tuple[
+        list[CodeFunction], ChunkFunctionMap, dict[str, Chunk]]:
+    """A version's functions, the map linking them to its code chunks,
+    derived from both, and those chunks by id."""
+    functions = read_jsonl(cfg.workdir / "code" / version / "functions.jsonl",
+                           CodeFunction.from_dict)
+    path = cfg.workdir / "chunks" / f"code-{version}.jsonl"
+    chunks = read_jsonl(path, Chunk.from_dict)
+    try:
+        fmap = map_by_chars(chunks, [(f"code:{version}:{f.file}", FunctionSpan(
+            f.fid, char_start=f.span.char_start, char_end=f.span.char_end))
+            for f in functions])
+    except SpanMismatch as exc:
+        raise MissingArtifact(f"cannot read {path}: {exc}; "
+                              "rerun ingest-code") from None
+    return functions, fmap, {c.id: c for c in chunks}
 
 
 # -- stage: build-graph ------------------------------------------------------
 
 def build_graph_stage(cfg: PipelineConfig,
                       versions: Sequence[str]) -> list[KnowledgeGraph]:
-    """One graph per version, from the chunks and maps the ingest stages
-    wrote. One gateway serves every version, so the entities of the RFC
+    """One graph per version, from the chunks and functions the ingest
+    stages wrote. One gateway serves every version, so the entities of the RFC
     text chunks they share are asked for once."""
     text_chunks = read_jsonl(cfg.workdir / "chunks" / "text.jsonl",
                              Chunk.from_dict)
     with make_gateway(cfg) as gateway:
         graphs = []
         for version in versions:
-            fmap, code_chunks = load_code_chunks(cfg, version)
+            _, fmap, code_chunks = load_code_chunks(cfg, version)
             graph = build_graph(text_chunks + list(code_chunks.values()),
                                 gateway, cfg.model, fmap=fmap,
                                 damping=cfg.damping)
@@ -267,12 +268,8 @@ def synth_triplets_stage(cfg: PipelineConfig) -> TripletStore:
 # -- stage: verify -----------------------------------------------------------
 
 def _load_verify_inputs(cfg: PipelineConfig, version: str):
-    functions = read_jsonl(cfg.workdir / "code" / version / "functions.jsonl",
-                           CodeFunction.from_dict)
-    fmap, chunks = load_code_chunks(cfg, version)
-    graph = read_json(cfg.workdir / "graph" / f"{version}.json",
-                      KnowledgeGraph.from_dict)
-    return functions, fmap, chunks, graph
+    return (*load_code_chunks(cfg, version), read_json(
+        cfg.workdir / "graph" / f"{version}.json", KnowledgeGraph.from_dict))
 
 
 def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:

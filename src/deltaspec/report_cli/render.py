@@ -10,6 +10,7 @@ import datetime
 import json
 from pathlib import Path
 
+from ..code_ingest import ExtractionStats
 from ..diff_verifier import IMPLEMENTED, NOT_IMPLEMENTED
 from ..errors import SerializationError
 from ..fsio import read_json, read_jsonl, write_json
@@ -67,7 +68,8 @@ def build_report(cfg: PipelineConfig) -> dict:
     for version in cfg.versions:
         p = workdir / "verify" / f"stats-{version}.json"
         if p.is_file():
-            stats[version] = read_json(p)
+            stats[version] = read_json(
+                p, lambda d: ExtractionStats.from_dict(d).to_dict())
 
     report: dict = {
         "manifest": manifest,

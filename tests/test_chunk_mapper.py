@@ -7,10 +7,10 @@ import pytest
 from conftest import FIXTURES
 from deltaspec.chunk_mapper import (
     Chunk,
-    ChunkFunctionMap,
     FunctionSpan,
     build_map,
     chunk_stream,
+    map_by_chars,
     reconstruct_function,
     sentence_boundaries,
     spans_for_functions,
@@ -155,13 +155,14 @@ def test_reconstruction_returns_exact_source_text(chunk_size,
             source.content[starts[sp.tok_start]:ends[sp.tok_end - 1]]
 
 
-def test_map_roundtrips_through_dict():
-    _, _, spans, chunks = annotated_fixture()
-    fmap = build_map(chunks, spans)
-    clone = ChunkFunctionMap.from_dict(fmap.to_dict())
-    clone.validate()
-    assert clone.spans == fmap.spans
-    assert clone.function_to_chunks == fmap.function_to_chunks
+def test_map_by_chars_rejects_a_gap_in_coverage():
+    _, _, spans, chunks = annotated_fixture(chunk_size=7)
+    links = build_map(chunks, spans).function_to_chunks
+    fid, linked = next((fid, l) for fid, l in links.items() if len(l) >= 3)
+    gone = linked[1].chunk_id
+    with pytest.raises(SpanMismatch, match=f"{fid}: its chunks do not cover"):
+        map_by_chars([c for c in chunks if c.id != gone],
+                     [("annotated.c", s) for s in spans if s.fid == fid])
 
 
 def test_uncovered_span_is_rejected():

@@ -108,6 +108,26 @@ def test_bad_record_line_names_the_file_line(tmp_path, span):
                               f"array of 2, got {len(span)}")
 
 
+@pytest.mark.parametrize("record, field, value, error", [
+    (_CHUNK, "text", 7, "text: expected str, got int"),
+    (_CHUNK, "char_start", True, "char_start: expected int, got bool"),
+    (_CHUNK, "char_start", 1.5, "char_start: expected int, got float"),
+    (_SECTION, "is_appendix", 1, "is_appendix: expected bool, got int"),
+    (_FIGURE, "caption", 3, "caption: expected str | None, got int"),
+    (_FIGURE, "caption", "Figure 1", None),
+    (RECORDS[1], "selected_lines", 20, None),  # an int is a float
+])
+def test_record_scalar_fields_take_only_their_json_types(record, field,
+                                                         value, error):
+    d = {**record.to_dict(), field: value}
+    if error is None:
+        assert getattr(type(record).from_dict(d), field) == value
+    else:
+        with pytest.raises(TypeError) as err:
+            type(record).from_dict(d)
+        assert str(err.value) == error
+
+
 # ------------------------------------------------------------- entry store
 
 def _key(n):

@@ -11,6 +11,7 @@ from deltaspec.chunk_mapper import (
     MapLink,
     build_map,
     chunk_stream,
+    map_by_chars,
     sentence_boundaries,
     statement_boundaries,
 )
@@ -287,6 +288,36 @@ def test_bisect_map_matches_all_pairs_map(chunking, data):
     assert list(got.function_to_chunks.items()) == \
         list(expected.function_to_chunks.items())
     assert got.spans == expected.spans
+
+
+@given(st.lists(_PROSE_PIECES, max_size=80), st.data())
+@settings(max_examples=300)
+def test_map_by_chars_matches_build_map(pieces, data):
+    # Functions that start at a token start and end at a token end, as
+    # extracted functions do, carrying both their token and char spans.
+    text = "".join(pieces)
+    starts, ends = token_offsets(text)
+    n = len(starts)
+    assume(n > 0)
+    chunks = chunk_stream(
+        (starts, ends), source_text=text,
+        chunk_size=data.draw(st.integers(min_value=1, max_value=20)),
+        redundancy_ratio=data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])),
+        boundaries=data.draw(st.lists(st.integers(min_value=1, max_value=n),
+                                      max_size=6)))
+    spans = []
+    for j in range(data.draw(st.integers(min_value=1, max_value=5))):
+        a = data.draw(st.integers(min_value=0, max_value=n - 1))
+        b = data.draw(st.integers(min_value=a + 1, max_value=n))
+        spans.append(FunctionSpan(fid=f"f{j}", tok_start=a, tok_end=b,
+                                  char_start=starts[a], char_end=ends[b - 1]))
+    expected = build_map(chunks, spans).function_to_chunks
+    derived = map_by_chars(chunks, [("stream", FunctionSpan(
+        s.fid, char_start=s.char_start, char_end=s.char_end))
+        for s in spans]).function_to_chunks
+    assert {fid: [l.chunk_id for l in links]
+            for fid, links in derived.items()} == \
+        {fid: [l.chunk_id for l in links] for fid, links in expected.items()}
 
 
 # The compiled contract checker against jsonschema. Schemas use only the

@@ -10,7 +10,8 @@ import pytest
 
 from conftest import FIXTURES, EntryLogs, chat_reply, http_reply, run_stages
 from deltaspec import llm_gateway
-from deltaspec.chunk_mapper import reconstruct_function
+from deltaspec.chunk_mapper import (build_map, reconstruct_function,
+                                    spans_for_functions)
 from deltaspec.code_ingest import DEFAULT_GLOBS, DEFAULT_KEYWORDS
 from deltaspec.errors import (
     EmptyEval,
@@ -29,6 +30,7 @@ from deltaspec.report_cli.metrics import Confusion, compute_metrics
 from deltaspec.report_cli.render import build_report, render_report
 from deltaspec.report_cli.scripted import scripted_responder
 from deltaspec.spec_evolution import UpdateChainGraph, build_update_chain
+from deltaspec.tokenizer import token_offsets
 
 
 # ------------------------------------------------------------------- metrics
@@ -449,8 +451,8 @@ def copied_trees_config(mini_config, tmp_path):
 
 
 def test_cli_build_graph_reads_no_source_tree(mini_config, tmp_path, capsys):
-    # The ingest stages write the chunks and maps; build-graph reads only
-    # the workdir, so the trees may be gone by then.
+    # The ingest stages write the chunks and functions; build-graph reads
+    # only the workdir, so the trees may be gone by then.
     cfg_path, trees = copied_trees_config(mini_config, tmp_path)
     workdir = load_config(cfg_path).workdir
     for stage in ("ingest-rfc", "ingest-code"):
@@ -461,7 +463,7 @@ def test_cli_build_graph_reads_no_source_tree(mini_config, tmp_path, capsys):
     digests = {
         path.relative_to(workdir).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
-        for sub in ("chunks", "maps")
+        for sub in ("chunks",)
         for path in sorted((workdir / sub).iterdir())}
     assert digests == BUILD_GRAPH_DIGESTS
 
@@ -569,8 +571,8 @@ def test_cli_build_chains_counts_chains_without_listing_them_again(
     assert len(listed) == 0
 
 
-# sha256 of the build-graph chunk and map artifacts on the mini corpus. A
-# change to tokenizing, chunking or mapping that moves any offset shows here.
+# sha256 of the chunk artifacts build-graph reads on the mini corpus. A
+# change to tokenizing or chunking that moves any offset shows here.
 BUILD_GRAPH_DIGESTS = {
     "chunks/code-toy-a.jsonl":
         "0e3f73d88da0631d5bd19fc790ace94ed7a55bb44a63cbd033bdd09385ec355e",
@@ -578,10 +580,6 @@ BUILD_GRAPH_DIGESTS = {
         "c3976819da543fab85bebd144087a19d1b69ade6a265147e385bdc406ff2043b",
     "chunks/text.jsonl":
         "6443516a2f1cde33004712169f4535fdc16ec9dcab364c38b0903008225a9361",
-    "maps/toy-a.json":
-        "41ff48a657c5d775713c0c843b582d4143a0383c0955fdf988c810c5067692bb",
-    "maps/toy-b.json":
-        "a335221dd17b59c507b058887d7258c0b645b47612cdbd8d37b59659b5d7b2f9",
 }
 
 
@@ -602,9 +600,37 @@ def test_build_graph_chunk_and_map_bytes_are_pinned(mini_config, capsys,
     digests = {
         path.relative_to(cfg.workdir).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
-        for sub in ("chunks", "maps")
+        for sub in ("chunks",)
         for path in sorted((cfg.workdir / sub).iterdir())}
     assert digests == BUILD_GRAPH_DIGESTS
+
+
+def test_derived_map_equals_build_map_on_the_mini_corpus(mini_config):
+    # The links load_code_chunks derives from the stored chunks and
+    # functions are the ones build_map finds on the chunks in memory.
+    cfg = load_config(mini_config())
+    for version in cfg.versions:
+        index = pipeline.ingest_code(cfg, version)
+        functions, derived, stored = pipeline.load_code_chunks(cfg, version)
+        assert functions == index.functions
+        chunks = pipeline._code_chunks(cfg, index)
+        assert {c.id: c for c in chunks} == stored
+        expected = {}
+        for source in index.files:
+            funcs = [f for f in index.functions if f.file == source.path]
+            origin = f"code:{version}:{source.path}"
+            spans = spans_for_functions(funcs, token_offsets(source.content))
+            expected.update(build_map(
+                [c for c in chunks if c.origin == origin],
+                spans).function_to_chunks)
+        assert list(derived.function_to_chunks) == list(expected)
+        for fid, links in expected.items():
+            assert [l.chunk_id for l in derived.function_to_chunks[fid]] == \
+                [l.chunk_id for l in links]
+            span = next(f.span for f in functions if f.fid == fid)
+            assert (derived.spans[fid].char_start,
+                    derived.spans[fid].char_end) == \
+                (span.char_start, span.char_end)
 
 
 # ------------------------------------------------ bundled corpus, warm cache
@@ -815,8 +841,56 @@ def _replace_on_line(number, old, new):
     return damage
 
 
+def _delete_line(number):
+    """Damage: delete line ``number`` (from 1)."""
+    def damage(path):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:number - 1] + lines[number:]))
+    return damage
+
+
+def _set_on_line(number, key, value):
+    """Damage: set ``key`` to ``value`` in the object on line ``number``."""
+    def damage(path):
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[number - 1])
+        row[key] = value
+        lines[number - 1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines))
+    return damage
+
+
+def _edit_json(change):
+    """Damage: apply ``change`` to the JSON document in the file."""
+    def damage(path):
+        data = json.loads(path.read_text())
+        change(data)
+        path.write_text(json.dumps(data))
+    return damage
+
+
+# Line 3 of toy-a's code chunks holds the end of net_secret_init.
+_NOT_COVERED = ("net/ipv4/tcp_isn.c:23:net_secret_init: its chunks do not "
+                "cover characters [551, 678); rerun ingest-code\n")
+
+
 @pytest.mark.parametrize("stage, rel, damage, reason", [
-    ("verify", "maps/toy-a.json", lambda p: p.write_text("{}"), ""),
+    ("verify", "chunks/code-toy-a.jsonl", _delete_line(3), _NOT_COVERED),
+    ("build-graph", "chunks/code-toy-a.jsonl", _delete_line(3),
+     _NOT_COVERED),
+    ("build-graph", "chunks/code-toy-a.jsonl", _set_on_line(1, "text", 7),
+     "line 1: unexpected shape (TypeError: text: expected str, got int)\n"),
+    ("verify", "code/toy-a/functions.jsonl",
+     _set_on_line(1, "span", [239, "521", 12, 21]),
+     "line 1: span [239, '521', 12, 21] is not "),
+    ("verify", "chains/ledger.json",
+     _edit_json(lambda d: d["records"][0].update(model=7)),
+     "malformed ledger record "),
+    ("verify", "chains/ledger.json",
+     _edit_json(lambda d: d.update(records={})), "ledger snapshot has no 'records' array\n"),
+    ("report", "verify/stats-toy-a.json",
+     _edit_json(lambda d: d.pop("selected_lines")),
+     "unexpected shape (KeyError: 'selected_lines')\n"),
     ("verify", "chains/increments.jsonl",
      lambda p: p.write_text(p.read_text() + '{"rfc_from": 1}\n'), ""),
     ("build-chains", "rfc/docs.json",
@@ -832,7 +906,10 @@ def _replace_on_line(number, old, new):
     ("verify", "graph/toy-a.json",
      lambda p: p.write_bytes(p.read_bytes()[:40]), ""),
     ("report", "eval/metrics.json", lambda p: p.write_text("{}"), ""),
-], ids=["map-without-spans", "increment-without-rfc-to",
+], ids=["chunk-deleted", "chunk-deleted-build-graph",
+        "chunk-with-numeric-text", "function-with-string-char-end",
+        "ledger-with-numeric-model", "ledger-records-not-an-array",
+        "stats-without-selected-lines", "increment-without-rfc-to",
         "doc-without-number", "doc-with-unknown-status",
         "triplet-with-unknown-label", "graph-missing", "graph-truncated",
         "metrics-without-findings"])
