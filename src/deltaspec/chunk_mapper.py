@@ -22,18 +22,29 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .code_ingest import CodeFunction
 from .errors import InvalidConfig, SpanMismatch, UnknownFunction
 from .fsio import Record
 from .tokenizer import token_offsets
 
+if TYPE_CHECKING:
+    from .code_ingest import CodeFunction
+
 DEFAULT_CHUNK_SIZE = 500
 DEFAULT_REDUNDANCY_RATIO = 0.10
 
+# Part of every ingest cache cut entry key: bump it whenever the code chunks
+# of a file can come out different for the same text, functions and chunking
+# settings.
+CHUNKER_VERSION = 1
+
 # (starts, ends): each token's [start, end) character span in one text.
 Offsets = tuple[Sequence[int], Sequence[int]]
+# A chunk's [tok_start, tok_end, char_start, char_end) in its stream: all of
+# it that chunk_stream decides. Its text, index and id follow from the
+# stream's text and origin.
+Cut = Sequence[int]
 
 # At most one match per punctuation token (a maximal [^\w\s]+ run): from its
 # first ';' or '}' to its end, or its last character if that ends a sentence;
@@ -54,8 +65,34 @@ class Chunk(Record):
 
 
 def _chunk_id(origin: str, index: int, text: str) -> str:
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    # A lone surrogate, which no decoded file holds, still gets an id.
+    digest = hashlib.sha256(
+        text.encode("utf-8", "surrogatepass")).hexdigest()[:16]
     return hashlib.sha256(f"{origin}#{index}#{digest}".encode()).hexdigest()[:16]
+
+
+def cuts_of(chunks: Iterable[Chunk]) -> list[Cut]:
+    return [[c.span[0], c.span[1], c.char_start, c.char_start + len(c.text)]
+            for c in chunks]
+
+
+def chunks_from_cuts(origin: str, text: str,
+                     cuts: Iterable[Cut]) -> list[Chunk]:
+    """The chunks chunk_stream cut from ``text`` under ``origin``, rebuilt
+    from their cuts without tokenizing the text again."""
+    chunks: list[Chunk] = []
+    for index, (tok_start, tok_end, char_start, char_end) in enumerate(cuts):
+        chunk_text = text[char_start:char_end]
+        chunks.append(Chunk(
+            id=_chunk_id(origin, index, chunk_text),
+            origin=origin,
+            index=index,
+            span=(tok_start, tok_end),
+            text=chunk_text,
+            overlap_prev=chunks[-1].span[1] - tok_start if chunks else 0,
+            char_start=char_start,
+        ))
+    return chunks
 
 
 def _coerce_tokens(tokens: Offsets | Sequence[str], source_text: str | None,
@@ -143,6 +180,25 @@ def chunk_stream(
         start = max(end - redundancy, 0)
         index += 1
     return chunks
+
+
+def file_cuts(text: str, functions: Sequence[CodeFunction], *,
+              chunk_size: int, redundancy_ratio: float,
+              ) -> tuple[int, list[Cut]]:
+    """A source file's token count and, when it holds a function, the cuts
+    of its code chunks, from one pass of the tokenizer. Function ends are
+    the clean cut points, then statement ends."""
+    offsets = token_offsets(text)
+    if not functions:
+        return len(offsets[0]), []
+    return len(offsets[0]), cuts_of(chunk_stream(
+        offsets,
+        source_text=text,
+        chunk_size=chunk_size,
+        redundancy_ratio=redundancy_ratio,
+        boundaries=[s.tok_end for s in spans_for_functions(functions, offsets)],
+        fallback_boundaries=statement_boundaries(text, offsets[0]),
+    ))
 
 
 def statement_boundaries(text: str, starts: Sequence[int]) -> list[int]:

@@ -11,7 +11,9 @@ spans. Unparseable residue that is not function-like is logged, never raised.
 
 build_index can keep each file's functions in a content-keyed cache, so a
 file unchanged since an earlier run, or shared by two versions, is not
-parsed again.
+parsed again. It also cuts each file into code chunks and caches the file's
+token count and chunk cuts next to its functions, so such a file is not
+tokenized or cut again either.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ import json
 import logging
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from .chunk_mapper import (CHUNKER_VERSION, DEFAULT_CHUNK_SIZE,
+                           DEFAULT_REDUNDANCY_RATIO, Cut, file_cuts)
 from .errors import EmptyIndex, InvalidInputs, IoError, UnknownFunction
 from .fsio import EntryStore, Record, read_text
-from .tokenizer import count_tokens
+from .tokenizer import count_tokens, is_token_start
 
 if TYPE_CHECKING:
     from pycparser import CParser, c_ast
@@ -59,15 +63,14 @@ class SourceFile:
     version: str
     content: str
     line_count: int
-    token_count: int
+    token_count: int | None = None  # counted by build_index
 
     @classmethod
     def load(cls, root: Path, relpath: str, version: str) -> "SourceFile":
         """The file's text; bytes that are not UTF-8 become U+FFFD."""
         text = read_text(root / relpath, errors="replace")
         return cls(path=relpath, version=version, content=text,
-                   line_count=len(text.splitlines()),
-                   token_count=count_tokens(text))
+                   line_count=len(text.splitlines()))
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,8 @@ class CodebaseIndex:
     version: str
     files: list[SourceFile]
     functions: list[CodeFunction]
+    # Each file's chunk cuts (chunk_mapper.file_cuts) by path.
+    cuts: dict[str, list[Cut]] = field(default_factory=dict)
 
     @property
     def total_functions(self) -> int:
@@ -582,14 +587,17 @@ def _load_prelude(stub_headers: str | Path | None) -> str:
 
 
 class _IngestCache:
-    """Extracted functions per source file, one EntryStore entry each;
-    close() when done.
+    """Per source file, its extracted functions and its token count and
+    chunk cuts: one EntryStore entry each; close() when done.
 
-    The key ``k`` digests everything extraction reads or depends on: the
-    tree-relative path, the file text, the stub prelude, EXTRACTOR_VERSION
-    and the pycparser version. The code version is not part of it (a
-    function's fid is ``file:line:name``), so a file that two versions share
-    is extracted once.
+    The key ``k`` of a function entry digests everything extraction reads
+    or depends on: the tree-relative path, the file text, the stub prelude,
+    EXTRACTOR_VERSION and the pycparser version. A cut entry's key digests
+    that key, the chunking settings and CHUNKER_VERSION, so a chunking
+    change cuts again but parses nothing. The code version is part of
+    neither (a function's fid is ``file:line:name``, and a chunk's origin
+    is added when it is rebuilt), so a file that two versions share is
+    extracted and cut once.
     """
 
     def __init__(self, root: Path, prelude: str):
@@ -609,9 +617,32 @@ class _IngestCache:
                                f"re-extracting {source.path}:")
 
     def put(self, source: SourceFile, functions: list[CodeFunction]) -> None:
-        key = self.key(source)
+        self._put(self.key(source), source,
+                  {"functions": [f.to_dict() for f in functions]})
+
+    def _cut_key(self, source: SourceFile, chunking: tuple[int, float]) -> str:
+        """``chunking`` is (chunk_size, redundancy_ratio)."""
+        canonical = json.dumps([self.key(source), *chunking, CHUNKER_VERSION])
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def get_cuts(self, source: SourceFile, chunking: tuple[int, float],
+                 functions: list[CodeFunction],
+                 ) -> tuple[int, list[Cut]] | None:
+        """The entry's token count and cuts; None as for get()."""
+        return self._store.get(self._cut_key(source, chunking),
+                               lambda entry: _entry_cuts(entry, source,
+                                                         functions),
+                               f"re-cutting {source.path}:")
+
+    def put_cuts(self, source: SourceFile, chunking: tuple[int, float],
+                 found: tuple[int, list[Cut]]) -> None:
+        tokens, cuts = found
+        self._put(self._cut_key(source, chunking), source,
+                  {"tokens": tokens, "cuts": cuts})
+
+    def _put(self, key: str, source: SourceFile, entry: dict) -> None:
         try:
-            self._store.put(key, {"functions": [f.to_dict() for f in functions]})
+            self._store.put(key, entry)
         except OSError as exc:
             raise IoError(f"cannot write ingest cache entry {key} "
                           f"for {source.path}: {exc}") from exc
@@ -659,6 +690,42 @@ def _entry_functions(entry: dict,
     return out
 
 
+def _entry_cuts(entry: dict, source: SourceFile,
+                functions: list[CodeFunction],
+                ) -> tuple[int, list[Cut]] | None:
+    """A servable entry's token count is an int no larger than the text,
+    its cuts are four ints each, and some exist exactly when the file
+    holds a function. The first starts at token and character 0; each
+    starts by the end of the one before and ends past it, in tokens and in
+    characters; the last ends at the token count and at the end of the
+    text; every other chunk starts and ends at a token start, as
+    chunk_stream cuts. Anything else is None.
+
+    The check reads no token offsets, so damage that keeps all of that true
+    (a token index moved within its bounds, a token count off on a file
+    with no cuts) is not caught."""
+    text = source.content
+    tokens, cuts = entry.get("tokens"), entry.get("cuts")
+    if type(tokens) is not int or not 0 <= tokens <= len(text) \
+            or not isinstance(cuts, list) or bool(cuts) != bool(functions):
+        return None
+    tok_end = char_end = 0
+    for cut in cuts:
+        if not (isinstance(cut, list) and len(cut) == 4
+                and all(type(v) is int for v in cut)):
+            return None
+        if not (0 <= cut[0] <= tok_end < cut[1] <= tokens
+                and 0 <= cut[2] <= char_end < cut[3] <= len(text)):
+            return None
+        if (cut[2] and not is_token_start(text, cut[2])) or (
+                cut[3] < len(text) and not is_token_start(text, cut[3])):
+            return None
+        tok_end, char_end = cut[1], cut[3]
+    if cuts and (tok_end, char_end) != (tokens, len(text)):
+        return None
+    return tokens, cuts
+
+
 def build_index(
     tree_root: str | Path,
     version: str,
@@ -667,20 +734,24 @@ def build_index(
     keywords: Sequence[str] = DEFAULT_KEYWORDS,
     stub_headers: str | Path | None = None,
     cache_dir: str | Path | None = None,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    redundancy_ratio: float = DEFAULT_REDUNDANCY_RATIO,
 ) -> CodebaseIndex:
-    """Select a tree's protocol sources and extract their functions.
+    """Select a tree's protocol sources, extract their functions, count
+    their tokens and cut each file into code chunks (file_cuts).
 
-    With ``cache_dir``, each file's functions are kept under
-    ``cache_dir/ingest/`` (see _IngestCache) and a file whose entry is
-    valid is not parsed again; the stub prelude is parsed only when some
-    file misses.
+    With ``cache_dir``, each file's functions, and its token count and cuts,
+    are kept under ``cache_dir/ingest/`` (see _IngestCache). A file whose
+    entries are valid is not parsed, tokenized or cut again; the stub
+    prelude is parsed only when some file misses its functions.
     """
     files = select_protocol_sources(tree_root, version, globs=globs, keywords=keywords)
     prelude = _load_prelude(stub_headers)
     parser = functools.cache(functools.partial(_prelude_parser, prelude))
     cache = None if cache_dir is None else \
         _IngestCache(Path(cache_dir) / "ingest", prelude)
-    functions: list[CodeFunction] = []
+    chunking = (chunk_size, redundancy_ratio)
+    index = CodebaseIndex(version=version, files=[], functions=[])
     try:
         for f in files:
             found = cache.get(f) if cache is not None else None
@@ -688,11 +759,20 @@ def build_index(
                 found = _extract(f, parser())
                 if cache is not None:
                     cache.put(f, found)
-            functions.extend(found)
+            index.functions.extend(found)
+            cut = cache.get_cuts(f, chunking, found) \
+                if cache is not None else None
+            if cut is None:
+                cut = file_cuts(f.content, found, chunk_size=chunk_size,
+                                redundancy_ratio=redundancy_ratio)
+                if cache is not None:
+                    cache.put_cuts(f, chunking, cut)
+            tokens, index.cuts[f.path] = cut
+            index.files.append(replace(f, token_count=tokens))
     finally:
         if cache is not None:
             cache.close()
-    return CodebaseIndex(version=version, files=files, functions=functions)
+    return index
 
 
 def stale_fid(fid: str, version: str) -> UnknownFunction:

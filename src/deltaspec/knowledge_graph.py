@@ -187,12 +187,25 @@ class KnowledgeGraph:
         for e in d["edges"]:
             if e["relation"] not in by_relation:
                 raise ValueError(f"unknown edge relation {e['relation']!r}")
+            # A mentions edge ends at a chunk, an implements-candidate edge
+            # at a function; only a relates-to edge ends at an entity.
+            _check_entities(g, [e["src"], e["dst"]] if e["relation"] ==
+                            "relates-to" else [e["src"]], "edge end")
             by_relation[e["relation"]][(e["src"], e["dst"])] = e["weight"]
         g.communities = [
             Community(id=c["id"], members=frozenset(c["members"]), summary=c["summary"])
             for c in d.get("communities", [])
         ]
+        for c in g.communities:
+            _check_entities(g, sorted(c.members), "community member")
         return g
+
+
+def _check_entities(graph: KnowledgeGraph, ids: Sequence[str],
+                    role: str) -> None:
+    for eid in ids:
+        if eid not in graph.entities:
+            raise ValueError(f"{role} {eid!r} is not an entity")
 
 
 def extract_entities_all(chunks: Sequence[Chunk], gateway: LlmGateway,

@@ -10,7 +10,7 @@ warm runs.
 
 from __future__ import annotations
 
-from itertools import groupby
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..chunk_mapper import (
@@ -18,11 +18,10 @@ from ..chunk_mapper import (
     ChunkFunctionMap,
     FunctionSpan,
     chunk_stream,
+    chunks_from_cuts,
     map_by_chars,
     reconstruct_function,
     sentence_boundaries,
-    spans_for_functions,
-    statement_boundaries,
 )
 from ..code_ingest import (
     CodebaseIndex,
@@ -40,7 +39,8 @@ from ..diff_verifier import (
 )
 from ..errors import (InvalidConfig, MissingArtifact, ShapeMismatch,
                       SpanMismatch, UnknownFunction)
-from ..fsio import read_json, read_jsonl, read_text, write_json, write_jsonl
+from ..fsio import (Record, read_json, read_jsonl, read_text, write_json,
+                    write_jsonl)
 from ..knowledge_graph import KnowledgeGraph, build_graph
 from ..llm_gateway import (
     CostLedger,
@@ -141,7 +141,9 @@ def ingest_code(cfg: PipelineConfig, version: str) -> CodebaseIndex:
         raise InvalidConfig(f"no code tree configured for version {version!r}")
     index = build_index(root, version, globs=cfg.code_globs,
                         keywords=cfg.code_keywords,
-                        stub_headers=cfg.stub_headers, cache_dir=cfg.cache_dir)
+                        stub_headers=cfg.stub_headers, cache_dir=cfg.cache_dir,
+                        chunk_size=cfg.chunk_size,
+                        redundancy_ratio=cfg.redundancy_ratio)
     out = cfg.workdir / "code" / version
     write_json(out / "index.json", {
         "version": version,
@@ -153,29 +155,21 @@ def ingest_code(cfg: PipelineConfig, version: str) -> CodebaseIndex:
     write_jsonl(out / "functions.jsonl",
                 [f.to_dict() for f in index.functions])
     write_jsonl(cfg.workdir / "chunks" / f"code-{version}.jsonl",
-                [c.to_dict() for c in _code_chunks(cfg, index)])
+                [c.to_dict() for c in _code_chunks(index)])
     return index
 
 
-def _code_chunks(cfg: PipelineConfig, index: CodebaseIndex) -> list[Chunk]:
-    """Chunks of the indexed text of each file with functions. build_index
-    lists the functions file by file, each file's in order."""
-    texts = {source.path: source.content for source in index.files}
-    chunks: list[Chunk] = []
-    for path, funcs in groupby(index.functions, key=lambda f: f.file):
-        text = texts[path]
-        offsets = token_offsets(text)
-        chunks.extend(chunk_stream(
-            offsets,
-            origin=f"code:{index.version}:{path}",
-            source_text=text,
-            chunk_size=cfg.chunk_size,
-            redundancy_ratio=cfg.redundancy_ratio,
-            boundaries=[s.tok_end
-                        for s in spans_for_functions(list(funcs), offsets)],
-            fallback_boundaries=statement_boundaries(text, offsets[0]),
-        ))
-    return chunks
+def _code_origin(version: str, path: str) -> str:
+    return f"code:{version}:{path}"
+
+
+def _code_chunks(index: CodebaseIndex) -> list[Chunk]:
+    """The chunks of each indexed file, rebuilt from the cuts build_index
+    made or served from the ingest cache."""
+    return [chunk for source in index.files
+            for chunk in chunks_from_cuts(
+                _code_origin(index.version, source.path), source.content,
+                index.cuts[source.path])]
 
 
 def load_code_chunks(cfg: PipelineConfig, version: str) -> tuple[
@@ -187,7 +181,7 @@ def load_code_chunks(cfg: PipelineConfig, version: str) -> tuple[
     path = cfg.workdir / "chunks" / f"code-{version}.jsonl"
     chunks = read_jsonl(path, Chunk.from_dict)
     try:
-        fmap = map_by_chars(chunks, [(f"code:{version}:{f.file}", FunctionSpan(
+        fmap = map_by_chars(chunks, [(_code_origin(version, f.file), FunctionSpan(
             f.fid, char_start=f.span.char_start, char_end=f.span.char_end))
             for f in functions])
     except SpanMismatch as exc:
@@ -221,6 +215,13 @@ def build_graph_stage(cfg: PipelineConfig,
 
 # -- stage: build-chains -----------------------------------------------------
 
+@dataclass(frozen=True)
+class _RfcEntries(Record):
+    """A line of chains/entries.jsonl: one RFC's functional entries."""
+    rfc: int
+    entries: list[FunctionalEntry]
+
+
 def build_chains_stage(cfg: PipelineConfig) -> UpdateChainGraph:
     docs = load_docs(cfg)
     chain_graph = build_update_chain(docs)
@@ -237,7 +238,7 @@ def build_chains_stage(cfg: PipelineConfig) -> UpdateChainGraph:
     out = cfg.workdir / "chains"
     write_json(out / "chains.json", chain_graph.to_dict())
     write_jsonl(out / "entries.jsonl",
-                [{"rfc": rfc, "entries": [e.to_dict() for e in items]}
+                [_RfcEntries(rfc, items).to_dict()
                  for rfc, items in sorted(entries.items())])
     write_jsonl(out / "increments.jsonl", [
         Increment(src, dst, delta).to_dict()
@@ -275,9 +276,8 @@ def _load_verify_inputs(cfg: PipelineConfig, version: str):
 def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     docs = load_docs(cfg)
     chain_graph = build_update_chain(docs)
-    entries = dict(read_jsonl(
-        cfg.workdir / "chains" / "entries.jsonl", lambda row: (
-            row["rfc"], [FunctionalEntry.from_dict(e) for e in row["entries"]])))
+    entries = {row.rfc: row.entries for row in read_jsonl(
+        cfg.workdir / "chains" / "entries.jsonl", _RfcEntries.from_dict)}
     increments = dict(read_jsonl(
         cfg.workdir / "chains" / "increments.jsonl", lambda row: (
             (row["rfc_from"], row["rfc_to"]), Increment.from_dict(row))))

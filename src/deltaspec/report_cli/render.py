@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import datetime
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..code_ingest import ExtractionStats
 from ..diff_verifier import IMPLEMENTED, NOT_IMPLEMENTED
 from ..errors import SerializationError
-from ..fsio import read_json, read_jsonl, write_json
+from ..fsio import Record, read_json, read_jsonl, write_json
 from ..llm_gateway import schema_error
 from .config import PipelineConfig
+from .metrics import Confusion
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -50,6 +52,14 @@ REPORT_SCHEMA = {
 _DISPLAY = {IMPLEMENTED: "True", NOT_IMPLEMENTED: "False"}
 
 
+@dataclass(frozen=True)
+class _ModelCost(Record):
+    """A model's line of the cost ledger, as the report renders it."""
+    prompt_tokens: int
+    completion_tokens: int
+    cost: float
+
+
 def build_report(cfg: PipelineConfig) -> dict:
     workdir = cfg.workdir
     manifest = sorted(
@@ -63,7 +73,7 @@ def build_report(cfg: PipelineConfig) -> dict:
         for version, cells in raw["versions"].items()
     })
     findings = read_jsonl(workdir / "verify" / "findings.jsonl")
-    costs = read_json(workdir / "verify" / "ledger.json")
+    costs = read_json(workdir / "verify" / "ledger.json", _costs)
     stats = {}
     for version in cfg.versions:
         p = workdir / "verify" / f"stats-{version}.json"
@@ -88,7 +98,19 @@ def build_report(cfg: PipelineConfig) -> dict:
     return report
 
 
+def _costs(raw: dict) -> dict:
+    """The ledger as written, once each figure the report renders has its
+    type."""
+    for totals in raw.get("models", {}).values():
+        _ModelCost.from_dict(totals)
+    for tokens in [*raw.get("phases", {}).values(), raw.get("token_total", 0)]:
+        if type(tokens) is not int:
+            raise TypeError(f"token count {tokens!r} is not an int")
+    return raw
+
+
 def _evaluation(raw: dict) -> dict:
+    Confusion.from_dict(raw["confusion"])
     mismatches = {(f["system"], str(f["rfc"])) for f in raw["findings"]
                   if "ground-truth-mismatch" in f.get("flags", ())}
     return {"metrics": {"confusion": raw["confusion"], **raw["metrics"]},

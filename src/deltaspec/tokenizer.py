@@ -14,6 +14,9 @@ from itertools import accumulate
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]+")
 # The same rule in one group, so split() keeps the tokens between the gaps.
 _TOKEN_SPLIT_RE = re.compile(f"({_TOKEN_RE.pattern})")
+# A token's first character: a word or punctuation character that does not
+# continue a run of its own kind.
+_TOKEN_START_RE = re.compile(r"(?<!\w)\w|(?<![^\w\s])[^\w\s]")
 
 
 def token_offsets(text: str) -> tuple[list[int], list[int]]:
@@ -22,6 +25,11 @@ def token_offsets(text: str) -> tuple[list[int], list[int]]:
     # those pieces are each token's start and end in turn.
     bounds = list(accumulate(map(len, _TOKEN_SPLIT_RE.split(text))))
     return bounds[0:-1:2], bounds[1::2]
+
+
+def is_token_start(text: str, pos: int) -> bool:
+    """Whether a token of ``text`` starts at character ``pos``."""
+    return _TOKEN_START_RE.match(text, pos) is not None
 
 
 def token_texts(text: str) -> list[str]:

@@ -287,8 +287,9 @@ def test_cold_and_warm_cached_index_match_the_uncached_one(
 
     expected = index()
     assert index(cache_dir=tmp_path) == expected
+    # A function and a cut entry per file.
     assert len(_entries(tmp_path).keys()) == \
-        len(select_protocol_sources(tree, "v", **kwargs))
+        2 * len(select_protocol_sources(tree, "v", **kwargs))
     texts = _count_parses(monkeypatch)
     assert index(cache_dir=tmp_path) == expected
     assert texts == []  # a fully warm index parses nothing, not even stubs
@@ -347,14 +348,15 @@ def test_stub_header_and_extractor_version_are_part_of_the_key(
                                    "typedef int extra_t;\n")
     build_index(TOY_A, "toy-a", stub_headers=stubs, cache_dir=cache)
     assert len(texts) == 1 + 6  # the prelude and every region
-    assert len(_entries(cache).keys()) == 2 * 2
+    # A function and a cut entry per file, under each of two preludes.
+    assert len(_entries(cache).keys()) == 2 * 2 * 2
 
     texts.clear()
     monkeypatch.setattr(code_ingest, "EXTRACTOR_VERSION",
                         code_ingest.EXTRACTOR_VERSION + 1)
     build_index(TOY_A, "toy-a", stub_headers=stubs, cache_dir=cache)
     assert len(texts) == 1 + 6
-    assert len(_entries(cache).keys()) == 3 * 2
+    assert len(_entries(cache).keys()) == 3 * 2 * 2
 
 
 def test_a_file_shared_by_two_versions_is_parsed_once(tmp_path, monkeypatch):

@@ -11,12 +11,16 @@ from deltaspec.chunk_mapper import (
     MapLink,
     build_map,
     chunk_stream,
+    chunks_from_cuts,
+    cuts_of,
     map_by_chars,
     sentence_boundaries,
     statement_boundaries,
 )
 from deltaspec.code_ingest import (
+    SourceFile,
     _doc_comment_before,
+    _entry_cuts,
     _line_of,
     _newline_offsets,
     mask_comments_and_strings,
@@ -25,7 +29,7 @@ from deltaspec.errors import ContractViolation, MalformedDocument, SpanMismatch
 from deltaspec.llm_gateway import _compile, extract_json_payload, schema_error
 from deltaspec.rfc_ingest import strip_boilerplate
 from deltaspec.spec_evolution import ChainEdge, UpdateChainGraph
-from deltaspec.tokenizer import token_offsets, token_texts
+from deltaspec.tokenizer import is_token_start, token_offsets, token_texts
 
 # Text biased toward the characters each scanner branches on.
 _C_TEXT = st.text(alphabet=st.sampled_from(list('/*"\'\\\n{}; ax\t\r')) | st.characters(),
@@ -213,6 +217,14 @@ def test_regex_boundaries_match_per_token_rules(pieces):
         per_token_sentence_boundaries(words)
 
 
+@given(st.lists(_PROSE_PIECES, max_size=40))
+@settings(max_examples=300)
+def test_is_token_start_matches_token_offsets(pieces):
+    text = "".join(pieces)
+    assert [i for i in range(len(text) + 1) if is_token_start(text, i)] == \
+        token_offsets(text)[0]
+
+
 def all_pairs_map(chunks, spans):
     """Reference: test every span against every chunk. Returns the map and
     its chunk->function table, built alongside it."""
@@ -318,6 +330,30 @@ def test_map_by_chars_matches_build_map(pieces, data):
     assert {fid: [l.chunk_id for l in links]
             for fid, links in derived.items()} == \
         {fid: [l.chunk_id for l in links] for fid, links in expected.items()}
+
+
+@given(st.lists(_PROSE_PIECES, max_size=80), st.data())
+@settings(max_examples=300)
+def test_chunks_rebuilt_from_their_cuts_equal_chunk_streams(pieces, data):
+    text = "".join(pieces)
+    starts, ends = token_offsets(text)
+    n = len(starts)
+    bounds = st.lists(st.integers(min_value=1, max_value=max(n, 1)),
+                      max_size=6)
+    chunks = chunk_stream(
+        (starts, ends), origin="code:v:net/tcp.c", source_text=text,
+        chunk_size=data.draw(st.integers(min_value=1, max_value=20)),
+        redundancy_ratio=data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.5])),
+        boundaries=data.draw(bounds),
+        fallback_boundaries=data.draw(bounds))
+    cuts = cuts_of(chunks)
+    assert chunks_from_cuts("code:v:net/tcp.c", text, cuts) == chunks
+    # The ingest cache serves every cut entry chunk_stream can make; only
+    # the truth of "the file holds a function" matters to the check.
+    source = SourceFile(path="net/tcp.c", version="v", content=text,
+                        line_count=0)
+    assert _entry_cuts({"tokens": n, "cuts": cuts}, source, [None] * bool(n)) \
+        == (n, cuts)
 
 
 # The compiled contract checker against jsonschema. Schemas use only the

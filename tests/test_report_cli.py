@@ -613,7 +613,7 @@ def test_derived_map_equals_build_map_on_the_mini_corpus(mini_config):
         index = pipeline.ingest_code(cfg, version)
         functions, derived, stored = pipeline.load_code_chunks(cfg, version)
         assert functions == index.functions
-        chunks = pipeline._code_chunks(cfg, index)
+        chunks = pipeline._code_chunks(index)
         assert {c.id: c for c in chunks} == stored
         expected = {}
         for source in index.files:
@@ -906,13 +906,34 @@ _NOT_COVERED = ("net/ipv4/tcp_isn.c:23:net_secret_init: its chunks do not "
     ("verify", "graph/toy-a.json",
      lambda p: p.write_bytes(p.read_bytes()[:40]), ""),
     ("report", "eval/metrics.json", lambda p: p.write_text("{}"), ""),
+    ("report", "verify/ledger.json",
+     _edit_json(lambda d: d["models"]["judge-1"].pop("completion_tokens")),
+     "unexpected shape (KeyError: 'completion_tokens')\n"),
+    ("report", "eval/metrics.json", _edit_json(lambda d: d.update(confusion=4)),
+     "unexpected shape (TypeError: expected an object, got int)\n"),
+    ("verify", "chains/entries.jsonl", _set_on_line(1, "entries", {}),
+     "line 1: unexpected shape (TypeError: expected an array, got dict)\n"),
+    ("verify", "graph/toy-a.json",
+     _edit_json(lambda d: d["edges"][0].update(src="nope")),
+     "edge end 'nope' is not an entity\n"),
+    ("verify", "graph/toy-a.json",
+     _edit_json(lambda d: next(e for e in d["edges"]
+                               if e["relation"] == "relates-to").update(
+                                   dst="nope")),
+     "edge end 'nope' is not an entity\n"),
+    ("verify", "graph/toy-a.json",
+     _edit_json(lambda d: d["communities"][0]["members"].append("nope")),
+     "community member 'nope' is not an entity\n"),
 ], ids=["chunk-deleted", "chunk-deleted-build-graph",
         "chunk-with-numeric-text", "function-with-string-char-end",
         "ledger-with-numeric-model", "ledger-records-not-an-array",
         "stats-without-selected-lines", "increment-without-rfc-to",
         "doc-without-number", "doc-with-unknown-status",
         "triplet-with-unknown-label", "graph-missing", "graph-truncated",
-        "metrics-without-findings"])
+        "metrics-without-findings", "ledger-model-without-completion-tokens",
+        "metrics-with-numeric-confusion", "entries-not-an-array",
+        "edge-from-unknown-entity", "relates-to-unknown-entity",
+        "community-with-unknown-member"])
 def test_cli_malformed_artifact_exits_one(mini_config, capsys, stage, rel,
                                           damage, reason):
     cfg_path = mini_config()
