@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Each subcommand runs one pipeline stage against a JSON config; `cost-model`
-is a standalone calculator. Exit codes: 0 success, 1 a pipeline error
-(printed to stderr), 2 usage (argparse's own).
+Each subcommand but `cost-model` runs one stage of pipeline.STAGES against
+a JSON config; `cost-model` is a standalone calculator. Exit codes: 0
+success, 1 a pipeline error (printed to stderr), 2 usage (argparse's own).
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import sys
 from ..errors import DeltaSpecError
 from .config import load_config
 from .cost import CostModelInputs, cost_model
-from . import pipeline
-from .render import build_report, render_report
+from .pipeline import STAGES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,17 +24,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spec-versus-code inconsistency detection pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("ingest-rfc", "parse and chunk the configured RFC text files"),
-        ("ingest-code", "index and chunk the configured source trees"),
-        ("build-graph", "build the knowledge graph from the chunks"),
-        ("build-chains", "extract functional entries and chain deltas"),
-        ("synth-triplets", "synthesize the differential triplet store"),
-        ("verify", "verify every chain against every code version"),
-        ("eval", "score the verdict matrix against ground truth"),
-        ("report", "assemble and render the final report"),
-    ):
-        p = sub.add_parser(name, help=helptext)
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=stage.help)
+        p.set_defaults(stage=stage)
         p.add_argument("--config", required=True,
                        help="path to a pipeline config JSON file")
 
@@ -74,42 +65,9 @@ def main(argv: list[str] | None = None) -> int:
                              sort_keys=True))
             return 0
 
-        cfg = load_config(args.config)
-        if args.command == "ingest-rfc":
-            docs = pipeline.ingest_rfcs(cfg)
-            print(f"parsed {len(docs)} RFC documents")
-        elif args.command == "ingest-code":
-            for version in cfg.versions:
-                index = pipeline.ingest_code(cfg, version)
-                print(f"{version}: {index.total_functions} functions, "
-                      f"{index.total_lines} function lines")
-        elif args.command == "build-graph":
-            for version, graph in zip(
-                    cfg.versions, pipeline.build_graph_stage(cfg, cfg.versions)):
-                print(f"{version}: {len(graph.entities)} entities, "
-                      f"{len(graph.communities)} communities")
-        elif args.command == "build-chains":
-            chain_graph = pipeline.build_chains_stage(cfg)
-            print(f"{len(chain_graph.nodes)} RFCs, "
-                  f"{chain_graph.chain_count()} chains")
-        elif args.command == "synth-triplets":
-            store = pipeline.synth_triplets_stage(cfg)
-            print(f"{len(store)} triplets")
-        elif args.command == "verify":
-            matrix = pipeline.verify_stage(cfg)
-            for version in sorted(matrix):
-                cells = ", ".join(
-                    f"{rfc}={verdict.value}"
-                    for rfc, verdict in sorted(matrix[version].items()))
-                print(f"{version}: {cells}")
-        elif args.command == "eval":
-            metrics = pipeline.eval_stage(cfg)
-            d = metrics.to_dict()
-            print(f"accuracy {d['accuracy_pct']}% recall {d['recall_pct']}% "
-                  f"precision {d['precision_pct']}% f1 {d['f1']}")
-        elif args.command == "report":
-            path = render_report(build_report(cfg), cfg.workdir / "report")
-            print(f"report written to {path}")
+        stage = args.stage
+        for line in stage.summary(stage.run(load_config(args.config))):
+            print(line)
     except DeltaSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ warm runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Iterable, NamedTuple
 
 from ..chunk_mapper import (
     Chunk,
@@ -70,6 +70,7 @@ from ..triplet_store import (
 )
 from .config import PipelineConfig
 from .metrics import Confusion, Metrics, compute_metrics
+from .render import build_report, render_report
 from .scripted import scripted_responder
 
 
@@ -136,10 +137,7 @@ def load_docs(cfg: PipelineConfig) -> list[RfcDocument]:
 # -- stage: ingest-code ------------------------------------------------------
 
 def ingest_code(cfg: PipelineConfig, version: str) -> CodebaseIndex:
-    root = cfg.code_trees.get(version)
-    if root is None:
-        raise InvalidConfig(f"no code tree configured for version {version!r}")
-    index = build_index(root, version, globs=cfg.code_globs,
+    index = build_index(cfg.code_trees[version], version, globs=cfg.code_globs,
                         keywords=cfg.code_keywords,
                         stub_headers=cfg.stub_headers, cache_dir=cfg.cache_dir,
                         chunk_size=cfg.chunk_size,
@@ -192,23 +190,22 @@ def load_code_chunks(cfg: PipelineConfig, version: str) -> tuple[
 
 # -- stage: build-graph ------------------------------------------------------
 
-def build_graph_stage(cfg: PipelineConfig,
-                      versions: Sequence[str]) -> list[KnowledgeGraph]:
+def build_graph_stage(cfg: PipelineConfig) -> dict[str, KnowledgeGraph]:
     """One graph per version, from the chunks and functions the ingest
     stages wrote. One gateway serves every version, so the entities of the RFC
     text chunks they share are asked for once."""
     text_chunks = read_jsonl(cfg.workdir / "chunks" / "text.jsonl",
                              Chunk.from_dict)
     with make_gateway(cfg) as gateway:
-        graphs = []
-        for version in versions:
+        graphs = {}
+        for version in cfg.versions:
             _, fmap, code_chunks = load_code_chunks(cfg, version)
             graph = build_graph(text_chunks + list(code_chunks.values()),
                                 gateway, cfg.model, fmap=fmap,
                                 damping=cfg.damping)
             write_json(cfg.workdir / "graph" / f"{version}.json",
                        graph.to_dict())
-            graphs.append(graph)
+            graphs[version] = graph
     write_json(cfg.workdir / "graph" / "ledger.json", gateway.ledger.as_dict())
     return graphs
 
@@ -268,11 +265,6 @@ def synth_triplets_stage(cfg: PipelineConfig) -> TripletStore:
 
 # -- stage: verify -----------------------------------------------------------
 
-def _load_verify_inputs(cfg: PipelineConfig, version: str):
-    return (*load_code_chunks(cfg, version), read_json(
-        cfg.workdir / "graph" / f"{version}.json", KnowledgeGraph.from_dict))
-
-
 def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     docs = load_docs(cfg)
     chain_graph = build_update_chain(docs)
@@ -298,7 +290,9 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     version_stats: dict[str, dict] = {}
     with make_gateway(cfg) as gateway:
         for version in cfg.versions:
-            functions, fmap, chunks, graph = _load_verify_inputs(cfg, version)
+            functions, fmap, chunks = load_code_chunks(cfg, version)
+            graph = read_json(cfg.workdir / "graph" / f"{version}.json",
+                              KnowledgeGraph.from_dict)
 
             def resolver(fids, fmap=fmap, chunks=chunks, version=version):
                 # A fid the map lacks comes from a stale graph.
@@ -369,8 +363,7 @@ def eval_stage(cfg: PipelineConfig) -> Metrics:
     findings, confusion = compile_findings(
         matrix, ground_truth=truth,
         vulnerability_classes=cfg.vulnerability_classes)
-    tp, fp, tn, fn = confusion
-    conf = Confusion(tp=tp, fp=fp, tn=tn, fn=fn)
+    conf = Confusion(*confusion)
     metrics = compute_metrics(conf)
     write_json(cfg.workdir / "eval" / "metrics.json", {
         "confusion": conf.to_dict(),
@@ -378,3 +371,52 @@ def eval_stage(cfg: PipelineConfig) -> Metrics:
         "findings": [f.to_dict() for f in findings],
     })
     return metrics
+
+
+# -- the stage table ---------------------------------------------------------
+
+class Stage(NamedTuple):
+    """A pipeline stage: its subcommand name and help, ``run``, its work on
+    a config, and ``summary``, the lines the CLI prints for run's result."""
+    name: str
+    help: str
+    run: Callable[[PipelineConfig], Any]
+    summary: Callable[[Any], Iterable[str]]
+
+
+# The stages in run order: the CLI and the tests take them from here.
+STAGES = (
+    Stage("ingest-rfc", "parse and chunk the configured RFC text files",
+          ingest_rfcs,
+          lambda docs: [f"parsed {len(docs)} RFC documents"]),
+    Stage("ingest-code", "index and chunk the configured source trees",
+          lambda cfg: [ingest_code(cfg, version) for version in cfg.versions],
+          lambda indexes: [f"{index.version}: {index.total_functions} "
+                           f"functions, {index.total_lines} function lines"
+                           for index in indexes]),
+    Stage("build-graph", "build the knowledge graph from the chunks",
+          build_graph_stage,
+          lambda graphs: [f"{version}: {len(graph.entities)} entities, "
+                          f"{len(graph.communities)} communities"
+                          for version, graph in graphs.items()]),
+    Stage("build-chains", "extract functional entries and chain deltas",
+          build_chains_stage,
+          lambda chains: [f"{len(chains.nodes)} RFCs, "
+                          f"{chains.chain_count()} chains"]),
+    Stage("synth-triplets", "synthesize the differential triplet store",
+          synth_triplets_stage,
+          lambda store: [f"{len(store)} triplets"]),
+    Stage("verify", "verify every chain against every code version",
+          verify_stage,
+          lambda matrix: [f"{version}: " + ", ".join(
+              f"{rfc}={verdict.value}" for rfc, verdict in sorted(row.items()))
+              for version, row in sorted(matrix.items())]),
+    Stage("eval", "score the verdict matrix against ground truth",
+          eval_stage,
+          lambda metrics: ["accuracy {accuracy_pct}% recall {recall_pct}% "
+                           "precision {precision_pct}% f1 {f1}".format(
+                               **metrics.to_dict())]),
+    Stage("report", "assemble and render the final report",
+          lambda cfg: render_report(build_report(cfg), cfg.workdir / "report"),
+          lambda path: [f"report written to {path}"]),
+)

@@ -127,30 +127,15 @@ class EntryLogs:
 
 
 def run_stages(cfg_path: Path, *, through: str = "eval"):
-    """Drive the in-process pipeline in stage order, stopping after
-    ``through``. Returns the loaded config."""
+    """Run the stages of pipeline.STAGES in process, in order, stopping
+    after ``through``. Returns the loaded config."""
     from deltaspec.report_cli import pipeline
     from deltaspec.report_cli.config import load_config
 
     cfg = load_config(cfg_path)
-    order = ["ingest-rfc", "ingest-code", "build-graph", "build-chains",
-             "synth-triplets", "verify", "eval"]
-    for stage in order[:order.index(through) + 1]:
-        if stage == "ingest-rfc":
-            pipeline.ingest_rfcs(cfg)
-        elif stage == "ingest-code":
-            for version in cfg.versions:
-                pipeline.ingest_code(cfg, version)
-        elif stage == "build-graph":
-            pipeline.build_graph_stage(cfg, cfg.versions)
-        elif stage == "build-chains":
-            pipeline.build_chains_stage(cfg)
-        elif stage == "synth-triplets":
-            pipeline.synth_triplets_stage(cfg)
-        elif stage == "verify":
-            pipeline.verify_stage(cfg)
-        elif stage == "eval":
-            pipeline.eval_stage(cfg)
+    names = [stage.name for stage in pipeline.STAGES]
+    for stage in pipeline.STAGES[:names.index(through) + 1]:
+        stage.run(cfg)
     return cfg
 
 

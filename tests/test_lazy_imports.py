@@ -14,9 +14,9 @@ import pytest
 
 from conftest import REPO, EntryLogs
 from deltaspec.code_ingest import EXTRACTOR_VERSION, SourceFile, _IngestCache
+from deltaspec.report_cli import pipeline
 
-STAGES = ("ingest-rfc", "ingest-code", "build-graph", "build-chains",
-          "synth-triplets", "verify", "eval", "report")
+STAGES = tuple(stage.name for stage in pipeline.STAGES)
 
 # Runs the stages named after the config path through cli.main in one fresh
 # interpreter where importing jsonschema fails, then one gateway call whose

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, EntryLogs, chat_reply, http_reply, run_stages
+from conftest import (FIXTURES, REPO, EntryLogs, chat_reply, http_reply,
+                      run_stages)
 from deltaspec import llm_gateway
 from deltaspec.chunk_mapper import (build_map, reconstruct_function,
                                     spans_for_functions)
@@ -31,6 +32,8 @@ from deltaspec.report_cli.render import build_report, render_report
 from deltaspec.report_cli.scripted import scripted_responder
 from deltaspec.spec_evolution import UpdateChainGraph, build_update_chain
 from deltaspec.tokenizer import token_offsets
+
+STAGES = tuple(stage.name for stage in pipeline.STAGES)
 
 
 # ------------------------------------------------------------------- metrics
@@ -339,8 +342,7 @@ def test_cli_verify_without_root_entries_exits_one(mini_config, tmp_path,
     rfc = tmp_path / "rfc9999.txt"
     rfc.write_text(_NO_REQUIREMENT_RFC)
     cfg_path = mini_config(rfc_sources=[str(rfc)])
-    for stage in ("ingest-rfc", "ingest-code", "build-graph", "build-chains",
-                  "synth-triplets"):
+    for stage in STAGES[:STAGES.index("verify")]:
         assert main([stage, "--config", str(cfg_path)]) == 0
     capsys.readouterr()
     assert main(["verify", "--config", str(cfg_path)]) == 1
@@ -370,8 +372,7 @@ def test_cli_verify_checks_increments_of_non_tree_edges(mini_config,
     rfc.write_text(_MERGE_RFC)
     sources = json.loads(mini_config().read_text())["rfc_sources"]
     cfg_path = mini_config("merge", rfc_sources=sources + [str(rfc)])
-    for stage in ("ingest-rfc", "ingest-code", "build-graph", "build-chains",
-                  "synth-triplets"):
+    for stage in STAGES[:STAGES.index("verify")]:
         assert main([stage, "--config", str(cfg_path)]) == 0
     capsys.readouterr()
     cfg = load_config(cfg_path)
@@ -480,7 +481,7 @@ def test_source_edit_after_ingest_code_leaves_the_indexed_text(
     edited.write_text("/* edited */\n" + indexed)
     for stage in ("build-graph", "verify"):
         assert main([stage, "--config", str(cfg_path)]) == 0
-    functions, fmap, chunks, _ = pipeline._load_verify_inputs(cfg, "toy-a")
+    functions, fmap, chunks = pipeline.load_code_chunks(cfg, "toy-a")
     isn = [f for f in functions if f.file == "net/ipv4/tcp_isn.c"]
     assert len(isn) == 4
     for f in isn:
@@ -528,13 +529,61 @@ def test_cli_eval_on_a_misspelt_verdict_exits_one(mini_config, capsys,
     assert "Traceback" not in err
 
 
-def test_cli_ingest_stages_report_counts(mini_config, capsys):
+# What each stage prints on the mini corpus, in stage order.
+STAGE_STDOUT = {
+    "ingest-rfc": ["parsed 4 RFC documents"],
+    "ingest-code": ["toy-a: 6 functions, 49 function lines",
+                    "toy-b: 6 functions, 44 function lines"],
+    "build-graph": ["toy-a: 7 entities, 3 communities",
+                    "toy-b: 7 entities, 3 communities"],
+    "build-chains": ["4 RFCs, 2 chains"],
+    "synth-triplets": ["14 triplets"],
+    "verify": ["toy-a: 793=implemented, 1948=implemented, 5961=implemented, "
+               "6528=implemented",
+               "toy-b: 793=implemented, 1948=implemented, 5961=implemented, "
+               "6528=not-implemented"],
+    "eval": ["accuracy 100.0% recall 100.0% precision 100.0% f1 1.0"],
+    "report": ["report written to {workdir}/report/report.md"],
+}
+
+
+def test_cli_stdout_of_every_stage_is_pinned(mini_config, capsys):
     cfg_path = mini_config()
-    assert main(["ingest-rfc", "--config", str(cfg_path)]) == 0
-    assert capsys.readouterr().out == "parsed 4 RFC documents\n"
-    assert main(["ingest-code", "--config", str(cfg_path)]) == 0
-    assert capsys.readouterr().out.startswith(
-        "toy-a: 6 functions, 49 function lines\ntoy-b: ")
+    workdir = load_config(cfg_path).workdir
+    assert tuple(STAGE_STDOUT) == STAGES
+    printed = []
+    for stage, lines in STAGE_STDOUT.items():
+        assert main([stage, "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        assert out == "".join(f"{line.format(workdir=workdir)}\n"
+                              for line in lines), stage
+        printed += out.splitlines()
+    # The README's quick start runs the stages in this order, and its
+    # expected highlights are lines they print.
+    readme = (REPO / "README.md").read_text()
+    quick_start = re.search(r"## Quick start.*?```sh\n(.*?)```", readme,
+                            re.S).group(1)
+    assert tuple(line.split()[1] for line in quick_start.splitlines()) == \
+        STAGES
+    highlights = re.search(r"Expected highlights:\n\n```\n(.*?)```", readme,
+                           re.S).group(1).splitlines()
+    assert highlights and set(highlights) <= set(printed)
+
+
+def test_cli_stage_that_fails_part_way_prints_no_summary(mini_config,
+                                                        tmp_path, capsys):
+    # ingest-code indexes toy-a, then cannot read toy-b's tree: a stage
+    # prints its summary only once all its work is done, so stdout stays
+    # empty.
+    trees = json.loads(mini_config().read_text())["code_trees"]
+    gone = tmp_path / "gone"
+    cfg_path = mini_config("part-way", code_trees={**trees, "toy-b": str(gone)})
+    assert main(["ingest-code", "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: source tree root not readable: {gone}\n"
+    assert (load_config(cfg_path).workdir / "code" / "toy-a" /
+            "functions.jsonl").is_file()
 
 
 def test_ingest_code_artifacts_do_not_depend_on_the_ingest_cache(
@@ -591,7 +640,7 @@ def test_build_graph_chunk_and_map_bytes_are_pinned(mini_config, capsys,
     text_chunks = pipeline._text_chunks
     monkeypatch.setattr(pipeline, "_text_chunks", lambda *a: (
         text_chunkings.append(1) or text_chunks(*a)))
-    for stage in ("ingest-rfc", "ingest-code", "build-graph"):
+    for stage in STAGES[:STAGES.index("build-chains")]:
         assert main([stage, "--config", str(cfg_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-2:] == [
         "toy-a: 7 entities, 3 communities",
@@ -635,8 +684,6 @@ def test_derived_map_equals_build_map_on_the_mini_corpus(mini_config):
 
 # ------------------------------------------------ bundled corpus, warm cache
 
-STAGES = ("ingest-rfc", "ingest-code", "build-graph", "build-chains",
-          "synth-triplets", "verify", "eval", "report")
 BUNDLED = FIXTURES / "mini_corpus"
 
 
