@@ -25,9 +25,9 @@ import json
 import logging
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .chunk_mapper import (CHUNKER_VERSION, DEFAULT_CHUNK_SIZE,
                            DEFAULT_REDUNDANCY_RATIO, Cut, file_cuts)
@@ -73,8 +73,7 @@ class SourceFile:
                    line_count=len(text.splitlines()))
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     char_start: int
     char_end: int  # exclusive
     line_start: int  # 1-based, inclusive
@@ -82,7 +81,9 @@ class Span:
 
 
 @dataclass(frozen=True)
-class CodeFunction:
+class CodeFunction(Record):
+    """Its JSON form also holds its ``fid``; a decode checks it, and that
+    each start of the span is at most its end."""
     name: str
     signature: str  # whitespace-collapsed source text up to the open brace
     params: tuple[tuple[str, str], ...]  # (name, type) pairs; empty for tier 2
@@ -101,32 +102,17 @@ class CodeFunction:
         return self.span.line_end - self.span.line_start + 1
 
     def to_dict(self) -> dict:
-        return {
-            "fid": self.fid,
-            "name": self.name,
-            "signature": self.signature,
-            "params": [list(p) for p in self.params],
-            "span": [self.span.char_start, self.span.char_end,
-                     self.span.line_start, self.span.line_end],
-            "doc_comment": self.doc_comment,
-            "file": self.file,
-            "token_count": self.token_count,
-            "extraction_tier": self.extraction_tier,
-        }
+        return {**super().to_dict(), "fid": self.fid}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CodeFunction":
-        s = d["span"]
-        if not (len(s) == 4 and all(type(v) is int for v in s)
-                and s[0] <= s[1] and s[2] <= s[3]):
-            raise ValueError(f"span {s!r} is not [char_start, char_end, "
-                             "line_start, line_end], each start <= its end")
-        return cls(name=d["name"], signature=d["signature"],
-                   params=tuple((p[0], p[1]) for p in d["params"]),
-                   span=Span(s[0], s[1], s[2], s[3]),
-                   doc_comment=d.get("doc_comment"),
-                   file=d["file"], token_count=d["token_count"],
-                   extraction_tier=d["extraction_tier"])
+        fn = super().from_dict(d)
+        s = fn.span
+        if s.char_start > s.char_end or s.line_start > s.line_end:
+            raise ValueError(f"span {list(s)} has a start past its end")
+        if d.get("fid") != fn.fid:
+            raise ValueError(f"fid {d.get('fid')!r} is not {fn.fid!r}")
+        return fn
 
 
 @dataclass
@@ -668,8 +654,8 @@ def _pycparser_version() -> str:
 
 def _entry_functions(entry: dict,
                      source: SourceFile) -> list[CodeFunction] | None:
-    """A servable entry's functions each round-trip through from_dict,
-    belong to the file and span text inside it; anything else is None."""
+    """A servable entry's functions each decode, hold no other key, belong
+    to the file and span text inside it; anything else is None."""
     if not isinstance(entry.get("functions"), list):
         return None
     n_chars = len(source.content)
@@ -678,16 +664,19 @@ def _entry_functions(entry: dict,
     for d in entry["functions"]:
         try:
             fn = CodeFunction.from_dict(d)
-            span = fn.span
-            ok = fn.to_dict() == d and fn.file == source.path \
-                and 0 <= span.char_start < span.char_end <= n_chars \
-                and 1 <= span.line_start <= span.line_end <= n_lines
-        except (KeyError, IndexError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError):
             return None
-        if not ok:
+        span = fn.span
+        if not (len(d) == _FUNCTION_KEYS and fn.file == source.path
+                and 0 <= span.char_start < span.char_end <= n_chars
+                and 1 <= span.line_start <= span.line_end <= n_lines):
             return None
         out.append(fn)
     return out
+
+
+# The keys of a function's JSON form: its fields and its fid.
+_FUNCTION_KEYS = len(fields(CodeFunction)) + 1
 
 
 def _entry_cuts(entry: dict, source: SourceFile,

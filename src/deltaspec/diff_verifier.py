@@ -10,12 +10,13 @@ stays flagged so a reader can tell abstention from refutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from .errors import (ContractViolation, EmptyResponse, GatewayError,
                      InvalidInputs, ShapeMismatch, UnknownFunction,
                      VerificationAborted)
-from .fsio import Record
+from .fsio import Record, read_json, write_json
 from .knowledge_graph import KnowledgeGraph, retrieve_code_for_spec
 from .llm_gateway import PHASE_REASONING, LlmGateway, LlmRequest, request
 from .spec_evolution import FunctionalEntry, Increment
@@ -100,6 +101,25 @@ class Verdict(Record):
     def __post_init__(self):
         if self.value not in VERDICT_VALUES:
             raise ValueError(f"unknown verdict value {self.value!r}")
+
+
+@dataclass(frozen=True)
+class _MatrixFile(Record):
+    """verify/matrix.json: each version's verdict by RFC number."""
+    versions: dict[str, dict[str, Verdict]]
+
+
+def write_matrix(path: Path,
+                 matrix: Mapping[str, Mapping[int, Verdict]]) -> None:
+    write_json(path, _MatrixFile({
+        version: {str(rfc): verdict for rfc, verdict in row.items()}
+        for version, row in matrix.items()}).to_dict())
+
+
+def read_matrix(path: Path) -> dict[str, dict[int, Verdict]]:
+    return read_json(path, lambda d: {
+        version: {int(rfc): verdict for rfc, verdict in row.items()}
+        for version, row in _MatrixFile.from_dict(d).versions.items()})
 
 
 @dataclass(frozen=True)

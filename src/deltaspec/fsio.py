@@ -6,14 +6,15 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import os
 import tempfile
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import (Any, BinaryIO, Callable, Iterator, TypeVar, get_args,
-                    get_origin, get_type_hints)
+from typing import (Any, BinaryIO, Callable, Iterable, Iterator, TypeVar,
+                    get_args, get_origin, get_type_hints)
 
 from .errors import InvalidRecord, MalformedDocument, MissingArtifact
 
@@ -32,14 +33,17 @@ _SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,),
 class Record:
     """A dataclass whose JSON form is an object of its fields by name.
 
-    A nested record is an object, a tuple or list is an array, and any
-    other value is written as it is. On decode the field annotations turn
-    arrays back into tuples or lists, a fixed-length tuple only from an
-    array of its length, and objects back into records. A scalar field
-    (``int``, ``float``, ``str``, ``bool`` or ``X | None``) takes only a
-    value of its JSON type, else TypeError. A missing key takes the field's
-    default, or raises KeyError when the field has none; an unknown key is
-    ignored.
+    The annotations give each field's JSON form: a nested record is an
+    object, as is a ``dict[str, X]``; a tuple, list, frozenset (written
+    sorted) or NamedTuple is an array; a scalar (``int``, ``float``,
+    ``str``, ``bool``, ``X | None``) is itself. A decode checks every value
+    it reaches: a scalar takes only its JSON type (an int is a float, a bool
+    no int), a fixed-length tuple or NamedTuple only an array of its length.
+    A missing key takes the field's default, else KeyError; an unknown key is
+    ignored. A wrong type is a TypeError, a wrong length a ValueError, and
+    each names the path to the value (``sections[0].body[2]``); a record's
+    own checks speak for themselves. A record nested in another is encoded
+    and decoded through its own to_dict and from_dict, where it has them.
     """
 
     def to_dict(self) -> dict:
@@ -50,58 +54,136 @@ class Record:
         return _record_plan(cls)[1](d)
 
 
-def _array(value: Any) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected an array, got {type(value).__name__}")
-    return value
+_DECODE_ERRORS = (KeyError, TypeError, ValueError)
+_MISSING = object()
 
 
-def _codec(annotation: Any) -> tuple[Callable, Callable] | None:
-    """(encode, decode) of a field's values; None for plain JSON values."""
+def _mismatch(kind: type[Exception], at: str, reason: str) -> Exception:
+    """A codec error: ``reason`` at the path ``at`` ("" for the value
+    itself); a KeyError's message is the path of the missing key."""
+    exc = kind(at if kind is KeyError else f"{at}: {reason}" if at else reason)
+    exc.at, exc.reason = at, reason
+    return exc
+
+
+def _within(exc: Exception, step: str) -> Exception:
+    """A codec error one step further out (a key or ``[i]``); any other
+    error as it is."""
+    at = getattr(exc, "at", None)
+    if at is None:
+        return exc
+    return _mismatch(type(exc), step + (at if not at or at[0] == "["
+                                        else "." + at), exc.reason)
+
+
+def _expected(value: Any, what: str) -> Exception:
+    return _mismatch(TypeError, "",
+                     f"expected {what}, got {type(value).__name__}")
+
+
+def _locate(decs: Iterable[Callable], items: Iterable,
+            keys: list[str] | None = None) -> None:
+    """Decode each item again and raise the first error, named by the
+    item's key, or by its index when there are no keys."""
+    for i, (dec, item) in enumerate(zip(decs, items)):
+        try:
+            dec(item)
+        except _DECODE_ERRORS as exc:
+            raise _within(exc, f"[{i}]" if keys is None else keys[i]) from None
+
+
+def _codec(annotation: Any) -> tuple[Callable | None, Callable]:
+    """(encode, decode) of a field's values; encode None writes a value as
+    it is. A scalar's decode has ``accepted``, the JSON types it takes."""
     if isinstance(annotation, type) and issubclass(annotation, Record):
+        if {"to_dict", "from_dict"} & vars(annotation).keys():
+            return (lambda r: r.to_dict()), annotation.from_dict
         return _record_plan(annotation)
     origin, args = get_origin(annotation), get_args(annotation)
-    if origin not in (tuple, list):
-        return None
+    if annotation in _SCALAR_TYPES or isinstance(annotation, UnionType):
+        accepted = frozenset(t for a in args or (annotation,)
+                             for t in _SCALAR_TYPES[a])
+        name = getattr(annotation, "__name__", str(annotation))
+
+        def check(value: Any) -> Any:
+            if type(value) not in accepted:
+                raise _expected(value, name)
+            return value
+
+        check.accepted = accepted
+        return None, check
+    if isinstance(annotation, type) and issubclass(annotation, tuple):
+        hints = get_type_hints(annotation)  # a NamedTuple
+        return _fixed([hints[f] for f in annotation._fields],
+                      functools.partial(tuple.__new__, annotation))
     if origin is tuple and args[-1:] != (...,):
-        items = [_codec(a) for a in args]
+        return _fixed(args, tuple)
+    enc, dec = _codec(args[1] if origin is dict else args[0])
+    if origin is dict and args[0] is str:
+        def decode_object(value: Any) -> dict:
+            if not isinstance(value, dict):
+                raise _expected(value, "an object")
+            try:
+                return {k: dec(v) for k, v in value.items()}
+            except _DECODE_ERRORS:
+                _locate(itertools.repeat(dec), value.values(), list(value))
+                raise
 
-        def decode_fixed(value: Any) -> tuple:
-            if len(_array(value)) != len(items):
-                raise ValueError(f"expected an array of {len(items)}, "
-                                 f"got {len(value)}")
-            return tuple(v if c is None else c[1](v)
-                         for c, v in zip(items, value))
+        return (enc and (lambda value: {k: enc(v) for k, v in value.items()}),
+                decode_object)
+    if origin not in (tuple, list, frozenset):
+        raise TypeError(f"no JSON codec for {annotation!r}")
+    accepted = getattr(dec, "accepted", None)
+    exact = getattr(dec, "exact", None)  # items of fixed scalar types
+    write = sorted if origin is frozenset else list
 
-        if not any(items):
-            return list, decode_fixed
-        return (lambda value: [v if c is None else c[0](v)
-                               for c, v in zip(items, value)], decode_fixed)
-    item = _codec(args[0])
-    if item is None:
-        return list, lambda value: origin(_array(value))
-    enc, dec = item
-    return (lambda value: list(map(enc, value)),
-            lambda value: origin(map(dec, _array(value))))
+    def decode_array(value: Any) -> Any:
+        if not isinstance(value, (list, tuple)):
+            raise _expected(value, "an array")
+        if not value or accepted is not None and all(
+                map(accepted.__contains__, map(type, value))):
+            return origin(value)
+        if exact is not None and all(
+                type(v) is list and tuple(map(type, v)) == exact
+                for v in value):
+            return origin(map(dec.make, value))
+        try:
+            return origin(map(dec, value))
+        except _DECODE_ERRORS:
+            _locate(itertools.repeat(dec), value)
+            raise
+
+    return (write if enc is None else lambda value: write(map(enc, value)),
+            decode_array)
 
 
-def _scalar(name: str, annotation: Any) -> Callable | None:
-    """Decode of a scalar field: its value if the type fits; None for a
-    field of another kind."""
-    args = get_args(annotation) if isinstance(annotation, UnionType) \
-        else (annotation,)
-    if not all(a in _SCALAR_TYPES for a in args):
-        return None
-    accepted = frozenset(t for a in args for t in _SCALAR_TYPES[a])
-    expected = getattr(annotation, "__name__", annotation)
+def _fixed(args: Any, make: Callable) -> tuple[Callable, Callable]:
+    """(encode, decode) of an array of one value of each annotation in
+    ``args``, made into a value by ``make``. When all are scalar the decode
+    has ``exact``, their types, and ``make``."""
+    encs, decs = zip(*map(_codec, args))
+    exact = tuple(_SCALAR_TYPES.get(a, (None,))[-1] for a in args)
 
-    def check(value: Any) -> Any:
-        if type(value) not in accepted:
-            raise TypeError(f"{name}: expected {expected}, got "
-                            f"{type(value).__name__}")
-        return value
+    def decode(value: Any) -> Any:
+        if type(value) is list and tuple(map(type, value)) == exact:
+            return make(value)
+        if not isinstance(value, (list, tuple)):
+            raise _expected(value, "an array")
+        if len(value) != len(decs):
+            raise _mismatch(ValueError, "", f"expected an array of "
+                            f"{len(decs)}, got {len(value)}")
+        try:
+            return make([dec(v) for dec, v in zip(decs, value)])
+        except _DECODE_ERRORS:
+            _locate(decs, value)
+            raise
 
-    return check
+    if None not in exact:
+        decode.exact, decode.make = exact, make
+    if not any(encs):
+        return list, decode
+    return (lambda value: [v if enc is None else enc(v)
+                           for enc, v in zip(encs, value)]), decode
 
 
 @functools.cache
@@ -110,10 +192,10 @@ def _record_plan(cls: type) -> tuple[Callable[[Any], dict],
     hints = get_type_hints(cls)
     encoders, decoders = [], []
     for f in dataclasses.fields(cls):
-        enc, dec = _codec(hints[f.name]) or (
-            None, _scalar(f.name, hints[f.name]))
+        enc, dec = _codec(hints[f.name])
         encoders.append((f.name, enc))
-        decoders.append((f.name, dec, f.default is dataclasses.MISSING
+        decoders.append((f.name, getattr(dec, "accepted", None), dec,
+                         f.default is dataclasses.MISSING
                          and f.default_factory is dataclasses.MISSING))
 
     def encode(record: Any) -> dict:
@@ -124,13 +206,21 @@ def _record_plan(cls: type) -> tuple[Callable[[Any], dict],
 
     def decode(d: Any) -> Any:
         if not isinstance(d, dict):
-            raise TypeError(f"expected an object, got {type(d).__name__}")
+            raise _expected(d, "an object")
         kwargs = {}
-        for name, dec, required in decoders:
-            if name in d:
-                kwargs[name] = d[name] if dec is None else dec(d[name])
-            elif required:
-                raise KeyError(name)
+        for name, accepted, dec, required in decoders:
+            value = d.get(name, _MISSING)
+            if value is _MISSING:
+                if required:
+                    raise _mismatch(KeyError, name, "")
+                continue
+            # A scalar that fits is not passed to dec: the common case.
+            if accepted is None or type(value) not in accepted:
+                try:
+                    value = dec(value)
+                except _DECODE_ERRORS as exc:
+                    raise _within(exc, name) from None
+            kwargs[name] = value
         return cls(**kwargs)
 
     return encode, decode

@@ -21,12 +21,14 @@ from typing import Iterable, Sequence
 
 from .chunk_mapper import Chunk, ChunkFunctionMap
 from .errors import ContractViolation, EmptyGraph, SchemaViolation
+from .fsio import Record
 from .llm_gateway import PHASE_GRAPH, LlmGateway, request
 
 ENTITY_KINDS = ("state", "event", "action", "mechanism")
 FALLBACK_KIND = "mechanism"
 DEFAULT_DAMPING = 0.5
 MAX_ROUNDS = 100  # label-propagation rounds before giving up on convergence
+RELATIONS = ("mentions", "relates-to", "implements-candidate")
 
 ENTITY_CONTRACT = {
     "type": "array",
@@ -57,7 +59,9 @@ def entity_id(kind: str, name: str) -> str:
 
 
 @dataclass
-class Entity:
+class Entity(Record):
+    """Its JSON form also holds its ``id``; a decode checks both the id and
+    the kind, which construction would otherwise replace."""
     kind: str
     name: str
     description: str = ""
@@ -70,20 +74,46 @@ class Entity:
     def id(self) -> str:
         return entity_id(self.kind, self.name)
 
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "id": self.id}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Entity":
+        ent = super().from_dict(d)
+        if d["kind"] != ent.kind:
+            raise ValueError(f"unknown entity kind {d['kind']!r}")
+        if d.get("id") != ent.id:
+            raise ValueError(f"entity id {d.get('id')!r} is not the id of "
+                             f"{ent.kind} {ent.name!r}")
+        return ent
+
 
 @dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(Record):
     src: str
     dst: str
-    relation: str  # "mentions" | "relates-to" | "implements-candidate"
+    relation: str  # one of RELATIONS
     weight: float
+
+    def __post_init__(self):
+        if self.relation not in RELATIONS:
+            raise ValueError(f"unknown edge relation {self.relation!r}")
 
 
 @dataclass(frozen=True)
-class Community:
+class Community(Record):
     id: int
     members: frozenset[str]
     summary: str
+
+
+@dataclass(frozen=True)
+class _GraphFile(Record):
+    """A graph's JSON form, before its edge ends are checked."""
+    entities: tuple[Entity, ...]
+    edges: tuple[GraphEdge, ...]
+    damping: float = DEFAULT_DAMPING
+    communities: tuple[Community, ...] = ()
 
 
 class KnowledgeGraph:
@@ -153,49 +183,25 @@ class KnowledgeGraph:
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "damping": self.damping,
-            "entities": [
-                {"id": e.id, "kind": e.kind, "name": e.name,
-                 "description": e.description}
-                for _, e in sorted(self.entities.items())
-            ],
-            "edges": [
-                {"src": e.src, "dst": e.dst, "relation": e.relation, "weight": e.weight}
-                for e in self.edges
-            ],
-            "communities": [
-                {"id": c.id, "members": sorted(c.members), "summary": c.summary}
-                for c in self.communities
-            ],
-        }
+        return _GraphFile(
+            entities=tuple(e for _, e in sorted(self.entities.items())),
+            edges=tuple(self.edges), damping=self.damping,
+            communities=tuple(self.communities)).to_dict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "KnowledgeGraph":
-        g = cls(damping=d.get("damping", DEFAULT_DAMPING))
-        for e in d["entities"]:
-            if e["kind"] not in ENTITY_KINDS:
-                raise ValueError(f"unknown entity kind {e['kind']!r}")
-            ent = Entity(kind=e["kind"], name=e["name"],
-                         description=e.get("description", ""))
-            if e["id"] != ent.id:
-                raise ValueError(f"entity id {e['id']!r} is not the id of "
-                                 f"{ent.kind} {ent.name!r}")
-            g.entities[ent.id] = ent
+        stored = _GraphFile.from_dict(d)
+        g = cls(damping=stored.damping)
+        g.entities = {e.id: e for e in stored.entities}
         by_relation = {"mentions": g._mentions, "relates-to": g._relates,
                        "implements-candidate": g._implements}
-        for e in d["edges"]:
-            if e["relation"] not in by_relation:
-                raise ValueError(f"unknown edge relation {e['relation']!r}")
+        for e in stored.edges:
             # A mentions edge ends at a chunk, an implements-candidate edge
             # at a function; only a relates-to edge ends at an entity.
-            _check_entities(g, [e["src"], e["dst"]] if e["relation"] ==
-                            "relates-to" else [e["src"]], "edge end")
-            by_relation[e["relation"]][(e["src"], e["dst"])] = e["weight"]
-        g.communities = [
-            Community(id=c["id"], members=frozenset(c["members"]), summary=c["summary"])
-            for c in d.get("communities", [])
-        ]
+            _check_entities(g, [e.src, e.dst] if e.relation == "relates-to"
+                            else [e.src], "edge end")
+            by_relation[e.relation][(e.src, e.dst)] = e.weight
+        g.communities = list(stored.communities)
         for c in g.communities:
             _check_entities(g, sorted(c.members), "community member")
         return g

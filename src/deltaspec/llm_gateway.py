@@ -30,7 +30,7 @@ from urllib.parse import urlsplit
 
 from . import __version__
 from .errors import CacheWriteError, ContractViolation, NotSent, ProviderError
-from .fsio import EntryStore, read_jsonl
+from .fsio import EntryStore, Record, read_jsonl
 from .tokenizer import count_tokens, token_texts
 
 log = logging.getLogger(__name__)
@@ -238,39 +238,32 @@ class CostLedger:
     def token_total(self) -> int:
         return sum(sum(v) for v in self._totals.values())
 
-    def model_totals(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
+    def model_tokens(self) -> dict[str, tuple[int, int]]:
+        """Each model's (prompt, completion) token totals."""
+        out: dict[str, tuple[int, int]] = {}
         for (model, _), (p, c) in sorted(self._totals.items()):
-            agg = out.setdefault(model, {"prompt_tokens": 0, "completion_tokens": 0})
-            agg["prompt_tokens"] += p
-            agg["completion_tokens"] += c
+            prompt, completion = out.get(model, (0, 0))
+            out[model] = (prompt + p, completion + c)
         return out
 
     def cost_for(self, model: str) -> float:
-        totals = self.model_totals().get(model)
-        if totals is None:
-            return 0.0
+        prompt, completion = self.model_tokens().get(model, (0, 0))
         inp, outp = self.prices.get(model, (0.0, 0.0))
-        return (totals["prompt_tokens"] / self.unit * inp
-                + totals["completion_tokens"] / self.unit * outp)
+        return prompt / self.unit * inp + completion / self.unit * outp
 
     def as_dict(self) -> dict:
-        models = self.model_totals()
-        return {
-            "models": {
-                m: {**totals, "cost": round(self.cost_for(m), 6)}
-                for m, totals in models.items()
-            },
-            "phases": {p: self.phase_tokens(p) for p in PHASES},
-            "token_total": self.token_total,
-            "cost_total": round(sum(self.cost_for(m) for m in models), 6),
-            "unpriced_models": sorted(m for m in models if m not in self.prices),
-            "records": [
-                {"model": m, "phase": p, "prompt_tokens": v[0],
-                 "completion_tokens": v[1]}
-                for (m, p), v in sorted(self._totals.items())
-            ],
-        }
+        models = self.model_tokens()
+        return LedgerSnapshot(
+            records=tuple(LedgerRecord(m, p, *v)
+                          for (m, p), v in sorted(self._totals.items())),
+            models={m: ModelCost(*tokens, cost=round(self.cost_for(m), 6))
+                    for m, tokens in models.items()},
+            phases={p: self.phase_tokens(p) for p in PHASES},
+            token_total=self.token_total,
+            cost_total=round(sum(self.cost_for(m) for m in models), 6),
+            unpriced_models=tuple(sorted(m for m in models
+                                         if m not in self.prices)),
+        ).to_dict()
 
     def absorb(self, snapshot: Mapping) -> None:
         """Fold a previously serialized ledger back into this one.
@@ -279,17 +272,37 @@ class CostLedger:
         ledger; the verification stage absorbs the earlier snapshots so
         the final accounting covers the whole run.
         """
-        records = snapshot.get("records")
-        if not isinstance(records, list):
-            raise ValueError("ledger snapshot has no 'records' array")
-        for rec in records:
-            if not (isinstance(rec, dict)
-                    and all(type(rec.get(k)) is str for k in ("model", "phase"))
-                    and all(type(rec.get(k)) is int
-                            for k in ("prompt_tokens", "completion_tokens"))):
-                raise ValueError(f"malformed ledger record {rec!r}")
-            self.record(rec["model"], rec["phase"],
-                        rec["prompt_tokens"], rec["completion_tokens"])
+        for rec in LedgerSnapshot.from_dict(snapshot).records:
+            self.record(rec.model, rec.phase, rec.prompt_tokens,
+                        rec.completion_tokens)
+
+
+@dataclass(frozen=True)
+class LedgerRecord(Record):
+    """One (model, phase) bucket of a ledger snapshot."""
+    model: str
+    phase: str
+    prompt_tokens: int
+    completion_tokens: int
+
+
+@dataclass(frozen=True)
+class ModelCost(Record):
+    """A model's totals in a ledger snapshot."""
+    prompt_tokens: int
+    completion_tokens: int
+    cost: float
+
+
+@dataclass(frozen=True)
+class LedgerSnapshot(Record):
+    """CostLedger.as_dict(): its buckets and the totals the report shows."""
+    records: tuple[LedgerRecord, ...]
+    models: dict[str, ModelCost]
+    phases: dict[str, int]
+    token_total: int
+    cost_total: float
+    unpriced_models: tuple[str, ...]
 
 
 @dataclass

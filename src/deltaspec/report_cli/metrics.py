@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..diff_verifier import Finding
 from ..errors import EmptyEval, InvalidInputs
 from ..fsio import Record
 
@@ -49,6 +50,21 @@ class Metrics:
             "precision": self.precision,
             "flags": list(self.flags),
         }
+
+
+@dataclass(frozen=True)
+class Evaluation(Record):
+    """eval/metrics.json. Its "metrics" are compute_metrics of the
+    confusion: written, and on a decode computed again, not read."""
+    confusion: Confusion
+    findings: tuple[Finding, ...]
+
+    @property
+    def metrics(self) -> Metrics:
+        return compute_metrics(self.confusion)
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "metrics": self.metrics.to_dict()}
 
 
 def compute_metrics(confusion: Confusion) -> Metrics:

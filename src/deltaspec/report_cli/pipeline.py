@@ -35,7 +35,9 @@ from ..diff_verifier import (
     VerifyPlan,
     compile_findings,
     plan_version,
+    read_matrix,
     verify_chain,  # noqa: F401  (kept importable from this module)
+    write_matrix,
 )
 from ..errors import (InvalidConfig, MissingArtifact, ShapeMismatch,
                       SpanMismatch, UnknownFunction)
@@ -69,7 +71,7 @@ from ..triplet_store import (
     synth_triplets,
 )
 from .config import PipelineConfig
-from .metrics import Confusion, Metrics, compute_metrics
+from .metrics import Confusion, Evaluation, Metrics
 from .render import build_report, render_report
 from .scripted import scripted_responder
 
@@ -106,7 +108,7 @@ def ingest_rfcs(cfg: PipelineConfig) -> list[RfcDocument]:
                                 f"RFC {a.number}")
     docs = [doc for doc, _ in parsed]
     write_json(cfg.workdir / "rfc" / "docs.json",
-               {"rfcs": [d.to_dict() for d in docs]})
+               _RfcDocs(tuple(docs)).to_dict())
     write_jsonl(cfg.workdir / "chunks" / "text.jsonl",
                 [c.to_dict() for c in _text_chunks(cfg, docs)])
     return docs
@@ -129,9 +131,15 @@ def _text_chunks(cfg: PipelineConfig,
     return chunks
 
 
+@dataclass(frozen=True)
+class _RfcDocs(Record):
+    """rfc/docs.json."""
+    rfcs: tuple[RfcDocument, ...]
+
+
 def load_docs(cfg: PipelineConfig) -> list[RfcDocument]:
-    return read_json(cfg.workdir / "rfc" / "docs.json", lambda data: [
-        RfcDocument.from_dict(d) for d in data["rfcs"]])
+    return list(read_json(cfg.workdir / "rfc" / "docs.json",
+                          _RfcDocs.from_dict).rfcs)
 
 
 # -- stage: ingest-code ------------------------------------------------------
@@ -317,13 +325,7 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     for version, stats in version_stats.items():
         write_json(cfg.workdir / "verify" / f"stats-{version}.json", stats)
 
-    write_json(cfg.workdir / "verify" / "matrix.json", {
-        "versions": {
-            version: {str(rfc): verdict.to_dict()
-                      for rfc, verdict in sorted(row.items())}
-            for version, row in matrix.items()
-        },
-    })
+    write_matrix(cfg.workdir / "verify" / "matrix.json", matrix)
     findings, _ = compile_findings(
         matrix, vulnerability_classes=cfg.vulnerability_classes)
     write_jsonl(cfg.workdir / "verify" / "findings.jsonl",
@@ -340,18 +342,12 @@ def verify_stage(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
     return matrix
 
 
-def load_matrix(cfg: PipelineConfig) -> dict[str, dict[int, Verdict]]:
-    return read_json(cfg.workdir / "verify" / "matrix.json", lambda data: {
-        version: {int(rfc): Verdict.from_dict(v) for rfc, v in cells.items()}
-        for version, cells in data["versions"].items()})
-
-
 # -- stage: eval -------------------------------------------------------------
 
 def eval_stage(cfg: PipelineConfig) -> Metrics:
     if cfg.ground_truth is None:
         raise InvalidConfig("config has no ground_truth path")
-    matrix = load_matrix(cfg)
+    matrix = read_matrix(cfg.workdir / "verify" / "matrix.json")
     truth_raw = read_json(cfg.ground_truth)
     if not (isinstance(truth_raw, dict) and all(
             isinstance(cells, dict) and all(rfc.isdecimal() for rfc in cells)
@@ -363,14 +359,9 @@ def eval_stage(cfg: PipelineConfig) -> Metrics:
     findings, confusion = compile_findings(
         matrix, ground_truth=truth,
         vulnerability_classes=cfg.vulnerability_classes)
-    conf = Confusion(*confusion)
-    metrics = compute_metrics(conf)
-    write_json(cfg.workdir / "eval" / "metrics.json", {
-        "confusion": conf.to_dict(),
-        "metrics": metrics.to_dict(),
-        "findings": [f.to_dict() for f in findings],
-    })
-    return metrics
+    evaluation = Evaluation(Confusion(*confusion), tuple(findings))
+    write_json(cfg.workdir / "eval" / "metrics.json", evaluation.to_dict())
+    return evaluation.metrics
 
 
 # -- the stage table ---------------------------------------------------------

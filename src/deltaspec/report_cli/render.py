@@ -7,17 +7,15 @@ verification stages write is reproducible byte for byte.
 from __future__ import annotations
 
 import datetime
-import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..code_ingest import ExtractionStats
-from ..diff_verifier import IMPLEMENTED, NOT_IMPLEMENTED
+from ..diff_verifier import IMPLEMENTED, NOT_IMPLEMENTED, Finding, read_matrix
 from ..errors import SerializationError
-from ..fsio import Record, read_json, read_jsonl, write_json
-from ..llm_gateway import schema_error
+from ..fsio import read_json, read_jsonl, write_json
+from ..llm_gateway import LedgerSnapshot, schema_error
 from .config import PipelineConfig
-from .metrics import Confusion
+from .metrics import Evaluation
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -52,14 +50,6 @@ REPORT_SCHEMA = {
 _DISPLAY = {IMPLEMENTED: "True", NOT_IMPLEMENTED: "False"}
 
 
-@dataclass(frozen=True)
-class _ModelCost(Record):
-    """A model's line of the cost ledger, as the report renders it."""
-    prompt_tokens: int
-    completion_tokens: int
-    cost: float
-
-
 def build_report(cfg: PipelineConfig) -> dict:
     workdir = cfg.workdir
     manifest = sorted(
@@ -67,26 +57,26 @@ def build_report(cfg: PipelineConfig) -> dict:
         for p in workdir.rglob("*")
         if p.is_file() and p.relative_to(workdir).parts[0] != "report")
 
-    matrix = read_json(workdir / "verify" / "matrix.json", lambda raw: {
-        version: {rfc: _DISPLAY.get(cell["value"], "Unknown")
-                  for rfc, cell in cells.items()}
-        for version, cells in raw["versions"].items()
-    })
-    findings = read_jsonl(workdir / "verify" / "findings.jsonl")
-    costs = read_json(workdir / "verify" / "ledger.json", _costs)
+    matrix = {version: {str(rfc): _DISPLAY.get(verdict.value, "Unknown")
+                        for rfc, verdict in row.items()}
+              for version, row in read_matrix(
+                  workdir / "verify" / "matrix.json").items()}
+    findings = read_jsonl(workdir / "verify" / "findings.jsonl",
+                          Finding.from_dict)
+    costs = read_json(workdir / "verify" / "ledger.json",
+                      LedgerSnapshot.from_dict)
     stats = {}
     for version in cfg.versions:
         p = workdir / "verify" / f"stats-{version}.json"
         if p.is_file():
-            stats[version] = read_json(
-                p, lambda d: ExtractionStats.from_dict(d).to_dict())
+            stats[version] = read_json(p, ExtractionStats.from_dict).to_dict()
 
     report: dict = {
         "manifest": manifest,
         "matrix": matrix,
-        "findings": findings,
+        "findings": [f.to_dict() for f in findings],
         "extraction_stats": stats,
-        "costs": costs,
+        "costs": costs.to_dict(),
         "timing": {
             "generated_at": datetime.datetime.now(datetime.timezone.utc)
             .isoformat(timespec="seconds"),
@@ -94,28 +84,14 @@ def build_report(cfg: PipelineConfig) -> dict:
     }
     eval_path = workdir / "eval" / "metrics.json"
     if eval_path.is_file():
-        report.update(read_json(eval_path, _evaluation))
+        evaluation = read_json(eval_path, Evaluation.from_dict)
+        mismatches = {(f.system, str(f.rfc)) for f in evaluation.findings
+                      if "ground-truth-mismatch" in f.flags}
+        report["metrics"] = {"confusion": evaluation.confusion.to_dict(),
+                             **evaluation.metrics.to_dict()}
+        report["mismatched_cells"] = sorted(f"{system}/{rfc}"
+                                            for system, rfc in mismatches)
     return report
-
-
-def _costs(raw: dict) -> dict:
-    """The ledger as written, once each figure the report renders has its
-    type."""
-    for totals in raw.get("models", {}).values():
-        _ModelCost.from_dict(totals)
-    for tokens in [*raw.get("phases", {}).values(), raw.get("token_total", 0)]:
-        if type(tokens) is not int:
-            raise TypeError(f"token count {tokens!r} is not an int")
-    return raw
-
-
-def _evaluation(raw: dict) -> dict:
-    Confusion.from_dict(raw["confusion"])
-    mismatches = {(f["system"], str(f["rfc"])) for f in raw["findings"]
-                  if "ground-truth-mismatch" in f.get("flags", ())}
-    return {"metrics": {"confusion": raw["confusion"], **raw["metrics"]},
-            "mismatched_cells": sorted(f"{system}/{rfc}"
-                                       for system, rfc in mismatches)}
 
 
 def render_report(report: dict, out_dir: str | Path) -> Path:
@@ -190,14 +166,14 @@ def _to_markdown(report: dict) -> str:
 
     lines += ["## Cost and token usage", ""]
     costs = report["costs"]
-    for model, totals in sorted(costs.get("models", {}).items()):
+    for model, totals in sorted(costs["models"].items()):
         lines.append(f"- {model}: {totals['prompt_tokens']} prompt + "
                      f"{totals['completion_tokens']} completion tokens, "
                      f"${totals['cost']}")
-    phases = costs.get("phases", {})
+    phases = costs["phases"]
     for phase in sorted(phases):
         lines.append(f"- {phase} phase tokens: {phases[phase]}")
-    lines.append(f"- total tokens: {costs.get('token_total', 0)}")
+    lines.append(f"- total tokens: {costs['token_total']}")
     lines.append("")
 
     if "timing" in report:

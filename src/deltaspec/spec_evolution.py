@@ -116,7 +116,7 @@ class FunctionalDelta(Record):
 
 
 @dataclass(frozen=True)
-class RfcMeta:
+class RfcMeta(Record):
     """Chain-relevant metadata when full document text is not needed."""
 
     number: int
@@ -128,11 +128,7 @@ class RfcMeta:
 def load_rfc_metadata(path: str | Path) -> list[RfcMeta]:
     data = json.loads(Path(path).read_text())
     rows = data["rfcs"] if isinstance(data, dict) else data
-    return [RfcMeta(number=r["number"],
-                    updates=tuple(r.get("updates", ())),
-                    obsoletes=tuple(r.get("obsoletes", ())),
-                    published=r.get("published", "0000-00"))
-            for r in rows]
+    return [RfcMeta.from_dict(r) for r in rows]
 
 
 @dataclass(frozen=True)

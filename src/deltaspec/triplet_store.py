@@ -55,6 +55,8 @@ class DifferentialTriplet(Record):
     def __post_init__(self):
         if self.label not in LABELS:
             raise InvalidRecord(f"unknown label {self.label!r}")
+        if not self.spec_text.strip() or not self.code.strip():
+            raise InvalidRecord(f"triplet {self.id} has empty spec text or code")
 
     def document(self) -> str:
         return f"{self.spec_text}\n{self.code}"
@@ -157,8 +159,6 @@ class TripletStore:
         return len(self.triplets)
 
     def add(self, triplet: DifferentialTriplet) -> None:
-        if not triplet.spec_text.strip() or not triplet.code.strip():
-            raise InvalidRecord(f"triplet {triplet.id} has empty spec text or code")
         self.triplets.append(triplet)
         self._index = None
         self._embedded = None
@@ -202,6 +202,12 @@ def _ir_request(model: str, task: str, body: str) -> LlmRequest:
 _Plan = tuple[LlmRequest, Callable[[str], list[DifferentialTriplet]]]
 
 
+def _triplet(id: str, spec_text: str, ir: str, code: str, label: str,
+             source: str) -> DifferentialTriplet:
+    return DifferentialTriplet(id, spec_text, ir, code, label, source,
+                               complexity=count_tokens(code))
+
+
 def _positive_plan(record: Mapping, model: str) -> _Plan:
     """A description/solution record's IR request, and the consistent
     triplet its IR makes."""
@@ -212,15 +218,8 @@ def _positive_plan(record: Mapping, model: str) -> _Plan:
             f"record {record.get('id')!r} needs both description and solution")
 
     def build(ir: str) -> list[DifferentialTriplet]:
-        return [DifferentialTriplet(
-            id=str(record["id"]),
-            spec_text=description,
-            intermediate_repr=ir,
-            code=solution,
-            label="consistent",
-            source="description",
-            complexity=count_tokens(solution),
-        )]
+        return [_triplet(str(record["id"]), description, ir, solution,
+                         "consistent", "description")]
     return _ir_request(model, "synth-ir", f"DESCRIPTION:\n{description}"), build
 
 
@@ -242,25 +241,11 @@ def _negative_plan(record: Mapping, model: str, paired_positive: bool) -> _Plan:
         fromfile="before", tofile="after", lineterm=""))
 
     def build(ir: str) -> list[DifferentialTriplet]:
-        out = [DifferentialTriplet(
-            id=f"{record['id']}:before",
-            spec_text=summary,
-            intermediate_repr=ir,
-            code=before,
-            label="inconsistent",
-            source="patch",
-            complexity=count_tokens(before),
-        )]
+        out = [_triplet(f"{record['id']}:before", summary, ir, before,
+                        "inconsistent", "patch")]
         if paired_positive:
-            out.append(DifferentialTriplet(
-                id=f"{record['id']}:after",
-                spec_text=summary,
-                intermediate_repr=ir,
-                code=after,
-                label="consistent",
-                source="patch",
-                complexity=count_tokens(after),
-            ))
+            out.append(_triplet(f"{record['id']}:after", summary, ir, after,
+                                "consistent", "patch"))
         return out
     return (_ir_request(model, "synth-ir-negative",
                         f"SUMMARY:\n{summary}\nDIFF:\n{diff}"), build)

@@ -9,10 +9,11 @@ import threading
 import pytest
 
 from deltaspec.chunk_mapper import Chunk
-from deltaspec.code_ingest import ExtractionStats
+from deltaspec.code_ingest import CodeFunction, ExtractionStats, Span
 from deltaspec.diff_verifier import Finding, Trial, Verdict
 from deltaspec.errors import MissingArtifact
 from deltaspec.fsio import EntryStore, read_jsonl, write_jsonl
+from deltaspec.knowledge_graph import Community, GraphEdge
 from deltaspec.report_cli.cost import CostModelInputs, cost_model
 from deltaspec.report_cli.metrics import Confusion
 from deltaspec.rfc_ingest import AsciiFigure, RfcDocument, RfcSection
@@ -55,6 +56,10 @@ _ENTRIES = [FunctionalEntry(rfc=793, section="3.3", title=f"entry {i}",
 _DELTA = FunctionalDelta(added=[_ENTRIES[0]],
                          modified=[(_ENTRIES[1], _ENTRIES[2])],
                          inherited=[_ENTRIES[3]])
+_FUNCTION = CodeFunction(name="f", signature="int f(int a)",
+                         params=(("a", "int"),), span=Span(0, 20, 1, 3),
+                         doc_comment=None, file="net/a.c", token_count=9,
+                         extraction_tier="syntax-tree")
 
 RECORDS = [
     _CHUNK,
@@ -78,6 +83,9 @@ RECORDS = [
                         source="description", complexity=4),
     cost_model(CostModelInputs(3, 1000, 500, 100, 50)),
     Confusion(tp=1, fp=2, tn=3, fn=4),
+    _FUNCTION,
+    GraphEdge(src="e1", dst="c0", relation="mentions", weight=1.0),
+    Community(id=0, members=frozenset({"e2", "e1"}), summary="s"),
 ]
 
 
@@ -104,8 +112,8 @@ def test_bad_record_line_names_the_file_line(tmp_path, span):
     write_jsonl(path, [_CHUNK.to_dict(), {**_CHUNK.to_dict(), "span": span}])
     with pytest.raises(MissingArtifact) as err:
         read_jsonl(path, Chunk.from_dict)
-    assert str(err.value) == (f"cannot read {path}: line 2: expected an "
-                              f"array of 2, got {len(span)}")
+    assert str(err.value) == (f"cannot read {path}: line 2: span: expected "
+                              f"an array of 2, got {len(span)}")
 
 
 @pytest.mark.parametrize("record, field, value, error", [
@@ -116,6 +124,15 @@ def test_bad_record_line_names_the_file_line(tmp_path, span):
     (_FIGURE, "caption", 3, "caption: expected str | None, got int"),
     (_FIGURE, "caption", "Figure 1", None),
     (RECORDS[1], "selected_lines", 20, None),  # an int is a float
+    (RECORDS[7], "updates", ["793"], "updates[0]: expected int, got str"),
+    (_SECTION, "figures", [{**_FIGURE.to_dict(), "lines": [1]}],
+     "figures[0].lines[0]: expected str, got int"),
+    (RECORDS[3], "counts", {"implemented": "1"},
+     "counts.implemented: expected int, got str"),
+    (_FUNCTION, "span", [0, "20", 1, 3], "span[1]: expected int, got str"),
+    (_FUNCTION, "params", [["a", 1]], "params[0][1]: expected str, got int"),
+    (RECORDS[-2], "weight", "1.0", "weight: expected float, got str"),
+    (RECORDS[-1], "members", ["e1", 2], "members[1]: expected str, got int"),
 ])
 def test_record_scalar_fields_take_only_their_json_types(record, field,
                                                          value, error):

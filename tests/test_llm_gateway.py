@@ -286,7 +286,7 @@ def test_ledger_snapshots_are_absorbable():
     assert merged.phase_tokens("graph") == 300
     assert merged.phase_tokens("reasoning") == 702
 
-    with pytest.raises(ValueError, match="records"):
+    with pytest.raises(KeyError, match="records"):
         merged.absorb({"phases": {}})
 
 

@@ -898,12 +898,27 @@ def _delete_line(number):
 
 def _set_on_line(number, key, value):
     """Damage: set ``key`` to ``value`` in the object on line ``number``."""
+    return _edit_line(number, lambda row: row.update({key: value}))
+
+
+def _edit_line(number, change):
+    """Damage: apply ``change`` to the object on line ``number``."""
     def damage(path):
         lines = path.read_text().splitlines(keepends=True)
         row = json.loads(lines[number - 1])
-        row[key] = value
+        change(row)
         lines[number - 1] = json.dumps(row) + "\n"
         path.write_text("".join(lines))
+    return damage
+
+
+def _edit_lines(change):
+    """Damage: apply ``change`` to the object on every line."""
+    def damage(path):
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows:
+            change(row)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     return damage
 
 
@@ -929,12 +944,13 @@ _NOT_COVERED = ("net/ipv4/tcp_isn.c:23:net_secret_init: its chunks do not "
      "line 1: unexpected shape (TypeError: text: expected str, got int)\n"),
     ("verify", "code/toy-a/functions.jsonl",
      _set_on_line(1, "span", [239, "521", 12, 21]),
-     "line 1: span [239, '521', 12, 21] is not "),
+     "line 1: unexpected shape (TypeError: span[1]: expected int, got str)\n"),
     ("verify", "chains/ledger.json",
      _edit_json(lambda d: d["records"][0].update(model=7)),
-     "malformed ledger record "),
+     "unexpected shape (TypeError: records[0].model: expected str, got int)\n"),
     ("verify", "chains/ledger.json",
-     _edit_json(lambda d: d.update(records={})), "ledger snapshot has no 'records' array\n"),
+     _edit_json(lambda d: d.update(records={})),
+     "unexpected shape (TypeError: records: expected an array, got dict)\n"),
     ("report", "verify/stats-toy-a.json",
      _edit_json(lambda d: d.pop("selected_lines")),
      "unexpected shape (KeyError: 'selected_lines')\n"),
@@ -955,11 +971,12 @@ _NOT_COVERED = ("net/ipv4/tcp_isn.c:23:net_secret_init: its chunks do not "
     ("report", "eval/metrics.json", lambda p: p.write_text("{}"), ""),
     ("report", "verify/ledger.json",
      _edit_json(lambda d: d["models"]["judge-1"].pop("completion_tokens")),
-     "unexpected shape (KeyError: 'completion_tokens')\n"),
+     "unexpected shape (KeyError: 'models.judge-1.completion_tokens')\n"),
     ("report", "eval/metrics.json", _edit_json(lambda d: d.update(confusion=4)),
-     "unexpected shape (TypeError: expected an object, got int)\n"),
+     "unexpected shape (TypeError: confusion: expected an object, got int)\n"),
     ("verify", "chains/entries.jsonl", _set_on_line(1, "entries", {}),
-     "line 1: unexpected shape (TypeError: expected an array, got dict)\n"),
+     "line 1: unexpected shape (TypeError: entries: expected an array, "
+     "got dict)\n"),
     ("verify", "graph/toy-a.json",
      _edit_json(lambda d: d["edges"][0].update(src="nope")),
      "edge end 'nope' is not an entity\n"),
@@ -971,6 +988,44 @@ _NOT_COVERED = ("net/ipv4/tcp_isn.c:23:net_secret_init: its chunks do not "
     ("verify", "graph/toy-a.json",
      _edit_json(lambda d: d["communities"][0]["members"].append("nope")),
      "community member 'nope' is not an entity\n"),
+    ("build-chains", "rfc/docs.json",
+     _edit_json(lambda d: d["rfcs"][1].update(updates=["793"])),
+     "unexpected shape (TypeError: rfcs[1].updates[0]: expected int, "
+     "got str)\n"),
+    ("build-chains", "rfc/docs.json",
+     _edit_json(lambda d: d["rfcs"][0]["sections"][1].update(body=[5])),
+     "unexpected shape (TypeError: rfcs[0].sections[1].body[0]: expected "
+     "str, got int)\n"),
+    ("verify", "chains/entries.jsonl",
+     _edit_line(1, lambda row: row["entries"][0].update(concepts=[7])),
+     "line 1: unexpected shape (TypeError: entries[0].concepts[0]: "
+     "expected str, got int)\n"),
+    ("eval", "verify/matrix.json",
+     _edit_json(lambda d: d["versions"]["toy-a"]["793"]["trials"][0].update(
+         cited=[3])),
+     "unexpected shape (TypeError: versions.toy-a.793.trials[0].cited[0]: "
+     "expected str, got int)\n"),
+    ("verify", "graph/toy-a.json",
+     _edit_json(lambda d: d["edges"][32].update(weight="1.0")),
+     "unexpected shape (TypeError: edges[32].weight: expected float, "
+     "got str)\n"),
+    ("verify", "graph/toy-a.json", _edit_json(lambda d: d.update(damping="x")),
+     "unexpected shape (TypeError: damping: expected float, got str)\n"),
+    ("report", "verify/matrix.json",
+     _edit_json(lambda d: d["versions"]["toy-b"]["6528"].update(
+         value="not-implemnted")),
+     "unknown verdict value 'not-implemnted'\n"),
+    ("report", "eval/metrics.json",
+     _edit_json(lambda d: d["findings"][0].update(evidence="x")),
+     "unexpected shape (TypeError: findings[0].evidence: expected an array, "
+     "got str)\n"),
+    ("verify", "triplets/store.jsonl", _edit_lines(lambda row: row.update(
+        code="")), "line 1: triplet desc-isn-clock has empty spec text or "
+     "code\n"),
+    ("verify", "code/toy-a/functions.jsonl",
+     _set_on_line(1, "fid", "net/ipv4/tcp_input.c:13:tcp_validate_reset"),
+     "line 1: fid 'net/ipv4/tcp_input.c:13:tcp_validate_reset' is not "
+     "'net/ipv4/tcp_input.c:12:tcp_validate_reset'\n"),
 ], ids=["chunk-deleted", "chunk-deleted-build-graph",
         "chunk-with-numeric-text", "function-with-string-char-end",
         "ledger-with-numeric-model", "ledger-records-not-an-array",
@@ -980,7 +1035,12 @@ _NOT_COVERED = ("net/ipv4/tcp_isn.c:23:net_secret_init: its chunks do not "
         "metrics-without-findings", "ledger-model-without-completion-tokens",
         "metrics-with-numeric-confusion", "entries-not-an-array",
         "edge-from-unknown-entity", "relates-to-unknown-entity",
-        "community-with-unknown-member"])
+        "community-with-unknown-member", "doc-updating-a-string",
+        "section-with-numeric-body", "entry-with-numeric-concept",
+        "trial-citing-a-number", "edge-with-string-weight",
+        "graph-with-string-damping", "report-matrix-with-misspelt-verdict",
+        "metrics-finding-with-string-evidence", "triplets-with-empty-code",
+        "function-with-another-fid"])
 def test_cli_malformed_artifact_exits_one(mini_config, capsys, stage, rel,
                                           damage, reason):
     cfg_path = mini_config()
@@ -991,6 +1051,24 @@ def test_cli_malformed_artifact_exits_one(mini_config, capsys, stage, rel,
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {workdir / rel}: {reason}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", [
+    _edit_json(lambda d: d["metrics"].pop("accuracy_pct")),
+    _edit_json(lambda d: d["metrics"].update(f1="x")),
+], ids=["accuracy-pct-deleted", "f1-a-string"])
+def test_report_renders_the_eval_figures_from_the_confusion(mini_config,
+                                                           damage):
+    cfg_path = mini_config()
+    workdir = load_config(cfg_path).workdir
+    shutil.copytree(BUNDLED / "work", workdir)
+    damage(workdir / "eval" / "metrics.json")
+    assert main(["report", "--config", str(cfg_path)]) == 0
+    for name in ("report.json", "report.md"):
+        got, expected = ((root / "report" / name).read_text().splitlines()
+                         for root in (workdir, BUNDLED / "work"))
+        assert [line for line in got if "generated" not in line] == \
+            [line for line in expected if "generated" not in line]
 
 
 def test_warm_run_checks_every_contract_without_jsonschema(mini_config,
