@@ -6,14 +6,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import logging
 import os
 import tempfile
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import (Any, BinaryIO, Callable, Iterable, Iterator, TypeVar,
+from typing import (Any, BinaryIO, Callable, Iterator, TypeVar,
                     get_args, get_origin, get_type_hints)
 
 from .errors import InvalidRecord, MalformedDocument, MissingArtifact
@@ -44,6 +43,7 @@ class Record:
     each names the path to the value (``sections[0].body[2]``); a record's
     own checks speak for themselves. A record nested in another is encoded
     and decoded through its own to_dict and from_dict, where it has them.
+    Each class's encode and decode are generated once, on first use.
     """
 
     def to_dict(self) -> dict:
@@ -76,154 +76,153 @@ def _within(exc: Exception, step: str) -> Exception:
                                         else "." + at), exc.reason)
 
 
-def _expected(value: Any, what: str) -> Exception:
-    return _mismatch(TypeError, "",
+def _expected(value: Any, what: str, at: str = "") -> Exception:
+    """A TypeError at ``at``: ``value`` is not ``what``; a KeyError when
+    the value is missing. Each decode's first check raises through it, so
+    a missing required key is a KeyError whatever decodes its value."""
+    if value is _MISSING:
+        return _mismatch(KeyError, at, "")
+    return _mismatch(TypeError, at,
                      f"expected {what}, got {type(value).__name__}")
-
-
-def _locate(decs: Iterable[Callable], items: Iterable,
-            keys: list[str] | None = None) -> None:
-    """Decode each item again and raise the first error, named by the
-    item's key, or by its index when there are no keys."""
-    for i, (dec, item) in enumerate(zip(decs, items)):
-        try:
-            dec(item)
-        except _DECODE_ERRORS as exc:
-            raise _within(exc, f"[{i}]" if keys is None else keys[i]) from None
 
 
 def _codec(annotation: Any) -> tuple[Callable | None, Callable]:
     """(encode, decode) of a field's values; encode None writes a value as
-    it is. A scalar's decode has ``accepted``, the JSON types it takes."""
-    if isinstance(annotation, type) and issubclass(annotation, Record):
-        if {"to_dict", "from_dict"} & vars(annotation).keys():
-            return (lambda r: r.to_dict()), annotation.from_dict
-        return _record_plan(annotation)
+    it is. An array's or object's decode is a loop that names the index or
+    key of a value that fails; any other is generated by _record_plan."""
+    if isinstance(annotation, type) and issubclass(annotation, Record) \
+            and {"to_dict", "from_dict"} & vars(annotation).keys():
+        return (lambda r: r.to_dict()), annotation.from_dict
     origin, args = get_origin(annotation), get_args(annotation)
-    if annotation in _SCALAR_TYPES or isinstance(annotation, UnionType):
-        accepted = frozenset(t for a in args or (annotation,)
-                             for t in _SCALAR_TYPES[a])
-        name = getattr(annotation, "__name__", str(annotation))
-
-        def check(value: Any) -> Any:
-            if type(value) not in accepted:
-                raise _expected(value, name)
-            return value
-
-        check.accepted = accepted
-        return None, check
-    if isinstance(annotation, type) and issubclass(annotation, tuple):
-        hints = get_type_hints(annotation)  # a NamedTuple
-        return _fixed([hints[f] for f in annotation._fields],
-                      functools.partial(tuple.__new__, annotation))
-    if origin is tuple and args[-1:] != (...,):
-        return _fixed(args, tuple)
-    enc, dec = _codec(args[1] if origin is dict else args[0])
     if origin is dict and args[0] is str:
+        enc, dec = _codec(args[1])
+
         def decode_object(value: Any) -> dict:
             if not isinstance(value, dict):
                 raise _expected(value, "an object")
+            out = {}
             try:
-                return {k: dec(v) for k, v in value.items()}
-            except _DECODE_ERRORS:
-                _locate(itertools.repeat(dec), value.values(), list(value))
-                raise
+                for key, item in value.items():
+                    out[key] = dec(item)
+            except _DECODE_ERRORS as exc:
+                raise _within(exc, key) from None
+            return out
 
         return (enc and (lambda value: {k: enc(v) for k, v in value.items()}),
                 decode_object)
-    if origin not in (tuple, list, frozenset):
-        raise TypeError(f"no JSON codec for {annotation!r}")
-    accepted = getattr(dec, "accepted", None)
-    exact = getattr(dec, "exact", None)  # items of fixed scalar types
+    if not (origin in (list, frozenset)
+            or origin is tuple and args[-1:] == (...,)):
+        return _record_plan(annotation)
+    enc, dec = _codec(args[0])
     write = sorted if origin is frozenset else list
 
     def decode_array(value: Any) -> Any:
         if not isinstance(value, (list, tuple)):
             raise _expected(value, "an array")
-        if not value or accepted is not None and all(
-                map(accepted.__contains__, map(type, value))):
-            return origin(value)
-        if exact is not None and all(
-                type(v) is list and tuple(map(type, v)) == exact
-                for v in value):
-            return origin(map(dec.make, value))
+        out = []
         try:
-            return origin(map(dec, value))
-        except _DECODE_ERRORS:
-            _locate(itertools.repeat(dec), value)
-            raise
+            for item in value:
+                out.append(dec(item))
+        except _DECODE_ERRORS as exc:  # at the item after those in out
+            raise _within(exc, f"[{len(out)}]") from None
+        return origin(out)
 
     return (write if enc is None else lambda value: write(map(enc, value)),
             decode_array)
 
 
-def _fixed(args: Any, make: Callable) -> tuple[Callable, Callable]:
-    """(encode, decode) of an array of one value of each annotation in
-    ``args``, made into a value by ``make``. When all are scalar the decode
-    has ``exact``, their types, and ``make``."""
-    encs, decs = zip(*map(_codec, args))
-    exact = tuple(_SCALAR_TYPES.get(a, (None,))[-1] for a in args)
-
-    def decode(value: Any) -> Any:
-        if type(value) is list and tuple(map(type, value)) == exact:
-            return make(value)
-        if not isinstance(value, (list, tuple)):
-            raise _expected(value, "an array")
-        if len(value) != len(decs):
-            raise _mismatch(ValueError, "", f"expected an array of "
-                            f"{len(decs)}, got {len(value)}")
-        try:
-            return make([dec(v) for dec, v in zip(decs, value)])
-        except _DECODE_ERRORS:
-            _locate(decs, value)
-            raise
-
-    if None not in exact:
-        decode.exact, decode.make = exact, make
-    if not any(encs):
-        return list, decode
-    return (lambda value: [v if enc is None else enc(v)
-                           for enc, v in zip(encs, value)]), decode
+def _items(annotation: Any) -> tuple | None:
+    """The annotations of the items of a NamedTuple or fixed-length tuple."""
+    if isinstance(annotation, type) and issubclass(annotation, tuple):
+        hints = get_type_hints(annotation)
+        return tuple(hints[f] for f in annotation._fields)
+    args = get_args(annotation)
+    if get_origin(annotation) is tuple and args[-1:] != (...,):
+        return args
+    return None
 
 
 @functools.cache
-def _record_plan(cls: type) -> tuple[Callable[[Any], dict],
-                                     Callable[[Any], Any]]:
-    hints = get_type_hints(cls)
-    encoders, decoders = [], []
-    for f in dataclasses.fields(cls):
-        enc, dec = _codec(hints[f.name])
-        encoders.append((f.name, enc))
-        decoders.append((f.name, getattr(dec, "accepted", None), dec,
-                         f.default is dataclasses.MISSING
-                         and f.default_factory is dataclasses.MISSING))
+def _record_plan(annotation: Any) -> tuple[Callable | None, Callable]:
+    """(encode, decode) of a record, NamedTuple, fixed-length tuple or
+    scalar: straight-line functions, generated once from the annotations
+    as dataclasses makes ``__init__``. The decode checks scalars and
+    fixed-length arrays inline and passes any other value to its own."""
+    ns = {"_MISSING": _MISSING, "_DECODE_ERRORS": _DECODE_ERRORS,
+          "_mismatch": _mismatch, "_within": _within, "_expected": _expected,
+          "_new": tuple.__new__, "NoneType": NoneType}
+    body = ["def decode(v):"]
 
-    def encode(record: Any) -> dict:
-        values, out = vars(record), {}
-        for name, enc in encoders:
-            out[name] = values[name] if enc is None else enc(values[name])
-        return out
+    def bind(value: Any) -> str:
+        ns[f"_{len(ns)}"] = value
+        return f"_{len(ns) - 1}"
 
-    def decode(d: Any) -> Any:
-        if not isinstance(d, dict):
-            raise _expected(d, "an object")
-        kwargs = {}
-        for name, accepted, dec, required in decoders:
-            value = d.get(name, _MISSING)
-            if value is _MISSING:
-                if required:
-                    raise _mismatch(KeyError, name, "")
+    def encoded(ann: Any, expr: str) -> str:
+        enc = _codec(ann)[0]
+        return expr if enc is None else f"{bind(enc)}({expr})"
+
+    def decoded(ann: Any, var: str, at: str, pad: str = "    ") -> str:
+        """Append to ``body`` the lines that check ``var``, the value at the
+        path ``at``; return the expression of its decoded value."""
+        if ann in _SCALAR_TYPES or isinstance(ann, UnionType):
+            what = getattr(ann, "__name__", str(ann))
+            accepted = dict.fromkeys(t for a in get_args(ann) or (ann,)
+                                     for t in _SCALAR_TYPES[a])
+            body.append(f"{pad}if " + " and ".join(
+                f"type({var}) is not {t.__name__}" for t in accepted) +
+                f": raise _expected({var}, {what!r}, {at!r})")
+            return var
+        items = _items(ann)
+        if items is not None:
+            names = [f"{var}_{i}" for i in range(len(items))]
+            body.extend([
+                f"{pad}if not isinstance({var}, (list, tuple)): "
+                f"raise _expected({var}, 'an array', {at!r})",
+                f"{pad}if len({var}) != {len(items)}: raise _mismatch(Value"
+                f"Error, {at!r}, f'expected an array of {len(items)}, got "
+                f"{{len({var})}}')", f"{pad}{', '.join(names)}, = {var}"])
+            values = "".join(decoded(a, name, f"{at}[{i}]", pad) + ", "
+                             for i, (a, name) in enumerate(zip(items, names)))
+            return f"({values})" if get_origin(ann) is tuple \
+                else f"_new({bind(ann)}, ({values}))"
+        if not at:
+            raise TypeError(f"no JSON codec for {ann!r}")
+        body.extend([f"{pad}try: {var}_ = {bind(_codec(ann)[1])}({var})",
+                     f"{pad}except _DECODE_ERRORS as exc:",
+                     f"{pad}    raise _within(exc, {at!r}) from None"])
+        return f"{var}_"
+
+    if isinstance(annotation, type) and issubclass(annotation, Record):
+        hints, args = get_type_hints(annotation), []
+        fields = dataclasses.fields(annotation)
+        body.append("    if not isinstance(v, dict): "
+                    "raise _expected(v, 'an object')")
+        for i, f in enumerate(fields):
+            var = f"v{i}"
+            body.append(f"    {var} = v.get({f.name!r}, _MISSING)")
+            if f.default is not dataclasses.MISSING:
+                default = bind(f.default)
+            elif f.default_factory is not dataclasses.MISSING:
+                default = bind(f.default_factory) + "()"
+            else:
+                args.append(decoded(hints[f.name], var, f.name))
                 continue
-            # A scalar that fits is not passed to dec: the common case.
-            if accepted is None or type(value) not in accepted:
-                try:
-                    value = dec(value)
-                except _DECODE_ERRORS as exc:
-                    raise _within(exc, name) from None
-            kwargs[name] = value
-        return cls(**kwargs)
-
-    return encode, decode
+            body.extend([f"    if {var} is _MISSING: {var} = {default}",
+                         "    else:"])
+            value = decoded(hints[f.name], var, f.name, " " * 8)
+            body.append(f"        {var} = {value}")
+            args.append(var)
+        result = f"{bind(annotation)}({', '.join(args)})"
+        encode = "{%s}" % ", ".join(f"{f.name!r}: " + encoded(
+            hints[f.name], f"v.{f.name}") for f in fields)
+    else:
+        result = decoded(annotation, "v", "")
+        items = _items(annotation) or ()
+        encode = items and "[%s]" % ", ".join(
+            encoded(a, f"v[{i}]") for i, a in enumerate(items))
+    exec("\n".join([*body, f"    return {result}"]) +
+         (f"\ndef encode(v): return {encode}" if encode else ""), ns)
+    return ns.get("encode"), ns["decode"]
 
 
 def write_json(path: Path, payload: object) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -93,10 +93,10 @@ class FunctionalEntry(Record):
 
 @dataclass
 class FunctionalDelta(Record):
-    added: list[FunctionalEntry] = field(default_factory=list)
-    modified: list[tuple[FunctionalEntry, FunctionalEntry]] = field(default_factory=list)
-    deprecated: list[FunctionalEntry] = field(default_factory=list)
-    inherited: list[FunctionalEntry] = field(default_factory=list)
+    added: list[FunctionalEntry]
+    modified: list[tuple[FunctionalEntry, FunctionalEntry]]
+    deprecated: list[FunctionalEntry]
+    inherited: list[FunctionalEntry]
 
     def validate(self) -> None:
         """Each entry id may appear in exactly one bucket (pairs use both sides)."""
@@ -339,7 +339,7 @@ class EntryPairing:
     def delta(self, results: Sequence[CompletionResult]) -> FunctionalDelta:
         """Assemble the delta from the answers to requests(), in order."""
         answers = [r.parsed["classification"] for r in results]
-        delta = FunctionalDelta()
+        delta = FunctionalDelta([], [], [], [])
         for (o, n), answer in zip(self.pairs, answers):
             if answer == "modified":
                 delta.modified.append((replace(o, status="modified"),

@@ -203,7 +203,7 @@ def test_chain_inherits_verdicts_over_empty_increments():
     graph, resolver = chain_fixture()
     gateway = LlmGateway(provider=MockProvider(
         rules=judge_rule(["implemented"])))
-    increments = [Increment(rfc_from=src, rfc_to=dst, delta=FunctionalDelta())
+    increments = [Increment(rfc_from=src, rfc_to=dst, delta=FunctionalDelta([], [], [], []))
                   for src, dst in ((793, 1948), (1948, 6528))]
     row = verify_chain([793, 1948, 6528], increments,
                        [entry("rst validation", ("rst",))], "toy",
@@ -226,7 +226,8 @@ def merge_increments():
     def inc(src, dst, *titles):
         targets = tuple(entry(t, ("rst",), rfc=dst) for t in titles)
         return Increment(rfc_from=src, rfc_to=dst,
-                         delta=FunctionalDelta(added=list(targets)))
+                         delta=FunctionalDelta(added=list(targets), modified=[],
+                                               deprecated=[], inherited=[]))
 
     return {(1, 2): inc(1, 2),
             (1, 3): inc(1, 3, "rst window check", "rst rate limit"),

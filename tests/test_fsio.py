@@ -55,7 +55,7 @@ _ENTRIES = [FunctionalEntry(rfc=793, section="3.3", title=f"entry {i}",
                             summary="s", concepts=("isn",)) for i in range(4)]
 _DELTA = FunctionalDelta(added=[_ENTRIES[0]],
                          modified=[(_ENTRIES[1], _ENTRIES[2])],
-                         inherited=[_ENTRIES[3]])
+                         deprecated=[], inherited=[_ENTRIES[3]])
 _FUNCTION = CodeFunction(name="f", signature="int f(int a)",
                          params=(("a", "int"),), span=Span(0, 20, 1, 3),
                          doc_comment=None, file="net/a.c", token_count=9,
@@ -143,6 +143,61 @@ def test_record_scalar_fields_take_only_their_json_types(record, field,
         with pytest.raises(TypeError) as err:
             type(record).from_dict(d)
         assert str(err.value) == error
+
+
+def _positions(doc, value, steps=(), path=""):
+    """(steps, path, required) of every value that a decode of ``value``'s
+    JSON form ``doc`` reads, nested ones included: a record's fields, a
+    map's keys and an array's items. ``steps`` lead from ``doc`` to it, and
+    ``required`` is whether its key must be there."""
+    if dataclasses.is_dataclass(value):
+        items = [(f.name, getattr(value, f.name),
+                  f.default is dataclasses.MISSING
+                  and f.default_factory is dataclasses.MISSING)
+                 for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        items = [(k, v, False) for k, v in value.items()]
+    elif isinstance(value, (tuple, list, frozenset)):
+        items = [(i, v, False) for i, v in enumerate(
+            sorted(value) if isinstance(value, frozenset) else value)]
+    else:
+        return
+    for step, item, required in items:
+        at = f"{path}[{step}]" if isinstance(step, int) else \
+            f"{path}.{step}" if path else step
+        yield steps + (step,), at, required
+        yield from _positions(doc[step], item, steps + (step,), at)
+
+
+def _damaged(doc, steps, change):
+    """A copy of ``doc`` whose value at ``steps`` ``change`` damaged, given
+    its parent and its key."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for step in steps[:-1]:
+        parent = parent[step]
+    change(parent, steps[-1])
+    return doc
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_every_position_a_decode_reads_names_its_path(record):
+    decode, doc = type(record).from_dict, record.to_dict()
+    for steps, at, required in _positions(doc, record):
+        value = doc
+        for step in steps:
+            value = value[step]
+        wrong = [] if isinstance(value, dict) else \
+            {} if isinstance(value, list) else {"x": []}
+        with pytest.raises((TypeError, ValueError)) as err:
+            decode(_damaged(doc, steps, lambda parent, step:
+                            parent.__setitem__(step, wrong)))
+        assert str(err.value).startswith(f"{at}: ")
+        if required:
+            with pytest.raises(KeyError) as err:
+                decode(_damaged(doc, steps, lambda parent, step:
+                                parent.pop(step)))
+            assert err.value.args == (at,)
 
 
 # ------------------------------------------------------------- entry store

@@ -50,8 +50,7 @@ WRITERS = {
 
 # Record fields with a default: deleted, they load as it.
 DEFAULTED = {"communities", "damping", "description", "is_appendix",
-             "sections", "concepts", "status", "flags", "added", "modified",
-             "deprecated", "inherited"}
+             "sections", "concepts", "status", "flags"}
 
 
 def _is_map(parent: tuple) -> bool:

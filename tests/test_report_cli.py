@@ -1026,6 +1026,9 @@ _NOT_COVERED = ("net/ipv4/tcp_isn.c:23:net_secret_init: its chunks do not "
      _set_on_line(1, "fid", "net/ipv4/tcp_input.c:13:tcp_validate_reset"),
      "line 1: fid 'net/ipv4/tcp_input.c:13:tcp_validate_reset' is not "
      "'net/ipv4/tcp_input.c:12:tcp_validate_reset'\n"),
+    ("verify", "chains/increments.jsonl",
+     _edit_line(1, lambda row: row["delta"].pop("added")),
+     "line 1: unexpected shape (KeyError: 'delta.added')\n"),
 ], ids=["chunk-deleted", "chunk-deleted-build-graph",
         "chunk-with-numeric-text", "function-with-string-char-end",
         "ledger-with-numeric-model", "ledger-records-not-an-array",
@@ -1040,7 +1043,7 @@ _NOT_COVERED = ("net/ipv4/tcp_isn.c:23:net_secret_init: its chunks do not "
         "trial-citing-a-number", "edge-with-string-weight",
         "graph-with-string-damping", "report-matrix-with-misspelt-verdict",
         "metrics-finding-with-string-evidence", "triplets-with-empty-code",
-        "function-with-another-fid"])
+        "function-with-another-fid", "increment-without-added-bucket"])
 def test_cli_malformed_artifact_exits_one(mini_config, capsys, stage, rel,
                                           damage, reason):
     cfg_path = mini_config()

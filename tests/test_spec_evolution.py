@@ -133,7 +133,8 @@ def test_title_overlap_is_token_set_based():
 
 def test_delta_buckets_must_be_disjoint():
     e = entry("isn")
-    delta = FunctionalDelta(added=[e], inherited=[e])
+    delta = FunctionalDelta(added=[e], modified=[], deprecated=[],
+                            inherited=[e])
     with pytest.raises(ValueError, match="overlap"):
         delta.validate()
 
@@ -141,7 +142,8 @@ def test_delta_buckets_must_be_disjoint():
 def test_delta_targets_are_added_plus_new_sides():
     old, new = entry("a", status="modified"), entry("a v2", status="modified")
     add = entry("b")
-    delta = FunctionalDelta(added=[add], modified=[(old, new)])
+    delta = FunctionalDelta(added=[add], modified=[(old, new)],
+                            deprecated=[], inherited=[])
     assert delta.targets() == [add, new]
 
 
@@ -215,8 +217,10 @@ def test_increments_need_every_edge_delta():
     with pytest.raises(MissingDelta):
         enumerate_increments(graph, chain)
 
-    d1 = FunctionalDelta(added=[entry("isn randomization", rfc=1948)])
-    d2 = FunctionalDelta(added=[entry("keyed isn hash", rfc=6528)])
+    d1 = FunctionalDelta(added=[entry("isn randomization", rfc=1948)],
+                         modified=[], deprecated=[], inherited=[])
+    d2 = FunctionalDelta(added=[entry("keyed isn hash", rfc=6528)],
+                         modified=[], deprecated=[], inherited=[])
     graph.set_delta(793, 1948, d1)
     graph.set_delta(1948, 6528, d2)
     increments = enumerate_increments(graph, chain)
@@ -229,11 +233,13 @@ def test_set_delta_validates():
     graph = build_update_chain(load_rfc_metadata(METADATA))
     e = entry("dup")
     with pytest.raises(ValueError):
-        graph.set_delta(793, 1948, FunctionalDelta(added=[e], deprecated=[e]))
+        graph.set_delta(793, 1948, FunctionalDelta(
+            added=[e], modified=[], deprecated=[e], inherited=[]))
 
 
 def test_increment_roundtrips_through_dict():
-    delta = FunctionalDelta(added=[entry("a", "s")])
+    delta = FunctionalDelta(added=[entry("a", "s")], modified=[],
+                            deprecated=[], inherited=[])
     inc = Increment(rfc_from=793, rfc_to=1948, delta=delta)
     clone = Increment.from_dict(json.loads(json.dumps(inc.to_dict())))
     assert clone == inc
