@@ -200,83 +200,37 @@ def mask_comments_and_strings(src: str) -> str:
     """Blank out comment and string interiors, preserving length and newlines.
 
     The scanner tracks brace depth on the masked text so offsets carry over
-    to the original unchanged.
+    to the original unchanged. Comment delimiters are blanked, quotes kept.
+    A literal's body is read one escape pair at a time: a backslash-newline
+    is a line splice, not literal content, and stays. A literal or block
+    comment left open runs to the end of the text.
     """
-    out = list(src)
-    n = len(src)
-    i = 0
-    NORMAL, LINE, BLOCK, STR, CHR = range(5)
-    state = NORMAL
-    while i < n:
-        c = src[i]
-        if state == NORMAL:
-            if c == "/" and i + 1 < n and src[i + 1] == "/":
-                out[i] = out[i + 1] = " "
-                state = LINE
-                i += 2
-                continue
-            if c == "/" and i + 1 < n and src[i + 1] == "*":
-                out[i] = out[i + 1] = " "
-                state = BLOCK
-                i += 2
-                continue
-            if c == '"':
-                state = STR
-            elif c == "'":
-                state = CHR
-            i += 1
-        elif state == LINE:
-            if c == "\n":
-                state = NORMAL
-            else:
-                out[i] = " "
-            i += 1
-        elif state == BLOCK:
-            if c == "*" and i + 1 < n and src[i + 1] == "/":
-                out[i] = out[i + 1] = " "
-                state = NORMAL
-                i += 2
-                continue
-            if c != "\n":
-                out[i] = " "
-            i += 1
-        else:  # STR or CHR
-            quote = '"' if state == STR else "'"
-            if c == "\\" and i + 1 < n:
-                # A backslash-newline is a line splice, not literal content:
-                # keep both so line structure and continuations survive.
-                if src[i + 1] != "\n":
-                    out[i] = out[i + 1] = " "
-                i += 2
-                continue
-            if c == quote:
-                state = NORMAL
-            elif c != "\n":
-                out[i] = " "
-            i += 1
-    return "".join(out)
+    return _COMMENT_OR_LITERAL.sub(_blank_comment_or_literal, src)
+
+
+_COMMENT_OR_LITERAL = re.compile(
+    r"""//[^\n]*|/\*.*?(?:\*/|\Z)|(["'])((?:\\.?|(?!\1).)*)\1?""", re.DOTALL)
+_ESCAPE_PAIR_OR_CHAR = re.compile(r"\\(.)|[^\n]", re.DOTALL)
+_NOT_NEWLINE = re.compile(r"[^\n]")
+
+
+def _blank_comment_or_literal(m: re.Match) -> str:
+    quote, body = m[1], m[2]
+    if quote is None:
+        return _NOT_NEWLINE.sub(" ", m[0])
+    closing = m[0][1 + len(body):]  # the quote, or "" for an open literal
+    return quote + _ESCAPE_PAIR_OR_CHAR.sub(
+        lambda e: e[0] if e[1] == "\n" else " " * len(e[0]), body) + closing
+
+
+# A directive line and the lines its trailing backslashes continue.
+_DIRECTIVE = re.compile(r"^[^\S\n]*#(?:[^\n]*\\\n)*[^\n]*", re.MULTILINE)
 
 
 def _mask_preprocessor(masked: str) -> str:
     """Additionally blank preprocessor lines (with continuations) for the
     depth tracker; tier-1 parsing still sees the original text."""
-    out: list[str] = []
-    lines = masked.split("\n")
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if line.lstrip().startswith("#"):
-            while True:
-                cont = lines[i].endswith("\\")
-                out.append(" " * len(lines[i]))
-                if not cont or i + 1 >= len(lines):
-                    break
-                i += 1
-            i += 1
-            continue
-        out.append(line)
-        i += 1
-    return "\n".join(out)
+    return _DIRECTIVE.sub(lambda m: _NOT_NEWLINE.sub(" ", m[0]), masked)
 
 
 @dataclass(frozen=True)
@@ -289,39 +243,34 @@ class _Candidate:
     paren_close: int
 
 
+_BRACE = re.compile(r"[{}]")
+
+
 def _match_brace(text: str, open_idx: int) -> int | None:
     depth = 0
-    for i in range(open_idx, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i
+    for m in _BRACE.finditer(text, open_idx):
+        depth += 1 if m[0] == "{" else -1
+        if depth == 0:
+            return m.start()
     return None
 
 
 def _scan_candidates(masked: str) -> list[_Candidate]:
     """Propose top-level function-definition regions from masked text."""
     candidates: list[_Candidate] = []
-    depth = 0
-    i = 0
-    n = len(masked)
+    depth = pos = 0
     last_region_end = -1
-    while i < n:
-        c = masked[i]
-        if c == "{":
-            if depth == 0:
-                cand = _inspect_open_brace(masked, i, last_region_end)
-                if cand is not None:
-                    candidates.append(cand)
-                    last_region_end = cand.close_brace
-                    i = cand.close_brace + 1
-                    continue
-            depth += 1
-        elif c == "}":
+    while m := _BRACE.search(masked, pos):
+        pos = m.end()
+        if m[0] == "}":
             depth = max(0, depth - 1)
-        i += 1
+        elif depth == 0 and (cand := _inspect_open_brace(
+                masked, m.start(), last_region_end)):
+            candidates.append(cand)
+            last_region_end = cand.close_brace
+            pos = last_region_end + 1
+        else:
+            depth += 1
     return candidates
 
 
@@ -355,19 +304,19 @@ def _inspect_open_brace(masked: str, brace_idx: int, prev_end: int) -> _Candidat
     name = masked[j + 1:ident_end]
     if not _IDENT_RE.match(name) or name in _CONTROL_KEYWORDS:
         return None
-    # Declaration starts after the previous top-level terminator.
-    k = j
-    while k > prev_end and masked[k] not in ";}":
-        k -= 1
-    decl_start = k + 1 if k >= 0 and masked[k] in ";}" else max(prev_end + 1, 0)
+    # Declaration starts after the last ';' or '}' since the previous
+    # region; when the name's walk reached back past that region, only
+    # masked[j] itself is looked at.
+    lo = min(prev_end + 1, j)
+    k = max(masked.rfind(";", lo, j + 1), masked.rfind("}", lo, j + 1))
+    decl_start = k + 1 if k >= 0 else prev_end + 1
     seg = masked[decl_start:j + 1]
     if "=" in seg:  # initializer, not a definition
         return None
     close = _match_brace(masked, brace_idx)
     if close is None:
         return None
-    while decl_start < j + 1 and masked[decl_start].isspace():
-        decl_start += 1
+    decl_start += len(seg) - len(seg.lstrip())
     return _Candidate(decl_start=decl_start, open_brace=brace_idx,
                       close_brace=close, name=name,
                       paren_open=paren_open, paren_close=paren_close)

@@ -225,17 +225,29 @@ def _record_plan(annotation: Any) -> tuple[Callable | None, Callable]:
     return ns.get("encode"), ns["decode"]
 
 
-def write_json(path: Path, payload: object) -> None:
+def write_whole(path: Path, text: str) -> None:
+    """Write ``text`` (UTF-8) to a new sibling file that then replaces
+    ``path``, so a reader finds the old bytes or the new ones, never part
+    of them; on failure the sibling is removed."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:  # mode 0o666 & ~umask
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
+def write_json(path: Path, payload: object) -> None:
+    write_whole(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [json.dumps(r, sort_keys=True) for r in rows]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""),
-                    encoding="utf-8")
+    write_whole(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def _reason(exc: Exception) -> str:

@@ -12,7 +12,7 @@ from pathlib import Path
 from ..code_ingest import ExtractionStats
 from ..diff_verifier import IMPLEMENTED, NOT_IMPLEMENTED, Finding, read_matrix
 from ..errors import SerializationError
-from ..fsio import read_json, read_jsonl, write_json
+from ..fsio import read_json, read_jsonl, write_json, write_whole
 from ..llm_gateway import LedgerSnapshot, schema_error
 from .config import PipelineConfig
 from .metrics import Evaluation
@@ -99,9 +99,8 @@ def render_report(report: dict, out_dir: str | Path) -> Path:
     if error is not None:
         raise SerializationError(f"report fails its schema: {error}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_json(out / "report.json", report)
-    (out / "report.md").write_text(_to_markdown(report), encoding="utf-8")
+    write_whole(out / "report.md", _to_markdown(report))
     return out / "report.md"
 
 

@@ -80,6 +80,33 @@ def test_masking_is_idempotent():
     assert mask_comments_and_strings(once) == once
 
 
+@pytest.mark.parametrize("src,masked,directives_masked", [
+    # A literal left open runs to the end, even after a lone backslash.
+    ('s = "ab\\', 's = "   ', 's = "   '),
+    # Read one escape pair at a time: "\\\\" is a pair, the newline stays.
+    ('s = "a\\\\\nb";', 's = "   \n ";', 's = "   \n ";'),
+    # A backslash-newline in a literal is a line splice and stays.
+    ('s = "a\\\nb";', 's = " \\\n ";', 's = " \\\n ";'),
+    ('s = "ab\\"', 's = "    ', 's = "    '),
+    # A // comment ends at the newline, even after a trailing backslash.
+    ('// x \\\nint y;', '      \nint y;', '      \nint y;'),
+    ('/* open {', '         ', '         '),
+    ('c = \'"\'; s = "it\'s";', 'c = \' \'; s = "    ";',
+     'c = \' \'; s = "    ";'),
+    ('\t#define M(a) \\\n\t\t((a) + 1)\nint f(void) { return 0; }',
+     '\t#define M(a) \\\n\t\t((a) + 1)\nint f(void) { return 0; }',
+     '               \n           \nint f(void) { return 0; }'),
+    (" \t#if X /* { */\nint g(void) { return '}'; }",
+     " \t#if X        \nint g(void) { return ' '; }",
+     "               \nint g(void) { return ' '; }"),
+], ids=["open-lone-backslash", "escaped-backslash-newline", "splice",
+        "open-escaped-quote", "line-comment-backslash", "open-block-comment",
+        "quote-in-char", "tab-define-continued", "directive-with-comment"])
+def test_masks_of_edge_cases(src, masked, directives_masked):
+    assert mask_comments_and_strings(src) == masked
+    assert code_ingest._mask_preprocessor(masked) == directives_masked
+
+
 def test_spliced_string_literal_keeps_lines_and_strict_tier():
     src = (
         'const char *banner(void)\n'

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import logging
+import signal
 import sys
 import threading
 
@@ -40,6 +41,28 @@ def test_jsonl_record_of_the_wrong_shape_names_the_file_line(tmp_path):
     assert str(err.value) == \
         f"cannot read {path}: line 2: unexpected shape (KeyError: 'a')"
 
+
+
+def test_write_that_fails_part_way_leaves_the_old_bytes_and_no_other_file(
+        tmp_path):
+    """A file-size limit stops the write after its first 64 KiB reach the
+    disk (EFBIG): the target keeps its old bytes, and no other file is
+    left in its directory."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"old": 1}\n')
+    rows = [{"text": "x" * 1000}] * 200  # about 200 kB
+    limit = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, limit[1]))
+    try:
+        with pytest.raises(OSError):
+            write_jsonl(path, rows)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limit)
+        signal.signal(signal.SIGXFSZ, handler)
+    assert path.read_bytes() == b'{"old": 1}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
 
 # ------------------------------------------------------------- record codec
 
