@@ -255,8 +255,9 @@ def _match_brace(text: str, open_idx: int) -> int | None:
     return None
 
 
-def _scan_candidates(masked: str) -> list[_Candidate]:
-    """Propose top-level function-definition regions from masked text."""
+def _scan_candidates(masked: str, path: str = "<text>") -> list[_Candidate]:
+    """Propose top-level function-definition regions from masked text;
+    ``path`` names the text in log lines. No two regions overlap."""
     candidates: list[_Candidate] = []
     depth = pos = 0
     last_region_end = -1
@@ -265,7 +266,7 @@ def _scan_candidates(masked: str) -> list[_Candidate]:
         if m[0] == "}":
             depth = max(0, depth - 1)
         elif depth == 0 and (cand := _inspect_open_brace(
-                masked, m.start(), last_region_end)):
+                masked, m.start(), last_region_end, path)):
             candidates.append(cand)
             last_region_end = cand.close_brace
             pos = last_region_end + 1
@@ -274,7 +275,8 @@ def _scan_candidates(masked: str) -> list[_Candidate]:
     return candidates
 
 
-def _inspect_open_brace(masked: str, brace_idx: int, prev_end: int) -> _Candidate | None:
+def _inspect_open_brace(masked: str, brace_idx: int, prev_end: int,
+                        path: str) -> _Candidate | None:
     # Walk back over whitespace; a function definition shows ')' just before
     # its body. Anything else (struct/enum/initializer) is rejected here.
     j = brace_idx - 1
@@ -284,7 +286,8 @@ def _inspect_open_brace(masked: str, brace_idx: int, prev_end: int) -> _Candidat
         return None
     paren_close = j
     depth = 0
-    while j >= 0:
+    # The parameter list opens after the previous region, if at all.
+    while j > prev_end:
         if masked[j] == ")":
             depth += 1
         elif masked[j] == "(":
@@ -292,7 +295,9 @@ def _inspect_open_brace(masked: str, brace_idx: int, prev_end: int) -> _Candidat
             if depth == 0:
                 break
         j -= 1
-    if j < 0:
+    if j <= prev_end:
+        log.debug("dropped the body at offset %d in %s: no parameter list "
+                  "opens after the previous region", brace_idx, path)
         return None
     paren_open = j
     j -= 1
@@ -304,12 +309,9 @@ def _inspect_open_brace(masked: str, brace_idx: int, prev_end: int) -> _Candidat
     name = masked[j + 1:ident_end]
     if not _IDENT_RE.match(name) or name in _CONTROL_KEYWORDS:
         return None
-    # Declaration starts after the last ';' or '}' since the previous
-    # region; when the name's walk reached back past that region, only
-    # masked[j] itself is looked at.
-    lo = min(prev_end + 1, j)
-    k = max(masked.rfind(";", lo, j + 1), masked.rfind("}", lo, j + 1))
-    decl_start = k + 1 if k >= 0 else prev_end + 1
+    # Declaration starts after the last ';' or '}' since the previous region.
+    decl_start = max(masked.rfind(";", prev_end + 1, j + 1),
+                     masked.rfind("}", prev_end + 1, j + 1), prev_end) + 1
     seg = masked[decl_start:j + 1]
     if "=" in seg:  # initializer, not a definition
         return None
@@ -480,7 +482,7 @@ def _extract(source: SourceFile, parser: CParser | None) -> list[CodeFunction]:
     comment_free = mask_comments_and_strings(src)
     masked = _mask_preprocessor(comment_free)
     out: list[CodeFunction] = []
-    for cand in _scan_candidates(masked):
+    for cand in _scan_candidates(masked, source.path):
         region = src[cand.decl_start:cand.close_brace + 1]
         parse_region = comment_free[cand.decl_start:cand.close_brace + 1]
         funcdef = _try_syntax_tier(parse_region, parser, cand.name)

@@ -43,15 +43,16 @@ class Record:
     each names the path to the value (``sections[0].body[2]``); a record's
     own checks speak for themselves. A record nested in another is encoded
     and decoded through its own to_dict and from_dict, where it has them.
-    Each class's encode and decode are generated once, on first use.
+    Each annotation's encode and decode are closures, built once on first
+    use and cached.
     """
 
     def to_dict(self) -> dict:
-        return _record_plan(type(self))[0](self)
+        return _record(type(self))[0](self)
 
     @classmethod
     def from_dict(cls: type[R], d: dict) -> R:
-        return _record_plan(cls)[1](d)
+        return _record(cls)[1](d)
 
 
 _DECODE_ERRORS = (KeyError, TypeError, ValueError)
@@ -76,24 +77,76 @@ def _within(exc: Exception, step: str) -> Exception:
                                         else "." + at), exc.reason)
 
 
-def _expected(value: Any, what: str, at: str = "") -> Exception:
-    """A TypeError at ``at``: ``value`` is not ``what``; a KeyError when
-    the value is missing. Each decode's first check raises through it, so
-    a missing required key is a KeyError whatever decodes its value."""
+def _expected(value: Any, what: str) -> Exception:
+    """A TypeError: ``value`` is not ``what``; a KeyError when the value is
+    missing. Each decode's first check raises through it, so a missing
+    required key is a KeyError whatever decodes its value."""
     if value is _MISSING:
-        return _mismatch(KeyError, at, "")
-    return _mismatch(TypeError, at,
+        return _mismatch(KeyError, "", "")
+    return _mismatch(TypeError, "",
                      f"expected {what}, got {type(value).__name__}")
 
 
+@functools.cache
+def _record(cls: type) -> tuple[Callable, Callable]:
+    """(encode, decode) of a record by its fields, whatever its own
+    to_dict and from_dict. The decode reads the fields in order and passes
+    their values to the class by position."""
+    hints = get_type_hints(cls)
+    # Each field's default is a factory, or MISSING where it has none.
+    fields = [(f.name, *_codec(hints[f.name]),
+               f.default_factory if f.default is dataclasses.MISSING
+               else lambda default=f.default: default)
+              for f in dataclasses.fields(cls)]
+
+    def encode(record: Any) -> dict:
+        return {name: getattr(record, name) if enc is None
+                else enc(getattr(record, name)) for name, enc, _, _ in fields}
+
+    def decode(value: Any) -> Any:
+        if not isinstance(value, dict):
+            raise _expected(value, "an object")
+        args = []
+        try:
+            for name, _, dec, default in fields:
+                item = value.get(name, _MISSING)
+                args.append(default() if item is _MISSING
+                            and default is not dataclasses.MISSING
+                            else dec(item))
+        except _DECODE_ERRORS as exc:
+            raise _within(exc, name) from None
+        return cls(*args)
+
+    return encode, decode
+
+
+@functools.cache
 def _codec(annotation: Any) -> tuple[Callable | None, Callable]:
     """(encode, decode) of a field's values; encode None writes a value as
-    it is. An array's or object's decode is a loop that names the index or
-    key of a value that fails; any other is generated by _record_plan."""
-    if isinstance(annotation, type) and issubclass(annotation, Record) \
-            and {"to_dict", "from_dict"} & vars(annotation).keys():
-        return (lambda r: r.to_dict()), annotation.from_dict
+    it is. A fixed-length array's, an array's or an object's decode names
+    the index or key of a value that fails."""
+    if isinstance(annotation, type) and issubclass(annotation, Record):
+        if {"to_dict", "from_dict"} & vars(annotation).keys():
+            return (lambda r: r.to_dict()), annotation.from_dict
+        return _record(annotation)
     origin, args = get_origin(annotation), get_args(annotation)
+    if annotation in _SCALAR_TYPES or isinstance(annotation, UnionType):
+        accepted = frozenset(t for a in args or (annotation,)
+                             for t in _SCALAR_TYPES[a])
+        name = getattr(annotation, "__name__", str(annotation))
+
+        def decode_scalar(value: Any) -> Any:
+            if type(value) not in accepted:
+                raise _expected(value, name)
+            return value
+
+        return None, decode_scalar
+    if isinstance(annotation, type) and issubclass(annotation, tuple):
+        hints = get_type_hints(annotation)  # a NamedTuple
+        return _fixed([hints[f] for f in annotation._fields],
+                      functools.partial(tuple.__new__, annotation))
+    if origin is tuple and args[-1:] != (...,):
+        return _fixed(args, tuple)
     if origin is dict and args[0] is str:
         enc, dec = _codec(args[1])
 
@@ -110,9 +163,8 @@ def _codec(annotation: Any) -> tuple[Callable | None, Callable]:
 
         return (enc and (lambda value: {k: enc(v) for k, v in value.items()}),
                 decode_object)
-    if not (origin in (list, frozenset)
-            or origin is tuple and args[-1:] == (...,)):
-        return _record_plan(annotation)
+    if origin not in (tuple, list, frozenset):
+        raise TypeError(f"no JSON codec for {annotation!r}")
     enc, dec = _codec(args[0])
     write = sorted if origin is frozenset else list
 
@@ -131,98 +183,29 @@ def _codec(annotation: Any) -> tuple[Callable | None, Callable]:
             decode_array)
 
 
-def _items(annotation: Any) -> tuple | None:
-    """The annotations of the items of a NamedTuple or fixed-length tuple."""
-    if isinstance(annotation, type) and issubclass(annotation, tuple):
-        hints = get_type_hints(annotation)
-        return tuple(hints[f] for f in annotation._fields)
-    args = get_args(annotation)
-    if get_origin(annotation) is tuple and args[-1:] != (...,):
-        return args
-    return None
+def _fixed(args: Any, make: Callable) -> tuple[Callable, Callable]:
+    """(encode, decode) of an array of one value of each annotation in
+    ``args``, made into a value by ``make``."""
+    encs, decs = zip(*map(_codec, args))
 
+    def decode(value: Any) -> Any:
+        if not isinstance(value, (list, tuple)):
+            raise _expected(value, "an array")
+        if len(value) != len(decs):
+            raise _mismatch(ValueError, "", f"expected an array of "
+                            f"{len(decs)}, got {len(value)}")
+        out = []
+        try:
+            for dec, item in zip(decs, value):
+                out.append(dec(item))
+        except _DECODE_ERRORS as exc:
+            raise _within(exc, f"[{len(out)}]") from None
+        return make(out)
 
-@functools.cache
-def _record_plan(annotation: Any) -> tuple[Callable | None, Callable]:
-    """(encode, decode) of a record, NamedTuple, fixed-length tuple or
-    scalar: straight-line functions, generated once from the annotations
-    as dataclasses makes ``__init__``. The decode checks scalars and
-    fixed-length arrays inline and passes any other value to its own."""
-    ns = {"_MISSING": _MISSING, "_DECODE_ERRORS": _DECODE_ERRORS,
-          "_mismatch": _mismatch, "_within": _within, "_expected": _expected,
-          "_new": tuple.__new__, "NoneType": NoneType}
-    body = ["def decode(v):"]
-
-    def bind(value: Any) -> str:
-        ns[f"_{len(ns)}"] = value
-        return f"_{len(ns) - 1}"
-
-    def encoded(ann: Any, expr: str) -> str:
-        enc = _codec(ann)[0]
-        return expr if enc is None else f"{bind(enc)}({expr})"
-
-    def decoded(ann: Any, var: str, at: str, pad: str = "    ") -> str:
-        """Append to ``body`` the lines that check ``var``, the value at the
-        path ``at``; return the expression of its decoded value."""
-        if ann in _SCALAR_TYPES or isinstance(ann, UnionType):
-            what = getattr(ann, "__name__", str(ann))
-            accepted = dict.fromkeys(t for a in get_args(ann) or (ann,)
-                                     for t in _SCALAR_TYPES[a])
-            body.append(f"{pad}if " + " and ".join(
-                f"type({var}) is not {t.__name__}" for t in accepted) +
-                f": raise _expected({var}, {what!r}, {at!r})")
-            return var
-        items = _items(ann)
-        if items is not None:
-            names = [f"{var}_{i}" for i in range(len(items))]
-            body.extend([
-                f"{pad}if not isinstance({var}, (list, tuple)): "
-                f"raise _expected({var}, 'an array', {at!r})",
-                f"{pad}if len({var}) != {len(items)}: raise _mismatch(Value"
-                f"Error, {at!r}, f'expected an array of {len(items)}, got "
-                f"{{len({var})}}')", f"{pad}{', '.join(names)}, = {var}"])
-            values = "".join(decoded(a, name, f"{at}[{i}]", pad) + ", "
-                             for i, (a, name) in enumerate(zip(items, names)))
-            return f"({values})" if get_origin(ann) is tuple \
-                else f"_new({bind(ann)}, ({values}))"
-        if not at:
-            raise TypeError(f"no JSON codec for {ann!r}")
-        body.extend([f"{pad}try: {var}_ = {bind(_codec(ann)[1])}({var})",
-                     f"{pad}except _DECODE_ERRORS as exc:",
-                     f"{pad}    raise _within(exc, {at!r}) from None"])
-        return f"{var}_"
-
-    if isinstance(annotation, type) and issubclass(annotation, Record):
-        hints, args = get_type_hints(annotation), []
-        fields = dataclasses.fields(annotation)
-        body.append("    if not isinstance(v, dict): "
-                    "raise _expected(v, 'an object')")
-        for i, f in enumerate(fields):
-            var = f"v{i}"
-            body.append(f"    {var} = v.get({f.name!r}, _MISSING)")
-            if f.default is not dataclasses.MISSING:
-                default = bind(f.default)
-            elif f.default_factory is not dataclasses.MISSING:
-                default = bind(f.default_factory) + "()"
-            else:
-                args.append(decoded(hints[f.name], var, f.name))
-                continue
-            body.extend([f"    if {var} is _MISSING: {var} = {default}",
-                         "    else:"])
-            value = decoded(hints[f.name], var, f.name, " " * 8)
-            body.append(f"        {var} = {value}")
-            args.append(var)
-        result = f"{bind(annotation)}({', '.join(args)})"
-        encode = "{%s}" % ", ".join(f"{f.name!r}: " + encoded(
-            hints[f.name], f"v.{f.name}") for f in fields)
-    else:
-        result = decoded(annotation, "v", "")
-        items = _items(annotation) or ()
-        encode = items and "[%s]" % ", ".join(
-            encoded(a, f"v[{i}]") for i, a in enumerate(items))
-    exec("\n".join([*body, f"    return {result}"]) +
-         (f"\ndef encode(v): return {encode}" if encode else ""), ns)
-    return ns.get("encode"), ns["decode"]
+    if not any(encs):
+        return list, decode
+    return (lambda value: [v if enc is None else enc(v)
+                           for enc, v in zip(encs, value)]), decode
 
 
 def write_whole(path: Path, text: str) -> None:

@@ -175,6 +175,26 @@ def test_function_roundtrips_through_dict():
         assert CodeFunction.from_dict(fn.to_dict()) == fn
 
 
+@pytest.mark.parametrize("src, functions, dropped_at", [
+    # g's parameter list would open inside f's region.
+    (";g (int f(void) { } y) { }", [("f", 1, 19)], 23),
+    # Both #ifdef branches close f's parameter list; directive masking
+    # leaves two ')' for one '(', so no list opens after h.
+    ("int h(void) { return 0; }\nstatic int f(int a\n#ifdef X\n, int b)\n"
+     "#else\n)\n#endif\n{ return a; }\n", [("h", 0, 25)], 78),
+], ids=["overlap", "ifdef"])
+def test_no_two_regions_overlap_and_a_dropped_body_is_logged(
+        caplog, src, functions, dropped_at):
+    source = SourceFile(path="overlap.c", version="v", content=src,
+                        line_count=src.count("\n"), token_count=0)
+    with caplog.at_level("DEBUG", logger="deltaspec.code_ingest"):
+        found = extract_functions(source)
+    assert [(f.name, f.span.char_start, f.span.char_end)
+            for f in found] == functions
+    assert f"dropped the body at offset {dropped_at} in overlap.c: no " \
+        "parameter list opens after the previous region" in caplog.messages
+
+
 # ------------------------------------------------- tier 1 against a reference
 
 def reference_tiers(source, stub_headers):
