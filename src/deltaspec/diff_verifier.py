@@ -16,9 +16,10 @@ from typing import Callable, Mapping, Sequence
 from .errors import (ContractViolation, EmptyResponse, GatewayError,
                      InvalidInputs, ShapeMismatch, UnknownFunction,
                      VerificationAborted)
-from .fsio import Record, read_json, write_json
+from .fsio import Record, invalid, read_json, write_json
 from .knowledge_graph import KnowledgeGraph, retrieve_code_for_spec
-from .llm_gateway import PHASE_REASONING, LlmGateway, LlmRequest, request
+from .llm_gateway import (PHASE_REASONING, Contract, LlmGateway, LlmRequest,
+                          request)
 from .spec_evolution import FunctionalEntry, Increment
 from .triplet_store import RetrievalConfig, TripletStore, retrieve_exemplars
 
@@ -32,7 +33,21 @@ DEFAULT_BUDGET = 20
 
 GROUND_TRUTH_LABELS = ("consistent", "inconsistent")
 
-JUDGMENT_CONTRACT = {
+
+@dataclass(frozen=True)
+class JudgmentReply(Record):
+    """A judgment reply: the verdict, why, and the functions it cites."""
+    verdict: str
+    rationale: str = ""
+    cited_functions: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.verdict not in VERDICT_VALUES:
+            raise invalid("verdict", f"{self.verdict!r} is not one of "
+                          f"{list(VERDICT_VALUES)!r}")
+
+
+JUDGMENT_CONTRACT = Contract({
     "type": "object",
     "required": ["verdict"],
     "properties": {
@@ -40,7 +55,7 @@ JUDGMENT_CONTRACT = {
         "rationale": {"type": "string"},
         "cited_functions": {"type": "array", "items": {"type": "string"}},
     },
-}
+}, JudgmentReply.from_dict)
 
 _IR_SYSTEM = (
     "You compress spec functionality into a terse intermediate representation: "
@@ -208,12 +223,11 @@ def _trial(task: VerificationTask, index: int, ir: object,
             f"judgment yielded no usable verdict: {judgment}") from judgment
     if isinstance(judgment, Exception):
         raise judgment
-    parsed = judgment.parsed
+    reply = judgment.parsed
     allowed = {fid for fid, _ in task.candidates}
-    cited = tuple(f for f in parsed.get("cited_functions", ()) if f in allowed)
-    return Trial(index=index, verdict=parsed["verdict"],
-                 rationale=parsed.get("rationale", ""), cited=cited,
-                 ir_text=ir.text.strip())
+    cited = tuple(f for f in reply.cited_functions if f in allowed)
+    return Trial(index=index, verdict=reply.verdict, rationale=reply.rationale,
+                 cited=cited, ir_text=ir.text.strip())
 
 
 @dataclass

@@ -141,3 +141,7 @@ class SerializationError(DeltaSpecError):
 
 class MissingArtifact(DeltaSpecError):
     """A stage input that is missing, undecodable or of the wrong shape."""
+
+
+class ArtifactWriteError(DeltaSpecError, OSError):
+    """A stage output that could not be written."""

@@ -15,7 +15,8 @@ from types import NoneType, UnionType
 from typing import (Any, BinaryIO, Callable, Iterator, TypeVar,
                     get_args, get_origin, get_type_hints)
 
-from .errors import InvalidRecord, MalformedDocument, MissingArtifact
+from .errors import (ArtifactWriteError, InvalidRecord, MalformedDocument,
+                     MissingArtifact)
 
 T = TypeVar("T")
 R = TypeVar("R", bound="Record")
@@ -41,10 +42,10 @@ class Record:
     A missing key takes the field's default, else KeyError; an unknown key is
     ignored. A wrong type is a TypeError, a wrong length a ValueError, and
     each names the path to the value (``sections[0].body[2]``); a record's
-    own checks speak for themselves. A record nested in another is encoded
-    and decoded through its own to_dict and from_dict, where it has them.
-    Each annotation's encode and decode are closures, built once on first
-    use and cached.
+    own checks speak for themselves, or name a field through invalid(). A
+    record nested in another is encoded and decoded through its own to_dict
+    and from_dict, where it has them. Each annotation's encode and decode
+    are closures, built once on first use and cached.
     """
 
     def to_dict(self) -> dict:
@@ -82,9 +83,28 @@ def _expected(value: Any, what: str) -> Exception:
     missing. Each decode's first check raises through it, so a missing
     required key is a KeyError whatever decodes its value."""
     if value is _MISSING:
-        return _mismatch(KeyError, "", "")
+        return _mismatch(KeyError, "", "missing")
     return _mismatch(TypeError, "",
                      f"expected {what}, got {type(value).__name__}")
+
+
+def decoder(annotation: Any) -> Callable[[Any], Any]:
+    """The checked decode of a JSON value of type ``annotation``."""
+    return _codec(annotation)[1]
+
+
+def invalid(field: str, reason: str) -> ValueError:
+    """The ValueError a record's own check raises for its ``field``; a
+    decode names the path to it as it does for the codec's errors."""
+    return _mismatch(ValueError, field, reason)
+
+
+def violation(exc: Exception) -> str:
+    """A codec error as ``$<path>: <reason>`` (``$.cited_functions[0]:
+    expected str, got int``); any other error as its message."""
+    at = getattr(exc, "at", None)
+    return str(exc) if at is None else \
+        f"${'.' if at[:1] not in ('', '[') else ''}{at}: {exc.reason}"
 
 
 @functools.cache
@@ -211,16 +231,19 @@ def _fixed(args: Any, make: Callable) -> tuple[Callable, Callable]:
 def write_whole(path: Path, text: str) -> None:
     """Write ``text`` (UTF-8) to a new sibling file that then replaces
     ``path``, so a reader finds the old bytes or the new ones, never part
-    of them; on failure the sibling is removed."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    of them. On failure the sibling is removed, and an OSError ends as
+    ArtifactWriteError naming ``path``."""
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "x", encoding="utf-8") as fh:  # mode 0o666 & ~umask
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             tmp.unlink()
+        if isinstance(exc, OSError):
+            raise ArtifactWriteError(f"cannot write {path}: {exc}") from exc
         raise
 
 
@@ -242,10 +265,11 @@ def _reason(exc: Exception) -> str:
 @contextlib.contextmanager
 def _reading(path: Path,
              hint: str = "; run the earlier stages first") -> Iterator[None]:
-    """A missing ``path``, or one the block cannot read, decode or take
-    apart, ends as MissingArtifact naming it."""
+    """A missing ``path``, one that is not a file, or one the block cannot
+    read, decode or take apart, ends as MissingArtifact naming it."""
     if not path.is_file():
-        raise MissingArtifact(f"cannot read {path}: no such file{hint}")
+        why = "is a directory" if path.is_dir() else f"no such file{hint}"
+        raise MissingArtifact(f"cannot read {path}: {why}")
     try:
         yield
     except (OSError, *_VALUE_ERRORS, *_SHAPE_ERRORS) as exc:

@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 from .chunk_mapper import Chunk, ChunkFunctionMap
 from .errors import ContractViolation, EmptyGraph, SchemaViolation
-from .fsio import Record
-from .llm_gateway import PHASE_GRAPH, LlmGateway, request
+from .fsio import Record, decoder, invalid
+from .llm_gateway import PHASE_GRAPH, Contract, LlmGateway, request
 
 ENTITY_KINDS = ("state", "event", "action", "mechanism")
 FALLBACK_KIND = "mechanism"
@@ -30,7 +30,20 @@ DEFAULT_DAMPING = 0.5
 MAX_ROUNDS = 100  # label-propagation rounds before giving up on convergence
 RELATIONS = ("mentions", "relates-to", "implements-candidate")
 
-ENTITY_CONTRACT = {
+
+@dataclass(frozen=True)
+class EntityReply(Record):
+    """One entity of an extract-entities reply."""
+    kind: str
+    name: str
+    description: str = ""
+
+    def __post_init__(self):
+        if not self.name:
+            raise invalid("name", f"{self.name!r} is too short")
+
+
+ENTITY_CONTRACT = Contract({
     "type": "array",
     "items": {
         "type": "object",
@@ -41,7 +54,7 @@ ENTITY_CONTRACT = {
             "description": {"type": "string"},
         },
     },
-}
+}, decoder(tuple[EntityReply, ...]))
 
 _EXTRACT_SYSTEM = (
     "You identify protocol entities in RFC prose or kernel source. "
@@ -234,8 +247,7 @@ def extract_entities_all(chunks: Sequence[Chunk], gateway: LlmGateway,
         seen: dict[str, Entity] = {}
         if chunk.text.strip():
             for item in next(results).parsed:
-                ent = Entity(kind=item["kind"], name=item["name"],
-                             description=item.get("description", ""))
+                ent = Entity(item.kind, item.name, item.description)
                 seen.setdefault(ent.id, ent)
         out.append(list(seen.values()))
     return out

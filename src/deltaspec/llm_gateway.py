@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from datetime import timezone
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Any, Callable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from . import __version__
 from .errors import CacheWriteError, ContractViolation, NotSent, ProviderError
-from .fsio import EntryStore, Record, read_jsonl
+from .fsio import EntryStore, Record, read_jsonl, violation
 from .tokenizer import count_tokens, token_texts
 
 log = logging.getLogger(__name__)
@@ -44,108 +44,12 @@ _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 # Longest wait a provider's Retry-After header may impose, in seconds.
 MAX_RETRY_AFTER_S = 60.0
 
-# Compiled contract checkers, keyed by a schema's JSON text: schemas are
-# unhashable dicts and ids get reused, so the key is the value itself.
-_CHECKERS: dict[str, Callable[[Any], str | None]] = {}
 
-# The subset of JSON Schema that the pipeline's contracts use.
-_CHECKED_KEYWORDS = frozenset({"type", "properties", "required", "items",
-                               "enum", "minLength", "additionalProperties"})
-_CHECKED_TYPES = {"object": dict, "array": list, "string": str}
-
-
-def schema_error(instance: Any, schema: Mapping) -> str | None:
-    """The first way ``instance`` breaks ``schema``, as a message naming its
-    JSON path (``$.verdict: 'maybe' is not one of ['yes', 'no']``), or
-    None. A schema outside the checked subset raises ``ValueError`` on every
-    use."""
-    key = json.dumps(schema)
-    if key not in _CHECKERS:
-        _CHECKERS[key] = _compile(schema)
-    return _CHECKERS[key](instance)
-
-
-def _outside(keyword: str, value: Any) -> ValueError:
-    return ValueError(f"contract keyword {keyword!r} holds {value!r}, "
-                      f"outside the checked subset")
-
-
-def _compile(schema: Any, keyword: str | None = None) -> Callable[[Any], str | None]:
-    """The checker for one contract schema (``keyword`` names the keyword a
-    subschema sits under). It returns the first violation as
-    ``"$<path>: <message>"``, or None. Keywords are checked in one order,
-    whatever the schema's key order: ``type``, ``enum``, ``required`` in
-    listed order, object members in instance order, array items by index,
-    then ``minLength``.
-
-    Raises ``ValueError`` naming the keyword for a schema outside the
-    subset: a keyword outside ``_CHECKED_KEYWORDS``, a ``type`` outside
-    ``_CHECKED_TYPES``, a non-string ``enum`` value, a boolean subschema, or
-    a value the Draft 2020-12 metaschema rejects, so that a compiled schema
-    needs no metaschema check."""
-    if type(schema) is not dict:
-        if keyword is None:
-            raise ValueError(f"contract schema {schema!r} is not an object")
-        raise _outside(keyword, schema)
-    for name in schema:
-        if name not in _CHECKED_KEYWORDS:
-            raise _outside(name, schema[name])
-    kind: type = object
-    type_name = schema.get("type")
-    if "type" in schema:
-        if type(type_name) is not str or type_name not in _CHECKED_TYPES:
-            raise _outside("type", type_name)
-        kind = _CHECKED_TYPES[type_name]
-    props = schema.get("properties", {})
-    if type(props) is not dict or not all(type(n) is str for n in props):
-        raise _outside("properties", props)
-    props = {name: _compile(sub, "properties") for name, sub in props.items()}
-    extra = _compile(schema["additionalProperties"], "additionalProperties") \
-        if "additionalProperties" in schema else lambda instance: None
-    items = _compile(schema["items"], "items") if "items" in schema else None
-    listed = schema.get("enum")
-    if "enum" in schema and (type(listed) is not list
-                             or not all(type(v) is str for v in listed)):
-        raise _outside("enum", listed)
-    enum = None if listed is None else frozenset(listed)
-    min_length = schema.get("minLength", 0)
-    if type(min_length) is not int or min_length < 0:
-        raise _outside("minLength", min_length)
-    required = schema.get("required", [])
-    if type(required) is not list \
-            or not all(type(n) is str for n in required) \
-            or len(set(required)) != len(required):
-        raise _outside("required", required)
-    required = tuple(required)
-    walk_values = bool(props) or "additionalProperties" in schema
-
-    def check(instance: Any) -> str | None:
-        # A nested violation comes back as "$<path>: ..."; each level puts
-        # its own step right after the "$".
-        if not isinstance(instance, kind):
-            return f"$: {instance!r} is not of type {type_name!r}"
-        if enum is not None and not (isinstance(instance, str)
-                                     and instance in enum):
-            return f"$: {instance!r} is not one of {listed!r}"
-        if isinstance(instance, dict):
-            for name in required:
-                if name not in instance:
-                    return f"$: {name!r} is a required property"
-            if walk_values:
-                for name, value in instance.items():
-                    error = props.get(name, extra)(value)
-                    if error is not None:
-                        return f"$.{name}{error[1:]}"
-        elif isinstance(instance, list) and items is not None:
-            for i, value in enumerate(instance):
-                error = items(value)
-                if error is not None:
-                    return f"$[{i}]{error[1:]}"
-        elif isinstance(instance, str) and len(instance) < min_length:
-            return f"$: {instance!r} is too short"
-        return None
-
-    return check
+class Contract(NamedTuple):
+    """A reply's JSON Schema, which its request's fingerprint hashes, and the
+    decode that checks and types it (KeyError, TypeError or ValueError)."""
+    schema: dict
+    decode: Callable[[Any], Any]
 
 
 @dataclass(frozen=True)
@@ -153,7 +57,7 @@ class LlmRequest:
     model: str
     messages: tuple[tuple[str, str], ...]  # (role, content) pairs
     temperature: float = 0.0
-    response_contract: Any = None  # JSON schema for the parsed response
+    response_contract: Contract | None = None
 
     @cached_property
     def fingerprint(self) -> str:
@@ -162,7 +66,7 @@ class LlmRequest:
                 "model": self.model,
                 "messages": [[r, c] for r, c in self.messages],
                 "temperature": self.temperature,
-                "contract": self.response_contract,
+                "contract": getattr(self.response_contract, "schema", None),
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -174,7 +78,8 @@ class LlmRequest:
 
 
 def request(model: str, system: str | None, user: str, *,
-            temperature: float = 0.0, contract: Any = None) -> LlmRequest:
+            temperature: float = 0.0,
+            contract: Contract | None = None) -> LlmRequest:
     """Convenience constructor for the common system+user shape."""
     messages: list[tuple[str, str]] = []
     if system:
@@ -189,17 +94,13 @@ class Usage:
     prompt_tokens: int
     completion_tokens: int
 
-    @property
-    def total(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
 
 @dataclass(frozen=True)
 class CompletionResult:
     text: str
     usage: Usage
     cached: bool
-    parsed: Any = None  # contract-validated payload, when a contract was set
+    parsed: Any = None  # the contract's decode of the reply, if it has one
 
 
 class Provider(Protocol):
@@ -660,9 +561,7 @@ class LlmGateway:
         self.stats.add("cache_hits")
         usage = Usage(entry["usage"]["prompt_tokens"],
                       entry["usage"]["completion_tokens"])
-        parsed = None
-        if request.response_contract is not None:
-            parsed = self._validate_contract(request, entry["response"])
+        parsed = self._validate_contract(request, entry["response"])
         self.ledger.record(request.model, phase,
                            usage.prompt_tokens, usage.completion_tokens)
         result = self._answered[request.fingerprint] = CompletionResult(
@@ -678,8 +577,6 @@ class LlmGateway:
         attempts = 0
         while True:
             text, usage = self._call_provider(request)
-            if request.response_contract is None:
-                return text, usage, None
             try:
                 return text, usage, self._validate_contract(request, text)
             except ContractViolation:
@@ -726,11 +623,14 @@ class LlmGateway:
             f"provider failed after {self.max_retries + 1} attempts: {last_error}")
 
     def _validate_contract(self, request: LlmRequest, text: str) -> Any:
-        payload = extract_json_payload(text)
-        error = schema_error(payload, request.response_contract)
-        if error is not None:
-            raise ContractViolation(f"response violates contract: {error}")
-        return payload
+        """The contract's decode of the reply, or None without a contract."""
+        if request.response_contract is None:
+            return None
+        try:
+            return request.response_contract.decode(extract_json_payload(text))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractViolation(f"response violates contract: "
+                                    f"{violation(exc)}") from exc
 
     def _cache_get(self, fp: str) -> dict | None:
         if self._cache is None:

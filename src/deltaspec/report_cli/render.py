@@ -7,47 +7,38 @@ verification stages write is reproducible byte for byte.
 from __future__ import annotations
 
 import datetime
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..code_ingest import ExtractionStats
 from ..diff_verifier import IMPLEMENTED, NOT_IMPLEMENTED, Finding, read_matrix
 from ..errors import SerializationError
-from ..fsio import read_json, read_jsonl, write_json, write_whole
-from ..llm_gateway import LedgerSnapshot, schema_error
+from ..fsio import (Record, invalid, read_json, read_jsonl, violation,
+                    write_json, write_whole)
+from ..llm_gateway import LedgerSnapshot
 from .config import PipelineConfig
 from .metrics import Evaluation
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["manifest", "matrix", "findings", "extraction_stats",
-                 "costs"],
-    "properties": {
-        "manifest": {"type": "array", "items": {"type": "string"}},
-        "matrix": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "additionalProperties": {
-                    "enum": ["True", "False", "Unknown"],
-                },
-            },
-        },
-        "findings": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["system", "rfc", "description",
-                             "vulnerability_class", "evidence"],
-            },
-        },
-        "extraction_stats": {"type": "object"},
-        "costs": {"type": "object"},
-        "metrics": {"type": "object"},
-        "timing": {"type": "object"},
-    },
-}
-
 _DISPLAY = {IMPLEMENTED: "True", NOT_IMPLEMENTED: "False"}
+_CELLS = ("True", "False", "Unknown")
+
+
+@dataclass(frozen=True)
+class _Report(Record):
+    """The parts of a report that render_report checks before writing it;
+    its other keys are written unchecked."""
+    manifest: tuple[str, ...]
+    matrix: dict[str, dict[str, str]]
+    findings: tuple[Finding, ...]
+    extraction_stats: dict[str, ExtractionStats]
+    costs: LedgerSnapshot
+
+    def __post_init__(self):
+        for version, row in self.matrix.items():
+            for rfc, cell in row.items():
+                if cell not in _CELLS:
+                    raise invalid(f"matrix.{version}.{rfc}", f"{cell!r} is "
+                                  f"not one of {list(_CELLS)!r}")
 
 
 def build_report(cfg: PipelineConfig) -> dict:
@@ -95,9 +86,11 @@ def build_report(cfg: PipelineConfig) -> dict:
 
 
 def render_report(report: dict, out_dir: str | Path) -> Path:
-    error = schema_error(report, REPORT_SCHEMA)
-    if error is not None:
-        raise SerializationError(f"report fails its schema: {error}")
+    try:
+        _Report.from_dict(report)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"report fails its schema: {violation(exc)}") from exc
     out = Path(out_dir)
     write_json(out / "report.json", report)
     write_whole(out / "report.md", _to_markdown(report))

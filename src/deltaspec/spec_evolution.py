@@ -15,19 +15,32 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import CycleDetected, MissingDelta
-from .fsio import Record
-from .llm_gateway import (PHASE_GRAPH, CompletionResult, LlmGateway,
-                          LlmRequest, request)
+from .fsio import Record, decoder, invalid
+from .llm_gateway import (PHASE_GRAPH, CompletionResult, Contract,
+                          LlmGateway, LlmRequest, request)
 from .rfc_ingest import RfcDocument, section_sort_key
 from .tokenizer import token_texts
 
 ENTRY_STATUSES = ("new", "modified", "inherited", "deprecated")
 DEFAULT_TITLE_OVERLAP = 0.5
 
-ENTRY_CONTRACT = {
+
+@dataclass(frozen=True)
+class EntryReply(Record):
+    """One entry of an extract-entries reply."""
+    title: str
+    summary: str
+    concepts: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if not self.title:
+            raise invalid("title", f"{self.title!r} is too short")
+
+
+ENTRY_CONTRACT = Contract({
     "type": "array",
     "items": {
         "type": "object",
@@ -38,19 +51,38 @@ ENTRY_CONTRACT = {
             "concepts": {"type": "array", "items": {"type": "string"}},
         },
     },
-}
+}, decoder(tuple[EntryReply, ...]))
 
-_PAIR_CONTRACT = {
+
+@dataclass(frozen=True)
+class PairReply(Record):
+    """A classify-entry-pair reply."""
+    classification: str
+    allowed: ClassVar[tuple[str, ...]] = ("modified", "inherited")
+
+    def __post_init__(self):
+        if self.classification not in self.allowed:
+            raise invalid("classification", f"{self.classification!r} is "
+                          f"not one of {list(self.allowed)!r}")
+
+
+@dataclass(frozen=True)
+class RemovedReply(PairReply):
+    """A classify-removed-entry reply."""
+    allowed: ClassVar[tuple[str, ...]] = ("deprecated", "inherited")
+
+
+_PAIR_CONTRACT = Contract({
     "type": "object",
     "required": ["classification"],
-    "properties": {"classification": {"enum": ["modified", "inherited"]}},
-}
+    "properties": {"classification": {"enum": list(PairReply.allowed)}},
+}, PairReply.from_dict)
 
-_REMOVED_CONTRACT = {
+_REMOVED_CONTRACT = Contract({
     "type": "object",
     "required": ["classification"],
-    "properties": {"classification": {"enum": ["deprecated", "inherited"]}},
-}
+    "properties": {"classification": {"enum": list(RemovedReply.allowed)}},
+}, RemovedReply.from_dict)
 
 _ENTRY_SYSTEM = (
     "You distill RFC sections into functional entries: discrete protocol "
@@ -282,12 +314,8 @@ def extract_functional_entries_all(docs: Sequence[RfcDocument],
                                        gateway.complete_all(reqs, PHASE_GRAPH)):
         for item in result.parsed:
             entries[k].append(FunctionalEntry(
-                rfc=docs[k].number,
-                section=section_id,
-                title=item["title"],
-                summary=item.get("summary", ""),
-                concepts=tuple(item.get("concepts", ())),
-            ))
+                rfc=docs[k].number, section=section_id, title=item.title,
+                summary=item.summary, concepts=item.concepts))
     # Dedupe identical behaviors restated across sections: keep the first.
     out: list[list[FunctionalEntry]] = []
     for found in entries:
@@ -338,7 +366,7 @@ class EntryPairing:
 
     def delta(self, results: Sequence[CompletionResult]) -> FunctionalDelta:
         """Assemble the delta from the answers to requests(), in order."""
-        answers = [r.parsed["classification"] for r in results]
+        answers = [r.parsed.classification for r in results]
         delta = FunctionalDelta([], [], [], [])
         for (o, n), answer in zip(self.pairs, answers):
             if answer == "modified":

@@ -25,6 +25,7 @@ STAGES = tuple(stage.name for stage in pipeline.STAGES)
 _PROBE = """
 import json, sys
 sys.modules["jsonschema"] = None
+from deltaspec.diff_verifier import JUDGMENT_CONTRACT
 from deltaspec.llm_gateway import LlmGateway, MockProvider, request
 from deltaspec.report_cli.cli import main
 loaded = {}
@@ -33,10 +34,10 @@ for stage in sys.argv[2:]:
         sys.exit(f"{stage} failed")
     loaded[stage] = sorted({"pycparser", "urllib.request", "http.client",
                             "ssl", "requests"} & set(sys.modules))
-replies = iter(['{"ok": 1}', '{"ok": "yes"}'])
+replies = iter(['{"verdict": 1}', '{"verdict": "unknown"}'])
 gateway = LlmGateway(MockProvider(rules=lambda r: next(replies)))
-contract = {"type": "object", "properties": {"ok": {"type": "string"}}}
-gateway.complete(request("m", None, "q", contract=contract), "graph")
+gateway.complete(request("m", None, "q", contract=JUDGMENT_CONTRACT),
+                 "reasoning")
 assert gateway.stats.contract_retries == 1
 print(json.dumps(loaded))
 """

@@ -2,7 +2,6 @@
 
 import errno
 import json
-import re
 import sys
 import tempfile
 import threading
@@ -10,7 +9,6 @@ import time
 from datetime import datetime, timezone
 from email.utils import format_datetime
 
-import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,10 +16,12 @@ from hypothesis import strategies as st
 import deltaspec
 from conftest import EntryLogs, Fault, chat_reply, http_reply
 from deltaspec import llm_gateway
+from deltaspec.diff_verifier import JUDGMENT_CONTRACT
 from deltaspec.errors import (CacheWriteError, ContractViolation, NotSent,
                               ProviderError)
 from deltaspec.llm_gateway import (
     CompletionResult,
+    Contract,
     CostLedger,
     HashEmbedder,
     HttpProvider,
@@ -33,7 +33,21 @@ from deltaspec.llm_gateway import (
 )
 from deltaspec.tokenizer import count_tokens
 
-OK_CONTRACT = {"type": "object", "required": ["ok"]}
+
+def _decode_ok(payload):
+    """The test contract's decode: an object holding "ok", as it is."""
+    if not isinstance(payload, dict):
+        raise TypeError("expected an object")
+    if "ok" not in payload:
+        raise KeyError("ok")
+    return payload
+
+
+OK_CONTRACT = Contract({"type": "object", "required": ["ok"]}, _decode_ok)
+
+
+def _tokens(usage):
+    return usage.prompt_tokens + usage.completion_tokens
 
 
 # ------------------------------------------------------------- fingerprints
@@ -91,30 +105,33 @@ def test_cache_replays_without_provider_calls(tmp_path):
     assert rerun.stats.provider_calls == 0
     assert rerun.stats.cache_hits == 1
     # Cached replays still hit the ledger: reruns account tokens identically.
-    assert rerun.ledger.token_total == first.usage.total
+    assert rerun.ledger.token_total == _tokens(first.usage)
     assert rerun.ledger.as_dict() == gateway.ledger.as_dict()
 
 
 def test_repeats_on_one_gateway_are_answered_from_memory(tmp_path,
                                                         monkeypatch):
     gateway = _ok_gateway(tmp_path, ledger=CostLedger())
-    req = request("m", "sys", "q", contract=OK_CONTRACT)
+    decoded = []
+    contract = OK_CONTRACT._replace(
+        decode=lambda payload: decoded.append(payload) or payload)
+    req = request("m", "sys", "q", contract=contract)
     first = gateway.complete(req, "graph")
     reads = []
     read = gateway._cache_get
     monkeypatch.setattr(gateway, "_cache_get",
                         lambda fp: reads.append(fp) or read(fp))
-    monkeypatch.setattr(llm_gateway, "schema_error",
-                        lambda *a: pytest.fail("a repeat was re-validated"))
     assert gateway.complete(req, "graph") is first
     other = request("m", None, "other")
     batch = gateway.complete_all([req, other, req], "graph")
     assert batch[0] is first and batch[2] is first
     assert reads == [other.fingerprint]
+    assert decoded == [{"ok": 1}]  # a repeat is not checked again
     assert gateway.stats.provider_calls == 2
     assert gateway.stats.requests == 2
     assert gateway.stats.cache_hits == 0
-    assert gateway.ledger.token_total == first.usage.total + batch[1].usage.total
+    assert gateway.ledger.token_total == \
+        _tokens(first.usage) + _tokens(batch[1].usage)
 
 
 def test_failed_request_is_asked_again_next_time(tmp_path):
@@ -137,7 +154,7 @@ def test_failed_request_is_asked_again_next_time(tmp_path):
     assert gateway.complete(req, "graph") is result
     assert sent == ["q", "q"]
     assert gateway.stats.requests == 2
-    assert gateway.ledger.token_total == result.usage.total
+    assert gateway.ledger.token_total == _tokens(result.usage)
 
 
 def test_cache_entries_are_lines_of_one_log(tmp_path):
@@ -168,9 +185,9 @@ def test_unknown_phase_is_rejected(tmp_path):
 def test_contract_violations_retry_then_succeed():
     answers = iter(["not json", "{\"wrong\": 1}", "{\"ok\": 2}"])
     gateway = LlmGateway(provider=MockProvider(rules=lambda r: next(answers)))
-    # Schema requires "ok", so the second answer parses but still violates.
-    contract = {"type": "object", "required": ["ok"]}
-    result = gateway.complete(request("m", None, "q", contract=contract),
+    # The contract requires "ok", so the second answer parses but still
+    # violates it.
+    result = gateway.complete(request("m", None, "q", contract=OK_CONTRACT),
                               "reasoning")
     assert result.parsed == {"ok": 2}
     assert gateway.stats.contract_retries == 2
@@ -307,58 +324,26 @@ def test_gateway_requires_embedder_for_embeddings():
         gateway.embed("text")
 
 
-# --------------------------------------------------------- compiled contracts
-
-def test_each_contract_and_subschema_is_compiled_once(monkeypatch):
-    monkeypatch.setattr(llm_gateway, "_CHECKERS", {})
-    compiled = []
-    real_compile = llm_gateway._compile
-
-    def counting_compile(schema, keyword=None):
-        compiled.append(json.dumps(schema, sort_keys=True))
-        return real_compile(schema, keyword)
-
-    monkeypatch.setattr(llm_gateway, "_compile", counting_compile)
-    other = {"type": "object", "required": ["ok", "why"]}
-    nested = {"type": "object", "properties": {"why": {"type": "string"}}}
-    rejecting = {"type": "object", "required": ["missing"]}
-    for _ in range(2):
-        gateway = LlmGateway(
-            provider=MockProvider(rules=lambda r: '{"ok": 1, "why": "x"}'),
-            contract_retries=0)
-        for i in range(5):
-            for contract in (OK_CONTRACT, dict(other), other, nested,
-                             dict(nested)):
-                gateway.complete(request("m", None, f"q{i}", contract=contract),
-                                 "graph")
-            with pytest.raises(ContractViolation, match="'missing'"):
-                gateway.complete(
-                    request("m", None, f"q{i}", contract=rejecting), "graph")
-    # _compile recurses into subschemas: each is compiled once as well.
-    assert sorted(compiled) == sorted(json.dumps(c, sort_keys=True) for c in (
-        OK_CONTRACT, other, nested, nested["properties"]["why"], rejecting))
-
-
-def test_invalid_contract_raises_on_every_use():
-    bad = {"type": 12}
-    gateway = LlmGateway(provider=MockProvider(rules=lambda r: '{"ok": 1}'))
-    for _ in range(2):
-        with pytest.raises(ValueError, match="keyword 'type' holds 12"):
-            gateway.complete(request("m", None, "q", contract=bad), "graph")
-
+# ------------------------------------------------------ contract messages
 
 def test_contract_violation_message_names_the_json_path():
-    contract = {"type": "object", "required": ["verdict"],
-                "properties": {"verdict": {"enum": ["yes", "no"]},
-                               "cited": {"type": "array",
-                                         "items": {"type": "string"}}}}
-    payload = {"verdict": "maybe", "cited": [1, "f"]}
-    gateway = LlmGateway(provider=MockProvider(rules=lambda r: json.dumps(payload)),
-                         contract_retries=0)
-    with pytest.raises(ContractViolation) as got:
-        gateway.complete(request("m", None, "q", contract=contract), "reasoning")
-    assert str(got.value) == "response violates contract: " \
-        "$.verdict: 'maybe' is not one of ['yes', 'no']"
+    for payload, message in [
+        ({"verdict": "maybe", "cited_functions": [1, "f"]},
+         "$.cited_functions[0]: expected str, got int"),
+        ({"verdict": "maybe"}, "$.verdict: 'maybe' is not one of "
+         "['implemented', 'not-implemented', 'unknown']"),
+        ({"rationale": "r"}, "$.verdict: missing"),
+        ({"verdict": "unknown", "rationale": None},
+         "$.rationale: expected str, got NoneType"),
+        (["implemented"], "$: expected an object, got list"),
+    ]:
+        gateway = LlmGateway(
+            provider=MockProvider(rules=lambda r: json.dumps(payload)),
+            contract_retries=0)
+        with pytest.raises(ContractViolation) as got:
+            gateway.complete(request("m", None, "q", contract=JUDGMENT_CONTRACT),
+                             "reasoning")
+        assert str(got.value) == f"response violates contract: {message}"
 
 
 # ----------------------------------------------------------- corrupt entries
@@ -767,7 +752,8 @@ def test_all_hit_batch_starts_no_thread(tmp_path, monkeypatch):
     n = len(_POOL)
     assert all(results[n + i] is results[i] for i in range(n))
     assert (gateway.stats.requests, gateway.stats.cache_hits) == (n, n)
-    assert gateway.ledger.token_total == sum(r.usage.total for r in results[:n])
+    assert gateway.ledger.token_total == \
+        sum(_tokens(r.usage) for r in results[:n])
     # A lone distinct miss, however often it repeats, is fetched inline.
     fresh = request("m", None, "fresh")
     first, again = gateway.complete_all([fresh, fresh], "graph")
@@ -996,7 +982,7 @@ def test_counters_survive_many_concurrent_misses(tmp_path):
         sys.setswitchinterval(interval)
     assert gateway.stats.provider_calls == 300
     assert gateway.stats.requests == 300
-    assert gateway.ledger.token_total == sum(r.usage.total for r in results)
+    assert gateway.ledger.token_total == sum(_tokens(r.usage) for r in results)
     assert sorted(EntryLogs(tmp_path).keys()) == \
         sorted(r.fingerprint for r in reqs)
 
@@ -1210,80 +1196,3 @@ def test_non_utf8_cache_entry_is_logged_and_refetched(tmp_path, caplog):
     bodies.remove(damaged)
     assert json.loads(bodies[0].decode("utf-8"))["key"] == fp
     assert _ok_gateway(tmp_path).complete(req, "graph").cached
-
-
-# ------------------------------------------ contracts outside the subset
-
-@pytest.mark.parametrize("schema, instance, keyword", [
-    ({"type": "string", "maxLength": 2}, "abc", "maxLength"),
-    ({"type": "string", "pattern": "^a"}, "b", "pattern"),
-    ({"$ref": "#/$defs/s", "$defs": {"s": {"type": "string"}}}, 1, "$ref"),
-    ({"type": "object", "additionalProperties": False}, {"a": 1},
-     "additionalProperties"),
-    ({"type": "object", "additionalProperties": True}, {"a": 1},
-     "additionalProperties"),
-    ({"type": ["string", "null"]}, None, "type"),
-    ({"type": ["string", "null"]}, 1, "type"),
-    ({"type": "integer"}, 1.0, "type"),
-    ({"enum": [1, "a"]}, True, "enum"),
-    ({"properties": {"a": True}}, {"a": 1}, "properties"),
-    ({"$schema": "http://json-schema.org/draft-04/schema#",
-      "type": "object", "required": ["a"]}, {}, "$schema"),
-], ids=["maxLength", "pattern", "ref", "no-additional", "additional-true",
-        "type-list-ok", "type-list-bad", "integer-float", "mixed-enum",
-        "boolean-subschema", "draft-04"])
-def test_schemas_outside_the_compiled_subset_go_to_jsonschema(schema,
-                                                              instance,
-                                                              keyword):
-    # Each needs a full JSON Schema validator such as jsonschema: the
-    # checker refuses it on every use, naming the keyword.
-    for _ in range(2):
-        with pytest.raises(ValueError,
-                           match=re.escape(f"contract keyword {keyword!r}")):
-            llm_gateway.schema_error(instance, schema)
-
-
-@pytest.mark.parametrize("instance", [True, 1, "x", ["a"]])
-def test_compiled_enum_rejects_non_strings_and_jsonschema_reports(instance):
-    schema = {"enum": ["True", "1", "a"]}
-    assert llm_gateway.schema_error(instance, schema) == \
-        f"$: {instance!r} is not one of ['True', '1', 'a']"
-    # The test-only oracle agrees that each is invalid.
-    assert jsonschema.Draft202012Validator(schema).is_valid(instance) is False
-
-
-def test_contract_changed_in_place_is_recompiled():
-    contract = {"type": "object", "required": ["a"]}
-    assert llm_gateway.schema_error({"a": 1}, contract) is None
-    contract["required"] = ["b"]
-    error = llm_gateway.schema_error({"a": 1}, contract)
-    assert error is not None and "'b' is a required property" in error
-
-
-@pytest.mark.parametrize("schema, instance, message", [
-    ({"type": "string"}, 1, "$: 1 is not of type 'string'"),
-    ({"type": "object"}, [], "$: [] is not of type 'object'"),
-    ({"type": "array"}, "a", "$: 'a' is not of type 'array'"),
-    ({"enum": ["yes", "no"]}, "maybe", "$: 'maybe' is not one of ['yes', 'no']"),
-    ({"required": ["a", "b"]}, {"b": 1}, "$: 'a' is a required property"),
-    ({"properties": {"a": {"type": "string"}}}, {"b": 1, "a": 2},
-     "$.a: 2 is not of type 'string'"),
-    ({"additionalProperties": {"minLength": 2}}, {"b": "xy", "a": "x"},
-     "$.a: 'x' is too short"),
-    ({"items": {"type": "string"}}, ["a", 1, 2], "$[1]: 1 is not of type 'string'"),
-    ({"minLength": 1}, "", "$: '' is too short"),
-    ({"items": {"properties": {"c": {"items": {"enum": ["a"]}}}}},
-     [{}, {"c": ["a", "b"]}], "$[1].c[1]: 'b' is not one of ['a']"),
-    # Checked in the order type, enum, required, members, items, minLength.
-    ({"type": "object", "enum": []}, None, "$: None is not of type 'object'"),
-    ({"type": "object", "enum": []}, {}, "$: {} is not one of []"),
-    ({"required": ["z"], "properties": {"a": {"type": "string"}}}, {"a": 1},
-     "$: 'z' is a required property"),
-], ids=["type-string", "type-object", "type-array", "enum", "required",
-        "properties", "additionalProperties", "items", "minLength", "nested",
-        "type-before-enum", "enum-before-required", "required-before-members"])
-def test_contracts_equal_up_to_key_order_give_one_message(schema, instance,
-                                                          message):
-    assert llm_gateway.schema_error(instance, schema) == message
-    reordered = dict(reversed(schema.items()))
-    assert llm_gateway.schema_error(instance, reordered) == message

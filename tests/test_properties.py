@@ -1,9 +1,12 @@
 """Property tests for invariants other modules rely on."""
 
+import json
+
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
+from deltaspec import spec_evolution
 from deltaspec.chunk_mapper import (
     Chunk,
     ChunkFunctionMap,
@@ -25,8 +28,11 @@ from deltaspec.code_ingest import (
     _newline_offsets,
     mask_comments_and_strings,
 )
+from deltaspec.diff_verifier import JUDGMENT_CONTRACT
 from deltaspec.errors import ContractViolation, MalformedDocument, SpanMismatch
-from deltaspec.llm_gateway import _compile, extract_json_payload, schema_error
+from deltaspec.knowledge_graph import ENTITY_CONTRACT
+from deltaspec.llm_gateway import (LlmGateway, MockProvider,
+                                   extract_json_payload, request)
 from deltaspec.rfc_ingest import strip_boilerplate
 from deltaspec.spec_evolution import ChainEdge, UpdateChainGraph
 from deltaspec.tokenizer import is_token_start, token_offsets, token_texts
@@ -356,29 +362,20 @@ def test_chunks_rebuilt_from_their_cuts_equal_chunk_streams(pieces, data):
         == (n, cuts)
 
 
-# The compiled contract checker against jsonschema. Schemas use only the
-# keywords the checker compiles; instances are arbitrary JSON values, most
-# of them built from the schema's own shape so that both verdicts occur.
+# The five reply contracts against jsonschema: a reply's decode raises
+# ContractViolation exactly when jsonschema rejects it under the contract's
+# schema. Instances are arbitrary JSON values, most of them built from the
+# schema's own shape so that both verdicts occur.
+
+_CONTRACTS = {"entity": ENTITY_CONTRACT,
+              "entry": spec_evolution.ENTRY_CONTRACT,
+              "pair": spec_evolution._PAIR_CONTRACT,
+              "removed": spec_evolution._REMOVED_CONTRACT,
+              "judgment": JUDGMENT_CONTRACT}
 
 _NAMES = st.sampled_from(["a", "b", "verdict", ""])
-_WORDS = st.sampled_from(["", "a", "ab", "yes", "True", "1"])
-_KEYWORDS = {
-    "type": st.sampled_from(["object", "array", "string"]),
-    "enum": st.lists(_WORDS, max_size=3),
-    "minLength": st.integers(min_value=0, max_value=3),
-}
-
-
-def _contract_schemas():
-    leaf = st.fixed_dictionaries({}, optional=_KEYWORDS)
-    return st.recursive(leaf, lambda sub: st.fixed_dictionaries({}, optional={
-        **_KEYWORDS,
-        "properties": st.dictionaries(_NAMES, sub, max_size=3),
-        "required": st.lists(_NAMES, unique=True, max_size=3),
-        "items": sub,
-        "additionalProperties": sub,
-    }), max_leaves=8)
-
+_WORDS = st.sampled_from(["", "a", "ab", "yes", "True", "1", "inherited",
+                          "unknown"])
 
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 2)
@@ -405,95 +402,48 @@ def _instances_for(draw, schema, depth=0):
         return draw(st.lists(_instances_for(schema.get("items", {}),
                                             depth + 1), max_size=3))
     props = schema.get("properties", {})
-    extra = schema.get("additionalProperties", {})
     obj = {}
     for name in sorted(set(props) | set(schema.get("required", ()))
                        | {draw(_NAMES), draw(st.sampled_from(["x", "y"]))}):
         if draw(st.integers(0, 4)):
-            obj[name] = draw(_instances_for(props.get(name, extra),
-                                            depth + 1))
+            obj[name] = draw(_instances_for(props.get(name, {}), depth + 1))
     return obj
 
 
 @st.composite
 def _contract_cases(draw):
-    schema = draw(_contract_schemas(), label="schema")
-    return schema, draw(_instances_for(schema), label="instance")
+    name = draw(st.sampled_from(sorted(_CONTRACTS)), label="contract")
+    return name, draw(_instances_for(_CONTRACTS[name].schema),
+                      label="instance")
+
+
+_GATEWAY = LlmGateway(MockProvider(rules=lambda r: None), contract_retries=0)
 
 
 @given(_contract_cases())
-@example(({"type": "object", "additionalProperties": {"type": "string"}},
-          {"a": "x", "b": 1}))
-@example(({"type": "array", "items": {"minLength": 1}}, ["", "a"]))
-@example(({"required": ["a"], "properties": {"a": {"enum": ["yes"]}}},
-          {"b": "yes"}))
-@example(({"enum": ["1"]}, 1))
-@settings(max_examples=300, deadline=None)
+@example(("judgment", {"verdict": 1}))
+@example(("judgment", {"verdict": "unknown", "cited_functions": "f"}))
+@example(("pair", {"classification": True}))
+@example(("removed", {"classification": "modified"}))
+@example(("entity", [{"kind": "state", "name": ""}]))
+@example(("entity", [{"kind": "x", "name": "n", "description": None}]))
+@example(("entry", [{"title": "t", "summary": "s", "concepts": ["a", 1]}]))
+@example(("entry", [{"title": "t"}]))
+@settings(max_examples=500, deadline=None)
 def test_compiled_contract_checker_agrees_with_jsonschema(case):
-    schema, instance = case
-    valid = validator_for(schema)(schema).is_valid(instance)
+    name, instance = case
+    contract = _CONTRACTS[name]
+    valid = validator_for(contract.schema)(contract.schema).is_valid(instance)
     event("valid" if valid else "invalid")
-    assert (schema_error(instance, schema) is None) == valid
-
-
-# _compile is the only validity gate for the schemas it compiles: whatever it
-# compiles without raising, the metaschema must accept too. A near miss is a
-# contract schema with one keyword, at any depth, set to a value the
-# metaschema rejects or to a form the subset leaves out.
-
-_BREAKS = st.sampled_from([
-    ("required", "a"), ("required", {"a": "a"}), ("required", ["a", "a"]),
-    ("required", ("a",)), ("required", [1]), ("required", None),
-    ("enum", "yes"), ("enum", None), ("enum", ("yes",)), ("enum", [1, "a"]),
-    ("minLength", -1), ("minLength", True), ("minLength", 1.0),
-    ("minLength", 0.5), ("minLength", None),
-    ("properties", ["a"]), ("properties", "a"), ("properties", {1: {}}),
-    ("properties", {"a": True}), ("properties", None),
-    ("items", False), ("additionalProperties", True),
-    ("type", "integer"), ("type", ["string"]), ("type", 12),
-    ("$schema", "https://json-schema.org/draft/2020-12/schema"),
-    ("$schema", "http://json-schema.org/draft-04/schema#"),
-    ("minimum", "0"), ("maxItems", -1), ("x-note", "free text"),
-])
-
-
-@st.composite
-def _near_miss_schemas(draw):
-    schema = draw(_contract_schemas())
-    if draw(st.booleans()):
-        return schema
-    target = schema
-    while True:
-        children = list(target.get("properties", {}).values()) + [
-            target[k] for k in ("items", "additionalProperties") if k in target]
-        if not children or draw(st.booleans()):
-            break
-        target = draw(st.sampled_from(children))
-    key, value = draw(_BREAKS)
-    target[key] = value
-    return schema
-
-
-@given(_near_miss_schemas())
-@example({"required": "a"})
-@example({"required": {"a": "a"}})
-@example({"required": ["a", "a"]})
-@example({"enum": "yes"})
-@example({"enum": None})
-@example({"minLength": -1})
-@example({"minLength": True})
-@example({"minLength": 1.5})
-@example({"properties": ["a"]})
-@example({"properties": {"a": False}})
-@example({"items": True})
-@example({"$schema": "https://json-schema.org/draft/2020-12/schema"})
-@example({"type": "string", "maxLength": 2})
-@settings(max_examples=300, deadline=None)
-def test_compiled_schemas_pass_their_metaschema(schema):
+    req = request("m", None, "q", contract=contract)
     try:
-        _compile(schema)
-    except ValueError:
-        event("not compiled")
-        return
-    event("compiled")
-    validator_for(schema).check_schema(schema)
+        _GATEWAY._validate_contract(req, json.dumps(instance))
+    except ContractViolation:
+        assert not valid
+    else:
+        assert valid
+
+
+def test_contract_schemas_pass_their_metaschema():
+    for contract in _CONTRACTS.values():
+        validator_for(contract.schema).check_schema(contract.schema)

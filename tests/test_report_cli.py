@@ -1,19 +1,22 @@
 """Tests for metrics, the cost model, config loading, the CLI, and reports."""
 
+import errno
 import hashlib
 import json
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import (FIXTURES, REPO, EntryLogs, chat_reply, http_reply,
                       run_stages)
-from deltaspec import llm_gateway
+from deltaspec import fsio, llm_gateway, spec_evolution
 from deltaspec.chunk_mapper import (build_map, reconstruct_function,
                                     spans_for_functions)
 from deltaspec.code_ingest import DEFAULT_GLOBS, DEFAULT_KEYWORDS
+from deltaspec.diff_verifier import JUDGMENT_CONTRACT
 from deltaspec.errors import (
     EmptyEval,
     InvalidConfig,
@@ -22,6 +25,7 @@ from deltaspec.errors import (
     SerializationError,
     ShapeMismatch,
 )
+from deltaspec.knowledge_graph import ENTITY_CONTRACT
 from deltaspec.llm_gateway import LlmRequest, request
 from deltaspec.report_cli import cli, pipeline, render
 from deltaspec.report_cli.cli import main
@@ -1076,18 +1080,27 @@ def test_report_renders_the_eval_figures_from_the_confusion(mini_config,
 
 def test_warm_run_checks_every_contract_without_jsonschema(mini_config,
                                                            monkeypatch):
-    checked = []
-    schema_error = llm_gateway.schema_error
+    # Each of the five contracts decodes the replies it is set on, and the
+    # report is decoded before it is written, with jsonschema unimportable.
+    monkeypatch.setitem(sys.modules, "jsonschema", None)
+    decoded = []
+    validate = llm_gateway.LlmGateway._validate_contract
 
-    def counting_schema_error(instance, schema):
-        checked.append(json.dumps(schema, sort_keys=True))
-        return schema_error(instance, schema)
+    def counting_validate(gateway, req, text):
+        decoded.append(req.response_contract)
+        return validate(gateway, req, text)
 
-    monkeypatch.setattr(llm_gateway, "schema_error", counting_schema_error)
-    monkeypatch.setattr(render, "schema_error", counting_schema_error)
+    decode_report = render._Report.from_dict
+    monkeypatch.setattr(llm_gateway.LlmGateway, "_validate_contract",
+                        counting_validate)
+    monkeypatch.setattr(render._Report, "from_dict", lambda report: (
+        decoded.append("report") or decode_report(report)))
     run_bundled_warm(mini_config, monkeypatch)
-    assert json.dumps(render.REPORT_SCHEMA, sort_keys=True) in checked
-    assert len(set(checked)) >= 5
+    for contract in (ENTITY_CONTRACT, spec_evolution.ENTRY_CONTRACT,
+                     spec_evolution._PAIR_CONTRACT,
+                     spec_evolution._REMOVED_CONTRACT, JUDGMENT_CONTRACT):
+        assert sum(d is contract for d in decoded) > 0
+    assert decoded.count("report") == 1
 
 
 def test_cli_cache_entry_that_cannot_be_written_exits_one(mini_config,
@@ -1110,6 +1123,66 @@ def test_cli_cache_entry_that_cannot_be_written_exits_one(mini_config,
     named = [key for key in entries
              if f"cannot write response cache entry {key}: " in err]
     assert len(named) == 1
+
+
+def test_cli_artifact_write_that_fails_at_any_point_exits_one(
+        mini_config, monkeypatch, capsys):
+    # A clean warm run counts each stage's artifact writes. Then each stage
+    # runs again with its k-th write failing, for every k: each run ends as
+    # "error: cannot write <path>: ...", exit 1, with no traceback, and
+    # leaves every artifact as the clean run wrote it.
+    cfg_path = mini_config("bundled")
+    cfg = load_config(cfg_path)
+    shutil.copytree(BUNDLED / "cache", cfg.cache_dir)
+    write_whole = fsio.write_whole
+    written, fail_at = [], [0]
+
+    def no_space(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def failing_write(path, text):
+        written.append(path)
+        if len(written) != fail_at[0]:
+            return write_whole(path, text)
+        with monkeypatch.context() as m:  # the file is written, not renamed
+            m.setattr(fsio.os, "replace", no_space)
+            return write_whole(path, text)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "write_whole", None) is write_whole:
+            monkeypatch.setattr(module, "write_whole", failing_write)
+    counts = {}
+    for stage in STAGES:
+        written.clear()
+        assert main([stage, "--config", str(cfg_path)]) == 0
+        counts[stage] = len(written)
+    assert all(counts.values())
+    clean = {rel: data for rel, data in tree(cfg.workdir).items()
+             if not rel.startswith("report/")}
+    capsys.readouterr()
+    for stage, count in counts.items():
+        for k in range(1, count + 1):
+            written.clear()
+            fail_at[0] = k
+            assert main([stage, "--config", str(cfg_path)]) == 1, (stage, k)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {written[-1]}: "), err
+            assert "Traceback" not in err
+    assert {rel: data for rel, data in tree(cfg.workdir).items()
+            if not rel.startswith("report/")} == clean
+
+
+def test_cli_directory_where_an_artifact_should_be_is_named(mini_config,
+                                                            capsys):
+    cfg_path = mini_config()
+    cfg = load_config(cfg_path)
+    shutil.copytree(BUNDLED / "work", cfg.workdir)
+    matrix = cfg.workdir / "verify" / "matrix.json"
+    matrix.unlink()
+    matrix.mkdir()
+    assert main(["eval", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot read {matrix}: is a directory\n"
 
 
 # ---------------------------------------------------------- scripted backend
