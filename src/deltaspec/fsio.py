@@ -36,9 +36,10 @@ class Record:
     The annotations give each field's JSON form: a nested record is an
     object, as is a ``dict[str, X]``; a tuple, list, frozenset (written
     sorted) or NamedTuple is an array; a scalar (``int``, ``float``,
-    ``str``, ``bool``, ``X | None``) is itself. A decode checks every value
-    it reaches: a scalar takes only its JSON type (an int is a float, a bool
-    no int), a fixed-length tuple or NamedTuple only an array of its length.
+    ``str``, ``bool``, a union of them) is itself, and ``X | None`` is null
+    or X's form. A decode checks every value it reaches: a scalar takes only
+    its JSON type (an int is a float, a bool no int), a fixed-length tuple
+    or NamedTuple only an array of its length.
     A missing key takes the field's default, else KeyError; an unknown key is
     ignored. A wrong type is a TypeError, a wrong length a ValueError, and
     each names the path to the value (``sections[0].body[2]``); a record's
@@ -150,6 +151,12 @@ def _codec(annotation: Any) -> tuple[Callable | None, Callable]:
             return (lambda r: r.to_dict()), annotation.from_dict
         return _record(annotation)
     origin, args = get_origin(annotation), get_args(annotation)
+    if isinstance(annotation, UnionType) \
+            and not {*args} <= _SCALAR_TYPES.keys():
+        (inner,) = {*args} - {NoneType}  # X | None
+        enc, dec = _codec(inner)
+        return (enc and (lambda value: None if value is None else enc(value)),
+                lambda value: None if value is None else dec(value))
     if annotation in _SCALAR_TYPES or isinstance(annotation, UnionType):
         accepted = frozenset(t for a in args or (annotation,)
                              for t in _SCALAR_TYPES[a])

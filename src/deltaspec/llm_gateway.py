@@ -30,7 +30,7 @@ from urllib.parse import urlsplit
 
 from . import __version__
 from .errors import CacheWriteError, ContractViolation, NotSent, ProviderError
-from .fsio import EntryStore, Record, read_jsonl, violation
+from .fsio import EntryStore, Record, invalid, read_jsonl, violation
 from .tokenizer import count_tokens, token_texts
 
 log = logging.getLogger(__name__)
@@ -90,9 +90,23 @@ def request(model: str, system: str | None, user: str, *,
 
 
 @dataclass(frozen=True)
-class Usage:
+class Usage(Record):
     prompt_tokens: int
     completion_tokens: int
+
+    def __post_init__(self):
+        for name in ("prompt_tokens", "completion_tokens"):
+            if getattr(self, name) < 0:
+                raise invalid(name, f"{getattr(self, name)} is negative")
+
+
+@dataclass(frozen=True)
+class _Reply(Record):
+    """A reply as a response-cache entry, a mock transcript entry or an
+    HTTP reply holds it. A provider may leave out the token counts; a
+    cache entry holds them."""
+    response: str
+    usage: Usage | None = None
 
 
 @dataclass(frozen=True)
@@ -302,13 +316,14 @@ class HttpProvider:
                 retry_after=_retry_after(resp) if status in (429, 503) else None)
         try:
             body = json.loads(raw)
-            text, usage = body["choices"][0]["message"]["content"], body.get("usage")
+            entry = {"response": body["choices"][0]["message"]["content"],
+                     "usage": body.get("usage")}
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             # The provider answered; sending the request again gets no
             # better-formed reply.
             raise ProviderError(f"malformed provider response: {exc}",
                                 retryable=False) from exc
-        return _reply(text, usage, "provider response")
+        return _reply(entry, "provider response")
 
 
 class MockProvider:
@@ -340,8 +355,7 @@ class MockProvider:
         queue = self._queues.get(request.fingerprint)
         if queue:
             value = queue.popleft() if len(queue) > 1 else queue[0]
-            entry = value if isinstance(value, dict) else {"response": value}
-            return _reply(entry.get("response"), entry.get("usage"),
+            return _reply(value if isinstance(value, dict) else {"response": value},
                           f"transcript entry for fingerprint "
                           f"{request.fingerprint[:12]}...")
         if self.rules is None:
@@ -559,13 +573,11 @@ class LlmGateway:
         if entry is None:
             return None
         self.stats.add("cache_hits")
-        usage = Usage(entry["usage"]["prompt_tokens"],
-                      entry["usage"]["completion_tokens"])
-        parsed = self._validate_contract(request, entry["response"])
-        self.ledger.record(request.model, phase,
-                           usage.prompt_tokens, usage.completion_tokens)
+        parsed = self._validate_contract(request, entry.response)
+        self.ledger.record(request.model, phase, entry.usage.prompt_tokens,
+                           entry.usage.completion_tokens)
         result = self._answered[request.fingerprint] = CompletionResult(
-            entry["response"], usage, True, parsed)
+            entry.response, entry.usage, True, parsed)
         return result
 
     def _fetch(self, request: LlmRequest, phase: str) -> CompletionResult:
@@ -632,22 +644,18 @@ class LlmGateway:
             raise ContractViolation(f"response violates contract: "
                                     f"{violation(exc)}") from exc
 
-    def _cache_get(self, fp: str) -> dict | None:
+    def _cache_get(self, fp: str) -> _Reply | None:
         if self._cache is None:
             return None
-        return self._cache.get(
-            fp, lambda entry: entry if _is_cache_entry(entry) else None,
-            "dropping")
+        return self._cache.get(fp, _cache_entry, "dropping")
 
     def _cache_put(self, fp: str, model: str, text: str, usage: Usage) -> None:
         if self._cache is None:
             return
         try:
             self._cache.put(fp, {
+                **_Reply(text, usage).to_dict(),
                 "model": model,
-                "response": text,
-                "usage": {"prompt_tokens": usage.prompt_tokens,
-                          "completion_tokens": usage.completion_tokens},
                 "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             })
         except OSError as exc:
@@ -683,24 +691,22 @@ def _retry_after(resp: Any) -> float | None:
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
-def _reply(text: object, usage: object, source: str) -> tuple[str, Usage | None]:
-    """A reply's text must be a string; its usage None or pass _is_usage."""
-    if not isinstance(text, str) or not (usage is None or _is_usage(usage)):
+def _reply(entry: object, source: str) -> tuple[str, Usage | None]:
+    """The text and token counts of a reply ``entry``, decoded as a _Reply;
+    a malformed one is a ProviderError naming ``source``."""
+    try:
+        reply = _Reply.from_dict(entry)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ProviderError(f"malformed {source}: it needs a string response "
-                            f"and nonnegative int token counts", retryable=False)
-    return text, None if usage is None else Usage(
-        usage["prompt_tokens"], usage["completion_tokens"])
+                            f"and nonnegative int token counts; "
+                            f"{violation(exc)}", retryable=False) from exc
+    return reply.response, reply.usage
 
 
-def _is_usage(usage: object) -> bool:
-    """Token counts as a provider reply or a cache entry must hold them:
-    nonnegative ints, not bools, under both keys."""
-    return isinstance(usage, dict) and all(
-        type(usage.get(k)) is int and usage[k] >= 0
-        for k in ("prompt_tokens", "completion_tokens"))
-
-
-def _is_cache_entry(entry: dict) -> bool:
-    """A servable entry holds a string response and token counts."""
-    return isinstance(entry.get("response"), str) \
-        and _is_usage(entry.get("usage"))
+def _cache_entry(entry: dict) -> _Reply | None:
+    """A servable response-cache entry: a _Reply with its token counts."""
+    try:
+        reply = _Reply.from_dict(entry)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return None if reply.usage is None else reply

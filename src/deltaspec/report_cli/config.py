@@ -6,15 +6,19 @@ so a config can travel with its fixture tree.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import os
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..chunk_mapper import DEFAULT_CHUNK_SIZE, DEFAULT_REDUNDANCY_RATIO
 from ..code_ingest import DEFAULT_GLOBS, DEFAULT_KEYWORDS
 from ..diff_verifier import DEFAULT_BUDGET, DEFAULT_TRIALS
 from ..errors import InvalidConfig
+from ..fsio import Record, invalid
 from ..knowledge_graph import DEFAULT_DAMPING
 from ..triplet_store import RetrievalConfig
 
@@ -59,43 +63,6 @@ def _resolve(base: Path, value: str) -> Path:
     return p if p.is_absolute() else Path(os.path.normpath(base / p))
 
 
-def _number(key: str, value: object, kind: type) -> int | float:
-    """``value`` as ``kind``: a boolean is not a number, and an integer
-    key takes no fractional value."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(
-            f"config key {key!r} must be a number, got {value!r}") from exc
-    if isinstance(value, bool) or isinstance(value, float) and number != value:
-        whole = "" if isinstance(value, bool) else "whole "
-        raise InvalidConfig(
-            f"config key {key!r} must be a {whole}number, got {value!r}")
-    return number
-
-
-def _object(key: str, value: object) -> dict:
-    if not isinstance(value, dict):
-        raise InvalidConfig(
-            f"config key {key!r} must be a JSON object, got {value!r}")
-    return value
-
-
-def _strings(key: str, value: object) -> tuple[str, ...]:
-    if not (isinstance(value, list)
-            and all(isinstance(v, str) for v in value)):
-        raise InvalidConfig(
-            f"config key {key!r} must be a list of strings, got {value!r}")
-    return tuple(value)
-
-
-def _string(key: str, value: object) -> str:
-    if not isinstance(value, str):
-        raise InvalidConfig(
-            f"config key {key!r} must be a string, got {value!r}")
-    return value
-
-
 def _tree_pattern(pattern: str) -> str:
     """A ``code_globs`` pattern matches inside the code tree only: it is
     relative, not empty, and takes no ``..`` step."""
@@ -117,106 +84,151 @@ def _version_tag(tag: str) -> str:
     return tag
 
 
+def _count(key: str, value: int | float, low: float = -math.inf) -> int:
+    """A count, given as an int or a whole float, as an int of at least
+    ``low``."""
+    if value % 1:  # a fraction, or nan for an infinity or a NaN
+        raise invalid(key, f"a whole number, got {value!r}")
+    if value < low:
+        raise invalid(key, f"at least {low}, got {int(value)!r}")
+    return int(value)
+
+
+def _real(key: str, value: int | float) -> float:
+    """A number as a float; a NaN, or an int too large for a float, is
+    refused."""
+    with contextlib.suppress(OverflowError):
+        if value == value:
+            return float(value)
+    raise invalid(key, f"a number, got {value!r}")
+
+
+@dataclass
+class _Chunking(Record):
+    chunk_size: int | float = DEFAULT_CHUNK_SIZE
+    redundancy_ratio: float = DEFAULT_REDUNDANCY_RATIO
+
+    def __post_init__(self):
+        self.chunk_size = _count("chunk_size", self.chunk_size)
+        self.redundancy_ratio = _real("redundancy_ratio",
+                                      self.redundancy_ratio)
+
+
+@dataclass
+class _Retrieval(Record):
+    k: int | float = RetrievalConfig.k
+    fusion_alpha: float = RetrievalConfig.fusion_alpha
+    damping: float = DEFAULT_DAMPING
+    budget: int | float = DEFAULT_BUDGET
+
+    def __post_init__(self):
+        self.k = _count("k", self.k, low=0)
+        self.fusion_alpha = _real("fusion_alpha", self.fusion_alpha)
+        self.damping = _real("damping", self.damping)
+        self.budget = _count("budget", self.budget, low=0)
+
+
+@dataclass
+class _Verification(Record):
+    trials: int | float = DEFAULT_TRIALS
+
+    def __post_init__(self):
+        self.trials = _count("trials", self.trials)
+
+
+@dataclass
+class _Triplets(Record):
+    descriptions: str | None = None
+    patches: str | None = None
+    paired_positive: bool = False
+
+
+@dataclass
+class _Config(Record):
+    """The config file as written. An empty path is no path; an absent or
+    null ``code_globs`` or ``code_keywords`` is the default."""
+    workdir: str
+    cache_dir: str
+    model: str
+    provider: str = "mock"
+    transcript: str | None = None
+    rfc_sources: tuple[str, ...] = ()
+    code_trees: dict[str, str] = field(default_factory=dict)
+    code_globs: tuple[str, ...] | None = None
+    code_keywords: tuple[str, ...] | None = None
+    stub_headers: str | None = None
+    triplets: _Triplets = field(default_factory=_Triplets)
+    ground_truth: str | None = None
+    vulnerability_classes: dict[str, str] = field(default_factory=dict)
+    chunking: _Chunking = field(default_factory=_Chunking)
+    retrieval: _Retrieval = field(default_factory=_Retrieval)
+    verification: _Verification = field(default_factory=_Verification)
+    prices: dict[str, tuple[float, float]] = field(default_factory=dict)
+    price_unit: int | float = 1000
+
+    def __post_init__(self):
+        if self.provider not in ("mock", "http"):
+            raise invalid("provider",
+                          f"'mock' or 'http', got {self.provider!r}")
+        for rfc in self.vulnerability_classes:
+            if not rfc.strip().isdecimal():
+                raise invalid("vulnerability_classes",
+                              f"keyed by RFC number, got {rfc!r}")
+        self.prices = {name: (_real(f"prices.{name}", inp),
+                              _real(f"prices.{name}", out))
+                       for name, (inp, out) in self.prices.items()}
+        self.price_unit = _count("price_unit", self.price_unit, low=1)
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+        raw = _Config.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise InvalidConfig("config root must be a JSON object")
+    except KeyError as exc:
+        raise InvalidConfig(
+            f"config is missing required key {exc.at!r}") from exc
+    except (TypeError, ValueError) as exc:
+        if not exc.at:
+            raise InvalidConfig("config root must be a JSON object") from exc
+        key = re.sub(r"\[\d+\]$", "", exc.at)  # the key, not an array item
+        raise InvalidConfig(f"config key {key!r} must be "
+                            f"{exc.reason.removeprefix('expected ')}") from exc
     base = path.parent.resolve()
 
-    def need(key: str) -> object:
-        if key not in raw:
-            raise InvalidConfig(f"config is missing required key {key!r}")
-        return raw[key]
-
-    def path_of(key: str, value: object) -> Path:
-        if not isinstance(value, str):
-            raise InvalidConfig(
-                f"config key {key!r} must be a path string, got {value!r}")
-        return _resolve(base, value)
-
-    def optional_path(key: str, value: object) -> Path | None:
-        return path_of(key, value) if value else None
-
-    provider = raw.get("provider", "mock")
-    if provider not in ("mock", "http"):
-        raise InvalidConfig(f"unknown provider {provider!r}")
-
-    def strings_or(key: str, default: tuple[str, ...]) -> tuple[str, ...]:
-        """The list at ``key``; absent or null is ``default``, [] is none."""
-        value = raw.get(key)
-        return default if value is None else _strings(key, value)
-
-    def section(name: str) -> dict:
-        return _object(name, raw.get(name, {}))
-
-    def setting(key: str, default: object, kind: type) -> int | float:
-        """The number at ``key``; "a.b" is key b of section a."""
-        name, _, leaf = key.rpartition(".")
-        return _number(key, (section(name) if name else raw).get(leaf, default),
-                       kind)
-
-    def at_least(key: str, default: int, low: int) -> int:
-        value = setting(key, default, int)
-        if value < low:
-            raise InvalidConfig(
-                f"config key {key!r} must be at least {low}, got {value!r}")
-        return value
-
-    triplets = section("triplets")
-    paired_positive = triplets.get("paired_positive", False)
-    if not isinstance(paired_positive, bool):
-        raise InvalidConfig("config key 'triplets.paired_positive' must be "
-                            f"true or false, got {paired_positive!r}")
-    classes = {}
-    for rfc, label in section("vulnerability_classes").items():
-        if not rfc.strip().isdecimal():
-            raise InvalidConfig("config key 'vulnerability_classes' must be "
-                                f"keyed by RFC number, got {rfc!r}")
-        classes[int(rfc)] = _string(f"vulnerability_classes.{rfc}", label)
-
-    prices = {}
-    for model, pair in section("prices").items():
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise InvalidConfig(f"price for {model!r} must be [input, output]")
-        prices[model] = (_number(f"prices.{model}", pair[0], float),
-                         _number(f"prices.{model}", pair[1], float))
+    def optional_path(value: str | None) -> Path | None:
+        return _resolve(base, value) if value else None
 
     return PipelineConfig(
-        workdir=path_of("workdir", need("workdir")),
-        cache_dir=path_of("cache_dir", need("cache_dir")),
-        model=_string("model", need("model")),
-        provider=provider,
-        transcript=optional_path("transcript", raw.get("transcript")),
-        rfc_sources=tuple(path_of("rfc_sources", s) for s in
-                          _strings("rfc_sources", raw.get("rfc_sources", []))),
-        code_trees={_version_tag(v): path_of(f"code_trees.{v}", root)
-                    for v, root in section("code_trees").items()},
-        code_globs=tuple(map(_tree_pattern,
-                             strings_or("code_globs", DEFAULT_GLOBS))),
-        code_keywords=strings_or("code_keywords", DEFAULT_KEYWORDS),
-        stub_headers=optional_path("stub_headers", raw.get("stub_headers")),
-        triplet_descriptions=optional_path(
-            "triplets.descriptions", triplets.get("descriptions")),
-        triplet_patches=optional_path(
-            "triplets.patches", triplets.get("patches")),
-        paired_positive=paired_positive,
-        ground_truth=optional_path("ground_truth", raw.get("ground_truth")),
-        vulnerability_classes=classes,
-        chunk_size=setting("chunking.chunk_size", DEFAULT_CHUNK_SIZE, int),
-        redundancy_ratio=setting("chunking.redundancy_ratio",
-                                 DEFAULT_REDUNDANCY_RATIO, float),
-        retrieval_k=at_least("retrieval.k", RetrievalConfig.k, 0),
-        fusion_alpha=setting("retrieval.fusion_alpha",
-                             RetrievalConfig.fusion_alpha, float),
-        damping=setting("retrieval.damping", DEFAULT_DAMPING, float),
-        budget=at_least("retrieval.budget", DEFAULT_BUDGET, 0),
-        trials=setting("verification.trials", DEFAULT_TRIALS, int),
-        prices=prices,
-        price_unit=at_least("price_unit", 1000, 1),
+        workdir=_resolve(base, raw.workdir),
+        cache_dir=_resolve(base, raw.cache_dir),
+        model=raw.model,
+        provider=raw.provider,
+        transcript=optional_path(raw.transcript),
+        rfc_sources=tuple(_resolve(base, s) for s in raw.rfc_sources),
+        code_trees={_version_tag(v): _resolve(base, root)
+                    for v, root in raw.code_trees.items()},
+        code_globs=tuple(map(_tree_pattern, DEFAULT_GLOBS if raw.code_globs
+                             is None else raw.code_globs)),
+        code_keywords=DEFAULT_KEYWORDS if raw.code_keywords is None
+        else raw.code_keywords,
+        stub_headers=optional_path(raw.stub_headers),
+        triplet_descriptions=optional_path(raw.triplets.descriptions),
+        triplet_patches=optional_path(raw.triplets.patches),
+        paired_positive=raw.triplets.paired_positive,
+        ground_truth=optional_path(raw.ground_truth),
+        vulnerability_classes={int(rfc): label for rfc, label
+                               in raw.vulnerability_classes.items()},
+        chunk_size=raw.chunking.chunk_size,
+        redundancy_ratio=raw.chunking.redundancy_ratio,
+        retrieval_k=raw.retrieval.k,
+        fusion_alpha=raw.retrieval.fusion_alpha,
+        damping=raw.retrieval.damping,
+        budget=raw.retrieval.budget,
+        trials=raw.verification.trials,
+        prices=raw.prices,
+        price_unit=raw.price_unit,
     )

@@ -59,7 +59,7 @@ def build_report(cfg: PipelineConfig) -> dict:
     stats = {}
     for version in cfg.versions:
         p = workdir / "verify" / f"stats-{version}.json"
-        if p.is_file():
+        if p.exists():  # a directory there fails, it is not skipped
             stats[version] = read_json(p, ExtractionStats.from_dict).to_dict()
 
     report: dict = {
@@ -74,7 +74,7 @@ def build_report(cfg: PipelineConfig) -> dict:
         },
     }
     eval_path = workdir / "eval" / "metrics.json"
-    if eval_path.is_file():
+    if eval_path.exists():
         evaluation = read_json(eval_path, Evaluation.from_dict)
         mismatches = {(f.system, str(f.rfc)) for f in evaluation.findings
                       if "ground-truth-mismatch" in f.flags}

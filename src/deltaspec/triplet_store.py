@@ -18,10 +18,10 @@ import difflib
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import EmptyStore, InvalidRecord
-from .fsio import Record
+from .fsio import Record, decoder, violation
 from .llm_gateway import PHASE_GRAPH, LlmGateway, LlmRequest, request
 from .tokenizer import count_tokens, token_texts
 
@@ -208,43 +208,67 @@ def _triplet(id: str, spec_text: str, ir: str, code: str, label: str,
                                complexity=count_tokens(code))
 
 
-def _positive_plan(record: Mapping, model: str) -> _Plan:
-    """A description/solution record's IR request, and the consistent
-    triplet its IR makes."""
-    description = str(record.get("description", "")).strip()
-    solution = str(record.get("solution", "")).strip()
+@dataclass(frozen=True)
+class _Description(Record):
+    id: str
+    description: str
+    solution: str
+
+
+@dataclass(frozen=True)
+class _Patch(Record):
+    id: str
+    summary: str
+    before: str
+    after: str
+
+
+def _decoded(kind: type[Record], records: Sequence[Mapping],
+             what: str) -> Any:
+    """``records`` decoded as ``kind``; InvalidRecord naming the first that
+    fails by its index."""
+    try:
+        return decoder(tuple[kind, ...])(records)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidRecord(
+            f"malformed {what} record: {violation(exc)}") from exc
+
+
+def _positive_plan(record: _Description, model: str) -> _Plan:
+    """A description record's IR request, and the consistent triplet its IR
+    makes."""
+    description, solution = record.description.strip(), record.solution.strip()
     if not description or not solution:
         raise InvalidRecord(
-            f"record {record.get('id')!r} needs both description and solution")
+            f"record {record.id!r} needs both description and solution")
 
     def build(ir: str) -> list[DifferentialTriplet]:
-        return [_triplet(str(record["id"]), description, ir, solution,
+        return [_triplet(record.id, description, ir, solution,
                          "consistent", "description")]
     return _ir_request(model, "synth-ir", f"DESCRIPTION:\n{description}"), build
 
 
-def _negative_plan(record: Mapping, model: str, paired_positive: bool) -> _Plan:
+def _negative_plan(record: _Patch, model: str, paired_positive: bool) -> _Plan:
     """A patch record's IR request, and the triplets its IR makes: the
     before-image is inconsistent with the patched behavior; with
     ``paired_positive`` the after-image joins as its consistent twin."""
-    summary = str(record.get("summary", "")).strip()
-    before = str(record.get("before", "")).strip()
-    after = str(record.get("after", "")).strip()
+    summary = record.summary.strip()
+    before, after = record.before.strip(), record.after.strip()
     if not summary or not before or not after:
         raise InvalidRecord(
-            f"record {record.get('id')!r} needs summary, before and after")
+            f"record {record.id!r} needs summary, before and after")
     if before == after:
         raise InvalidRecord(
-            f"record {record.get('id')!r} has identical before and after")
+            f"record {record.id!r} has identical before and after")
     diff = "\n".join(difflib.unified_diff(
         before.splitlines(), after.splitlines(),
         fromfile="before", tofile="after", lineterm=""))
 
     def build(ir: str) -> list[DifferentialTriplet]:
-        out = [_triplet(f"{record['id']}:before", summary, ir, before,
+        out = [_triplet(f"{record.id}:before", summary, ir, before,
                         "inconsistent", "patch")]
         if paired_positive:
-            out.append(_triplet(f"{record['id']}:after", summary, ir, after,
+            out.append(_triplet(f"{record.id}:after", summary, ir, after,
                                 "consistent", "patch"))
         return out
     return (_ir_request(model, "synth-ir-negative",
@@ -257,8 +281,10 @@ def synth_triplets(descriptions: Sequence[Mapping], patches: Sequence[Mapping],
     """Triplets from description records, then patch records, in record
     order. Every record is checked before any request is sent; the IR
     requests then go out as one batch."""
-    plans = [_positive_plan(r, model) for r in descriptions]
-    plans += [_negative_plan(r, model, paired_positive) for r in patches]
+    plans = [_positive_plan(r, model)
+             for r in _decoded(_Description, descriptions, "description")]
+    plans += [_negative_plan(r, model, paired_positive)
+              for r in _decoded(_Patch, patches, "patch")]
     results = gateway.complete_all([req for req, _ in plans], PHASE_GRAPH)
     return [t for (_, build), result in zip(plans, results)
             for t in build(result.text.strip())]

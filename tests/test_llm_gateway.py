@@ -690,7 +690,7 @@ def test_concurrent_writers_of_one_entry_leave_whole_lines(tmp_path):
         assert all(line[:65] == fp.encode() + b" " for line in lines)
         assert len({e["response"] for e in entries}) == 1
         assert all(e["key"] == fp for e in entries)
-    assert gateways[0]._cache_get(fp)["response"] in ("one", "two")
+    assert gateways[0]._cache_get(fp).response in ("one", "two")
 
 
 # ---------------------------------------------------------------- batching

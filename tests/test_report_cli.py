@@ -148,6 +148,10 @@ def test_config_validation(tmp_path):
     with pytest.raises(InvalidConfig, match="cannot read"):
         load_config(tmp_path / "missing.json")
 
+    p.write_bytes(b'{"workdir": "\xff"}')  # not UTF-8
+    with pytest.raises(InvalidConfig, match="cannot read"):
+        load_config(p)
+
     # A version tag is one path component; dots and dashes inside it are fine.
     p.write_text(json.dumps({"workdir": "w", "cache_dir": "c", "model": "m",
                              "code_trees": {"v1.3-big": "t", "toy-a": "u",
@@ -215,6 +219,13 @@ def test_code_selection_defaults_fill_in_only_when_absent(tmp_path, value,
     ({"code_globs": ["../toy-b/net/ipv4/*.c"]}, "code_globs"),
     ({"code_globs": ["net/**/../../x.c"]}, "code_globs"),
     ({"code_globs": [""]}, "code_globs"),
+    # A value takes only its JSON type: a numeric string is no number, and
+    # a falsy non-string is no path.
+    ({"chunking": {"chunk_size": "160"}}, "chunking.chunk_size"),
+    ({"retrieval": {"fusion_alpha": "inf"}}, "retrieval.fusion_alpha"),
+    ({"price_unit": "1000"}, "price_unit"),
+    ({"prices": {"m": ["1", "2"]}}, "prices.m"),
+    ({"transcript": 0}, "transcript"),
 ], ids=["rfc_sources", "code_trees", "chunk_size", "triplets", "prices",
         "workdir", "vulnerability_classes", "price_unit", "paired_positive",
         "budget", "k", "trials-bool", "chunk_size-fraction",
@@ -224,7 +235,9 @@ def test_code_selection_defaults_fill_in_only_when_absent(tmp_path, value,
         "tag-escapes", "tag-slash", "tag-backslash", "tag-nul", "tag-empty",
         "tag-dot", "tag-dotdot", "tag-ledger", "model-null", "model-number",
         "class-null", "class-list", "glob-absolute", "glob-parent",
-        "glob-inner-parent", "glob-empty"])
+        "glob-inner-parent", "glob-empty", "chunk_size-string",
+        "fusion_alpha-string", "price_unit-string", "price-strings",
+        "transcript-zero"])
 def test_wrong_typed_config_value_names_its_key(tmp_path, capsys, extra, key):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({**_BASE_CONFIG, **extra}))
@@ -1172,15 +1185,22 @@ def test_cli_artifact_write_that_fails_at_any_point_exits_one(
             if not rel.startswith("report/")} == clean
 
 
+@pytest.mark.parametrize("stage, rel", [
+    ("eval", "verify/matrix.json"),
+    # report reads these only when they are there, but a directory is.
+    ("report", "eval/metrics.json"),
+    ("report", "verify/stats-toy-a.json"),
+], ids=["matrix", "metrics", "stats"])
 def test_cli_directory_where_an_artifact_should_be_is_named(mini_config,
-                                                            capsys):
+                                                            capsys, stage,
+                                                            rel):
     cfg_path = mini_config()
     cfg = load_config(cfg_path)
     shutil.copytree(BUNDLED / "work", cfg.workdir)
-    matrix = cfg.workdir / "verify" / "matrix.json"
+    matrix = cfg.workdir / rel
     matrix.unlink()
     matrix.mkdir()
-    assert main(["eval", "--config", str(cfg_path)]) == 1
+    assert main([stage, "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == \
         f"error: cannot read {matrix}: is a directory\n"
 

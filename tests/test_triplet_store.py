@@ -225,6 +225,12 @@ def test_synth_positive_requires_description_and_solution():
         synth_positive({"id": "d2", "description": "x"}, synth_gateway(), "m")
     with pytest.raises(InvalidRecord):
         synth_positive({"id": "d3", "solution": "y"}, synth_gateway(), "m")
+    with pytest.raises(InvalidRecord):
+        synth_positive({"description": "x", "solution": "y"}, synth_gateway(),
+                       "m")
+    with pytest.raises(InvalidRecord):
+        synth_positive({"id": "d4", "description": ["a", "list"],
+                        "solution": "y"}, synth_gateway(), "m")
 
 
 def test_synth_negative_emits_before_and_optional_after():
@@ -250,6 +256,9 @@ def test_synth_negative_rejects_unusable_patches():
         synth_negative(base, synth_gateway(), "m")
     with pytest.raises(InvalidRecord):
         synth_negative({"id": "p3", "summary": "", "before": "a", "after": "b"},
+                       synth_gateway(), "m")
+    with pytest.raises(InvalidRecord):
+        synth_negative({"id": "p4", "summary": 7, "before": "a", "after": "b"},
                        synth_gateway(), "m")
 
 
@@ -308,6 +317,10 @@ def test_invalid_record_is_rejected_before_any_request():
     bad = {"id": "p9", "summary": "s", "before": "same;", "after": "same;"}
     with pytest.raises(InvalidRecord):
         synth_triplets([good], [bad], gateway, "judge-1")
+    assert gateway.stats.requests == 0
+    no_id = {"description": "seed the isn hash", "solution": "k;"}
+    with pytest.raises(InvalidRecord):
+        synth_triplets([good, no_id], [], gateway, "judge-1")
     assert gateway.stats.requests == 0
 
 
