@@ -255,19 +255,19 @@ def extract_entities_all(chunks: Sequence[Chunk], gateway: LlmGateway,
 
 def build_graph(
     chunks: Sequence[Chunk],
-    gateway: LlmGateway,
-    model: str,
+    found: Sequence[list[Entity]],
     *,
     fmap: ChunkFunctionMap | None = None,
     damping: float = DEFAULT_DAMPING,
 ) -> KnowledgeGraph:
-    """Assemble the graph from a chunk corpus (text and code together)."""
+    """Assemble the graph from a chunk corpus (text and code together) and
+    the entities found in each chunk, as extract_entities_all gives them.
+    The graph takes ownership of those entities."""
     graph = KnowledgeGraph(damping=damping)
-    ordered = sorted(chunks, key=lambda c: (c.origin, c.index))
     chunk_links = fmap.links_by_chunk() if fmap is not None else {}
-    for chunk, found in zip(ordered,
-                            extract_entities_all(ordered, gateway, model)):
-        merged = [graph.add_entity(e) for e in found]
+    for chunk, entities in sorted(zip(chunks, found, strict=True),
+                                  key=lambda cf: (cf[0].origin, cf[0].index)):
+        merged = [graph.add_entity(e) for e in entities]
         ids = sorted({e.id for e in merged})
         for eid in ids:
             graph.add_mention(eid, chunk.id)

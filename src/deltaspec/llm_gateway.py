@@ -43,6 +43,8 @@ _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 
 # Longest wait a provider's Retry-After header may impose, in seconds.
 MAX_RETRY_AFTER_S = 60.0
+# Most provider calls one batch keeps in flight, unless the config says.
+DEFAULT_MAX_IN_FLIGHT = 16
 
 
 class Contract(NamedTuple):
@@ -107,6 +109,13 @@ class _Reply(Record):
     cache entry holds them."""
     response: str
     usage: Usage | None = None
+
+
+@dataclass(frozen=True)
+class _TranscriptKey(Record):
+    """The key of a mock transcript line; MockProvider reads its
+    ``response`` as it is."""
+    fingerprint: str
 
 
 @dataclass(frozen=True)
@@ -347,8 +356,8 @@ class MockProvider:
     def from_jsonl(cls, path: str | Path,
                    rules: Callable[[LlmRequest], str | None] | None = None
                    ) -> "MockProvider":
-        transcript = dict(read_jsonl(
-            Path(path), lambda rec: (rec["fingerprint"], rec["response"])))
+        transcript = dict(read_jsonl(Path(path), lambda rec: (
+            _TranscriptKey.from_dict(rec).fingerprint, rec["response"])))
         return cls(transcript=transcript, rules=rules)
 
     def complete(self, request: LlmRequest) -> tuple[str, Usage | None]:
@@ -407,7 +416,7 @@ class LlmGateway:
                  max_retries: int = 3,
                  backoff_base: float = 0.5,
                  contract_retries: int = 2,
-                 max_in_flight: int = 4):
+                 max_in_flight: int = DEFAULT_MAX_IN_FLIGHT):
         self.provider = provider
         self._cache = EntryStore(cache_dir, log, "cache entry") \
             if cache_dir else None

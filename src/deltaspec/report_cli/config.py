@@ -20,6 +20,7 @@ from ..diff_verifier import DEFAULT_BUDGET, DEFAULT_TRIALS
 from ..errors import InvalidConfig
 from ..fsio import Record, invalid
 from ..knowledge_graph import DEFAULT_DAMPING
+from ..llm_gateway import DEFAULT_MAX_IN_FLIGHT
 from ..triplet_store import RetrievalConfig
 
 
@@ -49,6 +50,7 @@ class PipelineConfig:
     trials: int
     prices: dict[str, tuple[float, float]]
     price_unit: int
+    max_in_flight: int
 
     @property
     def versions(self) -> tuple[str, ...]:
@@ -133,7 +135,11 @@ class _Verification(Record):
     trials: int | float = DEFAULT_TRIALS
 
     def __post_init__(self):
-        self.trials = _count("trials", self.trials)
+        # Checked on load, so a bad count stops a run before its first
+        # stage, not at verify, its sixth.
+        self.trials = _count("trials", self.trials, low=1)
+        if self.trials % 2 == 0:
+            raise invalid("trials", f"odd, got {self.trials}")
 
 
 @dataclass
@@ -165,6 +171,7 @@ class _Config(Record):
     verification: _Verification = field(default_factory=_Verification)
     prices: dict[str, tuple[float, float]] = field(default_factory=dict)
     price_unit: int | float = 1000
+    max_in_flight: int | float = DEFAULT_MAX_IN_FLIGHT
 
     def __post_init__(self):
         if self.provider not in ("mock", "http"):
@@ -178,6 +185,8 @@ class _Config(Record):
                               _real(f"prices.{name}", out))
                        for name, (inp, out) in self.prices.items()}
         self.price_unit = _count("price_unit", self.price_unit, low=1)
+        self.max_in_flight = _count("max_in_flight", self.max_in_flight,
+                                    low=1)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -231,4 +240,5 @@ def load_config(path: str | Path) -> PipelineConfig:
         trials=raw.verification.trials,
         prices=raw.prices,
         price_unit=raw.price_unit,
+        max_in_flight=raw.max_in_flight,
     )

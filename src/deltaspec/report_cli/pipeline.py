@@ -43,7 +43,8 @@ from ..errors import (InvalidConfig, MissingArtifact, ShapeMismatch,
                       SpanMismatch, UnknownFunction)
 from ..fsio import (Record, read_json, read_jsonl, read_text, write_json,
                     write_jsonl)
-from ..knowledge_graph import KnowledgeGraph, build_graph
+from ..knowledge_graph import (KnowledgeGraph, build_graph,
+                               extract_entities_all)
 from ..llm_gateway import (
     CostLedger,
     HashEmbedder,
@@ -92,7 +93,8 @@ def make_gateway(cfg: PipelineConfig) -> LlmGateway:
                       cache_dir=cfg.cache_dir,
                       ledger=ledger,
                       embedder=HashEmbedder(),
-                      backoff_base=backoff)
+                      backoff_base=backoff,
+                      max_in_flight=cfg.max_in_flight)
 
 
 # -- stage: ingest-rfc -------------------------------------------------------
@@ -200,20 +202,25 @@ def load_code_chunks(cfg: PipelineConfig, version: str) -> tuple[
 
 def build_graph_stage(cfg: PipelineConfig) -> dict[str, KnowledgeGraph]:
     """One graph per version, from the chunks and functions the ingest
-    stages wrote. One gateway serves every version, so the entities of the RFC
-    text chunks they share are asked for once."""
+    stages wrote. The entities of every version's chunks are asked for as
+    one gateway batch, so no version waits for the last calls of another
+    and the RFC text chunks they share are asked for once."""
     text_chunks = read_jsonl(cfg.workdir / "chunks" / "text.jsonl",
                              Chunk.from_dict)
+    corpora = {}
+    for version in cfg.versions:
+        _, fmap, code_chunks = load_code_chunks(cfg, version)
+        corpora[version] = (list(code_chunks.values()) + text_chunks, fmap)
     with make_gateway(cfg) as gateway:
-        graphs = {}
-        for version in cfg.versions:
-            _, fmap, code_chunks = load_code_chunks(cfg, version)
-            graph = build_graph(text_chunks + list(code_chunks.values()),
-                                gateway, cfg.model, fmap=fmap,
-                                damping=cfg.damping)
-            write_json(cfg.workdir / "graph" / f"{version}.json",
-                       graph.to_dict())
-            graphs[version] = graph
+        found = iter(extract_entities_all(
+            [chunk for chunks, _ in corpora.values() for chunk in chunks],
+            gateway, cfg.model))
+    graphs = {}
+    for version, (chunks, fmap) in corpora.items():
+        graph = build_graph(chunks, [next(found) for _ in chunks], fmap=fmap,
+                            damping=cfg.damping)
+        write_json(cfg.workdir / "graph" / f"{version}.json", graph.to_dict())
+        graphs[version] = graph
     write_json(cfg.workdir / "graph" / "ledger.json", gateway.ledger.as_dict())
     return graphs
 

@@ -204,7 +204,8 @@ def test_build_graph_connects_cooccurring_entities():
         function_to_chunks={"x.c:1:fa": [MapLink(c1.id, "x.c:1:fa", 0, 2)]},
         spans={"x.c:1:fa": FunctionSpan("x.c:1:fa", 0, 2)},
     )
-    g = build_graph([c1, c2], gateway, "judge-1", fmap=fmap)
+    g = build_graph([c1, c2], extract_entities_all([c1, c2], gateway,
+                                                   "judge-1"), fmap=fmap)
     assert len(g.entities) == 3
     rst = entity_id("event", "rst event")
     adj = g.relates_adjacency()

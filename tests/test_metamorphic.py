@@ -7,17 +7,22 @@ must leave every ``verify/`` byte equal to a cold run on an unedited copy.
 For any other (4-7), the verdict values, and the functions each trial
 cites (by name: the last ``:`` field of a fid, since an edit may move
 lines), must equal the unedited run's, once renamed versions are mapped
-back.
+back. Relation 8 changes how many provider calls are in flight, under a
+provider whose replies arrive in a random order: every ``work/`` byte
+outside ``report/``, and the set of cache keys, must equal a serial run's.
 """
 
 import json
+import random
 import re
 import shutil
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, _materialize, run_stages
+from conftest import FIXTURES, EntryLogs, _materialize, run_stages
+from deltaspec.llm_gateway import MockProvider
 
 INPUTS = ("chains", "code", "eval", "rfc", "triplets")
 ISN = Path("code") / "toy-b" / "net" / "ipv4" / "tcp_isn.c"
@@ -141,3 +146,53 @@ def test_reordered_inputs_leave_every_verify_byte(base, base_root, edit,
 def test_edit_moves_no_verdict_and_no_cited_function(base, edit, tmp_path):
     assert base["accuracy"] == 1.0
     assert cold_run(tmp_path, edit) == base
+
+
+def set_max_in_flight(count: int):
+    """Relation 8: the config's ``max_in_flight``."""
+    def edit(root: Path, config: dict) -> None:
+        config["max_in_flight"] = count
+    return edit
+
+
+def run_files(root: Path) -> dict:
+    """The bytes of each file a run under ``root`` wrote to ``work/``,
+    ``report/`` aside (its report carries a timestamp), and the keys of
+    both caches."""
+    work = root / "work"
+    files = {str(p.relative_to(work)): p.read_bytes()
+             for p in sorted(work.rglob("*"))
+             if p.is_file() and p.relative_to(work).parts[0] != "report"}
+    keys = {name: set(EntryLogs(root / "cache" / name).keys())
+            for name in ("", "ingest")}
+    return {"files": files, "cache_keys": keys}
+
+
+@pytest.fixture(scope="module")
+def jittered_provider():
+    """MockProvider.complete with a delay of 0-4 ms per call, seeded by the
+    request's fingerprint, so concurrent calls finish out of input order."""
+    real = MockProvider.complete
+
+    def complete(provider, req):
+        time.sleep(random.Random(req.fingerprint).uniform(0, 0.004))
+        return real(provider, req)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MockProvider, "complete", complete)
+        yield
+
+
+@pytest.fixture(scope="module")
+def serial_run(jittered_provider, tmp_path_factory):
+    root = tmp_path_factory.mktemp("serial")
+    cold_run(root, set_max_in_flight(1))
+    return run_files(root)
+
+
+@pytest.mark.parametrize("count", [4, 16, 32])
+def test_calls_in_flight_leave_every_work_byte(serial_run, jittered_provider,
+                                               count, tmp_path):
+    assert serial_run["files"] and all(serial_run["cache_keys"].values())
+    cold_run(tmp_path, set_max_in_flight(count))
+    assert run_files(tmp_path) == serial_run

@@ -6,6 +6,8 @@ import json
 import re
 import shutil
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,7 @@ def test_config_resolves_paths_against_its_directory(mini_config):
     assert cfg.versions == ("toy-a", "toy-b")
     assert cfg.chunk_size == 160
     assert cfg.trials == 5
+    assert cfg.max_in_flight == 16
     assert cfg.prices == {"judge-1": (0.005, 0.015)}
     for src in cfg.rfc_sources:
         assert src.is_absolute() and src.is_file()
@@ -226,6 +229,13 @@ def test_code_selection_defaults_fill_in_only_when_absent(tmp_path, value,
     ({"price_unit": "1000"}, "price_unit"),
     ({"prices": {"m": ["1", "2"]}}, "prices.m"),
     ({"transcript": 0}, "transcript"),
+    ({"verification": {"trials": 0}}, "verification.trials"),
+    ({"verification": {"trials": -1}}, "verification.trials"),
+    ({"verification": {"trials": 4}}, "verification.trials"),
+    ({"max_in_flight": 0}, "max_in_flight"),
+    ({"max_in_flight": -2}, "max_in_flight"),
+    ({"max_in_flight": 2.5}, "max_in_flight"),
+    ({"max_in_flight": "16"}, "max_in_flight"),
 ], ids=["rfc_sources", "code_trees", "chunk_size", "triplets", "prices",
         "workdir", "vulnerability_classes", "price_unit", "paired_positive",
         "budget", "k", "trials-bool", "chunk_size-fraction",
@@ -237,7 +247,9 @@ def test_code_selection_defaults_fill_in_only_when_absent(tmp_path, value,
         "class-null", "class-list", "glob-absolute", "glob-parent",
         "glob-inner-parent", "glob-empty", "chunk_size-string",
         "fusion_alpha-string", "price_unit-string", "price-strings",
-        "transcript-zero"])
+        "transcript-zero", "trials-zero", "trials-negative", "trials-even",
+        "max_in_flight-zero", "max_in_flight-negative",
+        "max_in_flight-fraction", "max_in_flight-string"])
 def test_wrong_typed_config_value_names_its_key(tmp_path, capsys, extra, key):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({**_BASE_CONFIG, **extra}))
@@ -254,12 +266,63 @@ def test_whole_float_counts_and_numbers_still_load(tmp_path):
     p.write_text(json.dumps({**_BASE_CONFIG,
                              "chunking": {"chunk_size": 160.0,
                                           "redundancy_ratio": 1},
-                             "verification": {"trials": 3},
+                             "verification": {"trials": 5.0},
+                             "max_in_flight": 16.0,
                              "prices": {"m": [0, 0.015]}}))
     cfg = load_config(p)
-    assert (cfg.chunk_size, cfg.redundancy_ratio, cfg.trials) == (160, 1.0, 3)
-    assert type(cfg.chunk_size) is int
+    assert (cfg.chunk_size, cfg.redundancy_ratio, cfg.trials,
+            cfg.max_in_flight) == (160, 1.0, 5, 16)
+    assert type(cfg.chunk_size) is type(cfg.trials) is \
+        type(cfg.max_in_flight) is int
     assert cfg.prices == {"m": (0.0, 0.015)}
+
+
+class GatedProvider:
+    """Each call holds until ``target`` calls are in flight at once (or a
+    timeout passes), then sleeps briefly, so a pool wider than ``target``
+    would show in the peak."""
+
+    def __init__(self, target):
+        self.target = target
+        self.inflight = self.peak = 0
+        self.full = threading.Event()
+        self._lock = threading.Lock()
+
+    def complete(self, req):
+        with self._lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+            if self.inflight >= self.target:
+                self.full.set()
+        try:
+            self.full.wait(timeout=5)
+            time.sleep(0.005)
+            return "[]", None
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+
+@pytest.mark.parametrize("in_flight, distinct", [
+    (1, 6), (4, 3), (4, 10), (16, 40), (32, 20),
+])
+def test_make_gateway_keeps_max_in_flight_calls_in_flight(
+        mini_config, monkeypatch, in_flight, distinct):
+    cfg = load_config(mini_config(max_in_flight=in_flight))
+    provider = GatedProvider(min(in_flight, distinct))
+    monkeypatch.setattr(pipeline, "MockProvider", lambda rules: provider)
+    gateway = pipeline.make_gateway(cfg)
+    reqs = [request("m", None, f"q{i % distinct}") for i in range(2 * distinct)]
+    results = []
+    worker = threading.Thread(
+        target=lambda: results.extend(gateway.complete_all(reqs, "graph")),
+        daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert len(results) == 2 * distinct
+    assert provider.peak == min(in_flight, distinct)
+    assert gateway.stats.provider_calls == distinct
 
 
 # ----------------------------------------------------------------------- cli
@@ -1285,6 +1348,24 @@ def test_cli_malformed_transcript_exits_one(mini_config, tmp_path, capsys):
     assert main(["build-chains", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith(
         f"error: cannot read {transcript}: line 1: ")
+
+
+@pytest.mark.parametrize("fingerprint, kind", [
+    (["00"], "list"), (0, "int"),
+], ids=["list", "number"])
+def test_cli_transcript_fingerprint_must_be_a_string(mini_config, tmp_path,
+                                                    capsys, fingerprint, kind):
+    transcript = tmp_path / "transcript.jsonl"
+    transcript.write_text(json.dumps(
+        {"fingerprint": fingerprint, "response": "[]"}) + "\n")
+    cfg_path = mini_config(transcript=str(transcript))
+    assert main(["ingest-rfc", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["build-chains", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {transcript}: line 1: ")
+    assert f"fingerprint: expected str, got {kind}" in err
+    assert "Traceback" not in err
 
 
 def test_cli_malformed_transcript_entry_exits_one(mini_config, tmp_path,
